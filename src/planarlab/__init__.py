@@ -27,6 +27,7 @@ from .errors import (
     DuplicateEdgeError,
     EmptyClassBoundError,
     EmptyClassError,
+    InvalidArgumentError,
     IoFailureError,
     LoopEdgeError,
     MalformedEncodingError,

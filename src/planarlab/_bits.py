@@ -4,6 +4,7 @@ Vertex pairs (i, j) with 1 <= i < j <= n are numbered row-major:
 (1,2), (1,3), ..., (1,n), (2,3), ..., (n-1,n).  Slot s of a mask is
 bit ``1 << s``; the same numbering drives the text encoding, the
 planarity tables, and census enumeration, so all three agree bit for bit.
+Vertex sets are bitsets too: vertex v is bit ``1 << v`` (bit 0 unused).
 """
 
 from __future__ import annotations
@@ -26,6 +27,16 @@ def pairs_in_order(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
+def bit_positions(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def mask_from_edges(n: int, edges) -> int:
     mask = 0
     for i, j in edges:
@@ -35,9 +46,4 @@ def mask_from_edges(n: int, edges) -> int:
 
 def edges_from_mask(n: int, mask: int) -> tuple[tuple[int, int], ...]:
     pairs = pairs_in_order(n)
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(pairs[low.bit_length() - 1])
-        mask ^= low
-    return tuple(out)
+    return tuple(pairs[s] for s in bit_positions(mask))

@@ -9,14 +9,16 @@ lexicographic order of their text encoding.
 
 from __future__ import annotations
 
+import os
 import zlib
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Iterator
 
 from ._bits import edges_from_mask, pair_count, pairs_in_order
 from .errors import (
     ChecksumMismatchError,
+    InvalidArgumentError,
     IoFailureError,
     MalformedEncodingError,
     ResourceLimitError,
@@ -35,9 +37,9 @@ _COUNTS_CACHE: dict[int, tuple[int, ...]] = {}
 
 def _validate_params(n: int, m: int) -> None:
     if not isinstance(n, int) or n < 1:
-        raise ValueError(f"vertex count must be a positive integer, got {n!r}")
+        raise InvalidArgumentError(f"vertex count must be a positive integer, got {n!r}")
     if not isinstance(m, int) or m < 0:
-        raise ValueError(f"edge count must be a non-negative integer, got {m!r}")
+        raise InvalidArgumentError(f"edge count must be a non-negative integer, got {m!r}")
 
 
 def max_planar_edges(n: int) -> int:
@@ -48,81 +50,62 @@ def max_planar_edges(n: int) -> int:
 # -- enumeration core -----------------------------------------------------------
 
 
-def _planarity_probe(n: int, m_target: int | None, prune_threshold: int | None):
-    """Child-acceptance test for the DFS; (mask, edge_count) -> bool."""
+def _planarity_probe(n: int, m_target: int | None) -> Callable[[int], bool]:
+    """Child-acceptance test for the DFS, keyed by the child's edge mask."""
     if n <= TABLE_MAX_N:
-        table = planar_mask_table(n)
-        return lambda mask, mc: table[mask] == 1
-    threshold = n if prune_threshold is None else prune_threshold
+        return planar_mask_table(n).__getitem__
 
-    def probe(mask: int, mc: int) -> bool:
+    def probe(mask: int) -> bool:
+        mc = mask.bit_count()
         if mc < 9:  # no non-planar graph has fewer than 9 edges
             return True
-        if m_target is not None and mc < m_target and mc < threshold:
+        if m_target is not None and mc < m_target and mc < n:
             return True  # deferred; re-tested deeper and always at emission
         return is_planar_edges(n, edges_from_mask(n, mask))
 
     return probe
 
 
-def _iter_class_masks(
-    n: int, m: int, budget: int | None, prune_threshold: int | None
-) -> Iterator[int]:
-    if m == 0:
-        yield 0
-        return
+def _sweep(n: int, budget: int | None, m: int | None) -> Iterator[tuple[int, int]]:
+    """(mask, edge count) of every non-empty planar mask, or with ``m`` of
+    every m-edge one, skipping branches with too few slots left to reach m."""
     slots = pair_count(n)
-    probe = _planarity_probe(n, m, prune_threshold)
+    probe = _planarity_probe(n, m)
     limit = DEFAULT_BUDGET if budget is None else budget
     nodes = 0
     # frames: (mask, chosen, slot cursor, lowest slot still allowed)
-    stack = [(0, 0, slots - m, 0)]
+    stack = [(0, 0, slots - (1 if m is None else m), 0)]
     while stack:
         mask, chosen, s, floor = stack.pop()
         while s >= floor:
             child = mask | (1 << s)
-            mc = chosen + 1
-            if probe(child, mc):
+            if probe(child):
+                mc = chosen + 1
                 nodes += 1
                 if nodes > limit:
                     raise ResourceLimitError(f"enumeration budget of {limit} nodes exceeded")
-                if mc == m:
-                    yield child
-                    s -= 1
-                    continue
+                if m is None or mc == m:
+                    yield child, mc
+                    if mc == m:
+                        s -= 1
+                        continue
                 if s > floor:
                     stack.append((mask, chosen, s - 1, floor))
-                stack.append((child, mc, slots - m + mc, s + 1))
+                top = slots - 1 if m is None else slots - m + mc
+                if s < top:
+                    stack.append((child, mc, top, s + 1))
                 break
             s -= 1
+
+
+def _iter_class_masks(n: int, m: int, budget: int | None) -> Iterator[int]:
+    """Every planar m-edge mask on {1..n}, in encoding-lexicographic order."""
+    return (mask for mask, _ in _sweep(n, budget, m)) if m else iter([0])
 
 
 def _iter_all_masks(n: int, budget: int | None) -> Iterator[tuple[int, int]]:
     """Every planar edge mask on {1..n} with its edge count, edgeless first."""
-    yield 0, 0
-    slots = pair_count(n)
-    if slots == 0:
-        return
-    probe = _planarity_probe(n, None, None)
-    limit = DEFAULT_BUDGET if budget is None else budget
-    nodes = 1
-    stack = [(0, 0, slots - 1, 0)]
-    while stack:
-        mask, chosen, s, floor = stack.pop()
-        while s >= floor:
-            child = mask | (1 << s)
-            mc = chosen + 1
-            if probe(child, mc):
-                nodes += 1
-                if nodes > limit:
-                    raise ResourceLimitError(f"enumeration budget of {limit} nodes exceeded")
-                yield child, mc
-                if s > floor:
-                    stack.append((mask, chosen, s - 1, floor))
-                if s + 1 < slots:
-                    stack.append((child, mc, slots - 1, s + 1))
-                break
-            s -= 1
+    return chain([(0, 0)], _sweep(n, budget, None))
 
 
 def class_counts(n: int, *, budget: int | None = None) -> tuple[int, ...]:
@@ -130,28 +113,19 @@ def class_counts(n: int, *, budget: int | None = None) -> tuple[int, ...]:
     _validate_params(n, 0)
     if n > TABLE_MAX_N:
         raise ResourceLimitError(f"full sweeps are limited to n <= {TABLE_MAX_N}")
-    cached = _COUNTS_CACHE.get(n)
-    if cached is not None:
-        return cached
-    slots = pair_count(n)
-    counts = [0] * (slots + 1)
-    for _, mc in _iter_all_masks(n, budget):
-        counts[mc] += 1
-    result = tuple(counts)
-    _COUNTS_CACHE[n] = result
-    return result
+    if n not in _COUNTS_CACHE:
+        enumerate_all(n, lambda g: None, budget=budget, m_values=())
+    return _COUNTS_CACHE[n]
 
 
-def count_class(
-    n: int, m: int, *, budget: int | None = None, prune_threshold: int | None = None
-) -> int:
+def count_class(n: int, m: int, *, budget: int | None = None) -> int:
     """Exact number of planar graphs on {1..n} with exactly m edges."""
     _validate_params(n, m)
     if m > max_planar_edges(n):
         return 0
     if n <= TABLE_MAX_N:
         return class_counts(n, budget=budget)[m]
-    return sum(1 for _ in _iter_class_masks(n, m, budget, prune_threshold))
+    return sum(1 for _ in _iter_class_masks(n, m, budget))
 
 
 def enumerate_class(
@@ -160,23 +134,33 @@ def enumerate_class(
     visitor: Callable[[LabeledGraph], None],
     *,
     budget: int | None = None,
-    prune_threshold: int | None = None,
 ) -> None:
     """Call the visitor once per class member, in encoding-lexicographic order."""
     _validate_params(n, m)
     if m > max_planar_edges(n):
         return
-    for mask in _iter_class_masks(n, m, budget, prune_threshold):
+    for mask in _iter_class_masks(n, m, budget):
         visitor(graph_from_mask(n, mask))
 
 
 def enumerate_all(
-    n: int, visitor: Callable[[LabeledGraph], None], *, budget: int | None = None
+    n: int,
+    visitor: Callable[[LabeledGraph], None],
+    *,
+    budget: int | None = None,
+    m_values=None,
 ) -> None:
-    """Visit every planar graph on {1..n} (all edge counts) exactly once."""
+    """Visit every planar graph on {1..n} exactly once, or with ``m_values``
+    only those with one of these edge counts (no other graph is built).
+    The same sweep counts every class; the counts feed ``class_counts``."""
     _validate_params(n, 0)
-    for mask, _ in _iter_all_masks(n, budget):
-        visitor(graph_from_mask(n, mask))
+    counts = [0] * (pair_count(n) + 1)
+    keep = [m_values is None or m in m_values for m in range(len(counts))]
+    for mask, mc in _iter_all_masks(n, budget):
+        counts[mc] += 1
+        if keep[mc]:
+            visitor(graph_from_mask(n, mask))
+    _COUNTS_CACHE[n] = tuple(counts)
 
 
 def brute_force_count(n: int, m: int) -> int:
@@ -290,9 +274,16 @@ def save_census(store: CensusStore, path) -> None:
     payload = "".join(line + "\n" for line in payload_lines)
     crc = zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF
     text = f"{_HEADER}\n{payload}checksum {crc:08x}\n"
+    # write beside the target, then rename: a failed write leaves ``path`` as it was
+    tmp = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(tmp, "x", encoding="utf-8") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
     except OSError as exc:
         raise IoFailureError(str(exc)) from exc
 

@@ -13,7 +13,7 @@ import sys
 
 from . import census as census_mod
 from . import lab
-from .errors import PlanarLabError
+from .errors import InvalidArgumentError, PlanarLabError
 from .graphs import decode
 from .patterns import pattern_from_name
 from .sampler import sample_many
@@ -26,11 +26,14 @@ def _parse_int_list(text: str) -> list[int]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        if "-" in chunk[1:]:
-            lo, _, hi = chunk.partition("-")
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(chunk))
+        try:
+            if "-" in chunk[1:]:
+                lo, _, hi = chunk.partition("-")
+                out.extend(range(int(lo), int(hi) + 1))
+            else:
+                out.append(int(chunk))
+        except ValueError:
+            raise InvalidArgumentError(f"bad integer list {text!r}") from None
     return out
 
 

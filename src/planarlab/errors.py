@@ -7,6 +7,10 @@ class PlanarLabError(Exception):
     """Base class for all planarlab errors."""
 
 
+class InvalidArgumentError(PlanarLabError, ValueError):
+    """An argument is out of its domain (a count, a size, a method name)."""
+
+
 # -- graph construction / encoding ------------------------------------------
 
 

@@ -1,17 +1,20 @@
 """Labeled-graph kernel.
 
 Simple undirected graphs on the vertex set {1..n}, the element type of the
-uniform classes this package enumerates and samples.  Values are immutable
-and safe to share; every operation here is a pure function of its inputs.
+uniform classes this package enumerates and samples.  A graph is (n, mask),
+bit s of the mask being the edge in slot s (``_bits``); statistics run on
+neighbour bitsets built on first use, and the edge pairs are derived on
+demand.  Values are never modified once built and are safe to share; every
+operation here is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
-from ._bits import edges_from_mask, pair_count, pairs_in_order
+from ._bits import bit_positions, edges_from_mask, mask_from_edges, pair_count, pair_index
+from ._bits import pairs_in_order
 from .errors import (
     DuplicateEdgeError,
     LoopEdgeError,
@@ -19,90 +22,129 @@ from .errors import (
     NotPlanarInputError,
     VertexOutOfRangeError,
 )
-from .planarity import is_planar_edges
+from .planarity import TABLE_MAX_N, is_planar_edges, is_planar_mask, planar_mask_table
 
 Edge = tuple[int, int]
 
 _ENCODING_RE = re.compile(r"\A(0|[1-9][0-9]*):([0-9A-F]*)\Z")
 
 
-@dataclass(frozen=True)
+# Not frozen: the frozen __init__ costs three times as much per graph, and
+# the class sweeps build hundreds of thousands.  Nothing assigns n or mask.
+@dataclass(unsafe_hash=True, slots=True)
 class LabeledGraph:
-    """Simple graph on {1..n} with edges stored as sorted pairs (i, j), i < j."""
+    """Simple graph on {1..n}; bit s of ``mask`` is the edge in slot s."""
 
     n: int
-    edges: frozenset[Edge]
+    mask: int
+    _adj: tuple[int, ...] | None = field(default=None, init=False, compare=False)
+    _comps: tuple[int, ...] | None = field(default=None, init=False, compare=False)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return self.mask.bit_count()
 
-    @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        """Neighbor sets indexed by vertex label; index 0 is unused."""
-        neigh: list[set[int]] = [set() for _ in range(self.n + 1)]
-        for i, j in self.edges:
-            neigh[i].add(j)
-            neigh[j].add(i)
-        return tuple(frozenset(s) for s in neigh)
+    @property
+    def edges(self) -> frozenset[Edge]:
+        """Edges as sorted pairs (i, j), i < j."""
+        return frozenset(edges_from_mask(self.n, self.mask))
 
-    @cached_property
+    @property
+    def adjacency(self) -> tuple[int, ...]:
+        """Neighbour bitsets indexed by vertex label; index 0 is 0."""
+        adj = self._adj
+        if adj is None:
+            rows = [0] * (self.n + 1)
+            pairs = pairs_in_order(self.n)
+            mask = self.mask
+            while mask:
+                low = mask & -mask
+                i, j = pairs[low.bit_length() - 1]
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+                mask ^= low
+            adj = self._adj = tuple(rows)
+        return adj
+
+    @property
     def degrees(self) -> tuple[int, ...]:
-        adj = self.adjacency
-        return tuple(len(adj[v]) for v in range(self.n + 1))
+        return tuple([row.bit_count() for row in self.adjacency])
 
-    @cached_property
+    @property
+    def component_masks(self) -> tuple[int, ...]:
+        """Vertex bitsets of the components, by ascending minimum vertex."""
+        comps = self._comps
+        if comps is None:
+            adj = self.adjacency
+            rest = (1 << (self.n + 1)) - 2
+            parts = []
+            while rest:
+                comp = reach(adj, rest & -rest)
+                parts.append(comp)
+                rest &= ~comp
+            comps = self._comps = tuple(parts)
+        return comps
+
+    @property
     def component_sets(self) -> tuple[frozenset[int], ...]:
-        adj = self.adjacency
-        seen = [False] * (self.n + 1)
-        parts = []
-        for s in range(1, self.n + 1):
-            if seen[s]:
-                continue
-            seen[s] = True
-            comp = [s]
-            queue = [s]
-            while queue:
-                v = queue.pop()
-                for w in adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        queue.append(w)
-            parts.append(frozenset(comp))
-        return tuple(parts)
+        return tuple(frozenset(bit_positions(comp)) for comp in self.component_masks)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edges if u < v else (v, u) in self.edges
+        if u > v:
+            u, v = v, u
+        n = self.n  # the slot of (u, v) is _bits.pair_index(n, u, v), inlined
+        return 1 <= u < v <= n and self.mask >> ((u - 1) * (2 * n - u) // 2 + v - u - 1) & 1 == 1
 
     def degree(self, v: int) -> int:
-        return self.degrees[v]
+        return self.adjacency[v].bit_count()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LabeledGraph({encode(self)!r})"
+
+
+def reach(adj, seeds: int) -> int:
+    """Bitset of the vertices reachable from the seed bitset."""
+    seen = frontier = seeds
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = adj[low.bit_length() - 1] & ~seen
+        seen |= new
+        frontier |= new
+    return seen
 
 
 def build_graph(n: int, edge_list) -> LabeledGraph:
     """Validate and build a graph; rejects loops, duplicates, and bad labels."""
     if not isinstance(n, int) or n < 1:
         raise VertexOutOfRangeError(f"vertex count must be a positive integer, got {n!r}")
-    seen: set[Edge] = set()
-    for pair in edge_list:
-        i, j = pair
+    mask = 0
+    for i, j in edge_list:
         if i == j:
             raise LoopEdgeError(f"loop edge ({i}, {j})")
         if not (1 <= i <= n) or not (1 <= j <= n):
             raise VertexOutOfRangeError(f"edge ({i}, {j}) outside 1..{n}")
-        key = (i, j) if i < j else (j, i)
-        if key in seen:
-            raise DuplicateEdgeError(f"edge {key} supplied more than once")
-        seen.add(key)
-    return LabeledGraph(n, frozenset(seen))
+        if i > j:
+            i, j = j, i
+        bit = 1 << pair_index(n, i, j)
+        if mask & bit:
+            raise DuplicateEdgeError(f"edge {(i, j)} supplied more than once")
+        mask |= bit
+    return LabeledGraph(n, mask)
 
 
 def graph_from_mask(n: int, mask: int) -> LabeledGraph:
     """Internal fast constructor from a trusted edge mask."""
-    return LabeledGraph(n, frozenset(edges_from_mask(n, mask)))
+    return LabeledGraph(n, mask)
+
+
+def induced_subgraph(g: LabeledGraph, vertices) -> LabeledGraph:
+    """g[W] relabeled by the increasing bijection W -> {1..|W|}."""
+    verts = sorted(vertices)
+    adj = g.adjacency
+    kept = [(a, b) for a, u in enumerate(verts, 1)
+            for b, w in enumerate(verts[a:], a + 1) if adj[u] >> w & 1]
+    return LabeledGraph(len(verts), mask_from_edges(len(verts), kept))
 
 
 # -- canonical text encoding ---------------------------------------------------
@@ -111,14 +153,12 @@ def graph_from_mask(n: int, mask: int) -> LabeledGraph:
 def encode(g: LabeledGraph) -> str:
     """Render as "n:HEX": upper-triangle bits in slot order, right-padded to 4."""
     slots = pair_count(g.n)
-    acc = 0
-    present = g.edges
-    for pair in pairs_in_order(g.n):
-        acc = (acc << 1) | (1 if pair in present else 0)
     pad = (-slots) % 4
-    acc <<= pad
     width = (slots + pad) // 4
-    return f"{g.n}:{acc:0{width}X}" if width else f"{g.n}:"
+    if not width:
+        return f"{g.n}:"
+    flipped = int(f"{g.mask:0{slots}b}"[::-1], 2)  # slot 0 becomes the top bit
+    return f"{g.n}:{flipped << pad:0{width}X}"
 
 
 def decode(text: str) -> LabeledGraph:
@@ -140,10 +180,7 @@ def decode(text: str) -> LabeledGraph:
     acc = int(hexpart, 16) if hexpart else 0
     if acc & ((1 << pad) - 1):
         raise MalformedEncodingError("nonzero trailing pad bits")
-    acc >>= pad
-    pairs = pairs_in_order(n)
-    edges = [pairs[slots - 1 - k] for k in range(slots) if acc >> k & 1]
-    return LabeledGraph(n, frozenset(edges))
+    return LabeledGraph(n, int(f"{acc >> pad:0{slots}b}"[::-1], 2))
 
 
 # -- planarity ------------------------------------------------------------------
@@ -151,7 +188,7 @@ def decode(text: str) -> LabeledGraph:
 
 def is_planar(g: LabeledGraph) -> bool:
     """True iff g admits a plane embedding."""
-    return is_planar_edges(g.n, g.edges)
+    return is_planar_mask(g.n, g.mask) if g.n <= TABLE_MAX_N else is_planar_edges(g.n, g.edges)
 
 
 # -- connectivity ----------------------------------------------------------------
@@ -164,52 +201,43 @@ def components(g: LabeledGraph) -> list[frozenset[int]]:
 
 def kappa(g: LabeledGraph) -> int:
     """Number of connected components."""
-    return len(g.component_sets)
+    return len(g.component_masks)
 
 
 def bridges(g: LabeledGraph) -> frozenset[Edge]:
-    """Edges whose deletion increases the component count."""
+    """Edges whose deletion increases the component count: the edges (p, v)
+    of a spanning forest such that no other edge leaves the subtree below v."""
     adj = g.adjacency
-    disc = [0] * (g.n + 1)
-    low = [0] * (g.n + 1)
+    parent = [0] * (g.n + 1)
+    inside = [0] * (g.n + 1)  # the subtree below v, v included
+    around = [0] * (g.n + 1)  # the neighbours of that subtree
     out: set[Edge] = set()
-    timer = 1
+    seen = 0
     for root in range(1, g.n + 1):
-        if disc[root]:
+        if seen >> root & 1:
             continue
-        # iterative DFS; frames of (vertex, parent, neighbor iterator)
-        disc[root] = low[root] = timer
-        timer += 1
-        stack = [(root, 0, iter(sorted(adj[root])))]
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if not disc[w]:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, v, iter(sorted(adj[w]))))
-                    advanced = True
-                    break
-                if w != parent:
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                u = stack[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-                if low[v] > disc[u]:
-                    out.add((u, v) if u < v else (v, u))
+        seen |= 1 << root
+        tree = [root]
+        for v in tree:  # breadth-first; the list grows while it is walked
+            fresh = adj[v] & ~seen
+            seen |= fresh
+            for w in bit_positions(fresh):
+                parent[w] = v
+                tree.append(w)
+        for v in reversed(tree[1:]):  # each vertex after all of its descendants
+            p = parent[v]
+            inside[v] |= 1 << v
+            around[v] |= adj[v]
+            if around[v] & ~inside[v] == 1 << p and adj[p] & inside[v] == 1 << v:
+                out.add((p, v) if p < v else (v, p))
+            inside[p] |= inside[v]
+            around[p] |= around[v]
     return frozenset(out)
 
 
 def degree_histogram(g: LabeledGraph) -> "DegreeHistogram":
     counts: dict[int, int] = {}
-    for v in range(1, g.n + 1):
-        d = g.degrees[v]
+    for d in g.degrees[1:]:
         counts[d] = counts.get(d, 0) + 1
     return DegreeHistogram(dict(sorted(counts.items())))
 
@@ -241,14 +269,14 @@ def addable_nonedges(g: LabeledGraph) -> list[Edge]:
     """
     if not is_planar(g):
         raise NotPlanarInputError("addable non-edges are defined for planar graphs")
-    present = g.edges
-    out = []
-    for pair in pairs_in_order(g.n):
-        if pair in present:
-            continue
-        if is_planar_edges(g.n, tuple(present) + (pair,)):
-            out.append(pair)
-    return out
+    n, mask = g.n, g.mask
+    pairs = pairs_in_order(n)
+    free = [s for s in range(len(pairs)) if not mask >> s & 1]
+    if n <= TABLE_MAX_N:
+        table = planar_mask_table(n)
+        return [pairs[s] for s in free if table[mask | 1 << s]]
+    present = edges_from_mask(n, mask)
+    return [pairs[s] for s in free if is_planar_edges(n, present + (pairs[s],))]
 
 
 def add_count(g: LabeledGraph) -> int:

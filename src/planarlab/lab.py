@@ -13,9 +13,9 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._bits import pair_count
+from ._bits import bit_positions, pair_count
 from .census import class_counts, enumerate_all, max_planar_edges
-from .errors import EmptyClassError, PatternError
+from .errors import EmptyClassError, InvalidArgumentError, PatternError
 from .graphs import (
     LabeledGraph,
     add_count,
@@ -53,13 +53,13 @@ class EventKind:
 
     def __post_init__(self) -> None:
         if self.kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {self.kind!r}")
+            raise InvalidArgumentError(f"unknown event kind {self.kind!r}")
         needs_pattern = self.kind in ("component", "copy", "appearances", "components")
         if needs_pattern and self.pattern is None:
-            raise ValueError(f"event {self.kind!r} needs a pattern")
+            raise InvalidArgumentError(f"event {self.kind!r} needs a pattern")
         needs_threshold = self.kind in ("pendant", "appearances", "components")
         if needs_threshold and (self.threshold is None or self.threshold < 0):
-            raise ValueError(f"event {self.kind!r} needs a non-negative threshold")
+            raise InvalidArgumentError(f"event {self.kind!r} needs a non-negative threshold")
 
     def describe(self) -> str:
         if self.kind == "connected":
@@ -108,19 +108,26 @@ class EventKind:
 
 def parse_event(token: str) -> EventKind:
     """Parse the canonical event syntax used by describe() and the CLI."""
+
+    def threshold(digits: str) -> int:
+        try:
+            return int(digits)
+        except ValueError:
+            raise InvalidArgumentError(f"bad threshold {digits!r} in event {token!r}") from None
+
     text = token.strip()
     if text == "connected":
         return EventKind.connected()
     if text == "isolated":
         return EventKind.has_isolated_vertex()
     if text.startswith("pendant>="):
-        return EventKind.min_pendant_edges(int(text[len("pendant>="):]))
+        return EventKind.min_pendant_edges(threshold(text[len("pendant>="):]))
     for head, maker in (("appearances", EventKind.min_appearances),
                         ("components", EventKind.min_components)):
         prefix = head + ":"
         if text.startswith(prefix) and ">=" in text:
             body, _, thr = text[len(prefix):].rpartition(">=")
-            return maker(pattern_from_name(body), int(thr))
+            return maker(pattern_from_name(body), threshold(thr))
     for head, maker in (("component", EventKind.has_component), ("copy", EventKind.has_copy)):
         prefix = head + ":"
         if text.startswith(prefix):
@@ -130,13 +137,14 @@ def parse_event(token: str) -> EventKind:
 
 def pendant_edge_count(g: LabeledGraph) -> int:
     """Edges with an endpoint of degree 1 (an isolated edge counts once)."""
-    deg = g.degrees
-    return sum(1 for i, j in g.edges if deg[i] == 1 or deg[j] == 1)
+    adj = g.adjacency
+    leaves = sum(1 << v for v in range(1, g.n + 1) if adj[v].bit_count() == 1)
+    # each leaf owns one edge; an isolated edge is owned by both of its ends
+    return leaves.bit_count() - sum(1 for v in bit_positions(leaves) if adj[v] & leaves) // 2
 
 
 def isolated_vertex_count(g: LabeledGraph) -> int:
-    deg = g.degrees
-    return sum(1 for v in range(1, g.n + 1) if deg[v] == 0)
+    return g.adjacency.count(0) - 1  # index 0 is no vertex
 
 
 def evaluate_event(g: LabeledGraph, event: EventKind) -> bool:
@@ -192,7 +200,8 @@ def exact_event_counts(
     *,
     budget: int | None = None,
 ) -> dict[int, list[int]]:
-    """Satisfying-graph counts per m for several events, from one class sweep."""
+    """Satisfying-graph counts per m for several events, from one sweep that
+    builds graphs only for the wanted classes (and counts every class)."""
     events = list(events)
     if m_values is None:
         wanted = set(range(max_planar_edges(n) + 1))
@@ -201,14 +210,12 @@ def exact_event_counts(
     tallies: dict[int, list[int]] = {m: [0] * len(events) for m in wanted}
 
     def absorb(g: LabeledGraph) -> None:
-        row = tallies.get(g.m)
-        if row is None:
-            return
+        row = tallies[g.m]
         for idx, event in enumerate(events):
             if evaluate_event(g, event):
                 row[idx] += 1
 
-    enumerate_all(n, absorb, budget=budget)
+    enumerate_all(n, absorb, budget=budget, m_values=wanted)
     return tallies
 
 
@@ -317,7 +324,7 @@ def phase_table(spec: ExperimentSpec, *, budget: int | None = None) -> Experimen
             n: exact_event_counts(n, spec.events, ms, budget=budget)
             for n, ms in by_n.items()
         }
-        counts = {n: class_counts(n, budget=budget) for n in by_n}
+        counts = {n: class_counts(n, budget=budget) for n in by_n}  # cached by the sweep
         for n, m in spec.grid:
             total = counts[n][m] if m <= pair_count(n) else 0
             if total == 0:
@@ -331,7 +338,9 @@ def phase_table(spec: ExperimentSpec, *, budget: int | None = None) -> Experimen
                 ))
     elif spec.method == "mcmc":
         if spec.k is None or spec.seed is None:
-            raise ValueError("mcmc phase tables need k and seed")
+            raise InvalidArgumentError("mcmc phase tables need k and seed")
+        if spec.k < 1:
+            raise InvalidArgumentError(f"mcmc phase tables need k >= 1, got {spec.k}")
         from .graphs import decode
 
         for cell_index, (n, m) in enumerate(spec.grid):
@@ -348,7 +357,7 @@ def phase_table(spec: ExperimentSpec, *, budget: int | None = None) -> Experimen
                     p_hat, stderr, "mcmc-diagnostic", spec.k, cell_seed,
                 ))
     else:
-        raise ValueError(f"unknown method {spec.method!r}")
+        raise InvalidArgumentError(f"unknown method {spec.method!r}")
     return ExperimentResult(spec, tuple(rows))
 
 

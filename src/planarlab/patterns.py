@@ -1,28 +1,41 @@
 """Fixed-pattern machinery.
 
 A pattern is a small connected planar graph H on {1..|H|} together with its
-class (tree / unicyclic / multicyclic) and automorphism count.  This module
-counts the structures the experiment harness cares about: appearances of H
-(exactly-one-edge-out rooted occurrences), components isomorphic to H, and
-subgraph copies of H.
+class (tree / unicyclic / multicyclic), automorphism count and the plan of
+its injection search.  This module counts the structures the experiment
+harness cares about: appearances of H (exactly-one-edge-out rooted
+occurrences), components isomorphic to H, and subgraph copies of H.  All
+searches run on the neighbour bitsets of ``LabeledGraph.adjacency``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 import numpy as np
 
+from ._bits import bit_positions, edges_from_mask
 from .errors import (
     DisconnectedPatternError,
+    InvalidArgumentError,
     NonplanarPatternError,
     PatternError,
     PatternTooLargeError,
 )
-from .graphs import LabeledGraph, bridges, build_graph, decode, encode, is_planar, kappa
+from .graphs import (
+    LabeledGraph,
+    bridges,
+    build_graph,
+    decode,
+    encode,
+    induced_subgraph,
+    is_planar,
+    kappa,
+    reach,
+)
 
 PATTERN_MAX_ORDER = 16
 
@@ -38,6 +51,11 @@ class Pattern:
     name: str
     klass: str  # "tree" | "unicyclic" | "multicyclic"
     aut_count: int
+    # per step of the injection search, the earlier steps adjacent to it
+    plan: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "plan", _injection_plan(self.h))
 
     @property
     def size(self) -> int:
@@ -116,13 +134,13 @@ def pattern_from_name(text: str) -> Pattern:
 # -- isomorphism ----------------------------------------------------------------
 
 
-def _signatures(g: LabeledGraph) -> dict[int, tuple]:
+def _signatures(g: LabeledGraph) -> list[tuple]:
     deg = g.degrees
     adj = g.adjacency
-    return {
-        v: (deg[v], tuple(sorted(deg[w] for w in adj[v])))
+    return [()] + [
+        (deg[v], tuple(sorted(deg[w] for w in bit_positions(adj[v]))))
         for v in range(1, g.n + 1)
-    }
+    ]
 
 
 def _search_isomorphisms(g1: LabeledGraph, g2: LabeledGraph, count_all: bool) -> int:
@@ -132,46 +150,45 @@ def _search_isomorphisms(g1: LabeledGraph, g2: LabeledGraph, count_all: bool) ->
     n = g1.n
     sig1 = _signatures(g1)
     sig2 = _signatures(g2)
-    if sorted(sig1.values()) != sorted(sig2.values()):
+    if sorted(sig1) != sorted(sig2):
         return 0
-    pools = {v: [w for w in range(1, n + 1) if sig2[w] == sig1[v]] for v in sig1}
+    pools = {v: [w for w in range(1, n + 1) if sig2[w] == sig1[v]] for v in range(1, n + 1)}
 
     # order: most constrained first, then stay adjacent to the mapped part
     order: list[int] = []
-    placed: set[int] = set()
+    placed = 0
     adj1 = g1.adjacency
     while len(order) < n:
         best = min(
-            (v for v in range(1, n + 1) if v not in placed),
-            key=lambda v: (-len(adj1[v] & placed), len(pools[v]), v),
+            (v for v in range(1, n + 1) if not placed >> v & 1),
+            key=lambda v: (-(adj1[v] & placed).bit_count(), len(pools[v]), v),
         )
         order.append(best)
-        placed.add(best)
+        placed |= 1 << best
 
     adj2 = g2.adjacency
     image: dict[int, int] = {}
-    used: set[int] = set()
 
-    def extend(i: int) -> int:
+    def extend(i: int, used: int) -> int:
         if i == n:
             return 1
         v = order[i]
+        row1 = adj1[v]
         found = 0
         for w in pools[v]:
-            if w in used:
+            if used >> w & 1:
                 continue
-            if any((u in adj1[v]) != (x in adj2[w]) for u, x in image.items()):
+            row2 = adj2[w]
+            if any(row1 >> u & 1 != row2 >> x & 1 for u, x in image.items()):
                 continue
             image[v] = w
-            used.add(w)
-            found += extend(i + 1)
+            found += extend(i + 1, used | 1 << w)
             del image[v]
-            used.remove(w)
             if found and not count_all:
                 return found
         return found
 
-    return extend(0)
+    return extend(0, 0)
 
 
 def isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
@@ -186,38 +203,13 @@ def automorphism_count(h: LabeledGraph) -> int:
 # -- appearances -----------------------------------------------------------------
 
 
-def _induced_matches(g: LabeledGraph, witness: list[int], h: LabeledGraph) -> bool:
-    """Increasing bijection {1..|H|} -> witness is an isomorphism onto g[W]."""
-    k = len(witness)
-    for a in range(k):
-        wa = witness[a]
-        for b in range(a + 1, k):
-            if g.has_edge(wa, witness[b]) != h.has_edge(a + 1, b + 1):
-                return False
-    return True
-
-
-def _side_of(adj, start: int, blocked: tuple[int, int]) -> set[int]:
-    u, v = blocked
-    seen = {start}
-    queue = [start]
-    while queue:
-        x = queue.pop()
-        for y in adj[x]:
-            if (x == u and y == v) or (x == v and y == u):
-                continue
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return seen
-
-
 def appearance_witnesses(g: LabeledGraph, pattern: Pattern) -> list[tuple[int, ...]]:
     """Witness sets W of all appearances of the pattern, sorted.
 
     Bridge-driven: the unique edge leaving a witness set is a bridge, so only
     bridge sides of size |H| whose attachment vertex is the side's minimum
-    need the labeled induced check.
+    need the labeled induced check: the increasing bijection {1..|H|} -> W
+    must carry H onto g[W].
     """
     h = pattern.h
     if h.n >= g.n:
@@ -225,14 +217,15 @@ def appearance_witnesses(g: LabeledGraph, pattern: Pattern) -> list[tuple[int, .
     adj = g.adjacency
     out: list[tuple[int, ...]] = []
     for u, v in sorted(bridges(g)):
+        cut = list(adj)
+        cut[u] &= ~(1 << v)
+        cut[v] &= ~(1 << u)
         for a in (u, v):
-            side = _side_of(adj, a, (u, v))
-            if len(side) != h.n:
+            side = reach(cut, 1 << a)
+            if side.bit_count() != h.n or side & -side != 1 << a:
                 continue
-            witness = sorted(side)
-            if witness[0] != a:
-                continue
-            if _induced_matches(g, witness, h):
+            witness = bit_positions(side)
+            if induced_subgraph(g, witness).mask == h.mask:
                 out.append(tuple(witness))
     out.sort()
     return out
@@ -249,7 +242,7 @@ def _count_appearances_subset_py(g: LabeledGraph, h: LabeledGraph) -> int:
             continue
         if sum(deg[v] for v in witness) != degsum_target:
             continue
-        if _induced_matches(g, list(witness), h):
+        if induced_subgraph(g, witness).mask == h.mask:
             count += 1
     return count
 
@@ -293,106 +286,94 @@ def count_appearances(g: LabeledGraph, pattern: Pattern, method: str = "bridge")
         if comb(g.n, h.n) < _SUBSET_VECTOR_THRESHOLD:
             return _count_appearances_subset_py(g, h)
         return _count_appearances_subset_np(g, h)
-    raise ValueError(f"unknown method {method!r}")
+    raise InvalidArgumentError(f"unknown method {method!r}")
 
 
 # -- components and copies ---------------------------------------------------------
 
 
-def _relabel_subgraph(g: LabeledGraph, verts: list[int]) -> LabeledGraph:
-    index = {v: i + 1 for i, v in enumerate(verts)}
-    edges = [
-        (index[i], index[j])
-        for i, j in g.edges
-        if i in index and j in index
-    ]
-    return LabeledGraph(len(verts), frozenset(edges))
-
-
 def count_components_isomorphic(g: LabeledGraph, pattern: Pattern) -> int:
+    """Components of g isomorphic to the pattern.  Only a component with
+    |H| vertices and |E(H)| edges reaches the isomorphism search."""
     h = pattern.h
     count = 0
-    for comp in g.component_sets:
-        if len(comp) != h.n:
+    for comp in g.component_masks:
+        if comp.bit_count() != h.n:
             continue
-        sub = _relabel_subgraph(g, sorted(comp))
-        if sub.m == h.m and isomorphic(sub, h):
-            count += 1
+        verts = bit_positions(comp)
+        if sum(g.degree(v) for v in verts) != 2 * h.m:
+            continue
+        count += isomorphic(induced_subgraph(g, verts), h)
     return count
 
 
-def _injection_plan(h: LabeledGraph):
-    """Vertex order (max-degree first, then attached) plus mapped-neighbor anchors."""
+def _injection_plan(h: LabeledGraph) -> tuple[tuple[int, ...], ...]:
+    """Vertex order (max-degree first, then attached), as the earlier
+    positions each step's vertex must be adjacent to."""
     adj = h.adjacency
     deg = h.degrees
     start = max(range(1, h.n + 1), key=lambda v: (deg[v], -v))
     order = [start]
-    placed = {start}
+    placed = 1 << start
     while len(order) < h.n:
         nxt = max(
-            (v for v in range(1, h.n + 1) if v not in placed),
-            key=lambda v: (len(adj[v] & placed), deg[v], -v),
+            (v for v in range(1, h.n + 1) if not placed >> v & 1),
+            key=lambda v: ((adj[v] & placed).bit_count(), deg[v], -v),
         )
         order.append(nxt)
-        placed.add(nxt)
-    anchors = []
-    for i, v in enumerate(order):
-        anchors.append([j for j in range(i) if order[j] in adj[v]])
-    return order, anchors
+        placed |= 1 << nxt
+    return tuple(tuple(j for j in range(i) if adj[v] >> order[j] & 1) for i, v in enumerate(order))
 
 
-def _count_edge_injections(g: LabeledGraph, h: LabeledGraph, early_exit: bool) -> int:
-    if h.n > g.n:
+def _count_edge_injections(g: LabeledGraph, pattern: Pattern, early_exit: bool) -> int:
+    """Edge-preserving injections H -> g; each step's candidates are the
+    common neighbours of its already-mapped anchors, as a bitset."""
+    plan = pattern.plan
+    if len(plan) > g.n:
         return 0
-    order, anchors = _injection_plan(h)
     adj = g.adjacency
-    all_vertices = range(1, g.n + 1)
-    image = [0] * h.n
-    used: set[int] = set()
+    everyone = (1 << (g.n + 1)) - 2
+    image = [0] * len(plan)
+    last = len(plan) - 1
 
-    def extend(i: int) -> int:
-        if i == h.n:
-            return 1
-        anchor_positions = anchors[i]
-        if anchor_positions:
-            candidates = adj[image[anchor_positions[0]]]
-            for p in anchor_positions[1:]:
-                candidates = candidates & adj[image[p]]
-        else:
-            candidates = all_vertices
+    def extend(i: int, used: int) -> int:
+        candidates = everyone & ~used
+        for p in plan[i]:
+            candidates &= adj[image[p]]
+        if i == last:
+            return candidates.bit_count()
         total = 0
-        for w in candidates:
-            if w in used:
-                continue
-            image[i] = w
-            used.add(w)
-            total += extend(i + 1)
-            used.remove(w)
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            image[i] = low.bit_length() - 1
+            total += extend(i + 1, used | low)
             if total and early_exit:
                 return total
         return total
 
-    return extend(0)
+    return extend(0, 0)
 
 
 def count_copies(g: LabeledGraph, pattern: Pattern) -> int:
     """Distinct subgraph copies: edge-preserving injections / |Aut(H)|."""
-    return _count_edge_injections(g, pattern.h, early_exit=False) // pattern.aut_count
+    return _count_edge_injections(g, pattern, early_exit=False) // pattern.aut_count
 
 
 def has_copy(g: LabeledGraph, pattern: Pattern) -> bool:
-    return _count_edge_injections(g, pattern.h, early_exit=True) > 0
+    return _count_edge_injections(g, pattern, early_exit=True) > 0
 
 
 def count_good_triangles(g: LabeledGraph) -> int:
     """Triangles with at least one vertex of degree <= 6 in g."""
     adj = g.adjacency
-    deg = g.degrees
+    low_degree = sum(1 << v for v in range(1, g.n + 1) if adj[v].bit_count() <= 6)
     count = 0
-    for u, v in g.edges:
-        for w in adj[u] & adj[v]:
-            if w > v and (deg[u] <= 6 or deg[v] <= 6 or deg[w] <= 6):
-                count += 1
+    for u, v in edges_from_mask(g.n, g.mask):
+        apexes = adj[u] & adj[v] >> (v + 1) << (v + 1)  # third vertices above v
+        if not (low_degree >> u | low_degree >> v) & 1:
+            apexes &= low_degree
+        count += apexes.bit_count()
     return count
 
 

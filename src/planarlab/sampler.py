@@ -13,8 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ._bits import pair_count, pairs_in_order
-from .errors import CensusMissingError, EmptyClassBoundError, EmptyClassError
+from ._bits import mask_from_edges, pair_count, pairs_in_order
+from .errors import CensusMissingError, EmptyClassBoundError, EmptyClassError, InvalidArgumentError
 from .graphs import LabeledGraph, decode, encode
 from .planarity import is_planar_edges
 
@@ -37,11 +37,11 @@ def fan_triangulation_edges(n: int) -> list[tuple[int, int]]:
 def mcmc_init(n: int, m: int) -> LabeledGraph:
     """Deterministic start state: first m fan-triangulation edges, lex order."""
     if n < 1 or m < 0:
-        raise ValueError("need n >= 1 and m >= 0")
+        raise InvalidArgumentError("need n >= 1 and m >= 0")
     fan = fan_triangulation_edges(n)
     if m > len(fan):
         raise EmptyClassBoundError(f"no planar graph with n={n}, m={m}")
-    return LabeledGraph(n, frozenset(fan[:m]))
+    return LabeledGraph(n, mask_from_edges(n, fan[:m]))
 
 
 @dataclass
@@ -61,7 +61,7 @@ class ChainState:
 
     @property
     def current(self) -> LabeledGraph:
-        return LabeledGraph(self.n, frozenset(self._edge_set))
+        return LabeledGraph(self.n, mask_from_edges(self.n, self._edge_set))
 
     @property
     def rng_state(self):
@@ -109,17 +109,22 @@ class SampleBatch:
     samples: tuple[str, ...]
 
 
-def exact_sample(n: int, m: int, seed: int, census) -> LabeledGraph:
-    """One uniform draw from a census record that stores its graphs."""
-    record = census.get(n, m)
+def _stored_graphs(n: int, m: int, census) -> tuple[str, ...]:
+    """The encodings of a non-empty class, from a census record that stores them."""
+    record = census.get(n, m) if census is not None else None
     if record is None:
         raise CensusMissingError(f"no census record for ({n}, {m})")
     if record.count == 0:
         raise EmptyClassError(f"class ({n}, {m}) is empty")
     if record.graphs is None:
         raise CensusMissingError(f"census record for ({n}, {m}) has no stored graphs")
-    rng = random.Random(seed)
-    return decode(record.graphs[rng.randrange(record.count)])
+    return record.graphs
+
+
+def exact_sample(n: int, m: int, seed: int, census) -> LabeledGraph:
+    """One uniform draw from a census record that stores its graphs."""
+    graphs = _stored_graphs(n, m, census)
+    return decode(graphs[random.Random(seed).randrange(len(graphs))])
 
 
 def sample_many(
@@ -135,26 +140,22 @@ def sample_many(
 ) -> SampleBatch:
     """Draw ``count`` samples; exact draws are independent, MCMC is one chain."""
     if count < 0:
-        raise ValueError("count must be non-negative")
+        raise InvalidArgumentError(f"count must be non-negative, got {count}")
     if method == "exact":
-        record = census.get(n, m) if census is not None else None
-        if record is None:
-            raise CensusMissingError(f"no census record for ({n}, {m})")
-        if record.count == 0:
-            raise EmptyClassError(f"class ({n}, {m}) is empty")
-        if record.graphs is None:
-            raise CensusMissingError(f"census record for ({n}, {m}) has no stored graphs")
+        graphs = _stored_graphs(n, m, census)
         rng = random.Random(seed)
-        samples = tuple(record.graphs[rng.randrange(record.count)] for _ in range(count))
+        samples = tuple(graphs[rng.randrange(len(graphs))] for _ in range(count))
         return SampleBatch(n, m, "exact", seed, 0, 0, samples)
     if method != "mcmc":
-        raise ValueError(f"unknown sampling method {method!r}")
+        raise InvalidArgumentError(f"unknown sampling method {method!r}")
     if burn_in is None:
         burn_in = DEFAULT_BURN_IN_FACTOR * n * m
     if thinning is None:
         thinning = max(1, n * m)
     if thinning < 1:
-        raise ValueError("thinning must be at least 1")
+        raise InvalidArgumentError(f"thinning must be at least 1, got {thinning}")
+    if burn_in < 0:
+        raise InvalidArgumentError(f"burn-in must be non-negative, got {burn_in}")
     state = ChainState(n, m, seed)
     for _ in range(burn_in):
         mcmc_step(state)
@@ -168,20 +169,16 @@ def sample_many(
 
 def tv_distance_to_uniform(batch: SampleBatch, census) -> float:
     """Half the L1 gap between the batch's empirical law and uniform."""
-    record = census.get(batch.n, batch.m)
-    if record is None or record.graphs is None:
-        raise CensusMissingError(f"need stored graphs for ({batch.n}, {batch.m})")
-    if record.count == 0:
-        raise EmptyClassError(f"class ({batch.n}, {batch.m}) is empty")
+    graphs = _stored_graphs(batch.n, batch.m, census)
     if not batch.samples:
-        raise ValueError("cannot measure an empty batch")
-    support = set(record.graphs)
+        raise InvalidArgumentError("cannot measure an empty batch")
+    support = set(graphs)
     freq: dict[str, int] = {}
     for enc in batch.samples:
         if enc not in support:
-            raise ValueError(f"sample {enc!r} is not in the stored class")
+            raise InvalidArgumentError(f"sample {enc!r} is not in the stored class")
         freq[enc] = freq.get(enc, 0) + 1
     k = len(batch.samples)
-    target = 1.0 / record.count
-    total = sum(abs(freq.get(enc, 0) / k - target) for enc in record.graphs)
+    target = 1.0 / len(graphs)
+    total = sum(abs(freq.get(enc, 0) / k - target) for enc in graphs)
     return total / 2.0

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Any
 
+from ._bits import bit_positions
 from .errors import (
     NotPlanarInputError,
     NotTriangulationError,
@@ -62,19 +64,14 @@ def check_addable_cross_component(g: LabeledGraph) -> CheckResult:
     """Every cross-component pair is addable, so add(G) >= #cross pairs."""
     if not is_planar(g):
         raise NotPlanarInputError("check requires a planar graph")
-    sizes = [len(c) for c in g.component_sets]
-    cross = (g.n * g.n - sum(s * s for s in sizes)) // 2
-    addable = set(addable_nonedges(g))
-    comp_of = {}
-    for idx, comp in enumerate(g.component_sets):
-        for v in comp:
-            comp_of[v] = idx
-    every_cross_addable = True
-    for i in range(1, g.n + 1):
-        for j in range(i + 1, g.n + 1):
-            if comp_of[i] != comp_of[j] and (i, j) not in addable:
-                every_cross_addable = False
-    holds = len(addable) >= cross and every_cross_addable
+    comps = g.component_masks
+    cross = (g.n * g.n - sum(c.bit_count() ** 2 for c in comps)) // 2
+    addable = addable_nonedges(g)
+    comp_of = {v: comp for comp in comps for v in bit_positions(comp)}
+    # addable pairs are distinct, so all cross pairs are addable iff
+    # exactly ``cross`` of them join two components
+    cross_addable = sum(1 for i, j in addable if comp_of[i] != comp_of[j])
+    holds = len(addable) >= cross and cross_addable == cross
     return CheckResult("addable-cross-component", holds, len(addable), cross)
 
 
@@ -130,14 +127,9 @@ def verify_graph(g: LabeledGraph, disjointness_patterns=None) -> VerificationRep
     return VerificationReport(encode(g), tuple(checks))
 
 
-_DISJOINTNESS_CACHE: list[Pattern] | None = None
-
-
-def _default_disjointness_patterns() -> list[Pattern]:
-    global _DISJOINTNESS_CACHE
-    if _DISJOINTNESS_CACHE is None:
-        _DISJOINTNESS_CACHE = [pattern_from_name("triangle"), pattern_from_name("k4")]
-    return _DISJOINTNESS_CACHE
+@lru_cache(maxsize=None)
+def _default_disjointness_patterns() -> tuple[Pattern, ...]:
+    return (pattern_from_name("triangle"), pattern_from_name("k4"))
 
 
 @dataclass
@@ -152,6 +144,15 @@ class ClassVerification:
     def all_pass(self) -> bool:
         return all(v == 0 for v in self.violations.values())
 
+    def _absorb(self, g: LabeledGraph) -> None:
+        """Run the check battery on one more graph and tally the outcome."""
+        self.class_size += 1
+        for result in verify_graph(g, _default_disjointness_patterns()).checks:
+            self.checked[result.name] = self.checked.get(result.name, 0) + 1
+            self.violations[result.name] = (
+                self.violations.get(result.name, 0) + int(not result.holds)
+            )
+
 
 def verify_class(n: int, m: int, census=None, *, budget: int | None = None) -> ClassVerification:
     """Run the full check battery over every graph of the class.
@@ -162,44 +163,21 @@ def verify_class(n: int, m: int, census=None, *, budget: int | None = None) -> C
     from .census import enumerate_class
     from .graphs import decode
 
-    patterns = _default_disjointness_patterns()
-    checked: dict[str, int] = {}
-    violations: dict[str, int] = {}
-    size = 0
-
-    def absorb(g: LabeledGraph) -> None:
-        nonlocal size
-        size += 1
-        report = verify_graph(g, patterns)
-        for result in report.checks:
-            checked[result.name] = checked.get(result.name, 0) + 1
-            if not result.holds:
-                violations[result.name] = violations.get(result.name, 0) + 1
-
+    outcome = ClassVerification(n, m, 0, {}, {})
     record = census.get(n, m) if census is not None else None
     if record is not None and record.graphs is not None:
         for enc in record.graphs:
-            absorb(decode(enc))
+            outcome._absorb(decode(enc))
     else:
-        enumerate_class(n, m, absorb, budget=budget)
-    for name in checked:
-        violations.setdefault(name, 0)
-    return ClassVerification(n, m, size, checked, violations)
+        enumerate_class(n, m, outcome._absorb, budget=budget)
+    return outcome
 
 
 def verify_batch(batch) -> ClassVerification:
     """Run the check battery over a sample batch instead of a full class."""
     from .graphs import decode
 
-    patterns = _default_disjointness_patterns()
-    checked: dict[str, int] = {}
-    violations: dict[str, int] = {}
+    outcome = ClassVerification(batch.n, batch.m, 0, {}, {})
     for enc in batch.samples:
-        report = verify_graph(decode(enc), patterns)
-        for result in report.checks:
-            checked[result.name] = checked.get(result.name, 0) + 1
-            if not result.holds:
-                violations[result.name] = violations.get(result.name, 0) + 1
-    for name in checked:
-        violations.setdefault(name, 0)
-    return ClassVerification(batch.n, batch.m, len(batch.samples), checked, violations)
+        outcome._absorb(decode(enc))
+    return outcome

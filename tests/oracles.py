@@ -23,6 +23,16 @@ def injection_count_brute(g: LabeledGraph, h: LabeledGraph) -> int:
     return count
 
 
+def has_injection_brute(g: LabeledGraph, h: LabeledGraph) -> bool:
+    """Whether an edge-preserving injective map V(H) -> V(G) exists, by the
+    same scan as injection_count_brute, stopping at the first one."""
+    h_edges = list(h.edges)
+    return any(
+        all(g.has_edge(image[i - 1], image[j - 1]) for i, j in h_edges)
+        for image in permutations(range(1, g.n + 1), h.n)
+    )
+
+
 def appearance_count_definition(g: LabeledGraph, h: LabeledGraph) -> int:
     """Appearance count straight from the definition, for tiny graphs."""
     count = 0
@@ -52,13 +62,14 @@ def appearance_count_definition(g: LabeledGraph, h: LabeledGraph) -> int:
     return count
 
 
-def component_count_bfs(g: LabeledGraph) -> int:
+def components_bfs(g: LabeledGraph) -> list[frozenset[int]]:
+    """Vertex sets of the components, by ascending minimum vertex."""
     seen: set[int] = set()
-    parts = 0
+    parts = []
     for s in range(1, g.n + 1):
         if s in seen:
             continue
-        parts += 1
+        part = {s}
         frontier = [s]
         seen.add(s)
         while frontier:
@@ -66,8 +77,42 @@ def component_count_bfs(g: LabeledGraph) -> int:
             for w in range(1, g.n + 1):
                 if w not in seen and g.has_edge(v, w):
                     seen.add(w)
+                    part.add(w)
                     frontier.append(w)
+        parts.append(frozenset(part))
     return parts
+
+
+def component_count_bfs(g: LabeledGraph) -> int:
+    return len(components_bfs(g))
+
+
+def degrees_from_edges(g: LabeledGraph) -> list[int]:
+    """Degree of each vertex (index 0 unused), counted over the edge pairs."""
+    deg = [0] * (g.n + 1)
+    for i, j in g.edges:
+        deg[i] += 1
+        deg[j] += 1
+    return deg
+
+
+def relabeled_subgraph(g: LabeledGraph, verts) -> LabeledGraph:
+    """g[W] with the i-th smallest vertex of W renamed i."""
+    index = {v: a + 1 for a, v in enumerate(sorted(verts))}
+    return build_graph(
+        len(index), [(index[i], index[j]) for i, j in g.edges if i in index and j in index]
+    )
+
+
+def encode_definition(g: LabeledGraph) -> str:
+    """The n:HEX text: pair bits in row-major order, zero-padded to whole hex digits."""
+    bits = "".join(
+        "1" if g.has_edge(i, j) else "0"
+        for i in range(1, g.n + 1)
+        for j in range(i + 1, g.n + 1)
+    )
+    bits += "0" * (-len(bits) % 4)
+    return f"{g.n}:" + "".join(f"{int(bits[k:k + 4], 2):X}" for k in range(0, len(bits), 4))
 
 
 def random_graph(rng: random.Random, n: int, m: int | None = None) -> LabeledGraph:

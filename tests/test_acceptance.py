@@ -177,14 +177,13 @@ def test_c7_phase_table_regression():
 
 def test_c8_copy_count_identity(small_patterns):
     with criterion("C8 copy-count identity vs injection enumeration (all graphs n<=6)"):
-        from planarlab._bits import edges_from_mask
         from planarlab.graphs import LabeledGraph
 
         patterns = [small_patterns[name] for name in ("triangle", "path3", "k4")]
         for n in range(1, 7):
             slots = pair_count(n)
             for mask in range(1 << slots):
-                g = LabeledGraph(n, frozenset(edges_from_mask(n, mask)))
+                g = LabeledGraph(n, mask)
                 for pattern in patterns:
                     if pattern.size > n:
                         continue

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import errno
 import random
 
 import pytest
+
+import planarlab.census as census_module
 
 from planarlab import (
     CensusRecord,
@@ -176,6 +179,36 @@ class TestPersistence:
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoFailureError):
             load_census(tmp_path / "absent.census")
+
+    def test_failed_write_keeps_existing_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "n4.census"
+        save_census(self.build_store(), path)
+        before = path.read_bytes()
+
+        class HalfWritten:
+            """A file whose disk fills up halfway through the write."""
+
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+            def write(self, text):
+                self.handle.write(text[: len(text) // 2])
+                self.handle.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        real_open = open
+        monkeypatch.setattr(census_module, "open",
+                            lambda *a, **kw: HalfWritten(real_open(*a, **kw)), raising=False)
+        with pytest.raises(IoFailureError):
+            save_census(build_census(4, [2, 3]), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["n4.census"]
 
     def test_record_validation(self):
         with pytest.raises(IoFailureError):

@@ -98,6 +98,38 @@ class TestExperiment:
         assert "mcmc-diagnostic" in row
 
 
+class TestBadInput:
+    """Bad arguments print one ``error:`` line and exit 2, never a traceback."""
+
+    def check(self, capsys, *argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_zero_vertices(self, capsys):
+        self.check(capsys, "enumerate", "--n", "0", "--m", "1")
+
+    def test_non_numeric_threshold(self, capsys):
+        self.check(capsys, "experiment", "--n-list", "5", "--m-list", "4",
+                   "--events", "pendant>=x")
+
+    def test_negative_count(self, capsys):
+        self.check(capsys, "sample", "--n", "5", "--m", "5", "--method", "mcmc",
+                   "--count", "-1")
+
+    def test_zero_thinning(self, capsys):
+        self.check(capsys, "sample", "--n", "5", "--m", "5", "--method", "mcmc",
+                   "--count", "2", "--thin", "0")
+
+    def test_zero_chain_samples(self, capsys):
+        self.check(capsys, "experiment", "--n-list", "5", "--m-list", "5",
+                   "--events", "connected", "--method", "mcmc", "--k", "0")
+
+    def test_non_numeric_m_list(self, capsys):
+        self.check(capsys, "experiment", "--n-list", "5", "--m-list", "a-b",
+                   "--events", "connected")
+
+
 class TestStats:
     def test_json_bundle(self, capsys):
         code, out, _ = run(capsys, "stats", "--graph", "4:FC", "--pattern", "triangle")

@@ -17,14 +17,29 @@ from planarlab import (
     build_graph,
     components,
     complete_graph,
+    count_components_isomorphic,
     decode,
     degree_histogram,
     encode,
+    has_copy,
     is_planar,
+    isolated_vertex_count,
     kappa,
+    pattern_from_name,
+    pendant_edge_count,
 )
+from planarlab._bits import pair_count
+from planarlab.graphs import LabeledGraph
 from tests.conftest import labeled_graphs
-from tests.oracles import component_count_bfs, random_graph
+from tests.oracles import (
+    component_count_bfs,
+    components_bfs,
+    degrees_from_edges,
+    encode_definition,
+    has_injection_brute,
+    random_graph,
+    relabeled_subgraph,
+)
 
 
 class TestBuildGraph:
@@ -179,3 +194,66 @@ class TestAddableNonedges:
     def test_rejects_nonplanar_input(self):
         with pytest.raises(NotPlanarInputError):
             addable_nonedges(complete_graph(5))
+
+
+class TestBitsetStatisticsAgainstOracles:
+    """The bitset statistics against definitions that share no code with them:
+    BFS over ``has_edge`` (slot arithmetic on the mask), degrees counted over
+    the edge pairs, brute-force injection scans, and the text encoding spelled
+    out bit by bit."""
+
+    PATTERNS = ("vertex", "edge", "path3", "triangle", "k4")
+
+    def check(self, g, patterns):
+        # edges, has_edge and the encoding
+        edges = g.edges
+        pairs = {(i, j) for i in range(1, g.n + 1) for j in range(i + 1, g.n + 1)
+                 if g.has_edge(i, j)}
+        assert edges == pairs and g.m == len(pairs)
+        assert encode(g) == encode_definition(g)
+        back = decode(encode(g))
+        assert back == g and back.edges == edges
+
+        # components and kappa
+        parts = components_bfs(g)
+        assert components(g) == parts and kappa(g) == len(parts)
+
+        # degrees, isolated vertices and pendant edges
+        deg = degrees_from_edges(g)
+        assert list(g.degrees) == deg
+        assert isolated_vertex_count(g) == sum(1 for v in range(1, g.n + 1) if deg[v] == 0)
+        assert pendant_edge_count(g) == sum(1 for i, j in edges if 1 in (deg[i], deg[j]))
+
+        # bridges: exactly the edges whose deletion raises kappa
+        cut = bridges(g)
+        for edge in edges:
+            reduced = build_graph(g.n, sorted(edges - {edge}))
+            assert (edge in cut) == (component_count_bfs(reduced) == len(parts) + 1), edge
+        assert cut <= edges
+
+        # copies and components isomorphic to each pattern
+        for pattern in patterns:
+            if pattern.size > g.n:
+                continue
+            assert has_copy(g, pattern) == has_injection_brute(g, pattern.h)
+            expected = 0
+            for part in parts:
+                sub = relabeled_subgraph(g, part)
+                if sub.n == pattern.size and sub.m == pattern.edge_count:
+                    expected += has_injection_brute(sub, pattern.h)
+            assert count_components_isomorphic(g, pattern) == expected
+
+    def test_every_mask_up_to_six(self, small_patterns):
+        patterns = [small_patterns[name] for name in self.PATTERNS]
+        for n in range(1, 7):
+            # The K4 scan tries 360 maps per graph at n=6 (about 20 s over the
+            # 32,768 masks); there K4 rests on the hypothesis sweep below and
+            # on C8, which checks count_copies(K4) at every mask.
+            checked = [p for p in patterns if n <= 5 or p.size <= 3]
+            for mask in range(1 << pair_count(n)):
+                self.check(LabeledGraph(n, mask), checked)
+
+    @given(labeled_graphs(max_n=12))
+    @settings(max_examples=150, deadline=None)
+    def test_hypothesis_graphs_up_to_twelve(self, g):
+        self.check(g, [pattern_from_name(name) for name in self.PATTERNS])

@@ -27,10 +27,10 @@ from planarlab import (
     star_graph,
 )
 from planarlab._bits import pair_count
+from planarlab.graphs import induced_subgraph
 from planarlab.patterns import (
     _count_appearances_subset_np,
     _count_appearances_subset_py,
-    _relabel_subgraph,
 )
 from tests.oracles import (
     appearance_count_definition,
@@ -225,7 +225,7 @@ class TestComponentsIsomorphic:
             g = random_planar_graph(rng, n, rng.randint(0, min(2 * n, pair_count(n))))
             reps = []
             for comp in g.component_sets:
-                sub = _relabel_subgraph(g, sorted(comp))
+                sub = induced_subgraph(g, sorted(comp))
                 if not any(isomorphic(sub, r.h) for r in reps):
                     reps.append(make_pattern(sub))
             total = sum(
