@@ -10,7 +10,6 @@ phase tables over (n, m) grids.
 from .census import (
     CensusRecord,
     CensusStore,
-    brute_force_count,
     build_census,
     class_counts,
     count_class,

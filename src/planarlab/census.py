@@ -12,10 +12,10 @@ from __future__ import annotations
 import os
 import zlib
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import chain
 from typing import Callable, Iterator
 
-from ._bits import edges_from_mask, pair_count, pairs_in_order
+from ._bits import edges_from_mask, pair_count
 from .errors import (
     ChecksumMismatchError,
     InvalidArgumentError,
@@ -25,7 +25,6 @@ from .errors import (
     VersionUnsupportedError,
 )
 from .graphs import LabeledGraph, decode, encode, graph_from_mask, is_planar
-from .kuratowski import has_forbidden_subdivision
 from .planarity import TABLE_MAX_N, is_planar_edges, planar_mask_table
 
 DEFAULT_BUDGET = 50_000_000
@@ -110,9 +109,6 @@ def _iter_all_masks(n: int, budget: int | None) -> Iterator[tuple[int, int]]:
 
 def class_counts(n: int, *, budget: int | None = None) -> tuple[int, ...]:
     """|class(n, m)| for every m in 0..C(n,2), from one pruned sweep (cached)."""
-    _validate_params(n, 0)
-    if n > TABLE_MAX_N:
-        raise ResourceLimitError(f"full sweeps are limited to n <= {TABLE_MAX_N}")
     if n not in _COUNTS_CACHE:
         enumerate_all(n, lambda g: None, budget=budget, m_values=())
     return _COUNTS_CACHE[n]
@@ -150,10 +146,12 @@ def enumerate_all(
     budget: int | None = None,
     m_values=None,
 ) -> None:
-    """Visit every planar graph on {1..n} exactly once, or with ``m_values``
+    """Visit every planar graph on {1..n}, n <= 7, once, or with ``m_values``
     only those with one of these edge counts (no other graph is built).
     The same sweep counts every class; the counts feed ``class_counts``."""
     _validate_params(n, 0)
+    if n > TABLE_MAX_N:
+        raise ResourceLimitError(f"full sweeps are limited to n <= {TABLE_MAX_N}")
     counts = [0] * (pair_count(n) + 1)
     keep = [m_values is None or m in m_values for m in range(len(counts))]
     for mask, mc in _iter_all_masks(n, budget):
@@ -161,21 +159,6 @@ def enumerate_all(
         if keep[mc]:
             visitor(graph_from_mask(n, mask))
     _COUNTS_CACHE[n] = tuple(counts)
-
-
-def brute_force_count(n: int, m: int) -> int:
-    """Filter every m-subset of possible edges through the subdivision search.
-
-    Intentionally unoptimized and independent of count_class: different
-    enumeration strategy and a different planarity decision.
-    """
-    _validate_params(n, m)
-    if n > 6:
-        raise ResourceLimitError("the brute-force oracle is limited to n <= 6")
-    pairs = pairs_in_order(n)
-    return sum(
-        1 for combo in combinations(pairs, m) if not has_forbidden_subdivision(n, combo)
-    )
 
 
 # -- persistent census -----------------------------------------------------------

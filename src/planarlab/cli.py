@@ -85,10 +85,8 @@ def _cmd_sample(args) -> int:
 def _cmd_verify(args) -> int:
     if args.all_m:
         m_values = range(census_mod.max_planar_edges(args.n) + 1)
-    elif args.m is not None:
-        m_values = [args.m]
     else:
-        raise SystemExit("verify needs --m or --all-m")
+        m_values = [args.m]
     census = census_mod.load_census(args.census) if args.census else None
     lines = ["n,m,check,checked,violations"]
     failures = 0
@@ -175,8 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the per-graph check battery over a class")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--all-m", action="store_true")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--m", type=int)
+    which.add_argument("--all-m", action="store_true")
     p.add_argument("--census", help="reuse stored graphs from this census file")
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--out")

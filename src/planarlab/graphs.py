@@ -3,9 +3,10 @@
 Simple undirected graphs on the vertex set {1..n}, the element type of the
 uniform classes this package enumerates and samples.  A graph is (n, mask),
 bit s of the mask being the edge in slot s (``_bits``); statistics run on
-neighbour bitsets built on first use, and the edge pairs are derived on
-demand.  Values are never modified once built and are safe to share; every
-operation here is a pure function of its inputs.
+neighbour bitsets built on first use (the components and the bridges are
+kept the same way), and the edge pairs are derived on demand.  Values are
+never modified once built and are safe to share; every operation here is a
+pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ class LabeledGraph:
     mask: int
     _adj: tuple[int, ...] | None = field(default=None, init=False, compare=False)
     _comps: tuple[int, ...] | None = field(default=None, init=False, compare=False)
+    _bridges: frozenset[Edge] | None = field(default=None, init=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -206,7 +208,10 @@ def kappa(g: LabeledGraph) -> int:
 
 def bridges(g: LabeledGraph) -> frozenset[Edge]:
     """Edges whose deletion increases the component count: the edges (p, v)
-    of a spanning forest such that no other edge leaves the subtree below v."""
+    of a spanning forest such that no other edge leaves the subtree below v.
+    Computed once per graph."""
+    if g._bridges is not None:
+        return g._bridges
     adj = g.adjacency
     parent = [0] * (g.n + 1)
     inside = [0] * (g.n + 1)  # the subtree below v, v included
@@ -232,7 +237,8 @@ def bridges(g: LabeledGraph) -> frozenset[Edge]:
                 out.add((p, v) if p < v else (v, p))
             inside[p] |= inside[v]
             around[p] |= around[v]
-    return frozenset(out)
+    g._bridges = frozenset(out)
+    return g._bridges
 
 
 def degree_histogram(g: LabeledGraph) -> "DegreeHistogram":

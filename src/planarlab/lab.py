@@ -13,13 +13,14 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._bits import bit_positions, pair_count
+from ._bits import bit_positions
 from .census import class_counts, enumerate_all, max_planar_edges
-from .errors import EmptyClassError, InvalidArgumentError, PatternError
+from .errors import EmptyClassError, InvalidArgumentError
 from .graphs import (
     LabeledGraph,
     add_count,
     bridges,
+    decode,
     degree_histogram,
     encode,
     kappa,
@@ -34,19 +35,23 @@ from .patterns import (
 )
 from .sampler import sample_many
 
-EVENT_KINDS = (
-    "connected",
-    "component",       # has a component isomorphic to the pattern
-    "copy",            # has a subgraph copy of the pattern
-    "isolated",        # has an isolated vertex
-    "pendant",         # at least <threshold> pendant edges
-    "appearances",     # at least <threshold> appearances of the pattern
-    "components",      # at least <threshold> components isomorphic to the pattern
-)
+# kind -> (takes a pattern, takes a threshold)
+EVENT_KINDS = {
+    "connected": (False, False),
+    "component": (True, False),     # has a component isomorphic to the pattern
+    "copy": (True, False),          # has a subgraph copy of the pattern
+    "isolated": (False, False),     # has an isolated vertex
+    "pendant": (False, True),       # at least <threshold> pendant edges
+    "appearances": (True, True),    # at least <threshold> appearances of the pattern
+    "components": (True, True),     # at least <threshold> components isomorphic to the pattern
+}
 
 
 @dataclass(frozen=True)
 class EventKind:
+    """An event, written ``kind[:pattern][>=threshold]`` (``describe``,
+    ``parse_event``); each kind takes a pattern, a threshold, both or none."""
+
     kind: str
     pattern: Pattern | None = None
     threshold: int | None = None
@@ -54,27 +59,21 @@ class EventKind:
     def __post_init__(self) -> None:
         if self.kind not in EVENT_KINDS:
             raise InvalidArgumentError(f"unknown event kind {self.kind!r}")
-        needs_pattern = self.kind in ("component", "copy", "appearances", "components")
-        if needs_pattern and self.pattern is None:
-            raise InvalidArgumentError(f"event {self.kind!r} needs a pattern")
-        needs_threshold = self.kind in ("pendant", "appearances", "components")
-        if needs_threshold and (self.threshold is None or self.threshold < 0):
+        for part, value, takes in zip(("pattern", "threshold"), (self.pattern, self.threshold),
+                                      EVENT_KINDS[self.kind]):
+            if (value is not None) != takes:
+                verb = "takes no" if value is not None else "needs a"
+                raise InvalidArgumentError(f"event {self.kind!r} {verb} {part}")
+        if self.threshold is not None and self.threshold < 0:
             raise InvalidArgumentError(f"event {self.kind!r} needs a non-negative threshold")
 
     def describe(self) -> str:
-        if self.kind == "connected":
-            return "connected"
-        if self.kind == "isolated":
-            return "isolated"
-        if self.kind == "component":
-            return f"component:{self.pattern.name}"
-        if self.kind == "copy":
-            return f"copy:{self.pattern.name}"
-        if self.kind == "pendant":
-            return f"pendant>={self.threshold}"
-        if self.kind == "appearances":
-            return f"appearances:{self.pattern.name}>={self.threshold}"
-        return f"components:{self.pattern.name}>={self.threshold}"
+        text = self.kind
+        if self.pattern is not None:
+            text += f":{self.pattern.name}"
+        if self.threshold is not None:
+            text += f">={self.threshold}"
+        return text
 
     # convenience constructors
     @staticmethod
@@ -107,32 +106,16 @@ class EventKind:
 
 
 def parse_event(token: str) -> EventKind:
-    """Parse the canonical event syntax used by describe() and the CLI."""
-
-    def threshold(digits: str) -> int:
+    """Parse ``kind[:pattern][>=threshold]``, the syntax describe() writes."""
+    head, has_threshold, digits = token.strip().partition(">=")
+    kind, has_pattern, name = head.partition(":")
+    threshold = None
+    if has_threshold:
         try:
-            return int(digits)
+            threshold = int(digits)
         except ValueError:
             raise InvalidArgumentError(f"bad threshold {digits!r} in event {token!r}") from None
-
-    text = token.strip()
-    if text == "connected":
-        return EventKind.connected()
-    if text == "isolated":
-        return EventKind.has_isolated_vertex()
-    if text.startswith("pendant>="):
-        return EventKind.min_pendant_edges(threshold(text[len("pendant>="):]))
-    for head, maker in (("appearances", EventKind.min_appearances),
-                        ("components", EventKind.min_components)):
-        prefix = head + ":"
-        if text.startswith(prefix) and ">=" in text:
-            body, _, thr = text[len(prefix):].rpartition(">=")
-            return maker(pattern_from_name(body), threshold(thr))
-    for head, maker in (("component", EventKind.has_component), ("copy", EventKind.has_copy)):
-        prefix = head + ":"
-        if text.startswith(prefix):
-            return maker(pattern_from_name(text[len(prefix):]))
-    raise PatternError(f"cannot parse event {token!r}")
+    return EventKind(kind, pattern_from_name(name) if has_pattern else None, threshold)
 
 
 def pendant_edge_count(g: LabeledGraph) -> int:
@@ -193,6 +176,12 @@ def regime_of(n: int, m: int, delta: float = 0.05, gamma: float = 0.05) -> Densi
 # -- probabilities ----------------------------------------------------------------
 
 
+def _check_class(n: int, m: int) -> None:
+    """Refuse an empty class before any sweep starts."""
+    if not 0 <= m <= max_planar_edges(n):
+        raise EmptyClassError(f"class ({n}, {m}) is empty")
+
+
 def exact_event_counts(
     n: int,
     events,
@@ -201,7 +190,8 @@ def exact_event_counts(
     budget: int | None = None,
 ) -> dict[int, list[int]]:
     """Satisfying-graph counts per m for several events, from one sweep that
-    builds graphs only for the wanted classes (and counts every class)."""
+    builds graphs only for the wanted classes (and counts every class, so
+    ``class_counts(n)`` is cached after it).  Refuses n > 7 before sweeping."""
     events = list(events)
     if m_values is None:
         wanted = set(range(max_planar_edges(n) + 1))
@@ -223,11 +213,9 @@ def exact_probability(
     n: int, m: int, event: EventKind, *, budget: int | None = None
 ) -> Fraction:
     """P[event] under the uniform class law, as an exact rational."""
-    total = class_counts(n, budget=budget)[m] if m <= pair_count(n) else 0
-    if total == 0:
-        raise EmptyClassError(f"class ({n}, {m}) is empty")
+    _check_class(n, m)
     hits = exact_event_counts(n, [event], [m], budget=budget)[m][0]
-    return Fraction(hits, total)
+    return Fraction(hits, class_counts(n, budget=budget)[m])
 
 
 @dataclass(frozen=True)
@@ -256,16 +244,23 @@ def estimate_probability(
     census=None,
 ) -> ProbabilityEstimate:
     """Sample frequency of the event with its binomial standard error."""
-    from .graphs import decode
-
     batch = sample_many(
         n, m, k, method=method, seed=seed, burn_in=burn_in, thinning=thinning, census=census
     )
-    hits = sum(1 for enc in batch.samples if evaluate_event(decode(enc), event))
-    p_hat = hits / k if k else 0.0
-    stderr = (p_hat * (1.0 - p_hat) / k) ** 0.5 if k else 0.0
+    [(p_hat, stderr)] = _sampled_frequencies(batch.samples, [event])
     tag = "exact-sample" if method == "exact" else "mcmc-diagnostic"
     return ProbabilityEstimate(p_hat, stderr, tag, k, seed)
+
+
+def _sampled_frequencies(samples, events) -> list[tuple[float, float]]:
+    """(frequency, binomial standard error) of each event over the samples."""
+    graphs = [decode(enc) for enc in samples]
+    k = len(graphs)
+    out = []
+    for event in events:
+        p_hat = sum(1 for g in graphs if evaluate_event(g, event)) / k if k else 0.0
+        out.append((p_hat, (p_hat * (1.0 - p_hat) / k) ** 0.5 if k else 0.0))
+    return out
 
 
 # -- phase tables -----------------------------------------------------------------
@@ -319,16 +314,14 @@ def phase_table(spec: ExperimentSpec, *, budget: int | None = None) -> Experimen
     if spec.method == "exact":
         by_n: dict[int, list[int]] = {}
         for n, m in spec.grid:
+            _check_class(n, m)
             by_n.setdefault(n, []).append(m)
         tallies = {
             n: exact_event_counts(n, spec.events, ms, budget=budget)
             for n, ms in by_n.items()
         }
-        counts = {n: class_counts(n, budget=budget) for n in by_n}  # cached by the sweep
         for n, m in spec.grid:
-            total = counts[n][m] if m <= pair_count(n) else 0
-            if total == 0:
-                raise EmptyClassError(f"class ({n}, {m}) is empty")
+            total = class_counts(n, budget=budget)[m]  # cached by the sweep
             regime = regime_of(n, m)
             for idx, event in enumerate(spec.events):
                 p = Fraction(tallies[n][m][idx], total)
@@ -341,17 +334,12 @@ def phase_table(spec: ExperimentSpec, *, budget: int | None = None) -> Experimen
             raise InvalidArgumentError("mcmc phase tables need k and seed")
         if spec.k < 1:
             raise InvalidArgumentError(f"mcmc phase tables need k >= 1, got {spec.k}")
-        from .graphs import decode
-
         for cell_index, (n, m) in enumerate(spec.grid):
             cell_seed = spec.seed + cell_index
             batch = sample_many(n, m, spec.k, method="mcmc", seed=cell_seed)
-            graphs = [decode(enc) for enc in batch.samples]
             regime = regime_of(n, m)
-            for event in spec.events:
-                hits = sum(1 for g in graphs if evaluate_event(g, event))
-                p_hat = hits / spec.k
-                stderr = (p_hat * (1.0 - p_hat) / spec.k) ** 0.5
+            frequencies = _sampled_frequencies(batch.samples, spec.events)
+            for event, (p_hat, stderr) in zip(spec.events, frequencies):
                 rows.append(ExperimentRow(
                     n, m, regime.ratio, regime.label, event.describe(),
                     p_hat, stderr, "mcmc-diagnostic", spec.k, cell_seed,

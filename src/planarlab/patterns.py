@@ -4,23 +4,23 @@ A pattern is a small connected planar graph H on {1..|H|} together with its
 class (tree / unicyclic / multicyclic), automorphism count and the plan of
 its injection search.  This module counts the structures the experiment
 harness cares about: appearances of H (exactly-one-edge-out rooted
-occurrences), components isomorphic to H, and subgraph copies of H.  All
-searches run on the neighbour bitsets of ``LabeledGraph.adjacency``.
+occurrences), components isomorphic to H, and subgraph copies of H.  One
+search answers every question about a copy of one graph in another: the
+injection search over the neighbour bitsets of ``LabeledGraph.adjacency``.
+Isomorphism, automorphisms and isomorphic components are injections between
+graphs (``isomorphic``: between paired components) with as many vertices and
+edges, since a bijection that preserves edges between graphs with equal edge
+counts is an isomorphism.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations
-from math import comb
-
-import numpy as np
 
 from ._bits import bit_positions, edges_from_mask
 from .errors import (
     DisconnectedPatternError,
-    InvalidArgumentError,
     NonplanarPatternError,
     PatternError,
     PatternTooLargeError,
@@ -38,9 +38,6 @@ from .graphs import (
 )
 
 PATTERN_MAX_ORDER = 16
-
-# below this many |H|-subsets the plain Python scan beats the vectorized one
-_SUBSET_VECTOR_THRESHOLD = 512
 
 
 @dataclass(frozen=True)
@@ -131,73 +128,83 @@ def pattern_from_name(text: str) -> Pattern:
     raise PatternError(f"unknown pattern {text!r}")
 
 
-# -- isomorphism ----------------------------------------------------------------
+# -- the injection search ------------------------------------------------------
 
 
-def _signatures(g: LabeledGraph) -> list[tuple]:
-    deg = g.degrees
-    adj = g.adjacency
-    return [()] + [
-        (deg[v], tuple(sorted(deg[w] for w in bit_positions(adj[v]))))
-        for v in range(1, g.n + 1)
-    ]
-
-
-def _search_isomorphisms(g1: LabeledGraph, g2: LabeledGraph, count_all: bool) -> int:
-    """Count edge-preserving bijections g1 -> g2 (stop at 1 unless count_all)."""
-    if g1.n != g2.n or g1.m != g2.m:
-        return 0
-    n = g1.n
-    sig1 = _signatures(g1)
-    sig2 = _signatures(g2)
-    if sorted(sig1) != sorted(sig2):
-        return 0
-    pools = {v: [w for w in range(1, n + 1) if sig2[w] == sig1[v]] for v in range(1, n + 1)}
-
-    # order: most constrained first, then stay adjacent to the mapped part
-    order: list[int] = []
-    placed = 0
-    adj1 = g1.adjacency
-    while len(order) < n:
-        best = min(
-            (v for v in range(1, n + 1) if not placed >> v & 1),
-            key=lambda v: (-(adj1[v] & placed).bit_count(), len(pools[v]), v),
+def _injection_plan(h: LabeledGraph, within: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """Vertex order of h or of its components ``within`` (max-degree first, then
+    attached), as the earlier positions each step's vertex must be adjacent to."""
+    adj = h.adjacency
+    deg = h.degrees
+    verts = bit_positions((1 << (h.n + 1)) - 2 if within is None else within)
+    start = max(verts, key=lambda v: (deg[v], -v))
+    order = [start]
+    placed = 1 << start
+    while len(order) < len(verts):
+        nxt = max(
+            (v for v in verts if not placed >> v & 1),
+            key=lambda v: ((adj[v] & placed).bit_count(), deg[v], -v),
         )
-        order.append(best)
-        placed |= 1 << best
+        order.append(nxt)
+        placed |= 1 << nxt
+    return tuple(tuple(j for j in range(i) if adj[v] >> order[j] & 1) for i, v in enumerate(order))
 
-    adj2 = g2.adjacency
-    image: dict[int, int] = {}
+
+def _count_edge_injections(
+    g: LabeledGraph, plan: tuple[tuple[int, ...], ...], early_exit: bool, within: int | None = None
+) -> int:
+    """Edge-preserving injections of the planned graph H into g, or into the
+    vertex bitset ``within`` of g; each step's candidates are the common
+    neighbours of its already-mapped anchors, as a bitset."""
+    if len(plan) > g.n:
+        return 0
+    adj = g.adjacency
+    everyone = (1 << (g.n + 1)) - 2 if within is None else within
+    image = [0] * len(plan)
+    last = len(plan) - 1
 
     def extend(i: int, used: int) -> int:
-        if i == n:
-            return 1
-        v = order[i]
-        row1 = adj1[v]
-        found = 0
-        for w in pools[v]:
-            if used >> w & 1:
-                continue
-            row2 = adj2[w]
-            if any(row1 >> u & 1 != row2 >> x & 1 for u, x in image.items()):
-                continue
-            image[v] = w
-            found += extend(i + 1, used | 1 << w)
-            del image[v]
-            if found and not count_all:
-                return found
-        return found
+        candidates = everyone & ~used
+        for p in plan[i]:
+            candidates &= adj[image[p]]
+        if i == last:
+            return candidates.bit_count()
+        total = 0
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            image[i] = low.bit_length() - 1
+            total += extend(i + 1, used | low)
+            if total and early_exit:
+                return total
+        return total
 
     return extend(0, 0)
 
 
+def _shape(g: LabeledGraph, comp: int) -> tuple[int, int]:
+    """(vertices, degree sum) of the vertex bitset comp of g."""
+    adj = g.adjacency
+    return comp.bit_count(), sum(adj[v].bit_count() for v in bit_positions(comp))
+
+
 def isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
-    """True iff an edge-preserving bijection between the graphs exists."""
-    return _search_isomorphisms(g1, g2, count_all=False) > 0
+    """True iff an edge-preserving bijection between the graphs exists.  Each
+    component of g2 is paired with an unpaired one of g1 of its shape that it
+    injects into, so no search backtracks over another component's place."""
+    unpaired = {c: _shape(g1, c) for c in g1.component_masks}
+    for comp in g2.component_masks:
+        plan, shape = _injection_plan(g2, comp), _shape(g2, comp)
+        pair = next((c for c, s in unpaired.items() if s == shape
+                     and _count_edge_injections(g1, plan, early_exit=True, within=c)), None)
+        if pair is None:
+            return False
+        del unpaired[pair]
+    return not unpaired
 
 
 def automorphism_count(h: LabeledGraph) -> int:
-    return _search_isomorphisms(h, h, count_all=True)
+    return _count_edge_injections(h, _injection_plan(h), early_exit=False)
 
 
 # -- appearances -----------------------------------------------------------------
@@ -231,137 +238,32 @@ def appearance_witnesses(g: LabeledGraph, pattern: Pattern) -> list[tuple[int, .
     return out
 
 
-def _count_appearances_subset_py(g: LabeledGraph, h: LabeledGraph) -> int:
-    deg = g.degrees
-    k = h.n
-    degsum_target = 2 * h.m + 1
-    root_degree = h.degrees[1] + 1
-    count = 0
-    for witness in combinations(range(1, g.n + 1), k):
-        if deg[witness[0]] != root_degree:
-            continue
-        if sum(deg[v] for v in witness) != degsum_target:
-            continue
-        if induced_subgraph(g, witness).mask == h.mask:
-            count += 1
-    return count
-
-
-@lru_cache(maxsize=64)
-def _combo_array(n: int, k: int) -> np.ndarray:
-    return np.array(list(combinations(range(1, n + 1), k)), dtype=np.int64)
-
-
-def _count_appearances_subset_np(g: LabeledGraph, h: LabeledGraph) -> int:
-    n, k = g.n, h.n
-    combos = _combo_array(n, k)
-    adj = np.zeros((n + 1, n + 1), dtype=bool)
-    for i, j in g.edges:
-        adj[i, j] = True
-        adj[j, i] = True
-    deg = adj.sum(axis=1)
-
-    ok = np.ones(len(combos), dtype=bool)
-    for a in range(k):
-        col_a = combos[:, a]
-        for b in range(a + 1, k):
-            ok &= adj[col_a, combos[:, b]] == h.has_edge(a + 1, b + 1)
-    ok &= deg[combos].sum(axis=1) == 2 * h.m + 1
-    ok &= deg[combos[:, 0]] == h.degrees[1] + 1
-    return int(np.count_nonzero(ok))
-
-
-def count_appearances(g: LabeledGraph, pattern: Pattern, method: str = "bridge") -> int:
-    """Number of sets W where the pattern appears in g.
-
-    ``method`` chooses between the bridge-driven count and the brute-force
-    scan over all |H|-subsets; the two must always agree.
-    """
-    h = pattern.h
-    if h.n >= g.n:
-        raise PatternTooLargeError("appearances require |H| < n")
-    if method == "bridge":
-        return len(appearance_witnesses(g, pattern))
-    if method == "subset":
-        if comb(g.n, h.n) < _SUBSET_VECTOR_THRESHOLD:
-            return _count_appearances_subset_py(g, h)
-        return _count_appearances_subset_np(g, h)
-    raise InvalidArgumentError(f"unknown method {method!r}")
+def count_appearances(g: LabeledGraph, pattern: Pattern) -> int:
+    """Number of sets W where the pattern appears in g."""
+    return len(appearance_witnesses(g, pattern))
 
 
 # -- components and copies ---------------------------------------------------------
 
 
 def count_components_isomorphic(g: LabeledGraph, pattern: Pattern) -> int:
-    """Components of g isomorphic to the pattern.  Only a component with
-    |H| vertices and |E(H)| edges reaches the isomorphism search."""
+    """Components of g isomorphic to the pattern.  A component with |H|
+    vertices and |E(H)| edges is one iff H injects into it."""
     h = pattern.h
     count = 0
     for comp in g.component_masks:
-        if comp.bit_count() != h.n:
-            continue
-        verts = bit_positions(comp)
-        if sum(g.degree(v) for v in verts) != 2 * h.m:
-            continue
-        count += isomorphic(induced_subgraph(g, verts), h)
+        if comp.bit_count() == h.n and _shape(g, comp)[1] == 2 * h.m:
+            count += _count_edge_injections(g, pattern.plan, early_exit=True, within=comp) > 0
     return count
-
-
-def _injection_plan(h: LabeledGraph) -> tuple[tuple[int, ...], ...]:
-    """Vertex order (max-degree first, then attached), as the earlier
-    positions each step's vertex must be adjacent to."""
-    adj = h.adjacency
-    deg = h.degrees
-    start = max(range(1, h.n + 1), key=lambda v: (deg[v], -v))
-    order = [start]
-    placed = 1 << start
-    while len(order) < h.n:
-        nxt = max(
-            (v for v in range(1, h.n + 1) if not placed >> v & 1),
-            key=lambda v: ((adj[v] & placed).bit_count(), deg[v], -v),
-        )
-        order.append(nxt)
-        placed |= 1 << nxt
-    return tuple(tuple(j for j in range(i) if adj[v] >> order[j] & 1) for i, v in enumerate(order))
-
-
-def _count_edge_injections(g: LabeledGraph, pattern: Pattern, early_exit: bool) -> int:
-    """Edge-preserving injections H -> g; each step's candidates are the
-    common neighbours of its already-mapped anchors, as a bitset."""
-    plan = pattern.plan
-    if len(plan) > g.n:
-        return 0
-    adj = g.adjacency
-    everyone = (1 << (g.n + 1)) - 2
-    image = [0] * len(plan)
-    last = len(plan) - 1
-
-    def extend(i: int, used: int) -> int:
-        candidates = everyone & ~used
-        for p in plan[i]:
-            candidates &= adj[image[p]]
-        if i == last:
-            return candidates.bit_count()
-        total = 0
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            image[i] = low.bit_length() - 1
-            total += extend(i + 1, used | low)
-            if total and early_exit:
-                return total
-        return total
-
-    return extend(0, 0)
 
 
 def count_copies(g: LabeledGraph, pattern: Pattern) -> int:
     """Distinct subgraph copies: edge-preserving injections / |Aut(H)|."""
-    return _count_edge_injections(g, pattern, early_exit=False) // pattern.aut_count
+    return _count_edge_injections(g, pattern.plan, early_exit=False) // pattern.aut_count
 
 
 def has_copy(g: LabeledGraph, pattern: Pattern) -> bool:
-    return _count_edge_injections(g, pattern, early_exit=True) > 0
+    return _count_edge_injections(g, pattern.plan, early_exit=True) > 0
 
 
 def count_good_triangles(g: LabeledGraph) -> int:

@@ -63,10 +63,6 @@ class ChainState:
     def current(self) -> LabeledGraph:
         return LabeledGraph(self.n, mask_from_edges(self.n, self._edge_set))
 
-    @property
-    def rng_state(self):
-        return self.rng.getstate()
-
 
 def mcmc_step(state: ChainState) -> ChainState:
     """Advance one step; rejected proposals still advance the counter."""

@@ -1,16 +1,24 @@
 """Independent reference implementations used only to check the library.
 
 Everything here is written directly from definitions with no shared code
-paths: permutation scans, subset scans, and plain BFS.  Slow on purpose.
+paths: permutation scans, subset scans, the Kuratowski subdivision search and
+plain BFS.  Slow on purpose.
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import combinations, permutations
+from math import comb
 
-from planarlab import LabeledGraph, build_graph
-from planarlab._bits import edges_from_mask, pair_count
+import numpy as np
+
+from planarlab import LabeledGraph, ResourceLimitError, build_graph, is_planar
+from planarlab._bits import edges_from_mask, pair_count, pairs_in_order
+
+# below this many |H|-subsets the plain Python scan beats the vectorized one
+_SUBSET_VECTOR_THRESHOLD = 512
 
 
 def injection_count_brute(g: LabeledGraph, h: LabeledGraph) -> int:
@@ -60,6 +68,121 @@ def appearance_count_definition(g: LabeledGraph, h: LabeledGraph) -> int:
         if inside == witness[0]:
             count += 1
     return count
+
+
+def count_appearances_subset(g: LabeledGraph, h: LabeledGraph) -> int:
+    """Appearance count by scanning every |H|-subset W of V(g): the degree
+    sum over W must be 2|E(H)| + 1 (one edge out), the root's degree one more
+    than in H, and the increasing bijection must carry H onto g[W]."""
+    if comb(g.n, h.n) < _SUBSET_VECTOR_THRESHOLD:
+        return _count_appearances_subset_py(g, h)
+    return _count_appearances_subset_np(g, h)
+
+
+def _count_appearances_subset_py(g: LabeledGraph, h: LabeledGraph) -> int:
+    deg = g.degrees
+    k = h.n
+    degsum_target = 2 * h.m + 1
+    root_degree = h.degrees[1] + 1
+    count = 0
+    for witness in combinations(range(1, g.n + 1), k):
+        if deg[witness[0]] != root_degree:
+            continue
+        if sum(deg[v] for v in witness) != degsum_target:
+            continue
+        if relabeled_subgraph(g, witness).mask == h.mask:
+            count += 1
+    return count
+
+
+@lru_cache(maxsize=64)
+def _combo_array(n: int, k: int) -> np.ndarray:
+    return np.array(list(combinations(range(1, n + 1), k)), dtype=np.int64)
+
+
+def _count_appearances_subset_np(g: LabeledGraph, h: LabeledGraph) -> int:
+    n, k = g.n, h.n
+    combos = _combo_array(n, k)
+    adj = np.zeros((n + 1, n + 1), dtype=bool)
+    for i, j in g.edges:
+        adj[i, j] = True
+        adj[j, i] = True
+    deg = adj.sum(axis=1)
+
+    ok = np.ones(len(combos), dtype=bool)
+    for a in range(k):
+        col_a = combos[:, a]
+        for b in range(a + 1, k):
+            ok &= adj[col_a, combos[:, b]] == h.has_edge(a + 1, b + 1)
+    ok &= deg[combos].sum(axis=1) == 2 * h.m + 1
+    ok &= deg[combos[:, 0]] == h.degrees[1] + 1
+    return int(np.count_nonzero(ok))
+
+
+def has_forbidden_subdivision(n: int, edges) -> bool:
+    """True iff the graph contains a subdivision of K5 or of K3,3: some choice
+    of branch vertices can be joined by internally vertex-disjoint paths."""
+    edges = tuple(edges)
+    if len(edges) < 9:  # K3,3 is the smallest subdivision, 9 edges
+        return False
+    adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+
+    deg4 = [v for v in range(1, n + 1) if len(adj[v]) >= 4]
+    for branch in combinations(deg4, 5):
+        if _connect_all(adj, set(branch), list(combinations(branch, 2))):
+            return True
+
+    deg3 = [v for v in range(1, n + 1) if len(adj[v]) >= 3]
+    for six in combinations(deg3, 6):
+        head, tail = six[0], six[1:]
+        for pick in combinations(tail, 2):
+            side_a = (head,) + pick
+            side_b = tuple(v for v in six if v not in side_a)
+            pairs = [(a, b) for a in side_a for b in side_b]
+            if _connect_all(adj, set(six), pairs):
+                return True
+    return False
+
+
+def _connect_all(adj, branch_set, pairs) -> bool:
+    """Try to realize every branch pair by internally disjoint paths."""
+    used: set[int] = set()
+
+    def place(i: int) -> bool:
+        if i == len(pairs):
+            return True
+        a, b = pairs[i]
+
+        def walk(v, internals) -> bool:
+            for u in sorted(adj[v]):
+                if u == b:
+                    used.update(internals)
+                    if place(i + 1):
+                        return True
+                    used.difference_update(internals)
+                elif u not in branch_set and u not in used and u not in internals:
+                    if walk(u, internals | {u}):
+                        return True
+            return False
+
+        return walk(a, frozenset())
+
+    return place(0)
+
+
+def brute_force_count(n: int, m: int) -> int:
+    """|class(n, m)| by filtering every m-subset of the possible edges through
+    the subdivision search: another enumeration and another planarity test
+    than ``count_class``'s."""
+    if n > 6:
+        raise ResourceLimitError("the brute-force oracle is limited to n <= 6")
+    return sum(
+        1 for combo in combinations(pairs_in_order(n), m)
+        if not has_forbidden_subdivision(n, combo)
+    )
 
 
 def components_bfs(g: LabeledGraph) -> list[frozenset[int]]:
@@ -129,8 +252,6 @@ def random_graph(rng: random.Random, n: int, m: int | None = None) -> LabeledGra
 
 def random_planar_graph(rng: random.Random, n: int, m: int) -> LabeledGraph:
     """Rejection-sample a planar graph; fine for the small sizes tests use."""
-    from planarlab import is_planar
-
     while True:
         g = random_graph(rng, n, m)
         if is_planar(g):

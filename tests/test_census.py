@@ -13,7 +13,6 @@ from planarlab import (
     IoFailureError,
     ResourceLimitError,
     VersionUnsupportedError,
-    brute_force_count,
     build_census,
     class_counts,
     count_class,
@@ -26,6 +25,7 @@ from planarlab import (
     save_census,
 )
 from planarlab._bits import pair_count
+from tests.oracles import brute_force_count
 
 
 class TestCountClass:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from planarlab.census import load_census
 from planarlab.cli import main
 
@@ -128,6 +130,24 @@ class TestBadInput:
     def test_non_numeric_m_list(self, capsys):
         self.check(capsys, "experiment", "--n-list", "5", "--m-list", "a-b",
                    "--events", "connected")
+
+    @pytest.mark.parametrize("token", [
+        "connected:triangle", "copy", "pendant", "copy:k4>=2", "isolated>=1",
+        "component:", "bogus",
+    ])
+    def test_malformed_event(self, capsys, token):
+        self.check(capsys, "experiment", "--n-list", "5", "--m-list", "4",
+                   "--events", token)
+
+    def test_exact_sweep_past_the_census(self, capsys):
+        self.check(capsys, "experiment", "--n-list", "8", "--m-list", "3",
+                   "--events", "connected")
+
+    def test_verify_without_edge_counts(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "--n", "5"])
+        assert exit_info.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestStats:

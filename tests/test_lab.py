@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+import planarlab.census as census_module
+
 from planarlab import (
     EmptyClassError,
     EventKind,
+    ResourceLimitError,
     ExperimentSpec,
     build_census,
     build_graph,
@@ -32,6 +35,19 @@ from tests.oracles import random_graph
 
 TRIANGLE = pattern_from_name("triangle")
 K4 = pattern_from_name("k4")
+
+
+def count_sweeps(monkeypatch) -> list[int]:
+    """The n of every full census sweep started from now on."""
+    sweeps: list[int] = []
+    sweep = census_module._iter_all_masks
+
+    def counted(n, budget):
+        sweeps.append(n)
+        return sweep(n, budget)
+
+    monkeypatch.setattr(census_module, "_iter_all_masks", counted)
+    return sweeps
 
 
 class TestEvaluateEvent:
@@ -109,6 +125,27 @@ class TestExactProbability:
     def test_empty_class_raises(self):
         with pytest.raises(EmptyClassError):
             exact_probability(5, 10, EventKind.connected())
+
+    def test_one_sweep_on_a_cold_cache(self, monkeypatch):
+        sweeps = count_sweeps(monkeypatch)
+        monkeypatch.setattr(census_module, "_COUNTS_CACHE", {})
+        p = exact_probability(7, 9, EventKind.connected())
+        assert sweeps == [7]
+        # C(21, 9) - 10 C(7, 6): K3,3 is the only 9-edge obstruction
+        assert census_module._COUNTS_CACHE[7][9] == 293_860
+        assert 293_860 % p.denominator == 0
+
+    def test_refusals_come_before_any_sweep(self, monkeypatch):
+        sweeps = count_sweeps(monkeypatch)
+        with pytest.raises(EmptyClassError):
+            exact_probability(8, 19, EventKind.connected())  # 3n - 6 = 18
+        with pytest.raises(ResourceLimitError):
+            exact_probability(8, 3, EventKind.connected())
+        with pytest.raises(ResourceLimitError):
+            exact_event_counts(8, [EventKind.connected()], [3])
+        with pytest.raises(EmptyClassError):
+            phase_table(ExperimentSpec(((8, 19),), (EventKind.connected(),)))
+        assert sweeps == []
 
     def test_complement_counting_sums_to_one(self):
         event = EventKind.connected()

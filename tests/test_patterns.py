@@ -26,14 +26,14 @@ from planarlab import (
     pattern_from_name,
     star_graph,
 )
-from planarlab._bits import pair_count
+from planarlab._bits import edges_from_mask, pair_count
 from planarlab.graphs import induced_subgraph
-from planarlab.patterns import (
+from tests.oracles import (
     _count_appearances_subset_np,
     _count_appearances_subset_py,
-)
-from tests.oracles import (
     appearance_count_definition,
+    count_appearances_subset,
+    has_injection_brute,
     injection_count_brute,
     random_graph,
     random_planar_graph,
@@ -130,6 +130,34 @@ class TestIsomorphism:
         relabeled = build_graph(6, [(perm[i - 1], perm[j - 1]) for i, j in base.edges])
         assert isomorphic(base, relabeled)
 
+    def test_many_components(self):
+        # eight 3-paths against six 3-paths, a 4-path and an edge: equal n, m
+        # and degrees; a search that backtracks over where the other
+        # components went tries every arrangement of them before it fails
+        paths = [(3 * i + 1, 3 * i + 2) for i in range(8)] + [(3 * i + 2, 3 * i + 3) for i in range(8)]
+        g2 = build_graph(24, paths)
+        g1 = build_graph(24, paths[:6] + paths[8:14] + [(19, 20), (20, 21), (21, 22), (23, 24)])
+        assert not isomorphic(g1, g2) and not isomorphic(g2, g1)
+        perm = list(range(24, 0, -1))
+        assert isomorphic(g2, build_graph(24, [(perm[i - 1], perm[j - 1]) for i, j in paths]))
+
+    def test_against_injection_scan_on_every_small_graph(self):
+        # each graph n<=5 against one graph of every isomorphism class found so
+        # far; with equal n and m, an edge-preserving injection is an isomorphism
+        unlabeled = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34}
+        for n, classes in unlabeled.items():
+            reps: list = []
+            for mask in range(1 << pair_count(n)):
+                g = build_graph(n, edges_from_mask(n, mask))
+                truth = [g.m == r.m and has_injection_brute(g, r) for r in reps]
+                assert [isomorphic(g, r) for r in reps] == truth, g
+                assert [isomorphic(r, g) for r in reps] == truth, g
+                assert automorphism_count(g) == injection_count_brute(g, g), g
+                if not any(truth):
+                    reps.append(g)
+            assert len(reps) == classes
+            assert not isomorphic(reps[0], build_graph(n + 1, []))
+
 
 class TestAppearances:
     def test_star_with_vertex_pattern(self):
@@ -143,7 +171,7 @@ class TestAppearances:
     def test_figure_example(self):
         pattern = make_pattern(FIGURE_H)
         assert count_appearances(FIGURE_G, pattern) == 1
-        assert count_appearances(FIGURE_G, pattern, method="subset") == 1
+        assert count_appearances_subset(FIGURE_G, pattern.h) == 1
         assert appearance_witnesses(FIGURE_G, pattern) == [(2, 4, 5, 7)]
 
     def test_pattern_too_large(self):
@@ -158,8 +186,8 @@ class TestAppearances:
                 if pattern.size >= g.n:
                     continue
                 expected = appearance_count_definition(g, pattern.h)
-                assert count_appearances(g, pattern, method="bridge") == expected
-                assert count_appearances(g, pattern, method="subset") == expected
+                assert count_appearances(g, pattern) == expected
+                assert count_appearances_subset(g, pattern.h) == expected
 
     def test_subset_and_bridge_agree_on_random_planar(self, small_patterns):
         rng = random.Random(5)
@@ -169,8 +197,8 @@ class TestAppearances:
                 for pattern in small_patterns.values():
                     if pattern.size >= g.n:
                         continue
-                    assert count_appearances(g, pattern, "subset") == count_appearances(
-                        g, pattern, "bridge"
+                    assert count_appearances_subset(g, pattern.h) == count_appearances(
+                        g, pattern
                     )
 
     def test_subset_and_bridge_agree_at_moderate_order(self, small_patterns):
@@ -181,8 +209,8 @@ class TestAppearances:
             for enc in batch.samples:
                 g = decode_graph(enc)
                 for pattern in small_patterns.values():
-                    assert count_appearances(g, pattern, "subset") == count_appearances(
-                        g, pattern, "bridge"
+                    assert count_appearances_subset(g, pattern.h) == count_appearances(
+                        g, pattern
                     )
 
     def test_python_and_vector_subset_paths_agree(self, small_patterns):

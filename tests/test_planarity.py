@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 from planarlab import build_graph, complete_graph, is_planar
 from planarlab._bits import edges_from_mask, pair_count, pairs_in_order
-from planarlab.kuratowski import has_forbidden_subdivision
+from tests.oracles import has_forbidden_subdivision
 from planarlab.planarity import (
     _left_right_planar,
     forbidden_subdivision_masks,
