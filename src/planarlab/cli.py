@@ -13,7 +13,7 @@ import sys
 
 from . import census as census_mod
 from . import lab
-from .errors import InvalidArgumentError, PlanarLabError
+from .errors import InvalidArgumentError, IoFailureError, PlanarLabError
 from .graphs import decode
 from .patterns import pattern_from_name
 from .sampler import sample_many
@@ -35,6 +35,15 @@ def _parse_int_list(text: str) -> list[int]:
         except ValueError:
             raise InvalidArgumentError(f"bad integer list {text!r}") from None
     return out
+
+
+def _write_text(path, text: str) -> None:
+    """Write an ``--out`` file; a failed write is an IoFailureError."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise IoFailureError(str(exc)) from exc
 
 
 def _cmd_enumerate(args) -> int:
@@ -74,8 +83,7 @@ def _cmd_sample(args) -> int:
     )
     lines = "\n".join(batch.samples)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(lines + ("\n" if lines else ""))
+        _write_text(args.out, lines + ("\n" if lines else ""))
     else:
         if lines:
             print(lines)
@@ -99,8 +107,7 @@ def _cmd_verify(args) -> int:
             failures += outcome.violations[name]
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_text(args.out, text)
     else:
         print(text, end="")
     return 1 if failures else 0
@@ -126,8 +133,7 @@ def _cmd_experiment(args) -> int:
     result = lab.phase_table(spec, budget=args.budget)
     text = result.to_csv()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_text(args.out, text)
         print(f"wrote {args.out}: {len(result.rows)} rows")
     else:
         print(text, end="")

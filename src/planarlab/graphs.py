@@ -23,7 +23,7 @@ from .errors import (
     NotPlanarInputError,
     VertexOutOfRangeError,
 )
-from .planarity import TABLE_MAX_N, is_planar_edges, is_planar_mask, planar_mask_table
+from .planarity import TABLE_MAX_N, is_planar_edges, planar_mask_table
 
 Edge = tuple[int, int]
 
@@ -190,7 +190,9 @@ def decode(text: str) -> LabeledGraph:
 
 def is_planar(g: LabeledGraph) -> bool:
     """True iff g admits a plane embedding."""
-    return is_planar_mask(g.n, g.mask) if g.n <= TABLE_MAX_N else is_planar_edges(g.n, g.edges)
+    if g.n <= TABLE_MAX_N:
+        return planar_mask_table(g.n)[g.mask] == 1
+    return is_planar_edges(g.n, edges_from_mask(g.n, g.mask))
 
 
 # -- connectivity ----------------------------------------------------------------

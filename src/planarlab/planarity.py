@@ -7,13 +7,16 @@ Three cooperating mechanisms, all cross-checked in the test suite:
 * n <= 7: a lookup table over all edge masks, built once per n by marking
   every K5/K3,3 subdivision edge-set on {1..n} and closing upward over
   supersets (a graph is non-planar exactly when it contains one of them);
-* n >= 8: a left-right planarity test (DFS orientation plus a stack of
-  conflict pairs), run independently on each connected component.
+* n >= 8: the left-right planarity test (Brandes 2009), run on each
+  connected component as two iterative DFS phases over an explicit path:
+  the orientation, started at each vertex no earlier orientation reached,
+  finds the component and its lowpoints and nesting depths; the testing
+  phase keeps a stack of conflict pairs.  Neither recurses, so any n works
+  without touching the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
-import sys
 from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterable
@@ -39,13 +42,6 @@ def is_planar_edges(n: int, edges: Iterable[tuple[int, int]]) -> bool:
     if n <= TABLE_MAX_N:
         return planar_mask_table(n)[mask_from_edges(n, edges)] == 1
     return _left_right_planar(n, edges)
-
-
-def is_planar_mask(n: int, mask: int) -> bool:
-    """Table-backed planarity for n <= TABLE_MAX_N, keyed by edge mask."""
-    if n > TABLE_MAX_N:
-        raise ValueError(f"mask lookup only available for n <= {TABLE_MAX_N}")
-    return planar_mask_table(n)[mask] == 1
 
 
 # -- small-order tables -------------------------------------------------------
@@ -127,6 +123,8 @@ def planar_mask_table(n: int) -> bytes:
 
 
 class _Interval:
+    """Return edges ``low`` (lowest) to ``high`` (highest) on one side."""
+
     __slots__ = ("low", "high")
 
     def __init__(self, low=None, high=None):
@@ -136,175 +134,26 @@ class _Interval:
     def empty(self) -> bool:
         return self.low is None and self.high is None
 
+    def conflicts(self, lowpt, b) -> bool:
+        return not self.empty() and lowpt[self.high] > lowpt[b]
+
 
 class _ConflictPair:
+    """Two intervals whose return edges must lie on opposite sides."""
+
     __slots__ = ("left", "right")
 
-    def __init__(self, left=None, right=None):
-        self.left = left if left is not None else _Interval()
-        self.right = right if right is not None else _Interval()
+    def __init__(self, right=None):
+        self.left = _Interval()
+        self.right = right or _Interval()
 
     def swap(self) -> None:
         self.left, self.right = self.right, self.left
 
-
-class _LeftRightTest:
-    """Left-right criterion on one connected component."""
-
-    def __init__(self, adj, vertices):
-        self.adj = adj
-        self.height = {v: None for v in vertices}
-        self.parent_edge = {v: None for v in vertices}
-        self.lowpt = {}
-        self.lowpt2 = {}
-        self.nesting_depth = {}
-        self.oriented = set()
-        self.ordered_adj = {}
-        self.ref = {}
-        self.S = []
-        self.stack_bottom = {}
-        self.lowpt_edge = {}
-
-    def run(self, root) -> bool:
-        self.height[root] = 0
-        self._dfs_orient(root)
-        for v in self.height:
-            self.ordered_adj[v] = sorted(
-                (w for w in self.adj[v] if (v, w) in self.lowpt),
-                key=lambda w, _v=v: self.nesting_depth[(_v, w)],
-            )
-        return self._dfs_test(root)
-
-    def _dfs_orient(self, v) -> None:
-        e = self.parent_edge[v]
-        hv = self.height[v]
-        for w in self.adj[v]:
-            key = (v, w) if v < w else (w, v)
-            if key in self.oriented:
-                continue
-            self.oriented.add(key)
-            vw = (v, w)
-            self.lowpt[vw] = hv
-            self.lowpt2[vw] = hv
-            if self.height[w] is None:  # tree edge
-                self.parent_edge[w] = vw
-                self.height[w] = hv + 1
-                self._dfs_orient(w)
-            else:  # back edge
-                self.lowpt[vw] = self.height[w]
-            depth = 2 * self.lowpt[vw]
-            if self.lowpt2[vw] < hv:  # chordal
-                depth += 1
-            self.nesting_depth[vw] = depth
-            if e is not None:
-                if self.lowpt[vw] < self.lowpt[e]:
-                    self.lowpt2[e] = min(self.lowpt[e], self.lowpt2[vw])
-                    self.lowpt[e] = self.lowpt[vw]
-                elif self.lowpt[vw] > self.lowpt[e]:
-                    self.lowpt2[e] = min(self.lowpt2[e], self.lowpt[vw])
-                else:
-                    self.lowpt2[e] = min(self.lowpt2[e], self.lowpt2[vw])
-
-    def _dfs_test(self, v) -> bool:
-        e = self.parent_edge[v]
-        for idx, w in enumerate(self.ordered_adj[v]):
-            ei = (v, w)
-            self.stack_bottom[ei] = self.S[-1] if self.S else None
-            if ei == self.parent_edge[w]:  # tree edge
-                if not self._dfs_test(w):
-                    return False
-            else:  # back edge
-                self.lowpt_edge[ei] = ei
-                self.S.append(_ConflictPair(right=_Interval(ei, ei)))
-            if self.lowpt[ei] < self.height[v]:  # ei has a return edge
-                if idx == 0:
-                    if e is not None:
-                        self.lowpt_edge[e] = self.lowpt_edge[ei]
-                elif not self._add_constraints(ei, e):
-                    return False
-        if e is not None:
-            u = e[0]
-            self._trim_back_edges(u)
-            if self.lowpt[e] < self.height[u] and self.S:  # e has a return edge
-                top = self.S[-1]
-                hl, hr = top.left.high, top.right.high
-                if hl is not None and (hr is None or self.lowpt[hl] > self.lowpt[hr]):
-                    self.ref[e] = hl
-                else:
-                    self.ref[e] = hr
-        return True
-
-    def _conflicting(self, interval, b) -> bool:
-        return not interval.empty() and self.lowpt[interval.high] > self.lowpt[b]
-
-    def _add_constraints(self, ei, e) -> bool:
-        pair = _ConflictPair()
-        # merge return edges of ei into pair.right
-        bottom = self.stack_bottom[ei]
-        while True:
-            q = self.S.pop()
-            if not q.left.empty():
-                q.swap()
-            if not q.left.empty():
-                return False
-            if self.lowpt[q.right.low] > self.lowpt[e]:
-                if pair.right.empty():
-                    pair.right.high = q.right.high
-                else:
-                    self.ref[pair.right.low] = q.right.high
-                pair.right.low = q.right.low
-            else:  # align
-                self.ref[q.right.low] = self.lowpt_edge[e]
-            if (self.S[-1] if self.S else None) is bottom:
-                break
-        # merge conflicting return edges of earlier siblings into pair.left
-        while self.S and (
-            self._conflicting(self.S[-1].left, ei) or self._conflicting(self.S[-1].right, ei)
-        ):
-            q = self.S.pop()
-            if self._conflicting(q.right, ei):
-                q.swap()
-            if self._conflicting(q.right, ei):
-                return False
-            self.ref[pair.right.low] = q.right.high
-            if q.right.low is not None:
-                pair.right.low = q.right.low
-            if pair.left.empty():
-                pair.left.high = q.left.high
-            else:
-                self.ref[pair.left.low] = q.left.high
-            pair.left.low = q.left.low
-        if not (pair.left.empty() and pair.right.empty()):
-            self.S.append(pair)
-        return True
-
-    def _lowest(self, pair) -> int:
-        if pair.left.empty() and pair.right.empty():
-            return -1  # emptied by trimming; inert
-        if pair.left.empty():
-            return self.lowpt[pair.right.low]
-        if pair.right.empty():
-            return self.lowpt[pair.left.low]
-        return min(self.lowpt[pair.left.low], self.lowpt[pair.right.low])
-
-    def _trim_back_edges(self, u) -> None:
-        hu = self.height[u]
-        while self.S and self._lowest(self.S[-1]) == hu:
-            self.S.pop()
-        if not self.S:
-            return
-        pair = self.S.pop()
-        while pair.left.high is not None and pair.left.high[1] == u:
-            pair.left.high = self.ref.get(pair.left.high)
-        if pair.left.high is None and pair.left.low is not None:
-            self.ref[pair.left.low] = pair.right.low
-            pair.left.low = None
-        while pair.right.high is not None and pair.right.high[1] == u:
-            pair.right.high = self.ref.get(pair.right.high)
-        if pair.right.high is None and pair.right.low is not None:
-            self.ref[pair.right.low] = pair.left.low
-            pair.right.low = None
-        self.S.append(pair)
+    def lowest(self, lowpt) -> int:
+        """The lowest return point of the pair; -1 once trimming emptied it."""
+        lows = [lowpt[side.low] for side in (self.left, self.right) if not side.empty()]
+        return min(lows, default=-1)
 
 
 def _left_right_planar(n: int, edges) -> bool:
@@ -312,41 +161,159 @@ def _left_right_planar(n: int, edges) -> bool:
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    for v in range(1, n + 1):
-        adj[v].sort()
+    for neighbours in adj:
+        neighbours.sort()
+    height = [-1] * (n + 1)  # -1 until the orientation reaches the vertex
+    return all(height[root] >= 0 or _component_planar(adj, height, root)
+               for root in range(1, n + 1))
 
-    seen = [False] * (n + 1)
-    components = []
-    for s in range(1, n + 1):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        queue = [s]
-        while queue:
-            v = queue.pop()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        components.append(comp)
 
-    old_limit = sys.getrecursionlimit()
-    need = 2 * n + 100
-    if need > old_limit:
-        sys.setrecursionlimit(need)
-    try:
-        for comp in components:
-            mc = sum(len(adj[v]) for v in comp) // 2
-            nc = len(comp)
-            if nc >= 3 and mc > 3 * nc - 6:
-                return False
-            if mc <= 8:
+def _component_planar(adj, height, root) -> bool:
+    """Left-right criterion on the component of ``root``, which the
+    orientation finds; ``height`` marks the vertices it reaches."""
+    # Orientation: tree edges point away from root, back edges towards it.
+    parent_edge = {root: None}
+    out = {root: []}  # oriented edges leaving each vertex, by head
+    nxt = {root: 0}  # next position in adj[v] (orientation), out[v] (testing)
+    lowpt, lowpt2, nesting_depth = {}, {}, {}
+    height[root] = 0
+    path = [root]
+    while path:
+        v = path[-1]
+        hv = height[v]
+        i = nxt[v]
+        if i < len(adj[v]):
+            w = adj[v][i]
+            nxt[v] = i + 1
+            hw = height[w]
+            if hw < 0:  # tree edge: finished when w is
+                vw = parent_edge[w] = (v, w)
+                height[w] = hv + 1
+                lowpt[vw] = lowpt2[vw] = hv
+                out[v].append(w)
+                out[w] = []
+                nxt[w] = 0
+                path.append(w)
                 continue
-            if not _LeftRightTest(adj, comp).run(comp[0]):
+            if hw >= hv - 1:  # the edge to v's parent, or oriented from below
+                continue
+            vw = (v, w)  # back edge
+            lowpt[vw] = hw
+            lowpt2[vw] = hv
+            out[v].append(w)
+        else:
+            path.pop()
+            vw = parent_edge[v]
+            if vw is None:
+                break
+            v = vw[0]
+            hv = height[v]
+        # vw leaves v and its lowpoints are final
+        nesting_depth[vw] = 2 * lowpt[vw] + (lowpt2[vw] < hv)  # +1 if chordal
+        e = parent_edge[v]
+        if e is not None:
+            if lowpt[vw] < lowpt[e]:
+                lowpt2[e] = min(lowpt[e], lowpt2[vw])
+                lowpt[e] = lowpt[vw]
+            elif lowpt[vw] > lowpt[e]:
+                lowpt2[e] = min(lowpt2[e], lowpt[vw])
+            else:
+                lowpt2[e] = min(lowpt2[e], lowpt2[vw])
+
+    m = len(lowpt)
+    if m <= 8:
+        return True
+    if m > 3 * len(out) - 6:  # 9 or more edges span at least 5 vertices
+        return False
+    for v, heads in out.items():
+        heads.sort(key=lambda w, v=v: nesting_depth[v, w])
+
+    # Testing: a stack S of conflict pairs over the return edges seen so far.
+    S = []
+    ref, lowpt_edge, stack_bottom = {}, {}, {}
+    nxt[root] = 0
+    path = [root]
+    while path:
+        v = path[-1]
+        i = nxt[v]
+        if i < len(out[v]):
+            w = out[v][i]
+            ei = (v, w)
+            stack_bottom[ei] = S[-1] if S else None
+            if ei == parent_edge[w]:  # tree edge: finished when w is
+                nxt[w] = 0
+                path.append(w)
+                continue
+            lowpt_edge[ei] = ei  # back edge
+            S.append(_ConflictPair(right=_Interval(ei, ei)))
+        else:
+            path.pop()
+            ei = parent_edge[v]
+            if ei is None:
+                break
+            v = ei[0]
+            i = nxt[v]
+            # trim the back edges that return to v
+            hv = height[v]
+            while S and S[-1].lowest(lowpt) == hv:
+                S.pop()
+            if S:
+                top = S[-1]
+                for side, other in ((top.left, top.right), (top.right, top.left)):
+                    while side.high is not None and side.high[1] == v:
+                        side.high = ref.get(side.high)
+                    if side.high is None and side.low is not None:
+                        ref[side.low] = other.low
+                        side.low = None
+                if lowpt[ei] < hv:  # ei has a return edge
+                    hl, hr = top.left.high, top.right.high
+                    if hl is not None and (hr is None or lowpt[hl] > lowpt[hr]):
+                        ref[ei] = hl
+                    else:
+                        ref[ei] = hr
+        # ei is the i-th edge out of v and its subtree, if any, is done
+        nxt[v] = i + 1
+        if lowpt[ei] >= height[v]:  # no return edge
+            continue
+        e = parent_edge[v]
+        if i == 0:
+            if e is not None:
+                lowpt_edge[e] = lowpt_edge[ei]
+            continue
+        # add constraints of ei: merge its return edges into pair.right ...
+        pair = _ConflictPair()
+        bottom = stack_bottom[ei]
+        while True:
+            q = S.pop()
+            if not q.left.empty():
+                q.swap()
+            if not q.left.empty():
                 return False
-    finally:
-        if need > old_limit:
-            sys.setrecursionlimit(old_limit)
+            if lowpt[q.right.low] > lowpt[e]:
+                if pair.right.empty():
+                    pair.right.high = q.right.high
+                else:
+                    ref[pair.right.low] = q.right.high
+                pair.right.low = q.right.low
+            else:  # align
+                ref[q.right.low] = lowpt_edge[e]
+            if (S[-1] if S else None) is bottom:
+                break
+        # ... and the conflicting return edges of earlier siblings into pair.left
+        while S and (S[-1].left.conflicts(lowpt, ei) or S[-1].right.conflicts(lowpt, ei)):
+            q = S.pop()
+            if q.right.conflicts(lowpt, ei):
+                q.swap()
+            if q.right.conflicts(lowpt, ei):
+                return False
+            ref[pair.right.low] = q.right.high
+            if q.right.low is not None:
+                pair.right.low = q.right.low
+            if pair.left.empty():
+                pair.left.high = q.left.high
+            else:
+                ref[pair.left.low] = q.left.high
+            pair.left.low = q.left.low
+        if not (pair.left.empty() and pair.right.empty()):
+            S.append(pair)
     return True

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ._bits import mask_from_edges, pair_count, pairs_in_order
+from ._bits import edges_from_mask, mask_from_edges, pair_count, pair_index, pairs_in_order
 from .errors import CensusMissingError, EmptyClassBoundError, EmptyClassError, InvalidArgumentError
 from .graphs import LabeledGraph, decode, encode
 from .planarity import is_planar_edges
@@ -55,13 +55,14 @@ class ChainState:
 
     def __post_init__(self) -> None:
         start = mcmc_init(self.n, self.m)
-        self._edges: list[tuple[int, int]] = sorted(start.edges)
-        self._edge_set: set[tuple[int, int]] = set(self._edges)
+        self.mask = start.mask
+        # the edges in the order randrange(m) picks from; a swap keeps the slot
+        self._edges: list[tuple[int, int]] = list(edges_from_mask(self.n, self.mask))
         self.rng = random.Random(self.seed)
 
     @property
     def current(self) -> LabeledGraph:
-        return LabeledGraph(self.n, mask_from_edges(self.n, self._edge_set))
+        return LabeledGraph(self.n, self.mask)
 
 
 def mcmc_step(state: ChainState) -> ChainState:
@@ -73,22 +74,18 @@ def mcmc_step(state: ChainState) -> ChainState:
         return state  # single-state chain
     rng = state.rng
     edges = state._edges
-    edge_set = state._edge_set
+    mask = state.mask
     drop = rng.randrange(m)
     removed = edges[drop]
-    pairs = pairs_in_order(n)
     while True:  # rejection-sample a uniform non-edge
-        added = pairs[rng.randrange(total)]
-        if added not in edge_set:
+        slot = rng.randrange(total)
+        if not mask >> slot & 1:
             break
-    edge_set.discard(removed)
-    edge_set.add(added)
-    if is_planar_edges(n, edge_set):
-        edges[drop] = added
+    edges[drop] = pairs_in_order(n)[slot]
+    if is_planar_edges(n, edges):
+        state.mask = mask ^ (1 << slot | 1 << pair_index(n, *removed))
     else:
-        edge_set.discard(added)
-        edge_set.add(removed)
-    assert len(edge_set) == m
+        edges[drop] = removed
     return state
 
 

@@ -52,3 +52,22 @@ def test_names_the_benchmark_jobs_resolve():
     assert callable(planarlab.census.load_census)
     assert callable(planarlab.census.class_counts)
     assert callable(planarlab.census.CensusStore.record_checksums)
+
+
+def test_tracer_counts_every_chain_decision():
+    """The chain's counts come from the traced names: one is_planar_edges
+    call per mcmc_step, left-right calls below it, and accepted swaps."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install(planarlab)
+    try:
+        planarlab.sampler.sample_many(12, 20, 5, method="mcmc", seed=1, burn_in=20, thinning=2)
+    finally:
+        tracer.restore()
+    steps = 20 + 5 * 2
+    keys = tracer.per_key()
+    assert keys["sampler.mcmc_step"][0] == steps
+    assert tracer.edges[("sampler.mcmc_step", "planarity.is_planar_edges")][0] == steps
+    assert keys["planarity.is_planar_edges"][0] == steps
+    assert keys["planarity.left_right"][0] > 0
+    assert tracer.counters["sampler.accepted"] > 0

@@ -143,6 +143,19 @@ class TestBadInput:
         self.check(capsys, "experiment", "--n-list", "8", "--m-list", "3",
                    "--events", "connected")
 
+    def test_sample_out_in_missing_directory(self, capsys, tmp_path):
+        self.check(capsys, "sample", "--n", "5", "--m", "5", "--method", "mcmc",
+                   "--count", "1", "--burnin", "5", "--thin", "1",
+                   "--out", str(tmp_path / "missing" / "x.txt"))
+
+    def test_verify_out_in_missing_directory(self, capsys, tmp_path):
+        self.check(capsys, "verify", "--n", "4", "--m", "3",
+                   "--out", str(tmp_path / "missing" / "x.csv"))
+
+    def test_experiment_out_in_missing_directory(self, capsys, tmp_path):
+        self.check(capsys, "experiment", "--n-list", "4", "--m-list", "3",
+                   "--events", "connected", "--out", str(tmp_path / "missing" / "x.csv"))
+
     def test_verify_without_edge_counts(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["verify", "--n", "5"])

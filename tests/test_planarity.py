@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -140,6 +141,23 @@ class TestStructuredFamiliesBeyondTable:
         assert not is_planar_edges(11, tri_part + k5_part)
         other = [(i + 6, j + 6) for i, j in fan_triangulation_edges(5)]
         assert is_planar_edges(11, tri_part + other)
+
+
+class TestNoRecursion:
+    """The left-right test walks explicit paths: a DFS thousands of vertices
+    deep neither recurses nor touches the interpreter's recursion limit."""
+
+    def test_deep_path_with_k33_at_its_end(self, monkeypatch):
+        def refuse(limit):
+            raise AssertionError(f"setrecursionlimit({limit}) called")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        n = 3000
+        path = [(v, v + 1) for v in range(1, n)]
+        k33 = [(a, b) for a in (2995, 2997, 2999) for b in (2996, 2998, 3000)]
+        edges = sorted(set(path) | set(k33))
+        assert not is_planar_edges(n, edges)
+        assert is_planar_edges(n, [e for e in edges if e != (2995, 3000)])
 
 
 class TestForbiddenMasks:

@@ -109,6 +109,7 @@ class TestChain:
             mcmc_step(state)
             g = state.current
             assert g.n == 6 and g.m == 7 and is_planar(g)
+            assert g.edges == frozenset(state._edges)  # the list and the mask agree
 
     def test_trajectory_determinism(self):
         a = sample_many(5, 5, 200, method="mcmc", seed=99, burn_in=50, thinning=2)
