@@ -102,25 +102,33 @@ def _iter_class_masks(n: int, m: int, budget: int | None) -> Iterator[int]:
     return (mask for mask, _ in _sweep(n, budget, m)) if m else iter([0])
 
 
-def _iter_all_masks(n: int, budget: int | None) -> Iterator[tuple[int, int]]:
+def _iter_all_masks(n: int) -> Iterator[tuple[int, int]]:
     """Every planar edge mask on {1..n} with its edge count, edgeless first."""
-    return chain([(0, 0)], _sweep(n, budget, None))
+    return chain([(0, 0)], _sweep(n, None, None))
 
 
-def class_counts(n: int, *, budget: int | None = None) -> tuple[int, ...]:
+def check_full_sweep(n: int) -> None:
+    """Refuse a full sweep past the n <= 7 table before it starts."""
+    _validate_params(n, 0)
+    if n > TABLE_MAX_N:
+        raise ResourceLimitError(f"full sweeps are limited to n <= {TABLE_MAX_N}")
+
+
+def class_counts(n: int) -> tuple[int, ...]:
     """|class(n, m)| for every m in 0..C(n,2), from one pruned sweep (cached)."""
     if n not in _COUNTS_CACHE:
-        enumerate_all(n, lambda g: None, budget=budget, m_values=())
+        enumerate_all(n, lambda g: None, m_values=())
     return _COUNTS_CACHE[n]
 
 
 def count_class(n: int, m: int, *, budget: int | None = None) -> int:
-    """Exact number of planar graphs on {1..n} with exactly m edges."""
+    """Exact number of planar graphs on {1..n} with exactly m edges;
+    ``budget`` bounds the class search past n = 7."""
     _validate_params(n, m)
     if m > max_planar_edges(n):
         return 0
     if n <= TABLE_MAX_N:
-        return class_counts(n, budget=budget)[m]
+        return class_counts(n)[m]
     return sum(1 for _ in _iter_class_masks(n, m, budget))
 
 
@@ -131,7 +139,8 @@ def enumerate_class(
     *,
     budget: int | None = None,
 ) -> None:
-    """Call the visitor once per class member, in encoding-lexicographic order."""
+    """Call the visitor once per class member, in encoding-lexicographic order.
+    ``budget`` bounds the search nodes, which only a class past n = 7 can reach."""
     _validate_params(n, m)
     if m > max_planar_edges(n):
         return
@@ -143,18 +152,15 @@ def enumerate_all(
     n: int,
     visitor: Callable[[LabeledGraph], None],
     *,
-    budget: int | None = None,
     m_values=None,
 ) -> None:
     """Visit every planar graph on {1..n}, n <= 7, once, or with ``m_values``
     only those with one of these edge counts (no other graph is built).
     The same sweep counts every class; the counts feed ``class_counts``."""
-    _validate_params(n, 0)
-    if n > TABLE_MAX_N:
-        raise ResourceLimitError(f"full sweeps are limited to n <= {TABLE_MAX_N}")
+    check_full_sweep(n)
     counts = [0] * (pair_count(n) + 1)
     keep = [m_values is None or m in m_values for m in range(len(counts))]
-    for mask, mc in _iter_all_masks(n, budget):
+    for mask, mc in _iter_all_masks(n):
         counts[mc] += 1
         if keep[mc]:
             visitor(graph_from_mask(n, mask))
@@ -184,6 +190,8 @@ class CensusRecord:
         return f"{zlib.crc32(block.encode('utf-8')) & 0xFFFFFFFF:08x}"
 
     def validate(self) -> None:
+        if self.n < 1 or self.m < 0:
+            raise IoFailureError(f"class ({self.n}, {self.m}) is not a graph class")
         if self.count < 0:
             raise IoFailureError("negative class count")
         if self.m > max_planar_edges(self.n) and self.count != 0:
@@ -209,7 +217,6 @@ class CensusRecord:
 class CensusStore:
     """Records keyed by (n, m); version 1 of the line-oriented text format."""
 
-    version: int = 1
     records: dict[tuple[int, int], CensusRecord] = field(default_factory=dict)
 
     def add(self, record: CensusRecord) -> None:
@@ -229,7 +236,8 @@ def build_census(
     store_graphs: bool = False,
     budget: int | None = None,
 ) -> CensusStore:
-    """Enumerate the requested classes into a store.
+    """Enumerate the requested classes into a store; ``budget`` bounds each
+    class search past n = 7.
 
     Empty classes are normalized to counts-only records so that saving and
     reloading reproduces the store exactly.
@@ -249,8 +257,6 @@ def build_census(
 
 
 def save_census(store: CensusStore, path) -> None:
-    if store.version != 1:
-        raise VersionUnsupportedError(f"cannot write census version {store.version}")
     payload_lines: list[str] = []
     for key in sorted(store.records):
         payload_lines.extend(store.records[key].lines())
@@ -301,6 +307,8 @@ def load_census(path) -> CensusStore:
         if header is None:
             return
         n, m, count = header
+        if (n, m) in store.records:
+            raise IoFailureError(f"class ({n}, {m}) is recorded twice")
         record = CensusRecord(n, m, count, tuple(encodings) if encodings else None)
         record.validate()
         store.add(record)

@@ -130,7 +130,7 @@ def _cmd_experiment(args) -> int:
         k=args.k,
         seed=args.seed,
     )
-    result = lab.phase_table(spec, budget=args.budget)
+    result = lab.phase_table(spec)
     text = result.to_csv()
     if args.out:
         _write_text(args.out, text)
@@ -195,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("exact", "mcmc"), default="exact")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=int, default=1000)
-    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_experiment)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._bits import bit_positions
-from .census import class_counts, enumerate_all, max_planar_edges
+from .census import check_full_sweep, class_counts, enumerate_all, max_planar_edges
 from .errors import EmptyClassError, InvalidArgumentError
 from .graphs import (
     LabeledGraph,
@@ -158,15 +158,18 @@ class DensityRegime:
     ratio: Fraction
 
 
-def regime_of(n: int, m: int, delta: float = 0.05, gamma: float = 0.05) -> DensityRegime:
+_CRITICAL_BAND = Fraction(1, 20)
+_SATURATED_BAND = 0.05
+
+
+def regime_of(n: int, m: int) -> DensityRegime:
     """Classify m/n against the sparse / critical / middle / saturated bands."""
     ratio = Fraction(m, n)
-    band = Fraction(delta).limit_denominator(10**6)
-    if ratio < 1 - band:
+    if ratio < 1 - _CRITICAL_BAND:
         label = "sparse"
-    elif abs(ratio - 1) <= band:
+    elif abs(ratio - 1) <= _CRITICAL_BAND:
         label = "critical"
-    elif m < 3 * n - 6 - gamma * n:
+    elif m < 3 * n - 6 - _SATURATED_BAND * n:
         label = "middle"
     else:
         label = "saturated"
@@ -177,18 +180,13 @@ def regime_of(n: int, m: int, delta: float = 0.05, gamma: float = 0.05) -> Densi
 
 
 def _check_class(n: int, m: int) -> None:
-    """Refuse an empty class before any sweep starts."""
+    """Refuse an empty class, then one past the n <= 7 table, before any sweep."""
     if not 0 <= m <= max_planar_edges(n):
         raise EmptyClassError(f"class ({n}, {m}) is empty")
+    check_full_sweep(n)
 
 
-def exact_event_counts(
-    n: int,
-    events,
-    m_values=None,
-    *,
-    budget: int | None = None,
-) -> dict[int, list[int]]:
+def exact_event_counts(n: int, events, m_values=None) -> dict[int, list[int]]:
     """Satisfying-graph counts per m for several events, from one sweep that
     builds graphs only for the wanted classes (and counts every class, so
     ``class_counts(n)`` is cached after it).  Refuses n > 7 before sweeping."""
@@ -205,17 +203,15 @@ def exact_event_counts(
             if evaluate_event(g, event):
                 row[idx] += 1
 
-    enumerate_all(n, absorb, budget=budget, m_values=wanted)
+    enumerate_all(n, absorb, m_values=wanted)
     return tallies
 
 
-def exact_probability(
-    n: int, m: int, event: EventKind, *, budget: int | None = None
-) -> Fraction:
+def exact_probability(n: int, m: int, event: EventKind) -> Fraction:
     """P[event] under the uniform class law, as an exact rational."""
     _check_class(n, m)
-    hits = exact_event_counts(n, [event], [m], budget=budget)[m][0]
-    return Fraction(hits, class_counts(n, budget=budget)[m])
+    hits = exact_event_counts(n, [event], [m])[m][0]
+    return Fraction(hits, class_counts(n)[m])
 
 
 @dataclass(frozen=True)
@@ -308,7 +304,7 @@ class ExperimentResult:
         return buf.getvalue()
 
 
-def phase_table(spec: ExperimentSpec, *, budget: int | None = None) -> ExperimentResult:
+def phase_table(spec: ExperimentSpec) -> ExperimentResult:
     """One row per (n, m, event), exact over the census or sampled."""
     rows: list[ExperimentRow] = []
     if spec.method == "exact":
@@ -316,12 +312,9 @@ def phase_table(spec: ExperimentSpec, *, budget: int | None = None) -> Experimen
         for n, m in spec.grid:
             _check_class(n, m)
             by_n.setdefault(n, []).append(m)
-        tallies = {
-            n: exact_event_counts(n, spec.events, ms, budget=budget)
-            for n, ms in by_n.items()
-        }
+        tallies = {n: exact_event_counts(n, spec.events, ms) for n, ms in by_n.items()}
         for n, m in spec.grid:
-            total = class_counts(n, budget=budget)[m]  # cached by the sweep
+            total = class_counts(n)[m]  # cached by the sweep
             regime = regime_of(n, m)
             for idx, event in enumerate(spec.events):
                 p = Fraction(tallies[n][m][idx], total)

@@ -110,10 +110,8 @@ def check_appearance_disjointness(g: LabeledGraph, pattern: Pattern) -> CheckRes
     return CheckResult(f"appearance-disjoint-{pattern.name}", overlaps == 0, overlaps, 0)
 
 
-def verify_graph(g: LabeledGraph, disjointness_patterns=None) -> VerificationReport:
+def verify_graph(g: LabeledGraph) -> VerificationReport:
     """Run every applicable check on one planar graph."""
-    if disjointness_patterns is None:
-        disjointness_patterns = _default_disjointness_patterns()
     checks = [
         check_component_bound(g),
         check_addable_cross_component(g),
@@ -121,7 +119,7 @@ def verify_graph(g: LabeledGraph, disjointness_patterns=None) -> VerificationRep
     ]
     if g.n >= 3 and g.m == 3 * g.n - 6:
         checks.append(check_triangulation_degrees(g))
-    for pattern in disjointness_patterns:
+    for pattern in _default_disjointness_patterns():
         if pattern.size < g.n:
             checks.append(check_appearance_disjointness(g, pattern))
     return VerificationReport(encode(g), tuple(checks))
@@ -147,7 +145,7 @@ class ClassVerification:
     def _absorb(self, g: LabeledGraph) -> None:
         """Run the check battery on one more graph and tally the outcome."""
         self.class_size += 1
-        for result in verify_graph(g, _default_disjointness_patterns()).checks:
+        for result in verify_graph(g).checks:
             self.checked[result.name] = self.checked.get(result.name, 0) + 1
             self.violations[result.name] = (
                 self.violations.get(result.name, 0) + int(not result.holds)
@@ -158,7 +156,8 @@ def verify_class(n: int, m: int, census=None, *, budget: int | None = None) -> C
     """Run the full check battery over every graph of the class.
 
     If a census store with graphs for (n, m) is supplied, its stored graphs
-    are used; otherwise the class is enumerated directly.
+    are used; otherwise the class is enumerated directly, with ``budget``
+    bounding the class search past n = 7.
     """
     outcome = ClassVerification(n, m, 0, {}, {})
     record = census.get(n, m) if census is not None else None

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import errno
 import random
+import zlib
 
 import pytest
 
@@ -77,6 +78,14 @@ class TestCountClass:
             class_counts(8)
         with pytest.raises(ResourceLimitError):
             count_class(9, 12, budget=500)
+
+    def test_class_search_budget_on_every_entry_point(self):
+        with pytest.raises(ResourceLimitError):
+            enumerate_class(9, 12, lambda g: None, budget=500)
+        with pytest.raises(ResourceLimitError):
+            build_census(9, [12], budget=500)
+        with pytest.raises(ResourceLimitError):
+            build_census(9, [12], store_graphs=True, budget=500)
 
 
 class TestEnumerateClass:
@@ -168,6 +177,23 @@ class TestPersistence:
         text = path.read_text().replace("4 3 20", "4 3 21", 1)
         path.write_text(text)
         with pytest.raises(ChecksumMismatchError):
+            load_census(path)
+
+    @staticmethod
+    def write_with_checksum(path, payload):
+        crc = zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF
+        path.write_text(f"planarlab-census v1\n{payload}checksum {crc:08x}\n")
+
+    def test_repeated_record(self, tmp_path):
+        path = tmp_path / "repeated.census"
+        self.write_with_checksum(path, "4 3 20\n4 3 7\n")
+        with pytest.raises(IoFailureError):
+            load_census(path)
+
+    def test_impossible_record(self, tmp_path):
+        path = tmp_path / "impossible.census"
+        self.write_with_checksum(path, "-4 3 0\n")
+        with pytest.raises(IoFailureError):
             load_census(path)
 
     def test_future_version(self, tmp_path):

@@ -156,6 +156,21 @@ class TestBadInput:
         self.check(capsys, "experiment", "--n-list", "4", "--m-list", "3",
                    "--events", "connected", "--out", str(tmp_path / "missing" / "x.csv"))
 
+    @pytest.mark.parametrize("argv", [
+        ("enumerate", "--n", "9", "--m", "12"),
+        ("verify", "--n", "9", "--m", "12"),
+        ("sample", "--n", "9", "--m", "12", "--method", "exact", "--count", "1"),
+    ])
+    def test_class_search_budget(self, capsys, argv):
+        self.check(capsys, *argv, "--budget", "500")
+
+    def test_experiment_takes_no_budget(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiment", "--n-list", "5", "--m-list", "4",
+                  "--events", "connected", "--budget", "5"])
+        assert exit_info.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_verify_without_edge_counts(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["verify", "--n", "5"])

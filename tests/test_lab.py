@@ -42,9 +42,9 @@ def count_sweeps(monkeypatch) -> list[int]:
     sweeps: list[int] = []
     sweep = census_module._iter_all_masks
 
-    def counted(n, budget):
+    def counted(n):
         sweeps.append(n)
-        return sweep(n, budget)
+        return sweep(n)
 
     monkeypatch.setattr(census_module, "_iter_all_masks", counted)
     return sweeps
@@ -145,6 +145,8 @@ class TestExactProbability:
             exact_event_counts(8, [EventKind.connected()], [3])
         with pytest.raises(EmptyClassError):
             phase_table(ExperimentSpec(((8, 19),), (EventKind.connected(),)))
+        with pytest.raises(ResourceLimitError):
+            phase_table(ExperimentSpec(((7, 3), (8, 3)), (EventKind.connected(),)))
         assert sweeps == []
 
     def test_complement_counting_sums_to_one(self):

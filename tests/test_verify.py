@@ -5,6 +5,7 @@ import pytest
 from planarlab import (
     NotTriangulationError,
     PatternNotTwoEdgeConnectedError,
+    ResourceLimitError,
     build_graph,
     check_addable_cross_component,
     check_appearance_disjointness,
@@ -147,6 +148,10 @@ class TestVerifyClass:
     def test_empty_class_trivially_passes(self):
         outcome = verify_class(5, 10)
         assert outcome.class_size == 0 and outcome.all_pass
+
+    def test_class_search_budget(self):
+        with pytest.raises(ResourceLimitError):
+            verify_class(9, 12, budget=500)
 
     def test_uses_stored_census_when_available(self):
         from planarlab import build_census
