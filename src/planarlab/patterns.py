@@ -16,7 +16,9 @@ counts is an isomorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, permutations
+from math import factorial
 
 from ._bits import bit_positions, edges_from_mask
 from .errors import (
@@ -210,6 +212,22 @@ def automorphism_count(h: LabeledGraph) -> int:
 # -- appearances -----------------------------------------------------------------
 
 
+def _pendant_sides(g: LabeledGraph, size: int) -> list[tuple[int, int]]:
+    """(vertex bitset, attachment vertex) of every set of ``size`` vertices
+    that one edge, a bridge at the attachment vertex, joins to the rest."""
+    adj = g.adjacency
+    out = []
+    for u, v in sorted(bridges(g)):
+        cut = list(adj)
+        cut[u] &= ~(1 << v)
+        cut[v] &= ~(1 << u)
+        for a in (u, v):
+            side = reach(cut, 1 << a)
+            if side.bit_count() == size:
+                out.append((side, a))
+    return out
+
+
 def appearance_witnesses(g: LabeledGraph, pattern: Pattern) -> list[tuple[int, ...]]:
     """Witness sets W of all appearances of the pattern, sorted.
 
@@ -221,21 +239,83 @@ def appearance_witnesses(g: LabeledGraph, pattern: Pattern) -> list[tuple[int, .
     h = pattern.h
     if h.n >= g.n:
         raise PatternTooLargeError("appearances require |H| < n")
-    adj = g.adjacency
     out: list[tuple[int, ...]] = []
-    for u, v in sorted(bridges(g)):
-        cut = list(adj)
-        cut[u] &= ~(1 << v)
-        cut[v] &= ~(1 << u)
-        for a in (u, v):
-            side = reach(cut, 1 << a)
-            if side.bit_count() != h.n or side & -side != 1 << a:
-                continue
-            witness = bit_positions(side)
-            if induced_subgraph(g, witness).mask == h.mask:
-                out.append(tuple(witness))
+    for side, a in _pendant_sides(g, h.n):
+        if side & -side != 1 << a:
+            continue
+        witness = bit_positions(side)
+        if induced_subgraph(g, witness).mask == h.mask:
+            out.append(tuple(witness))
     out.sort()
     return out
+
+
+def appearance_law(g: LabeledGraph, pattern: Pattern) -> list[Fraction]:
+    """law[k]: the probability that g, relabeled uniformly at random, has
+    exactly k appearances of the pattern.  Appearances depend on the labels:
+    the pattern appears at a bridge side W with |H| vertices exactly when the
+    labels of W, in increasing order, list an isomorphism from H onto g[W]
+    that starts at the attachment vertex (an allowed order of W).  Sides that
+    share no vertex hold independently; overlapping sides are taken together,
+    over the orders of their union.  Two overlapping sides of one size cover
+    their component, so a union has fewer than 2|H| vertices."""
+    h = pattern.h
+    if h.n >= g.n:
+        raise PatternTooLargeError("appearances require |H| < n")
+    sides = [(side, _allowed_orders(g, h, side, a)) for side, a in _pendant_sides(g, h.n)]
+    clusters: list[list[tuple[int, set]]] = []
+    for side in sides:
+        joined = [c for c in clusters if any(side[0] & other for other, _ in c)]
+        clusters = [c for c in clusters if c not in joined] + [sum(joined, [side])]
+    law = [Fraction(1)]
+    for cluster in clusters:
+        part = _cluster_law(cluster)
+        law = [sum(law[i] * part[k - i] for i in range(len(law)) if 0 <= k - i < len(part))
+               for k in range(len(law) + len(part) - 1)]
+    return law
+
+
+def _allowed_orders(g: LabeledGraph, h: LabeledGraph, side: int, a: int) -> set:
+    """Vertex sequences of the side, isomorphisms from h onto g[side] with
+    vertex 1 sent to the attachment vertex a."""
+    adj, hadj = g.adjacency, h.adjacency
+    out = set()
+
+    def extend(image: list[int], free: int) -> None:
+        i = len(image) + 1
+        if i > h.n:
+            out.add(tuple(image))
+            return
+        for w in bit_positions(free):
+            if all((adj[w] >> image[j - 1] ^ hadj[i] >> j) & 1 == 0 for j in range(1, i)):
+                extend(image + [w], free & ~(1 << w))
+
+    extend([a], side & ~(1 << a))
+    return out
+
+
+def _cluster_law(cluster) -> list[Fraction]:
+    """The law of the number of allowed sides of one cluster under a uniform
+    order of its vertices.  An order counts for the first side it allows, and
+    is built from that side's allowed order with the other vertices inserted."""
+    union = 0
+    for side, _ in cluster:
+        union |= side
+    size = union.bit_count()
+    tally = [0] * (len(cluster) + 1)
+    for first, (side, allowed) in enumerate(cluster):
+        rest = bit_positions(union & ~side)
+        for order in allowed:
+            for spots in combinations(range(size), len(rest)):
+                for inserted in permutations(rest):
+                    full, it, ins = [], iter(order), iter(inserted)
+                    for pos in range(size):
+                        full.append(next(ins) if pos in spots else next(it))
+                    hits = [tuple(v for v in full if s >> v & 1) in ok for s, ok in cluster]
+                    if not any(hits[:first]):
+                        tally[sum(hits)] += 1
+    tally[0] = factorial(size) - sum(tally)
+    return [Fraction(t, factorial(size)) for t in tally]
 
 
 def count_appearances(g: LabeledGraph, pattern: Pattern) -> int:

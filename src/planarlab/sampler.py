@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 
 from ._bits import edges_from_mask, mask_from_edges, pair_count, pair_index, pairs_in_order
+from .census import EXACT_MAX_N, count_class
 from .errors import CensusMissingError, EmptyClassBoundError, EmptyClassError, InvalidArgumentError
 from .graphs import LabeledGraph, decode, encode
 from .planarity import is_planar_edges
@@ -103,7 +104,8 @@ class SampleBatch:
 
 
 def _stored_graphs(n: int, m: int, census) -> tuple[str, ...]:
-    """The encodings of a non-empty class, from a census record that stores them."""
+    """The encodings of a non-empty class, from a census record that stores
+    them; up to n = 9 the record must hold the whole class."""
     record = census.get(n, m) if census is not None else None
     if record is None:
         raise CensusMissingError(f"no census record for ({n}, {m})")
@@ -111,6 +113,11 @@ def _stored_graphs(n: int, m: int, census) -> tuple[str, ...]:
         raise EmptyClassError(f"class ({n}, {m}) is empty")
     if record.graphs is None:
         raise CensusMissingError(f"census record for ({n}, {m}) has no stored graphs")
+    if n <= EXACT_MAX_N:
+        size = count_class(n, m)
+        if record.count != size:
+            raise CensusMissingError(
+                f"census record for ({n}, {m}) stores {record.count} of its {size} graphs")
     return record.graphs
 
 

@@ -36,6 +36,14 @@ from tests.oracles import (
 )
 
 GOLDEN = Path(__file__).parent / "golden" / "phase_table_n7.csv"
+GOLDEN_N8 = Path(__file__).parent / "golden" / "phase_table_n8.csv"
+C7_EVENTS = (
+    EventKind.connected(),
+    EventKind.has_isolated_vertex(),
+    EventKind.has_component(pattern_from_name("triangle")),
+    EventKind.has_component(pattern_from_name("k4")),
+    EventKind.has_copy(pattern_from_name("triangle")),
+)
 
 EXPECTED_TOTALS = {1: 1, 2: 2, 3: 8, 4: 64, 5: 1023, 6: 32071}
 
@@ -146,14 +154,7 @@ def test_c6_mcmc_diagnostic():
 
 def test_c7_phase_table_regression():
     with criterion("C7 n=7 phase-table golden regression + directional facts"):
-        events = (
-            EventKind.connected(),
-            EventKind.has_isolated_vertex(),
-            EventKind.has_component(pattern_from_name("triangle")),
-            EventKind.has_component(pattern_from_name("k4")),
-            EventKind.has_copy(pattern_from_name("triangle")),
-        )
-        spec = ExperimentSpec(tuple((7, m) for m in range(16)), events)
+        spec = ExperimentSpec(tuple((7, m) for m in range(16)), C7_EVENTS)
         result = phase_table(spec)
         regenerated = result.to_csv()
         assert regenerated.encode("utf-8") == GOLDEN.read_bytes()
@@ -176,6 +177,18 @@ def test_c7_phase_table_regression():
 
         # class sizes recorded in the table match the census counts
         assert {r.m: r.k for r in result.rows}[15] == 5712
+
+
+def test_c7_phase_table_regression_n8():
+    with criterion("C7 n=8 phase-table golden regression"):
+        spec = ExperimentSpec(tuple((8, m) for m in range(19)), C7_EVENTS)
+        result = phase_table(spec)
+        assert result.to_csv().encode("utf-8") == GOLDEN_N8.read_bytes()
+        # the class sizes are the closed forms below 10 edges and A066537 in sum
+        sizes = {r.m: r.k for r in result.rows}
+        assert sizes[9] == 6_906_620 and sum(sizes.values()) == 163_947_848
+        prob = {(r.m, r.event): r.prob for r in result.rows}
+        assert prob[(18, "connected")] == 1.0 and prob[(0, "isolated")] == 1.0
 
 
 def test_c8_copy_count_identity(small_patterns):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import errno
 import random
 import zlib
+from math import comb, factorial
 
 import pytest
 
@@ -12,21 +13,35 @@ from planarlab import (
     CensusRecord,
     ChecksumMismatchError,
     IoFailureError,
+    LabeledGraph,
     ResourceLimitError,
     VersionUnsupportedError,
+    automorphism_count,
     build_census,
+    build_graph,
     class_counts,
     count_class,
     decode,
     encode,
     enumerate_class,
+    evaluate_event,
+    exact_event_counts,
     is_planar,
+    isomorphic,
+    kappa,
     load_census,
     max_planar_edges,
+    parse_event,
+    planar_orbits,
     save_census,
 )
 from planarlab._bits import pair_count
-from tests.oracles import brute_force_count
+from tests.oracles import brute_force_count, random_graph
+
+# unlabeled planar graphs on n = 1..8 vertices (OEIS A005470), and connected ones (A003094)
+UNLABELED = (1, 2, 4, 11, 33, 142, 822, 6966)
+CONNECTED = (1, 1, 2, 6, 20, 99, 646, 5974)
+C7_EVENT_TOKENS = ("connected", "isolated", "component:triangle", "component:k4", "copy:triangle")
 
 
 class TestCountClass:
@@ -75,17 +90,17 @@ class TestCountClass:
 
     def test_sweep_budget_guard(self):
         with pytest.raises(ResourceLimitError):
-            class_counts(8)
+            class_counts(10)
         with pytest.raises(ResourceLimitError):
-            count_class(9, 12, budget=500)
+            count_class(10, 12, budget=500)
 
     def test_class_search_budget_on_every_entry_point(self):
         with pytest.raises(ResourceLimitError):
-            enumerate_class(9, 12, lambda g: None, budget=500)
+            enumerate_class(10, 12, lambda g: None, budget=500)
         with pytest.raises(ResourceLimitError):
-            build_census(9, [12], budget=500)
+            build_census(10, [12], budget=500)
         with pytest.raises(ResourceLimitError):
-            build_census(9, [12], store_graphs=True, budget=500)
+            build_census(10, [12], store_graphs=True, budget=500)
 
 
 class TestEnumerateClass:
@@ -141,6 +156,87 @@ class TestEnumerateClass:
         assert len(got) == pair_count(8) == count_class(8, 1, budget=200_000)
         encodings = [encode(g) for g in got]
         assert encodings == sorted(encodings)
+
+
+class TestOrbitCensus:
+    """The orbit census against the labeled sweep, the automorphism search
+    and known counts."""
+
+    def test_weighted_counts_equal_the_labeled_sweep(self):
+        for n in range(1, 8):
+            labeled = [0] * (pair_count(n) + 1)
+            for _, m in census_module._iter_all_masks(n):
+                labeled[m] += 1
+            assert class_counts(n) == tuple(labeled), n
+
+    def test_unlabeled_and_connected_totals(self):
+        for n in range(1, 9):
+            orbits = planar_orbits(n)
+            assert len(orbits) == UNLABELED[n - 1], n
+            connected = sum(kappa(LabeledGraph(n, orbit.mask)) == 1 for orbit in orbits)
+            assert connected == CONNECTED[n - 1], n
+
+    def test_labelings_match_the_automorphism_search(self):
+        for n in range(1, 7):
+            for orbit in planar_orbits(n):
+                g = LabeledGraph(n, orbit.mask)
+                assert orbit.m == g.m and is_planar(g)
+                assert orbit.labelings * automorphism_count(g) == factorial(n), encode(g)
+
+    def test_event_tallies_equal_the_labeled_sweep(self):
+        events = [parse_event(token) for token in (
+            "connected", "isolated", "component:triangle", "copy:path3", "pendant>=2",
+            "appearances:edge>=2", "appearances:path3>=1", "components:edge>=1")]
+        for n in range(1, 7):
+            labeled = {m: [0] * len(events) for m in range(max_planar_edges(n) + 1)}
+            for mask, m in census_module._iter_all_masks(n):
+                g = LabeledGraph(n, mask)
+                labeled[m] = [t + evaluate_event(g, e) for t, e in zip(labeled[m], events)]
+            assert exact_event_counts(n, events) == labeled, n
+
+    def test_n8_closed_forms(self):
+        counts = class_counts(8)
+        # every m-set of the 28 pairs is planar for m <= 8, and K3,3 (10
+        # labelings per 6-set) is the only 9-edge obstruction
+        assert counts[:9] == tuple(comb(28, m) for m in range(9))
+        assert counts[9] == comb(28, 9) - 10 * comb(8, 6)
+        assert sum(counts) == 163_947_848  # OEIS A066537
+        assert counts[19:] == (0,) * (pair_count(8) - 18)
+
+    def test_n9_census(self):
+        orbits = planar_orbits(9)
+        assert len(orbits) == 79_853  # OEIS A005470
+        assert sum(kappa(LabeledGraph(9, orbit.mask)) == 1 for orbit in orbits) == 71_885
+        counts = class_counts(9)
+        assert counts[:9] == tuple(comb(36, m) for m in range(9))
+        assert counts[9] == comb(36, 9) - 10 * comb(9, 6)
+        assert sum(counts) == 20_402_420_291  # OEIS A066537
+
+    def test_n8_events_equal_the_class_search(self):
+        events = [parse_event(token) for token in C7_EVENT_TOKENS]
+        got = exact_event_counts(8, events, [3, 4])
+        for m in (3, 4):
+            tallies = [0] * len(events)
+
+            def visit(g):
+                for i, event in enumerate(events):
+                    tallies[i] += evaluate_event(g, event)
+
+            enumerate_class(8, m, visit)
+            assert got[m] == tallies, m
+
+    def test_canonical_form_ignores_labels(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            g = random_graph(rng, n)
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)
+            h = build_graph(n, [(perm[i - 1], perm[j - 1]) for i, j in g.edges])
+            form, aut = census_module._canonical_form(n, g.adjacency)
+            assert census_module._canonical_form(n, h.adjacency) == (form, aut)
+            assert isomorphic(LabeledGraph(n, form), g)
+            assert aut == automorphism_count(g)
 
 
 class TestPersistence:

@@ -140,8 +140,20 @@ class TestBadInput:
                    "--events", token)
 
     def test_exact_sweep_past_the_census(self, capsys):
-        self.check(capsys, "experiment", "--n-list", "8", "--m-list", "3",
+        self.check(capsys, "experiment", "--n-list", "10", "--m-list", "3",
                    "--events", "connected")
+
+    def test_exact_sample_from_incomplete_census(self, capsys, tmp_path):
+        from planarlab import CensusRecord, CensusStore, build_census, save_census
+
+        stored = build_census(4, [3], store_graphs=True).get(4, 3).graphs
+        store = CensusStore()
+        store.add(CensusRecord(4, 3, 19, stored[:19]))
+        path = tmp_path / "short.census"
+        save_census(store, path)
+        load_census(path)  # the record is consistent, so it loads
+        self.check(capsys, "sample", "--n", "4", "--m", "3", "--method", "exact",
+                   "--count", "3", "--census", str(path))
 
     def test_sample_out_in_missing_directory(self, capsys, tmp_path):
         self.check(capsys, "sample", "--n", "5", "--m", "5", "--method", "mcmc",
@@ -157,9 +169,9 @@ class TestBadInput:
                    "--events", "connected", "--out", str(tmp_path / "missing" / "x.csv"))
 
     @pytest.mark.parametrize("argv", [
-        ("enumerate", "--n", "9", "--m", "12"),
-        ("verify", "--n", "9", "--m", "12"),
-        ("sample", "--n", "9", "--m", "12", "--method", "exact", "--count", "1"),
+        ("enumerate", "--n", "10", "--m", "12"),
+        ("verify", "--n", "10", "--m", "12"),
+        ("sample", "--n", "10", "--m", "12", "--method", "exact", "--count", "1"),
     ])
     def test_class_search_budget(self, capsys, argv):
         self.check(capsys, *argv, "--budget", "500")

@@ -14,6 +14,7 @@ from planarlab import (
     ExperimentSpec,
     build_census,
     build_graph,
+    class_counts,
     complete_graph,
     compute_statistics,
     count_class,
@@ -126,28 +127,30 @@ class TestExactProbability:
         with pytest.raises(EmptyClassError):
             exact_probability(5, 10, EventKind.connected())
 
-    def test_one_sweep_on_a_cold_cache(self, monkeypatch):
+    def test_no_labeled_sweep_on_a_cold_cache(self, monkeypatch):
         sweeps = count_sweeps(monkeypatch)
-        monkeypatch.setattr(census_module, "_COUNTS_CACHE", {})
+        monkeypatch.setattr(census_module, "_ORBIT_CACHE", {})
         p = exact_probability(7, 9, EventKind.connected())
-        assert sweeps == [7]
+        assert sweeps == []
         # C(21, 9) - 10 C(7, 6): K3,3 is the only 9-edge obstruction
-        assert census_module._COUNTS_CACHE[7][9] == 293_860
+        assert census_module._ORBIT_CACHE and class_counts(7)[9] == 293_860
         assert 293_860 % p.denominator == 0
 
     def test_refusals_come_before_any_sweep(self, monkeypatch):
         sweeps = count_sweeps(monkeypatch)
+        orbits = []
+        monkeypatch.setattr(census_module, "_orbit_data", orbits.append)
         with pytest.raises(EmptyClassError):
-            exact_probability(8, 19, EventKind.connected())  # 3n - 6 = 18
+            exact_probability(10, 25, EventKind.connected())  # 3n - 6 = 24
         with pytest.raises(ResourceLimitError):
-            exact_probability(8, 3, EventKind.connected())
+            exact_probability(10, 3, EventKind.connected())
         with pytest.raises(ResourceLimitError):
-            exact_event_counts(8, [EventKind.connected()], [3])
+            exact_event_counts(10, [EventKind.connected()], [3])
         with pytest.raises(EmptyClassError):
-            phase_table(ExperimentSpec(((8, 19),), (EventKind.connected(),)))
+            phase_table(ExperimentSpec(((10, 25),), (EventKind.connected(),)))
         with pytest.raises(ResourceLimitError):
-            phase_table(ExperimentSpec(((7, 3), (8, 3)), (EventKind.connected(),)))
-        assert sweeps == []
+            phase_table(ExperimentSpec(((7, 3), (10, 3)), (EventKind.connected(),)))
+        assert sweeps == [] and orbits == []
 
     def test_complement_counting_sums_to_one(self):
         event = EventKind.connected()

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from fractions import Fraction
+from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -28,6 +32,7 @@ from planarlab import (
 )
 from planarlab._bits import edges_from_mask, pair_count
 from planarlab.graphs import induced_subgraph
+from planarlab.patterns import appearance_law
 from tests.oracles import (
     _count_appearances_subset_np,
     _count_appearances_subset_py,
@@ -232,6 +237,45 @@ class TestAppearances:
                 for witness in appearance_witnesses(g, pattern):
                     assert not (seen & set(witness))
                     seen.update(witness)
+
+
+class TestAppearanceLaw:
+    """The law of the appearance count under relabeling, against the counts
+    on every relabeling of the graph."""
+
+    def relabeled_law(self, g, pattern):
+        tally = Counter()
+        for perm in permutations(range(1, g.n + 1)):
+            h = build_graph(g.n, [(perm[i - 1], perm[j - 1]) for i, j in g.edges])
+            tally[count_appearances(h, pattern)] += 1
+        law = [Fraction(tally[k], factorial(g.n)) for k in range(max(tally) + 1)]
+        return law
+
+    def check(self, g, pattern):
+        law = appearance_law(g, pattern)
+        while len(law) > 1 and law[-1] == 0:
+            law.pop()
+        assert law == self.relabeled_law(g, pattern), (g, pattern.name)
+
+    def test_overlapping_sides(self):
+        # a path's end sides overlap; so do the three 3-vertex sides of a star
+        self.check(path_graph(3), pattern_from_name("edge"))
+        self.check(path_graph(5), pattern_from_name("path3"))
+        self.check(star_graph(4), pattern_from_name("path3"))
+        self.check(path_graph(6), pattern_from_name("path4"))
+        two_stars = build_graph(6, [(1, 2), (1, 3), (1, 4), (4, 5), (4, 6)])
+        self.check(two_stars, pattern_from_name("star4"))
+
+    def test_random_graphs(self):
+        rng = random.Random(21)
+        names = ("vertex", "edge", "path3", "star4", "path4", "4:9C", "4:D4")
+        for _ in range(30):
+            n = rng.randint(3, 6)  # sparse, so that most graphs have bridges
+            g = random_graph(rng, n, rng.randint(n - 2, n))
+            for name in names:
+                pattern = pattern_from_name(name)
+                if pattern.size < g.n:
+                    self.check(g, pattern)
 
 
 class TestComponentsIsomorphic:

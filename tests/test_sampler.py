@@ -71,6 +71,17 @@ class TestExactSampling:
         with pytest.raises(CensusMissingError):
             exact_sample(4, 3, 1, store)
 
+    def test_incomplete_record_refused(self):
+        # 19 of the 20 members of (4, 3): consistent, so it loads, but sampling
+        # from it would never draw the missing graph
+        stored = build_census(4, [3], store_graphs=True).get(4, 3).graphs
+        store = CensusStore()
+        store.add(CensusRecord(4, 3, 19, stored[:19]))
+        with pytest.raises(CensusMissingError):
+            exact_sample(4, 3, 1, store)
+        with pytest.raises(CensusMissingError):
+            sample_many(4, 3, 5, method="exact", seed=1, census=store)
+
     def test_batch_determinism(self):
         store = build_census(4, [3], store_graphs=True)
         a = sample_many(4, 3, 100, method="exact", seed=7, census=store)
