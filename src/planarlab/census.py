@@ -14,7 +14,6 @@ import os
 import zlib
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
 from math import factorial
 from typing import Callable, Iterator, NamedTuple
 
@@ -28,7 +27,8 @@ from .errors import (
     VersionUnsupportedError,
 )
 from .graphs import LabeledGraph, decode, encode, graph_from_mask, is_planar, reach
-from .planarity import TABLE_MAX_N, is_planar_edges, planar_mask_table
+from .planarity import TABLE_MAX_N, mask_planarity
+from .planarity import is_planar_edges, planar_mask_table  # noqa: F401  (bench/tracing.py)
 
 DEFAULT_BUDGET = 50_000_000
 
@@ -50,62 +50,47 @@ def max_planar_edges(n: int) -> int:
 # -- enumeration core -----------------------------------------------------------
 
 
-def _planarity_probe(n: int, m_target: int | None) -> Callable[[int], bool]:
-    """Child-acceptance test for the DFS, keyed by the child's edge mask."""
-    if n <= TABLE_MAX_N:
-        return planar_mask_table(n).__getitem__
-
-    def probe(mask: int) -> bool:
-        mc = mask.bit_count()
-        if mc < 9:  # no non-planar graph has fewer than 9 edges
-            return True
-        if m_target is not None and mc < m_target and mc < n:
-            return True  # deferred; re-tested deeper and always at emission
-        return is_planar_edges(n, edges_from_mask(n, mask))
-
-    return probe
-
-
-def _sweep(n: int, budget: int | None, m: int | None) -> Iterator[tuple[int, int]]:
-    """(mask, edge count) of every non-empty planar mask, or with ``m`` of
-    every m-edge one, skipping branches with too few slots left to reach m."""
+def _sweep(n: int, m: int, budget: int | None) -> Iterator[int]:
+    """Every planar m-edge mask on {1..n}, in encoding-lexicographic order,
+    skipping branches with too few slots left to reach m."""
+    if not m:
+        yield 0
+        return
     slots = pair_count(n)
-    probe = _planarity_probe(n, m)
+    planar = mask_planarity(n)
     limit = DEFAULT_BUDGET if budget is None else budget
     nodes = 0
     # frames: (mask, chosen, slot cursor, lowest slot still allowed)
-    stack = [(0, 0, slots - (1 if m is None else m), 0)]
+    stack = [(0, 0, slots - m, 0)]
     while stack:
         mask, chosen, s, floor = stack.pop()
         while s >= floor:
             child = mask | (1 << s)
-            if probe(child):
+            if planar(child):
                 mc = chosen + 1
                 nodes += 1
                 if nodes > limit:
                     raise ResourceLimitError(f"enumeration budget of {limit} nodes exceeded")
-                if m is None or mc == m:
-                    yield child, mc
-                    if mc == m:
-                        s -= 1
-                        continue
+                if mc == m:
+                    yield child
+                    s -= 1
+                    continue
                 if s > floor:
                     stack.append((mask, chosen, s - 1, floor))
-                top = slots - 1 if m is None else slots - m + mc
+                top = slots - m + mc
                 if s < top:
                     stack.append((child, mc, top, s + 1))
                 break
             s -= 1
 
 
-def _iter_class_masks(n: int, m: int, budget: int | None) -> Iterator[int]:
-    """Every planar m-edge mask on {1..n}, in encoding-lexicographic order."""
-    return (mask for mask, _ in _sweep(n, budget, m)) if m else iter([0])
+# bench/tracing.py counts what each of these two names yields: one must not call the other
+_iter_class_masks = _sweep
 
 
 def _iter_all_masks(n: int) -> Iterator[tuple[int, int]]:
-    """Every planar edge mask on {1..n} with its edge count, edgeless first."""
-    return chain([(0, 0)], _sweep(n, None, None))
+    """Every planar edge mask on {1..n} with its edge count, by edge count."""
+    return ((mask, m) for m in range(max_planar_edges(n) + 1) for mask in _sweep(n, m, None))
 
 
 def enumerate_class(
@@ -124,23 +109,15 @@ def enumerate_class(
         visitor(graph_from_mask(n, mask))
 
 
-def enumerate_all(
-    n: int,
-    visitor: Callable[[LabeledGraph], None],
-    *,
-    m_values=None,
-) -> None:
-    """Visit every planar graph on {1..n}, n <= 7, once, or with ``m_values``
-    only those with one of these edge counts (no other graph is built).  This
-    labeled sweep is the oracle of the orbit census below, which answers
-    every exact question up to n = 9."""
+def enumerate_all(n: int, visitor: Callable[[LabeledGraph], None]) -> None:
+    """Visit every planar graph on {1..n}, n <= 7, once.  This labeled sweep
+    is the oracle of the orbit census below, which answers every exact
+    question up to n = 9."""
     _validate_params(n, 0)
     if n > TABLE_MAX_N:
         raise ResourceLimitError(f"the labeled sweep is limited to n <= {TABLE_MAX_N}")
-    keep = [m_values is None or m in m_values for m in range(pair_count(n) + 1)]
-    for mask, mc in _iter_all_masks(n):
-        if keep[mc]:
-            visitor(graph_from_mask(n, mask))
+    for mask, _ in _iter_all_masks(n):
+        visitor(graph_from_mask(n, mask))
 
 
 # -- orbit census ------------------------------------------------------------------
@@ -217,6 +194,7 @@ def _connected_orbits(n: int) -> tuple[tuple[int, int], ...]:
         return ((0, 1),)
     found: dict[int, int] = {}
     nonplanar: set[int] = set()
+    planar = mask_planarity(n)
     new = 1 << n
     for parent_mask, _ in _orbit_data(n - 1)[0]:
         parent = LabeledGraph(n - 1, parent_mask).adjacency
@@ -231,7 +209,7 @@ def _connected_orbits(n: int) -> tuple[tuple[int, int], ...]:
             if s.bit_count() > room or any(s & b == b for b in bad):
                 continue
             if leaves & ~s and s & (s - 1):
-                continue  # a leaf of the larger graph has the least degree
+                continue  # a leaf outside S stays deletable: _deletable_below, sooner
             if any((s & group) not in allowed for group, allowed in prefixes.items()):
                 continue
             adj = [row | new if s >> v & 1 else row for v, row in enumerate(parent)]
@@ -241,7 +219,7 @@ def _connected_orbits(n: int) -> tuple[tuple[int, int], ...]:
             form, aut = _canonical_form(n, adj)
             if form in found:
                 continue
-            if form in nonplanar or not _is_planar_mask(n, form):
+            if form in nonplanar or not planar(form):
                 nonplanar.add(form)
                 bad.append(s)
                 continue
@@ -258,12 +236,6 @@ def _deletable_below(adj, n: int, degree: int) -> bool:
             if reach([row & rest for row in adj], rest & -rest) == rest:
                 return True
     return False
-
-
-def _is_planar_mask(n: int, mask: int) -> bool:
-    if n <= TABLE_MAX_N:
-        return planar_mask_table(n)[mask] == 1
-    return is_planar_edges(n, edges_from_mask(n, mask))
 
 
 def _compose(n: int, connected) -> tuple[Orbit, ...]:

@@ -21,19 +21,22 @@ from .verify import verify_class
 
 
 def _parse_int_list(text: str) -> list[int]:
+    """Integers and ascending ranges "lo-hi", comma-separated; at least one."""
     out: list[int] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
+        lo, _, hi = chunk.partition("-") if "-" in chunk[1:] else (chunk, "", chunk)
         try:
-            if "-" in chunk[1:]:
-                lo, _, hi = chunk.partition("-")
-                out.extend(range(int(lo), int(hi) + 1))
-            else:
-                out.append(int(chunk))
+            lo, hi = int(lo), int(hi)
         except ValueError:
             raise InvalidArgumentError(f"bad integer list {text!r}") from None
+        if lo > hi:
+            raise InvalidArgumentError(f"descending range {chunk!r} in {text!r}")
+        out.extend(range(lo, hi + 1))
+    if not out:
+        raise InvalidArgumentError(f"integer list {text!r} names no integer")
     return out
 
 

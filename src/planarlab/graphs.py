@@ -23,7 +23,8 @@ from .errors import (
     NotPlanarInputError,
     VertexOutOfRangeError,
 )
-from .planarity import TABLE_MAX_N, is_planar_edges, planar_mask_table
+from .planarity import is_planar_edges  # noqa: F401  (bench/tracing.py patches it here)
+from .planarity import mask_planarity
 
 Edge = tuple[int, int]
 
@@ -190,9 +191,7 @@ def decode(text: str) -> LabeledGraph:
 
 def is_planar(g: LabeledGraph) -> bool:
     """True iff g admits a plane embedding."""
-    if g.n <= TABLE_MAX_N:
-        return planar_mask_table(g.n)[g.mask] == 1
-    return is_planar_edges(g.n, edges_from_mask(g.n, g.mask))
+    return bool(mask_planarity(g.n)(g.mask))
 
 
 # -- connectivity ----------------------------------------------------------------
@@ -275,16 +274,12 @@ def addable_nonedges(g: LabeledGraph) -> list[Edge]:
     Each candidate is tested independently; adding one addable edge can
     destroy the addability of another, so no batching is possible.
     """
-    if not is_planar(g):
-        raise NotPlanarInputError("addable non-edges are defined for planar graphs")
     n, mask = g.n, g.mask
+    planar = mask_planarity(n)
+    if not planar(mask):
+        raise NotPlanarInputError("addable non-edges are defined for planar graphs")
     pairs = pairs_in_order(n)
-    free = [s for s in range(len(pairs)) if not mask >> s & 1]
-    if n <= TABLE_MAX_N:
-        table = planar_mask_table(n)
-        return [pairs[s] for s in free if table[mask | 1 << s]]
-    present = edges_from_mask(n, mask)
-    return [pairs[s] for s in free if is_planar_edges(n, present + (pairs[s],))]
+    return [pairs[s] for s in range(len(pairs)) if not mask >> s & 1 and planar(mask | 1 << s)]
 
 
 def add_count(g: LabeledGraph) -> int:

@@ -171,6 +171,8 @@ _SATURATED_BAND = 0.05
 
 def regime_of(n: int, m: int) -> DensityRegime:
     """Classify m/n against the sparse / critical / middle / saturated bands."""
+    if n < 1:
+        raise InvalidArgumentError(f"vertex count must be a positive integer, got {n!r}")
     ratio = Fraction(m, n)
     if ratio < 1 - _CRITICAL_BAND:
         label = "sparse"
@@ -256,6 +258,7 @@ def estimate_probability(
     census=None,
 ) -> ProbabilityEstimate:
     """Sample frequency of the event with its binomial standard error."""
+    _check_sample_size(k)
     batch = sample_many(
         n, m, k, method=method, seed=seed, burn_in=burn_in, thinning=thinning, census=census
     )
@@ -264,14 +267,20 @@ def estimate_probability(
     return ProbabilityEstimate(p_hat, stderr, tag, k, seed)
 
 
+def _check_sample_size(k: int) -> None:
+    if k < 1:
+        raise InvalidArgumentError(f"a sampled probability needs k >= 1 samples, got {k}")
+
+
 def _sampled_frequencies(samples, events) -> list[tuple[float, float]]:
-    """(frequency, binomial standard error) of each event over the samples."""
+    """(frequency, binomial standard error) of each event over the samples,
+    of which there is at least one."""
     graphs = [decode(enc) for enc in samples]
     k = len(graphs)
     out = []
     for event in events:
-        p_hat = sum(1 for g in graphs if evaluate_event(g, event)) / k if k else 0.0
-        out.append((p_hat, (p_hat * (1.0 - p_hat) / k) ** 0.5 if k else 0.0))
+        p_hat = sum(1 for g in graphs if evaluate_event(g, event)) / k
+        out.append((p_hat, (p_hat * (1.0 - p_hat) / k) ** 0.5))
     return out
 
 
@@ -341,8 +350,7 @@ def phase_table(spec: ExperimentSpec) -> ExperimentResult:
     elif spec.method == "mcmc":
         if spec.k is None or spec.seed is None:
             raise InvalidArgumentError("mcmc phase tables need k and seed")
-        if spec.k < 1:
-            raise InvalidArgumentError(f"mcmc phase tables need k >= 1, got {spec.k}")
+        _check_sample_size(spec.k)
         for cell_index, (n, m) in enumerate(spec.grid):
             cell_seed = spec.seed + cell_index
             batch = sample_many(n, m, spec.k, method="mcmc", seed=cell_seed)

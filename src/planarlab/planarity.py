@@ -1,6 +1,9 @@
 """Planarity decisions.
 
-Three cooperating mechanisms, all cross-checked in the test suite:
+Two entry points: ``mask_planarity(n)`` is the test for edge masks on
+{1..n}, and ``is_planar_edges(n, edges)`` the test for an edge list, whose
+order the left-right test follows.  Behind them, three cooperating
+mechanisms, all cross-checked in the test suite:
 
 * trivial bounds: any graph with at most 8 edges or at most 4 vertices is
   planar; for n >= 3 more than 3n-6 edges is impossible in a planar graph;
@@ -19,11 +22,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
-from ._bits import mask_from_edges, pair_count
+from ._bits import edges_from_mask, mask_from_edges, pair_count
 
 TABLE_MAX_N = 7
 
@@ -42,6 +45,15 @@ def is_planar_edges(n: int, edges: Iterable[tuple[int, int]]) -> bool:
     if n <= TABLE_MAX_N:
         return planar_mask_table(n)[mask_from_edges(n, edges)] == 1
     return _left_right_planar(n, edges)
+
+
+@lru_cache(maxsize=None)
+def mask_planarity(n: int) -> Callable[[int], bool]:
+    """The planarity test for edge masks on {1..n}: a lookup in the n <= 7
+    table (truthy byte), else the left-right test on the decoded edges."""
+    if n <= TABLE_MAX_N:
+        return planar_mask_table(n).__getitem__
+    return lambda mask: is_planar_edges(n, edges_from_mask(n, mask))
 
 
 # -- small-order tables -------------------------------------------------------

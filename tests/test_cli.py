@@ -131,6 +131,12 @@ class TestBadInput:
         self.check(capsys, "experiment", "--n-list", "5", "--m-list", "a-b",
                    "--events", "connected")
 
+    @pytest.mark.parametrize("n_list, m_list", [("5", ","), ("5", "1--3"), ("6-4", "3")])
+    def test_list_naming_no_class(self, capsys, n_list, m_list):
+        # an empty list or a descending range would give a header-only table
+        self.check(capsys, "experiment", "--n-list", n_list, "--m-list", m_list,
+                   "--events", "connected")
+
     @pytest.mark.parametrize("token", [
         "connected:triangle", "copy", "pendant", "copy:k4>=2", "isolated>=1",
         "component:", "bogus",

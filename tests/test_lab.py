@@ -12,6 +12,7 @@ from planarlab import (
     EventKind,
     ResourceLimitError,
     ExperimentSpec,
+    InvalidArgumentError,
     build_census,
     build_graph,
     class_counts,
@@ -193,6 +194,12 @@ class TestExactProbability:
         assert est.diagnostic and est.method == "mcmc-diagnostic"
         assert abs(est.value - exact) <= 3 * max(est.stderr, 1e-9)
 
+    @pytest.mark.parametrize("method", ["exact", "mcmc"])
+    def test_estimate_needs_a_sample(self, method):
+        store = build_census(5, [5], store_graphs=True)
+        with pytest.raises(InvalidArgumentError):
+            estimate_probability(5, 5, EventKind.connected(), method=method, k=0, census=store)
+
 
 class TestRegimes:
     def test_examples(self):
@@ -207,6 +214,11 @@ class TestRegimes:
 
     def test_ratio_is_exact(self):
         assert regime_of(7, 15).ratio == Fraction(15, 7)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_no_vertices(self, n):
+        with pytest.raises(InvalidArgumentError):
+            regime_of(n, 0)
 
 
 class TestPhaseTable:

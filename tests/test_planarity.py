@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from planarlab import build_graph, complete_graph, is_planar
+from planarlab import LabeledGraph, addable_nonedges, build_graph, complete_graph, is_planar
 from planarlab._bits import edges_from_mask, pair_count, pairs_in_order
 from tests.oracles import has_forbidden_subdivision
 from planarlab.planarity import (
@@ -82,7 +82,14 @@ class TestOracleEquivalence:
             for s in rng.sample(range(slots), m):
                 mask |= 1 << s
             edges = edges_from_mask(n, mask)
-            assert is_planar_edges(n, edges) == (not has_forbidden_subdivision(n, edges))
+            planar = is_planar_edges(n, edges)
+            assert planar == (not has_forbidden_subdivision(n, edges))
+            g = LabeledGraph(n, mask)
+            assert is_planar(g) == planar
+            if planar:
+                assert addable_nonedges(g) == [
+                    e for e in pairs_in_order(n)
+                    if e not in edges and is_planar_edges(n, edges + (e,))]
 
     def test_isolated_padding_does_not_change_the_answer(self):
         # same graph, re-read at n=9 so the left-right path decides it
