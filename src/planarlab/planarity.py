@@ -11,11 +11,12 @@ mechanisms, all cross-checked in the test suite:
   every K5/K3,3 subdivision edge-set on {1..n} and closing upward over
   supersets (a graph is non-planar exactly when it contains one of them);
 * n >= 8: the left-right planarity test (Brandes 2009), run on each
-  connected component as two iterative DFS phases over an explicit path:
-  the orientation, started at each vertex no earlier orientation reached,
-  finds the component and its lowpoints and nesting depths; the testing
-  phase keeps a stack of conflict pairs.  Neither recurses, so any n works
-  without touching the interpreter's recursion limit.
+  connected component with an edge, as two iterative DFS phases over an
+  explicit path: the orientation, started at each such vertex no earlier
+  orientation reached, finds the component and its lowpoints and nesting
+  depths; the testing phase keeps a stack of conflict pairs.  Neither
+  recurses, so any n works without touching the interpreter's recursion
+  limit.
 """
 
 from __future__ import annotations
@@ -176,7 +177,7 @@ def _left_right_planar(n: int, edges) -> bool:
     for neighbours in adj:
         neighbours.sort()
     height = [-1] * (n + 1)  # -1 until the orientation reaches the vertex
-    return all(height[root] >= 0 or _component_planar(adj, height, root)
+    return all(height[root] >= 0 or not adj[root] or _component_planar(adj, height, root)
                for root in range(1, n + 1))
 
 

@@ -4,8 +4,21 @@ Exact sampling draws an index into a stored census.  The Markov chain swaps
 one edge for one non-edge per step and accepts exactly when the result stays
 planar; the proposal is symmetric (edge and non-edge counts are invariant),
 so the uniform distribution on the reachable class is stationary.  Chains are
-deterministic functions of their 64-bit seed (Mersenne Twister via
-random.Random, documented and stable).
+deterministic functions of their non-negative seed (Mersenne Twister via
+random.Random, documented and stable; a negative seed is refused, since
+random.Random(-s) draws the same stream as random.Random(s)).
+
+A step decides planarity locally.  With G the state, e the dropped edge and
+f the proposed pair, H = G - e is planar, being a subgraph of G.  Every K5
+or K3,3 subdivision has minimum degree 2 and is 2-connected, so one inside
+H + f must use f: it lies in f's component and survives the peeling of
+vertices of degree at most 1.  H + f is therefore planar exactly when f
+joins two components of H (then f is a bridge), or when the 2-core of f's
+component in H + f is planar.  The test runs on that core, a fraction of
+the m edges on sparse states.  When peeling would remove under an eighth of
+the edges (so whenever no vertex of H + f has degree below 2), finding the
+core costs about what the smaller test saves, and the test runs on all m
+edges.
 """
 
 from __future__ import annotations
@@ -59,15 +72,32 @@ class ChainState:
         self.mask = start.mask
         # the edges in the order randrange(m) picks from; a swap keeps the slot
         self._edges: list[tuple[int, int]] = list(edges_from_mask(self.n, self.mask))
-        self.rng = random.Random(self.seed)
+        self._adj = list(start.adjacency)  # neighbour bitsets of the state
+        # its vertices of degree at most 1, as a bitset
+        self._low = sum(1 << x for x, row in enumerate(self._adj) if x and not row & (row - 1))
+        self.rng = _rng(self.seed)
 
     @property
     def current(self) -> LabeledGraph:
         return LabeledGraph(self.n, self.mask)
 
 
+def _rng(seed: int) -> random.Random:
+    if seed < 0:  # random.Random(-s) would repeat the stream of seed s
+        raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
+    return random.Random(seed)
+
+
 def mcmc_step(state: ChainState) -> ChainState:
-    """Advance one step; rejected proposals still advance the counter."""
+    """Advance one step; rejected proposals still advance the counter.
+
+    The proposal (drop edge e, add pair f) is decided by one planarity test
+    on an edge set that settles it (module docstring): ``(f,)`` when f
+    joins two components of G - e, which the test's at-most-8-edges bound
+    accepts at once; all m edges of G - e + f when its 2-core keeps at least
+    seven eighths of them; else the 2-core of f's component in G - e + f.
+    Each answer equals the answer on all m edges, so every seed's samples
+    are those of the whole-graph test."""
     state.steps_taken += 1
     n, m = state.n, state.m
     total = pair_count(n)
@@ -82,12 +112,71 @@ def mcmc_step(state: ChainState) -> ChainState:
         slot = rng.randrange(total)
         if not mask >> slot & 1:
             break
-    edges[drop] = pairs_in_order(n)[slot]
-    if is_planar_edges(n, edges):
+    added = edges[drop] = pairs_in_order(n)[slot]
+    adj = state._adj
+    _swap(adj, removed, added)  # adj is now G - e + f
+    low = state._low
+    for x in removed + added:  # the vertices whose degree changed
+        if adj[x] & (adj[x] - 1):
+            low &= ~(1 << x)
+        else:
+            low |= 1 << x
+    if is_planar_edges(n, _core_edges(adj, edges, low, *added)):
         state.mask = mask ^ (1 << slot | 1 << pair_index(n, *removed))
+        state._low = low
     else:
         edges[drop] = removed
+        _swap(adj, added, removed)
     return state
+
+
+def _swap(adj: list[int], out: tuple[int, int], into: tuple[int, int]) -> None:
+    """Drop the edge ``out`` from the neighbour bitsets and add ``into``."""
+    a, b = out
+    u, v = into
+    adj[a] ^= 1 << b
+    adj[b] ^= 1 << a
+    adj[u] ^= 1 << v
+    adj[v] ^= 1 << u
+
+
+def _core_edges(adj: list[int], edges, low: int, u: int, v: int):
+    """Edges that decide whether H + f is planar, f = (u, v), where ``adj``
+    and ``edges`` are H + f and ``low`` is the bitset of its vertices of
+    degree at most 1: ``(f,)`` if f joins two components of H; else
+    ``edges`` itself if peeling to the 2-core removes under an eighth of
+    them (so whenever nothing can be peeled); else the edges of the 2-core
+    of f's component in H + f."""
+    core = (1 << len(adj)) - 2  # every vertex
+    peeled = 0  # edges peeled away
+    while low:
+        bit = low & -low
+        low ^= bit
+        core ^= bit
+        rest = adj[bit.bit_length() - 1] & core  # its one neighbour left, if any
+        if rest:
+            peeled += 1
+            left = adj[rest.bit_length() - 1] & core
+            if not left & (left - 1):
+                low |= rest
+    if not core >> u & core >> v & 1:
+        return ((u, v),)  # f lies on no cycle
+    if 8 * peeled < len(edges):
+        return edges  # the rest would cost about what the smaller test saves
+    # u's component in the core of H: f is left out by never expanding u again
+    unseen = core ^ (1 << u)
+    frontier = adj[u] & unseen & ~(1 << v)
+    unseen ^= frontier
+    while frontier:
+        bit = frontier & -frontier
+        frontier ^= bit
+        new = adj[bit.bit_length() - 1] & unseen
+        unseen ^= new
+        frontier |= new
+    if unseen >> v & 1:
+        return ((u, v),)  # f is a bridge
+    core ^= unseen
+    return [e for e in edges if core >> e[0] & core >> e[1] & 1]
 
 
 @dataclass(frozen=True)
@@ -124,7 +213,7 @@ def _stored_graphs(n: int, m: int, census) -> tuple[str, ...]:
 def exact_sample(n: int, m: int, seed: int, census) -> LabeledGraph:
     """One uniform draw from a census record that stores its graphs."""
     graphs = _stored_graphs(n, m, census)
-    return decode(graphs[random.Random(seed).randrange(len(graphs))])
+    return decode(graphs[_rng(seed).randrange(len(graphs))])
 
 
 def sample_many(
@@ -143,7 +232,7 @@ def sample_many(
         raise InvalidArgumentError(f"count must be non-negative, got {count}")
     if method == "exact":
         graphs = _stored_graphs(n, m, census)
-        rng = random.Random(seed)
+        rng = _rng(seed)
         samples = tuple(graphs[rng.randrange(len(graphs))] for _ in range(count))
         return SampleBatch(n, m, "exact", seed, 0, 0, samples)
     if method != "mcmc":

@@ -127,6 +127,14 @@ class TestBadInput:
         self.check(capsys, "experiment", "--n-list", "5", "--m-list", "5",
                    "--events", "connected", "--method", "mcmc", "--k", "0")
 
+    def test_negative_sample_seed(self, capsys):
+        self.check(capsys, "sample", "--n", "12", "--m", "15", "--method", "mcmc",
+                   "--count", "3", "--burnin", "10", "--thin", "1", "--seed", "-5")
+
+    def test_negative_experiment_seed(self, capsys):
+        self.check(capsys, "experiment", "--n-list", "5", "--m-list", "4-6",
+                   "--events", "connected", "--method", "mcmc", "--seed", "-1", "--k", "10")
+
     def test_non_numeric_m_list(self, capsys):
         self.check(capsys, "experiment", "--n-list", "5", "--m-list", "a-b",
                    "--events", "connected")

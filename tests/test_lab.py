@@ -262,6 +262,14 @@ class TestPhaseTable:
         assert result.rows[0].method == "mcmc-diagnostic"
         assert 0.0 <= result.rows[0].prob <= 1.0
 
+    def test_mcmc_negative_seed_refused(self):
+        # cells take seeds seed, seed + 1, ...: from -1 those are -1, 0, 1,
+        # and -1 would draw the stream of 1
+        spec = ExperimentSpec(((5, 4), (5, 5), (5, 6)), (EventKind.connected(),),
+                              method="mcmc", k=10, seed=-1)
+        with pytest.raises(InvalidArgumentError):
+            phase_table(spec)
+
     def test_csv_is_deterministic(self):
         spec = ExperimentSpec(((5, 4), (5, 5)), (EventKind.connected(),))
         assert phase_table(spec).to_csv() == phase_table(spec).to_csv()

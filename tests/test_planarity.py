@@ -149,6 +149,15 @@ class TestStructuredFamiliesBeyondTable:
         other = [(i + 6, j + 6) for i, j in fan_triangulation_edges(5)]
         assert is_planar_edges(11, tri_part + other)
 
+    def test_small_graph_among_many_isolated_vertices(self):
+        # 95 vertices without an edge start no orientation of their own
+        k5 = list(combinations(range(96, 101), 2))
+        assert not is_planar_edges(100, k5)
+        assert not _left_right_planar(100, k5)
+        k4 = list(combinations(range(97, 101), 2))
+        assert is_planar_edges(100, k4)
+        assert _left_right_planar(100, k4)
+
 
 class TestNoRecursion:
     """The left-right test walks explicit paths: a DFS thousands of vertices

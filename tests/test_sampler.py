@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import random
 from collections import Counter
+from pathlib import Path
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import planarlab.planarity as planarity_module
 from planarlab import (
     CensusMissingError,
     CensusRecord,
@@ -11,6 +17,7 @@ from planarlab import (
     ChainState,
     EmptyClassBoundError,
     EmptyClassError,
+    InvalidArgumentError,
     build_census,
     build_graph,
     complete_graph,
@@ -24,7 +31,11 @@ from planarlab import (
     sample_many,
     tv_distance_to_uniform,
 )
-from planarlab._bits import pair_count, pairs_in_order
+from planarlab._bits import pair_count, pair_index, pairs_in_order
+from planarlab.planarity import is_planar_edges
+from planarlab.sampler import _core_edges
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 class TestInit:
@@ -121,6 +132,8 @@ class TestChain:
             g = state.current
             assert g.n == 6 and g.m == 7 and is_planar(g)
             assert g.edges == frozenset(state._edges)  # the list and the mask agree
+            assert tuple(state._adj) == g.adjacency  # so do the neighbour bitsets
+            assert state._low == sum(1 << v for v in range(1, 7) if g.degree(v) <= 1)
 
     def test_trajectory_determinism(self):
         a = sample_many(5, 5, 200, method="mcmc", seed=99, burn_in=50, thinning=2)
@@ -180,6 +193,186 @@ class TestChain:
         )
         assert stat < chi2.ppf(1 - 0.001, 19), stat
         assert tv_distance_to_uniform(batch, store) < 0.05
+
+
+class TestGoldenChains:
+    """Chain sample streams written before the chain decided its steps
+    locally; the local decision must reproduce them byte for byte."""
+
+    RUNS = {  # file: n, m, burn-in, thinning, count, seed
+        "chain_n100_m100.txt": (100, 100, 1000, 40, 50, 100_000),
+        "chain_n100_m290.txt": (100, 290, 500, 50, 10, 200_000),
+        "chain_n30_m45.txt": (30, 45, 1000, 30, 50, 300_000),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_stream_is_byte_identical(self, name):
+        n, m, burn_in, thinning, count, seed = self.RUNS[name]
+        batch = sample_many(n, m, count, method="mcmc", seed=seed,
+                            burn_in=burn_in, thinning=thinning)
+        text = "".join(enc + "\n" for enc in batch.samples)
+        assert text.encode("ascii") == (GOLDEN / name).read_bytes()
+
+
+def reference_step(n, m, rng, edges, mask):
+    """One chain step decided on the whole edge list; the new mask."""
+    total = pair_count(n)
+    if m == 0 or m == total:
+        return mask
+    drop = rng.randrange(m)
+    removed = edges[drop]
+    while True:
+        slot = rng.randrange(total)
+        if not mask >> slot & 1:
+            break
+    edges[drop] = pairs_in_order(n)[slot]
+    if is_planar_edges(n, edges):
+        return mask ^ (1 << slot | 1 << pair_index(n, *removed))
+    edges[drop] = removed
+    return mask
+
+
+class Scripted:
+    """A stand-in for the chain's random.Random: ``randrange`` returns the
+    scripted values in order."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def randrange(self, stop):
+        value = self.values.pop(0)
+        assert 0 <= value < stop
+        return value
+
+
+def chain_at(n, edges, *script) -> ChainState:
+    """A chain whose state is the given graph and whose draws are scripted."""
+    g = build_graph(n, edges)
+    state = ChainState(n, g.m, seed=0)
+    state.mask = g.mask
+    state._edges = sorted(g.edges)
+    state._adj = list(g.adjacency)
+    state._low = sum(1 << v for v in range(1, n + 1) if g.degree(v) <= 1)
+    state.rng = Scripted(*script)
+    return state
+
+
+def count_left_right(monkeypatch) -> list[tuple]:
+    """The edge lists the left-right test is called on from now on."""
+    calls = []
+    left_right = planarity_module._left_right_planar
+
+    def counted(n, edges):
+        calls.append(tuple(edges))
+        return left_right(n, edges)
+
+    monkeypatch.setattr(planarity_module, "_left_right_planar", counted)
+    return calls
+
+
+class TestLocalDecision:
+    """Each step tests planarity on (f,), the 2-core of f's component or
+    the whole graph; every decision equals the whole-graph one."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_lockstep_with_whole_graph_decisions(self, data):
+        n = data.draw(st.integers(3, 24), label="n")
+        m = data.draw(st.integers(0, 3 * n - 6), label="m")
+        seed = data.draw(st.integers(0, 2**32), label="seed")
+        state = ChainState(n, m, seed)
+        rng = random.Random(seed)
+        edges, mask = list(state._edges), state.mask
+        for _ in range(150):
+            mcmc_step(state)
+            mask = reference_step(n, m, rng, edges, mask)
+            assert state.mask == mask
+
+    @pytest.mark.parametrize("n, m", [(100, 100), (30, 45), (60, 70), (20, 26)])
+    def test_core_is_the_two_core_of_the_component(self, n, m):
+        state = ChainState(n, m, seed=5)
+        rng = random.Random(11)
+        kinds = Counter()
+        for _ in range(120):
+            for _ in range(15):
+                mcmc_step(state)
+            edges = list(state._edges)
+            drop = rng.randrange(m)
+            f = rng.choice([p for p in pairs_in_order(n) if p not in edges])
+            edges[drop] = f
+            h = nx.Graph(edges)
+            h.add_nodes_from(range(1, n + 1))
+            h.remove_edge(*f)
+            hf = nx.Graph(edges)
+            hf.add_nodes_from(range(1, n + 1))
+            adj = [0] * (n + 1)
+            for a, b in edges:
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+            low = sum(1 << v for v in hf if hf.degree(v) <= 1)
+            got = _core_edges(adj, edges, low, *f)
+            if not nx.has_path(h, *f):
+                assert got == (f,)
+                kinds["cross"] += 1
+            elif got is edges:
+                assert 8 * (m - nx.k_core(hf, 2).number_of_edges()) < m
+                kinds["whole"] += 1
+            else:
+                component = hf.subgraph(nx.node_connected_component(hf, f[0]))
+                want = {tuple(sorted(e)) for e in nx.k_core(component, 2).edges}
+                assert len(got) == len(want) and set(got) == want
+                kinds["core"] += 1
+        assert kinds["core"] > 0, kinds
+
+    @pytest.mark.parametrize("f", [(4, 5), (1, 12)], ids=["two-cycles", "onto-a-path"])
+    def test_cross_component_proposal_runs_no_left_right(self, monkeypatch, f):
+        # two K4s and the path 9-10-11-12; the step drops (10, 11) and adds
+        # f, which joins two components of what is left
+        k4s = [(a + s, b + s) for s in (0, 4) for a, b in
+               [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]]
+        edges = sorted(k4s + [(9, 10), (10, 11), (11, 12)])
+        state = chain_at(12, edges, edges.index((10, 11)), pair_index(12, *f))
+        calls = count_left_right(monkeypatch)
+        mcmc_step(state)
+        assert calls == []
+        assert state.current.edges == frozenset(edges) - {(10, 11)} | {f}
+        # the whole-graph test would have run it
+        assert is_planar_edges(12, sorted(state._edges)) and len(calls) == 1
+
+    def test_k33_with_a_long_pendant_path_is_rejected_on_its_core(self, monkeypatch):
+        # K3,3 on {1,2,3} x {4,5,6}, three of its edges subdivided by 7, 8
+        # and 9, less its edge f = (1, 5); a path 2-10-...-20 hangs off it and
+        # the step drops the path's last edge and adds f back
+        k33 = [(a, b) for a in (1, 2, 3) for b in (4, 5, 6)]
+        subdivided = [(1, 7), (4, 7), (2, 8), (5, 8), (3, 9), (6, 9)]
+        k33_sub = [e for e in k33 if e not in ((1, 4), (2, 5), (3, 6))] + subdivided
+        path = [(2, 10)] + [(v, v + 1) for v in range(10, 20)]
+        edges = sorted(set(k33_sub) - {(1, 5)} | set(path))
+        state = chain_at(20, edges, edges.index((19, 20)), pair_index(20, 1, 5))
+        before = state.mask
+        calls = count_left_right(monkeypatch)
+        mcmc_step(state)
+        assert state.mask == before and state._edges == edges  # rejected
+        [tested] = calls
+        assert sorted(tested) == sorted(k33_sub)
+
+
+class TestSeeds:
+    """random.Random(-s) seeds the stream of random.Random(s), so a
+    negative seed is refused rather than aliased."""
+
+    def test_chain(self):
+        with pytest.raises(InvalidArgumentError):
+            sample_many(12, 15, 3, seed=-5, burn_in=10, thinning=1)
+        with pytest.raises(InvalidArgumentError):
+            ChainState(5, 5, seed=-1)
+
+    def test_exact(self):
+        store = build_census(4, [3], store_graphs=True)
+        with pytest.raises(InvalidArgumentError):
+            sample_many(4, 3, 5, method="exact", seed=-1, census=store)
+        with pytest.raises(InvalidArgumentError):
+            exact_sample(4, 3, -1, store)
 
 
 class TestTvDistance:
