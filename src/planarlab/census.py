@@ -35,11 +35,13 @@ DEFAULT_BUDGET = 50_000_000
 _HEADER = "planarlab-census v1"
 
 
-def _validate_params(n: int, m: int) -> None:
+def _validate_params(n: int, m: int, budget: int | None = None) -> None:
     if not isinstance(n, int) or n < 1:
         raise InvalidArgumentError(f"vertex count must be a positive integer, got {n!r}")
     if not isinstance(m, int) or m < 0:
         raise InvalidArgumentError(f"edge count must be a non-negative integer, got {m!r}")
+    if budget is not None and (not isinstance(budget, int) or budget < 0):
+        raise InvalidArgumentError(f"budget must be a non-negative integer, got {budget!r}")
 
 
 def max_planar_edges(n: int) -> int:
@@ -102,7 +104,7 @@ def enumerate_class(
 ) -> None:
     """Call the visitor once per class member, in encoding-lexicographic order.
     ``budget`` bounds the search nodes, which only a class past n = 7 can reach."""
-    _validate_params(n, m)
+    _validate_params(n, m, budget)
     if m > max_planar_edges(n):
         return
     for mask in _iter_class_masks(n, m, budget):
@@ -167,7 +169,7 @@ def class_counts(n: int) -> tuple[int, ...]:
 def count_class(n: int, m: int, *, budget: int | None = None) -> int:
     """Exact number of planar graphs on {1..n} with exactly m edges;
     ``budget`` bounds the class search past n = 9."""
-    _validate_params(n, m)
+    _validate_params(n, m, budget)
     if m > max_planar_edges(n):
         return 0
     if n <= EXACT_MAX_N:

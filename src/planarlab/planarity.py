@@ -16,7 +16,12 @@ mechanisms, all cross-checked in the test suite:
   orientation reached, finds the component and its lowpoints and nesting
   depths; the testing phase keeps a stack of conflict pairs.  Neither
   recurses, so any n works without touching the interpreter's recursion
-  limit.
+  limit.  Oriented edges are integer ids, numbered per component in the
+  order the orientation creates them: every per-edge value (tail, head,
+  lowpoints, nesting depth, ref, lowpoint edge, stack bottom) is a list
+  indexed by id, the tree edge into each vertex a list indexed by vertex,
+  and a conflict pair is a 4-slot list [left low, left high, right low,
+  right high] of edge ids, -1 where an interval has no edge.
 """
 
 from __future__ import annotations
@@ -135,40 +140,6 @@ def planar_mask_table(n: int) -> bytes:
 # -- left-right test ----------------------------------------------------------
 
 
-class _Interval:
-    """Return edges ``low`` (lowest) to ``high`` (highest) on one side."""
-
-    __slots__ = ("low", "high")
-
-    def __init__(self, low=None, high=None):
-        self.low = low
-        self.high = high
-
-    def empty(self) -> bool:
-        return self.low is None and self.high is None
-
-    def conflicts(self, lowpt, b) -> bool:
-        return not self.empty() and lowpt[self.high] > lowpt[b]
-
-
-class _ConflictPair:
-    """Two intervals whose return edges must lie on opposite sides."""
-
-    __slots__ = ("left", "right")
-
-    def __init__(self, right=None):
-        self.left = _Interval()
-        self.right = right or _Interval()
-
-    def swap(self) -> None:
-        self.left, self.right = self.right, self.left
-
-    def lowest(self, lowpt) -> int:
-        """The lowest return point of the pair; -1 once trimming emptied it."""
-        lows = [lowpt[side.low] for side in (self.left, self.right) if not side.empty()]
-        return min(lows, default=-1)
-
-
 def _left_right_planar(n: int, edges) -> bool:
     adj = [[] for _ in range(n + 1)]
     for u, v in edges:
@@ -176,20 +147,26 @@ def _left_right_planar(n: int, edges) -> bool:
         adj[v].append(u)
     for neighbours in adj:
         neighbours.sort()
-    height = [-1] * (n + 1)  # -1 until the orientation reaches the vertex
-    return all(height[root] >= 0 or not adj[root] or _component_planar(adj, height, root)
+    # By vertex, allocated once and shared by the components: the height (-1
+    # until the orientation reaches the vertex), the id of the tree edge into
+    # it (-1 at a root), its oriented edges out, and the next position in
+    # adj (orientation) or out (testing).
+    height = [-1] * (n + 1)
+    parent = [-1] * (n + 1)
+    out = [[] for _ in range(n + 1)]
+    nxt = [0] * (n + 1)
+    return all(height[root] >= 0 or not adj[root]
+               or _component_planar(adj, height, parent, out, nxt, root)
                for root in range(1, n + 1))
 
 
-def _component_planar(adj, height, root) -> bool:
+def _component_planar(adj, height, parent, out, nxt, root) -> bool:
     """Left-right criterion on the component of ``root``, which the
-    orientation finds; ``height`` marks the vertices it reaches."""
+    orientation finds; the ids of its oriented edges start at 0."""
     # Orientation: tree edges point away from root, back edges towards it.
-    parent_edge = {root: None}
-    out = {root: []}  # oriented edges leaving each vertex, by head
-    nxt = {root: 0}  # next position in adj[v] (orientation), out[v] (testing)
-    lowpt, lowpt2, nesting_depth = {}, {}, {}
+    src, dst, lowpt, lowpt2 = [], [], [], []
     height[root] = 0
+    reached = [root]
     path = [root]
     while path:
         v = path[-1]
@@ -200,133 +177,152 @@ def _component_planar(adj, height, root) -> bool:
             nxt[v] = i + 1
             hw = height[w]
             if hw < 0:  # tree edge: finished when w is
-                vw = parent_edge[w] = (v, w)
+                parent[w] = len(src)
+                out[v].append(len(src))
+                src.append(v)
+                dst.append(w)
+                lowpt.append(hv)
+                lowpt2.append(hv)
                 height[w] = hv + 1
-                lowpt[vw] = lowpt2[vw] = hv
-                out[v].append(w)
-                out[w] = []
-                nxt[w] = 0
+                reached.append(w)
                 path.append(w)
                 continue
             if hw >= hv - 1:  # the edge to v's parent, or oriented from below
                 continue
-            vw = (v, w)  # back edge
-            lowpt[vw] = hw
-            lowpt2[vw] = hv
-            out[v].append(w)
+            vw = len(src)  # back edge
+            out[v].append(vw)
+            src.append(v)
+            dst.append(w)
+            lowpt.append(hw)
+            lowpt2.append(hv)
         else:
             path.pop()
-            vw = parent_edge[v]
-            if vw is None:
+            vw = parent[v]
+            if vw < 0:
                 break
-            v = vw[0]
-            hv = height[v]
+            v = src[vw]
         # vw leaves v and its lowpoints are final
-        nesting_depth[vw] = 2 * lowpt[vw] + (lowpt2[vw] < hv)  # +1 if chordal
-        e = parent_edge[v]
-        if e is not None:
-            if lowpt[vw] < lowpt[e]:
-                lowpt2[e] = min(lowpt[e], lowpt2[vw])
-                lowpt[e] = lowpt[vw]
-            elif lowpt[vw] > lowpt[e]:
-                lowpt2[e] = min(lowpt2[e], lowpt[vw])
-            else:
-                lowpt2[e] = min(lowpt2[e], lowpt2[vw])
+        e = parent[v]
+        if e >= 0:
+            low, low2, le = lowpt[vw], lowpt2[vw], lowpt[e]
+            if low < le:
+                lowpt2[e] = le if le < low2 else low2
+                lowpt[e] = low
+            elif low > le:
+                if low < lowpt2[e]:
+                    lowpt2[e] = low
+            elif low2 < lowpt2[e]:
+                lowpt2[e] = low2
 
-    m = len(lowpt)
+    m = len(src)
     if m <= 8:
         return True
-    if m > 3 * len(out) - 6:  # 9 or more edges span at least 5 vertices
+    if m > 3 * len(reached) - 6:  # 9 or more edges span at least 5 vertices
         return False
-    for v, heads in out.items():
-        heads.sort(key=lambda w, v=v: nesting_depth[v, w])
+    # nesting depth: twice the lowpoint, +1 if chordal
+    depth = [2 * low + (low2 < height[v]) for v, low, low2 in zip(src, lowpt, lowpt2)]
+    for v in reached:
+        out[v].sort(key=depth.__getitem__)
 
-    # Testing: a stack S of conflict pairs over the return edges seen so far.
+    # Testing: a stack S of conflict pairs over the return edges seen so far,
+    # each [left low, left high, right low, right high] with -1 for none.
     S = []
-    ref, lowpt_edge, stack_bottom = {}, {}, {}
+    ref = [-1] * m
+    lowpt_edge = list(range(m))  # final for back edges; tree edges copy a child's
+    stack_bottom = [None] * m
     nxt[root] = 0
     path = [root]
     while path:
         v = path[-1]
         i = nxt[v]
         if i < len(out[v]):
-            w = out[v][i]
-            ei = (v, w)
+            ei = out[v][i]
             stack_bottom[ei] = S[-1] if S else None
-            if ei == parent_edge[w]:  # tree edge: finished when w is
+            w = dst[ei]
+            if ei == parent[w]:  # tree edge: finished when w is
                 nxt[w] = 0
                 path.append(w)
                 continue
-            lowpt_edge[ei] = ei  # back edge
-            S.append(_ConflictPair(right=_Interval(ei, ei)))
+            S.append([-1, -1, ei, ei])  # back edge
         else:
             path.pop()
-            ei = parent_edge[v]
-            if ei is None:
+            ei = parent[v]
+            if ei < 0:
                 break
-            v = ei[0]
+            v = src[ei]
             i = nxt[v]
             # trim the back edges that return to v
             hv = height[v]
-            while S and S[-1].lowest(lowpt) == hv:
+            while S:
+                ll, _, rl, _ = S[-1]
+                if ll < 0:
+                    lowest = lowpt[rl] if rl >= 0 else -1
+                else:
+                    lowest = lowpt[ll] if rl < 0 or lowpt[ll] < lowpt[rl] else lowpt[rl]
+                if lowest != hv:
+                    break
                 S.pop()
             if S:
                 top = S[-1]
-                for side, other in ((top.left, top.right), (top.right, top.left)):
-                    while side.high is not None and side.high[1] == v:
-                        side.high = ref.get(side.high)
-                    if side.high is None and side.low is not None:
-                        ref[side.low] = other.low
-                        side.low = None
+                for high, low, other_low in (1, 0, 2), (3, 2, 0):  # left, then right
+                    while top[high] >= 0 and dst[top[high]] == v:
+                        top[high] = ref[top[high]]
+                    if top[high] < 0 and top[low] >= 0:
+                        ref[top[low]] = top[other_low]
+                        top[low] = -1
                 if lowpt[ei] < hv:  # ei has a return edge
-                    hl, hr = top.left.high, top.right.high
-                    if hl is not None and (hr is None or lowpt[hl] > lowpt[hr]):
-                        ref[ei] = hl
-                    else:
-                        ref[ei] = hr
+                    hl, hr = top[1], top[3]
+                    ref[ei] = hl if hl >= 0 and (hr < 0 or lowpt[hl] > lowpt[hr]) else hr
         # ei is the i-th edge out of v and its subtree, if any, is done
         nxt[v] = i + 1
-        if lowpt[ei] >= height[v]:  # no return edge
+        lo = lowpt[ei]
+        if lo >= height[v]:  # no return edge, as at the root
             continue
-        e = parent_edge[v]
+        e = parent[v]
         if i == 0:
-            if e is not None:
-                lowpt_edge[e] = lowpt_edge[ei]
+            lowpt_edge[e] = lowpt_edge[ei]
             continue
-        # add constraints of ei: merge its return edges into pair.right ...
-        pair = _ConflictPair()
+        # add constraints of ei: merge its return edges into the right side of
+        # a new pair P ...
+        pl = plh = pr = prh = -1
         bottom = stack_bottom[ei]
+        low_e = lowpt[e]
         while True:
-            q = S.pop()
-            if not q.left.empty():
-                q.swap()
-            if not q.left.empty():
-                return False
-            if lowpt[q.right.low] > lowpt[e]:
-                if pair.right.empty():
-                    pair.right.high = q.right.high
+            ql, qlh, qr, qrh = S.pop()
+            if ql >= 0 or qlh >= 0:
+                ql, qlh, qr, qrh = qr, qrh, ql, qlh
+                if ql >= 0 or qlh >= 0:
+                    return False
+            if lowpt[qr] > low_e:
+                if pr < 0:
+                    prh = qrh
                 else:
-                    ref[pair.right.low] = q.right.high
-                pair.right.low = q.right.low
+                    ref[pr] = qrh
+                pr = qr
             else:  # align
-                ref[q.right.low] = lowpt_edge[e]
+                ref[qr] = lowpt_edge[e]
             if (S[-1] if S else None) is bottom:
                 break
-        # ... and the conflicting return edges of earlier siblings into pair.left
-        while S and (S[-1].left.conflicts(lowpt, ei) or S[-1].right.conflicts(lowpt, ei)):
-            q = S.pop()
-            if q.right.conflicts(lowpt, ei):
-                q.swap()
-            if q.right.conflicts(lowpt, ei):
-                return False
-            ref[pair.right.low] = q.right.high
-            if q.right.low is not None:
-                pair.right.low = q.right.low
-            if pair.left.empty():
-                pair.left.high = q.left.high
-            else:
-                ref[pair.left.low] = q.left.high
-            pair.left.low = q.left.low
-        if not (pair.left.empty() and pair.right.empty()):
-            S.append(pair)
+        # ... and into its left side the return edges of earlier siblings that
+        # conflict with ei, those returning above lowpt[ei]
+        while S:
+            ql, qlh, qr, qrh = S[-1]
+            if not (qlh >= 0 and lowpt[qlh] > lo or qrh >= 0 and lowpt[qrh] > lo):
+                break
+            S.pop()
+            if qrh >= 0 and lowpt[qrh] > lo:
+                ql, qlh, qr, qrh = qr, qrh, ql, qlh
+                if qrh >= 0 and lowpt[qrh] > lo:
+                    return False
+            if pr >= 0:  # a side without a low edge has no ref to set
+                ref[pr] = qrh
+            if qr >= 0:
+                pr = qr
+            if pl >= 0:
+                ref[pl] = qlh
+            elif plh < 0:
+                plh = qlh
+            pl = ql
+        if pl >= 0 or plh >= 0 or pr >= 0 or prh >= 0:
+            S.append([pl, plh, pr, prh])
     return True

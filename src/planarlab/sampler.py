@@ -228,6 +228,8 @@ def sample_many(
     census=None,
 ) -> SampleBatch:
     """Draw ``count`` samples; exact draws are independent, MCMC is one chain."""
+    if n < 1 or m < 0:
+        raise InvalidArgumentError("need n >= 1 and m >= 0")
     if count < 0:
         raise InvalidArgumentError(f"count must be non-negative, got {count}")
     if method == "exact":

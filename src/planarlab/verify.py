@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Any
 
 from ._bits import bit_positions
-from .census import enumerate_class
+from .census import _validate_params, enumerate_class
 from .errors import (
     NotPlanarInputError,
     NotTriangulationError,
@@ -159,6 +159,7 @@ def verify_class(n: int, m: int, census=None, *, budget: int | None = None) -> C
     are used; otherwise the class is enumerated directly, with ``budget``
     bounding the class search past n = 7.
     """
+    _validate_params(n, m, budget)
     outcome = ClassVerification(n, m, 0, {}, {})
     record = census.get(n, m) if census is not None else None
     if record is not None and record.graphs is not None:

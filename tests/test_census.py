@@ -12,6 +12,7 @@ import planarlab.census as census_module
 from planarlab import (
     CensusRecord,
     ChecksumMismatchError,
+    InvalidArgumentError,
     IoFailureError,
     LabeledGraph,
     ResourceLimitError,
@@ -93,6 +94,16 @@ class TestCountClass:
             class_counts(10)
         with pytest.raises(ResourceLimitError):
             count_class(10, 12, budget=500)
+
+    def test_negative_budget_is_refused_before_any_work(self):
+        for call in (lambda: count_class(5, 3, budget=-1),
+                     lambda: count_class(10, 12, budget=-1),
+                     lambda: enumerate_class(5, 3, lambda g: None, budget=-1),
+                     lambda: build_census(5, [3], budget=-1),
+                     lambda: build_census(5, [3], store_graphs=True, budget=-1)):
+            with pytest.raises(InvalidArgumentError, match="budget must be a non-negative"):
+                call()
+        assert count_class(5, 0, budget=0) == 1
 
     def test_class_search_budget_on_every_entry_point(self):
         with pytest.raises(ResourceLimitError):

@@ -190,6 +190,22 @@ class TestBadInput:
     def test_class_search_budget(self, capsys, argv):
         self.check(capsys, *argv, "--budget", "500")
 
+    def test_negative_edge_count_for_the_chain(self, capsys):
+        # not a complaint about the burn-in derived from it
+        code, out, err = run(capsys, "sample", "--n", "5", "--m", "-1", "--method", "mcmc",
+                             "--count", "2")
+        assert (code, out, err) == (2, "", "error: need n >= 1 and m >= 0\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("enumerate", "--n", "5", "--m", "3"),
+        ("enumerate", "--n", "5", "--m", "3", "--store"),
+        ("verify", "--n", "5", "--m", "3"),
+    ])
+    def test_negative_budget(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--budget", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: budget must be a non-negative integer, got -1\n"
+
     def test_experiment_takes_no_budget(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["experiment", "--n-list", "5", "--m-list", "4",

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import random
 import sys
+from collections import Counter
 from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 
@@ -157,6 +159,95 @@ class TestStructuredFamiliesBeyondTable:
         k4 = list(combinations(range(97, 101), 2))
         assert is_planar_edges(100, k4)
         assert _left_right_planar(100, k4)
+
+
+def stacked_triangulation(rng, labels):
+    """A random stacked triangulation on ``labels`` (at least three): each
+    further vertex goes into a random face and is joined to its corners."""
+    a, b, c = labels[:3]
+    edges = {(a, b), (a, c), (b, c)}
+    faces = [(a, b, c), (a, b, c)]  # inner and outer
+    for v in labels[3:]:
+        corners = faces.pop(rng.randrange(len(faces)))
+        edges.update((v, x) for x in corners)
+        x, y, z = corners
+        faces += [(x, y, v), (x, z, v), (y, z, v)]
+    return [(u, v) if u < v else (v, u) for u, v in edges]
+
+
+def networkx_planar(n, edges) -> bool:
+    g = nx.Graph(edges)
+    g.add_nodes_from(range(1, n + 1))
+    return nx.check_planarity(g)[0]
+
+
+class TestNetworkxOracle:
+    """The left-right test against networkx's implementation at the sizes
+    the edge-swap chain feeds it."""
+
+    @pytest.mark.parametrize("n", [30, 60, 100])
+    def test_triangulation_minus_edges_plus_one_pair(self, n):
+        # the saturated chain's input: a triangulation minus k edges, plus a
+        # pair that is a non-edge of what is left (every other draw, one of
+        # the k removed edges, which is always planar)
+        rng = random.Random(n)
+        verdicts = Counter()
+        for trial in range(60):
+            labels = list(range(1, n + 1))
+            rng.shuffle(labels)
+            tri = stacked_triangulation(rng, labels)
+            rng.shuffle(tri)
+            k = rng.randint(1, 4)
+            kept, removed = tri[k:], tri[:k]
+            if trial % 2:
+                f = rng.choice(removed)
+            else:
+                present = set(kept)
+                f = rng.choice([e for e in combinations(range(1, n + 1), 2) if e not in present])
+            edges = kept + [f]
+            rng.shuffle(edges)
+            planar = _left_right_planar(n, edges)
+            assert planar == networkx_planar(n, edges), (n, edges)
+            verdicts[planar] += 1
+        assert verdicts[True] >= 30 and verdicts[False] > 0
+
+    @pytest.mark.parametrize("n", [20, 50, 100])
+    def test_random_graphs_from_half_to_three_n(self, n):
+        rng = random.Random(1000 + n)
+        pairs = list(combinations(range(1, n + 1), 2))
+        verdicts = Counter()
+        for _ in range(60):
+            edges = rng.sample(pairs, rng.randint(n // 2, 3 * n - 6))
+            planar = _left_right_planar(n, edges)
+            assert planar == networkx_planar(n, edges), (n, edges)
+            verdicts[planar] += 1
+        assert verdicts[True] > 0 and verdicts[False] > 0
+
+    def test_disjoint_unions_of_many_small_components(self):
+        # hundreds of components share the per-vertex arrays of one call;
+        # allocating them per component would make this quadratic in n
+        n = 2000
+        rng = random.Random(n)
+        labels = list(range(1, n + 1))
+        rng.shuffle(labels)
+        blocks, start = [], 0
+        while start < n:
+            size = min(rng.randint(5, 10), n - start)
+            blocks.append(labels[start:start + size])
+            start += size
+        for trial in range(4):
+            edges = []
+            for block in blocks:
+                if len(block) >= 3:
+                    edges += [e for e in stacked_triangulation(rng, block) if rng.random() < 0.9]
+            if trial % 2:  # one component gains a K3,3
+                block = rng.choice([b for b in blocks if len(b) >= 6])
+                side_a, side_b = block[:3], block[3:6]
+                present = set(edges)
+                edges += [e for e in ((min(a, b), max(a, b)) for a in side_a for b in side_b)
+                          if e not in present]
+            rng.shuffle(edges)
+            assert _left_right_planar(n, edges) == networkx_planar(n, edges) == (trial % 2 == 0)
 
 
 class TestNoRecursion:

@@ -62,6 +62,13 @@ class TestInit:
         with pytest.raises(EmptyClassBoundError):
             mcmc_init(2, 2)
 
+    @pytest.mark.parametrize("n, m", [(5, -1), (0, 3)])
+    def test_bad_order_or_size_before_the_default_burn_in(self, n, m):
+        # the default burn-in 50*n*m must not be derived, and refused, first
+        for method in ("mcmc", "exact"):
+            with pytest.raises(InvalidArgumentError, match="need n >= 1 and m >= 0"):
+                sample_many(n, m, 2, method=method)
+
 
 class TestExactSampling:
     def test_singleton_class(self):

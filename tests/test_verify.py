@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from planarlab import (
+    InvalidArgumentError,
     NotTriangulationError,
     PatternNotTwoEdgeConnectedError,
     ResourceLimitError,
@@ -152,6 +153,14 @@ class TestVerifyClass:
     def test_class_search_budget(self):
         with pytest.raises(ResourceLimitError):
             verify_class(9, 12, budget=500)
+
+    def test_negative_budget_is_refused_before_any_work(self):
+        from planarlab import build_census
+
+        store = build_census(4, [3], store_graphs=True)
+        for census in (None, store):
+            with pytest.raises(InvalidArgumentError, match="budget must be a non-negative"):
+                verify_class(4, 3, census, budget=-1)
 
     def test_uses_stored_census_when_available(self):
         from planarlab import build_census
