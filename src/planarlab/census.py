@@ -40,6 +40,10 @@ def _validate_params(n: int, m: int, budget: int | None = None) -> None:
         raise InvalidArgumentError(f"vertex count must be a positive integer, got {n!r}")
     if not isinstance(m, int) or m < 0:
         raise InvalidArgumentError(f"edge count must be a non-negative integer, got {m!r}")
+    _check_budget(budget)
+
+
+def _check_budget(budget: int | None) -> None:
     if budget is not None and (not isinstance(budget, int) or budget < 0):
         raise InvalidArgumentError(f"budget must be a non-negative integer, got {budget!r}")
 
@@ -382,8 +386,7 @@ class CensusRecord:
         return out
 
     def checksum(self) -> str:
-        block = "".join(line + "\n" for line in self.lines())
-        return f"{zlib.crc32(block.encode('utf-8')) & 0xFFFFFFFF:08x}"
+        return _crc_text("".join(line + "\n" for line in self.lines()))
 
     def validate(self) -> None:
         if self.n < 1 or self.m < 0:
@@ -452,13 +455,17 @@ def build_census(
     return store
 
 
+def _crc_text(payload: str) -> str:
+    """The CRC-32 of the payload as it is written on the checksum line."""
+    return f"{zlib.crc32(payload.encode('utf-8')) & 0xFFFFFFFF:08x}"
+
+
 def save_census(store: CensusStore, path) -> None:
     payload_lines: list[str] = []
     for key in sorted(store.records):
         payload_lines.extend(store.records[key].lines())
     payload = "".join(line + "\n" for line in payload_lines)
-    crc = zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF
-    text = f"{_HEADER}\n{payload}checksum {crc:08x}\n"
+    text = f"{_HEADER}\n{payload}checksum {_crc_text(payload)}\n"
     # write beside the target, then rename: a failed write leaves ``path`` as it was
     tmp = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"
     try:
@@ -491,7 +498,7 @@ def load_census(path) -> CensusStore:
     payload_lines = lines[1:-1]
     payload = "".join(line + "\n" for line in payload_lines)
     stated = lines[-1][len("checksum "):].strip()
-    actual = f"{zlib.crc32(payload.encode('utf-8')) & 0xFFFFFFFF:08x}"
+    actual = _crc_text(payload)
     if stated != actual:
         raise ChecksumMismatchError(f"payload checksum {actual} != stated {stated}")
 

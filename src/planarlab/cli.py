@@ -66,6 +66,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    census_mod._check_budget(args.budget)  # whatever the method, before any work
     census = None
     if args.method == "exact":
         if args.census:

@@ -150,8 +150,6 @@ def evaluate_event(g: LabeledGraph, event: EventKind) -> bool:
     if event.kind == "pendant":
         return pendant_edge_count(g) >= event.threshold
     if event.kind == "appearances":
-        if event.pattern.size >= g.n:
-            return event.threshold == 0  # no witness set W can exist
         return count_appearances(g, event.pattern) >= event.threshold
     return count_components_isomorphic(g, event.pattern) >= event.threshold
 
@@ -200,7 +198,7 @@ def _satisfying_labelings(g: LabeledGraph, event: EventKind, labelings: int) -> 
     Every kind but appearances is an isomorphism invariant; an appearance is
     rooted at the smallest label of its set, so it takes the law of the
     appearance count under relabeling."""
-    if event.kind != "appearances" or event.pattern.size >= g.n:
+    if event.kind != "appearances":
         return labelings if evaluate_event(g, event) else 0
     return int(labelings * sum(appearance_law(g, event.pattern)[event.threshold:]))
 
@@ -398,7 +396,7 @@ class GraphStatistics:
 def compute_statistics(g: LabeledGraph, pattern: Pattern | None = None) -> GraphStatistics:
     f_h = None
     if pattern is not None:
-        f_h = count_appearances(g, pattern) if pattern.size < g.n else 0
+        f_h = count_appearances(g, pattern)
     return GraphStatistics(
         encoding=encode(g),
         f_h=f_h,

@@ -234,11 +234,11 @@ def appearance_witnesses(g: LabeledGraph, pattern: Pattern) -> list[tuple[int, .
     Bridge-driven: the unique edge leaving a witness set is a bridge, so only
     bridge sides of size |H| whose attachment vertex is the side's minimum
     need the labeled induced check: the increasing bijection {1..|H|} -> W
-    must carry H onto g[W].
+    must carry H onto g[W].  A pattern with |H| >= n has no appearance.
     """
     h = pattern.h
     if h.n >= g.n:
-        raise PatternTooLargeError("appearances require |H| < n")
+        return []
     out: list[tuple[int, ...]] = []
     for side, a in _pendant_sides(g, h.n):
         if side & -side != 1 << a:
@@ -258,10 +258,11 @@ def appearance_law(g: LabeledGraph, pattern: Pattern) -> list[Fraction]:
     that starts at the attachment vertex (an allowed order of W).  Sides that
     share no vertex hold independently; overlapping sides are taken together,
     over the orders of their union.  Two overlapping sides of one size cover
-    their component, so a union has fewer than 2|H| vertices."""
+    their component, so a union has fewer than 2|H| vertices.  A pattern
+    with |H| >= n has no appearance: the law is [1]."""
     h = pattern.h
     if h.n >= g.n:
-        raise PatternTooLargeError("appearances require |H| < n")
+        return [Fraction(1)]
     sides = [(side, _allowed_orders(g, h, side, a)) for side, a in _pendant_sides(g, h.n)]
     clusters: list[list[tuple[int, set]]] = []
     for side in sides:

@@ -8,8 +8,9 @@ mechanisms, all cross-checked in the test suite:
 * trivial bounds: any graph with at most 8 edges or at most 4 vertices is
   planar; for n >= 3 more than 3n-6 edges is impossible in a planar graph;
 * n <= 7: a lookup table over all edge masks, built once per n by marking
-  every K5/K3,3 subdivision edge-set on {1..n} and closing upward over
-  supersets (a graph is non-planar exactly when it contains one of them);
+  the edge mask of every K5/K3,3 subdivision on {1..n} in one Python int
+  and closing upward over supersets, one shift-and-or per vertex pair (a
+  graph is non-planar exactly when it contains one of them);
 * n >= 8: the left-right planarity test (Brandes 2009), run on each
   connected component with an edge, as two iterative DFS phases over an
   explicit path: the orientation, started at each such vertex no earlier
@@ -30,14 +31,15 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Callable, Iterable
 
-import numpy as np
-
-from ._bits import edges_from_mask, mask_from_edges, pair_count
+from ._bits import edges_from_mask, mask_from_edges, pair_count, pair_index
 
 TABLE_MAX_N = 7
 
 _K5_ORDER = 5
 _K33_ORDER = 6
+
+# a binary digit of the non-planar marks -> its table byte ("0" -> 1, planar)
+_DIGIT_TO_PLANAR = bytes.maketrans(b"01", b"\x01\x00")
 
 
 def is_planar_edges(n: int, edges: Iterable[tuple[int, int]]) -> bool:
@@ -65,59 +67,33 @@ def mask_planarity(n: int) -> Callable[[int], bool]:
 # -- small-order tables -------------------------------------------------------
 
 
-def _subdivision_edge_sets(connections, spares):
-    """Edge sets of every subdivision of the given connection list.
-
-    Each connection (u, v) becomes a path u - d1 - ... - dk - v whose
-    internal vertices are drawn (ordered, without reuse) from ``spares``.
-    Unused spares are allowed.
-    """
-    out = set()
-    conns = tuple(connections)
-
-    def rec(idx, remaining, acc):
-        if idx == len(conns):
-            out.add(frozenset(acc))
-            return
-        u, v = conns[idx]
-        for r in range(len(remaining) + 1):
-            for chosen in combinations(remaining, r):
-                rest = remaining - set(chosen)
-                for order in permutations(chosen):
-                    path = (u,) + order + (v,)
-                    acc2 = list(acc)
-                    for a, b in zip(path, path[1:]):
-                        acc2.append((a, b) if a < b else (b, a))
-                    rec(idx + 1, rest, acc2)
-
-    rec(0, frozenset(spares), [])
-    return out
-
-
 @lru_cache(maxsize=None)
 def forbidden_subdivision_masks(n: int) -> tuple[int, ...]:
-    """Edge masks of all K5 and K3,3 subdivisions on subsets of {1..n}."""
-    found: set[int] = set()
+    """Edge masks of all K5 and K3,3 subdivisions on subsets of {1..n}.  Each
+    connection (u, v) of branch vertices becomes a path u - d1 - ... - dk - v
+    whose internal vertices are distinct other vertices, not all used."""
     verts = range(1, n + 1)
+    models = [(branch, tuple(combinations(branch, 2))) for branch in combinations(verts, _K5_ORDER)]
+    for branch in combinations(verts, _K33_ORDER):
+        for pick in combinations(branch[1:], 2):
+            side = (branch[0],) + pick
+            models.append((branch, tuple((a, b) for a in side for b in branch if b not in side)))
+    found: set[int] = set()
 
-    if n >= _K5_ORDER:
-        for branch in combinations(verts, _K5_ORDER):
-            spares = tuple(v for v in verts if v not in branch)
-            conns = list(combinations(branch, 2))
-            for edge_set in _subdivision_edge_sets(conns, spares):
-                found.add(mask_from_edges(n, edge_set))
+    def subdivide(connections, spares, mask):
+        if not connections:
+            found.add(mask)
+            return
+        u, v = connections[0]
+        for r in range(len(spares) + 1):
+            for inner in permutations(spares, r):
+                path_mask = mask
+                for a, b in zip((u,) + inner, inner + (v,)):
+                    path_mask |= 1 << (pair_index(n, a, b) if a < b else pair_index(n, b, a))
+                subdivide(connections[1:], tuple(s for s in spares if s not in inner), path_mask)
 
-    if n >= _K33_ORDER:
-        for branch in combinations(verts, _K33_ORDER):
-            spares = tuple(v for v in verts if v not in branch)
-            head, tail = branch[0], branch[1:]
-            for pick in combinations(tail, 2):
-                side_a = (head,) + pick
-                side_b = tuple(v for v in branch if v not in side_a)
-                conns = [(a, b) for a in side_a for b in side_b]
-                for edge_set in _subdivision_edge_sets(conns, spares):
-                    found.add(mask_from_edges(n, edge_set))
-
+    for branch, connections in models:
+        subdivide(connections, tuple(v for v in verts if v not in branch), 0)
     return tuple(sorted(found))
 
 
@@ -127,14 +103,20 @@ def planar_mask_table(n: int) -> bytes:
     if n > TABLE_MAX_N:
         raise ValueError(f"table limited to n <= {TABLE_MAX_N}")
     slots = pair_count(n)
-    nonplanar = np.zeros(1 << slots, dtype=np.uint8)
-    for mask in forbidden_subdivision_masks(n):
-        nonplanar[mask] = 1
-    # superset closure, one bit position at a time
+    size = 1 << slots
+    # x has bit size-1-mask set iff the mask is non-planar, so that its binary
+    # digits, most significant first, run in mask order
+    marks = bytearray(size + 7 >> 3)
+    for p in (size - 1 - mask for mask in forbidden_subdivision_masks(n)):
+        marks[p >> 3] |= 1 << (p & 7)
+    x = int.from_bytes(marks, "little")
+    # superset closure, one slot b at a time: adding b to a mask moves its bit
+    # down by 2**b from a position that has bit b set
     for b in range(slots):
-        view = nonplanar.reshape(-1, 2, 1 << b)
-        view[:, 1, :] |= view[:, 0, :]
-    return (nonplanar ^ 1).tobytes()
+        half = 1 << b >> 3  # bytes in half a period of those positions
+        unit = bytes(half) + b"\xff" * half if half else bytes([(0xAA, 0xCC, 0xF0)[b]])
+        x |= (x & int.from_bytes(unit * (size // 8 // len(unit) + 1), "little")) >> (1 << b)
+    return format(x, f"0{size}b").encode("ascii").translate(_DIGIT_TO_PLANAR)
 
 
 # -- left-right test ----------------------------------------------------------

@@ -100,7 +100,7 @@ def check_appearance_disjointness(g: LabeledGraph, pattern: Pattern) -> CheckRes
         raise PatternNotTwoEdgeConnectedError(
             f"pattern {pattern.name} is not 2-edge-connected"
         )
-    witnesses = appearance_witnesses(g, pattern) if pattern.size < g.n else []
+    witnesses = appearance_witnesses(g, pattern)
     seen: set[int] = set()
     overlaps = 0
     for w in witnesses:

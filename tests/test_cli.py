@@ -200,6 +200,10 @@ class TestBadInput:
         ("enumerate", "--n", "5", "--m", "3"),
         ("enumerate", "--n", "5", "--m", "3", "--store"),
         ("verify", "--n", "5", "--m", "3"),
+        # the census path does not exist: the budget is checked first
+        ("sample", "--n", "5", "--m", "3", "--method", "exact", "--count", "2",
+         "--census", "no-such-dir/census.txt"),
+        ("sample", "--n", "5", "--m", "3", "--method", "mcmc", "--count", "2"),
     ])
     def test_negative_budget(self, capsys, argv):
         code, out, err = run(capsys, *argv, "--budget", "-1")

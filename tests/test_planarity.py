@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import subprocess
 import sys
 from collections import Counter
 from itertools import combinations
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 from planarlab import LabeledGraph, addable_nonedges, build_graph, complete_graph, is_planar
+from planarlab.cli import main as cli_main
 from planarlab._bits import edges_from_mask, pair_count, pairs_in_order
 from tests.oracles import has_forbidden_subdivision
 from planarlab.planarity import (
@@ -291,6 +293,35 @@ class TestForbiddenMasks:
             for drop in edges:
                 rest = [e for e in edges if e != drop]
                 assert _left_right_planar(7, rest)
+
+
+class TestTable:
+    # labeled planar graphs on n vertices, OEIS A066537
+    PLANAR_COUNTS = (1, 2, 8, 64, 1023, 32071, 1823707)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_planar_entries_number_a066537(self, n):
+        table = planar_mask_table(n)
+        assert len(table) == 1 << pair_count(n)
+        assert table.count(1) == self.PLANAR_COUNTS[n - 1]
+        assert table.count(0) == len(table) - table.count(1)
+
+    def test_library_runs_without_numpy(self, tmp_path):
+        # numpy blocked: importing it raises ImportError
+        job = ["experiment", "--n-list", "6", "--m-list", "8-9",
+               "--events", "connected,component:triangle", "--out"]
+        script = f"""
+import sys
+sys.modules["numpy"] = None
+import planarlab, planarlab.cli
+from planarlab.planarity import planar_mask_table
+assert planar_mask_table(7).count(1) == 1823707
+raise SystemExit(planarlab.cli.main({job!r} + [sys.argv[1]]))
+"""
+        blocked, here = tmp_path / "blocked.csv", tmp_path / "here.csv"
+        subprocess.run([sys.executable, "-c", script, str(blocked)], check=True)
+        assert cli_main(job + [str(here)]) == 0
+        assert blocked.read_text() == here.read_text()
 
 
 class TestMonotonicity:
