@@ -23,10 +23,21 @@ mechanisms, all cross-checked in the test suite:
   indexed by id, the tree edge into each vertex a list indexed by vertex,
   and a conflict pair is a 4-slot list [left low, left high, right low,
   right high] of edge ids, -1 where an interval has no edge.
+
+The two phases are separate functions, so that a caller that decides many
+graphs one edge swap apart can keep the orientation: a ``PalmTree`` holds
+one, for a DFS tree of the caller's choosing, with edge ids running over
+all components.  A DFS tree stays a palm tree (every non-tree edge joins an
+ancestor to a descendant) when a back edge leaves and a pair that joins an
+ancestor to a descendant comes in; ``PalmTree.swapped`` patches the
+orientation for such a swap, recomputing lowpoints only on the two tree
+paths to the root, and ``is_planar_edges(n, edges, palm)`` then runs only
+the testing phase.
 """
 
 from __future__ import annotations
 
+import copy
 from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Callable, Iterable
@@ -42,8 +53,10 @@ _K33_ORDER = 6
 _DIGIT_TO_PLANAR = bytes.maketrans(b"01", b"\x01\x00")
 
 
-def is_planar_edges(n: int, edges: Iterable[tuple[int, int]]) -> bool:
-    """Decide planarity of the simple graph on {1..n} with the given edges."""
+def is_planar_edges(n: int, edges: Iterable[tuple[int, int]], palm: PalmTree | None = None) -> bool:
+    """Decide planarity of the simple graph on {1..n} with the given edges.
+    ``palm``, if given, is a palm tree of that graph; the left-right test
+    then runs only its testing phase."""
     edges = tuple(edges)
     m = len(edges)
     if n <= 4 or m <= 8:
@@ -52,7 +65,7 @@ def is_planar_edges(n: int, edges: Iterable[tuple[int, int]]) -> bool:
         return False
     if n <= TABLE_MAX_N:
         return planar_mask_table(n)[mask_from_edges(n, edges)] == 1
-    return _left_right_planar(n, edges)
+    return _left_right_planar(n, edges, palm)
 
 
 @lru_cache(maxsize=None)
@@ -122,7 +135,9 @@ def planar_mask_table(n: int) -> bytes:
 # -- left-right test ----------------------------------------------------------
 
 
-def _left_right_planar(n: int, edges) -> bool:
+def _left_right_planar(n: int, edges, palm: PalmTree | None = None) -> bool:
+    if palm is not None:
+        return palm.planar()
     adj = [[] for _ in range(n + 1)]
     for u, v in edges:
         adj[u].append(v)
@@ -145,8 +160,123 @@ def _left_right_planar(n: int, edges) -> bool:
 def _component_planar(adj, height, parent, out, nxt, root) -> bool:
     """Left-right criterion on the component of ``root``, which the
     orientation finds; the ids of its oriented edges start at 0."""
-    # Orientation: tree edges point away from root, back edges towards it.
     src, dst, lowpt, lowpt2 = [], [], [], []
+    reached = _orient(adj, height, parent, out, nxt, root, src, dst, lowpt, lowpt2)
+    m = len(src)
+    if m <= 8:
+        return True
+    if m > 3 * len(reached) - 6:  # 9 or more edges span at least 5 vertices
+        return False
+    _nest(out, reached, height, src, lowpt, lowpt2)
+    return _testing(out, nxt, height, parent, src, dst, lowpt, root)
+
+
+class PalmTree:
+    """A DFS palm tree of a graph on {1..n} with its left-right orientation,
+    ready for the testing phase: heights, tree edge into each vertex (-1 at
+    a root), per-edge tail, head, lowpoints and nesting depth, and each
+    vertex's edges out sorted by nesting depth.  ``pre`` and ``end`` number
+    the vertices in preorder (-1 where no edge reaches), v's subtree being
+    the numbers pre[v] .. end[v] - 1, so the ancestor test costs two
+    comparisons.  Edge ids run over all components."""
+
+    def __init__(self, n: int, adj) -> None:
+        """The palm tree that the orientation DFS finds when it starts at each
+        vertex with an edge that no earlier start reached and scans the
+        neighbour lists ``adj`` in order."""
+        self.height = height = [-1] * (n + 1)
+        self.parent = parent = [-1] * (n + 1)
+        self.out = out = [[] for _ in range(n + 1)]
+        nxt = [0] * (n + 1)
+        self.src, self.dst, self.lowpt, self.lowpt2 = src, dst, lowpt, lowpt2 = [], [], [], []
+        self.roots = []
+        order = []  # preorder
+        for root in range(1, n + 1):
+            if height[root] < 0 and adj[root]:
+                self.roots.append(root)
+                order += _orient(adj, height, parent, out, nxt, root, src, dst, lowpt, lowpt2)
+        self.depth = _nest(out, order, height, src, lowpt, lowpt2)
+        self.pre = pre = [-1] * (n + 1)
+        self.end = end = [-1] * (n + 1)
+        for i, v in enumerate(order):
+            pre[v], end[v] = i, i + 1
+        for v in reversed(order):
+            e = parent[v]
+            if e >= 0 and end[v] > end[src[e]]:
+                end[src[e]] = end[v]
+
+    def swapped(self, removed: tuple[int, int], added: tuple[int, int]) -> PalmTree | None:
+        """This tree for the graph less the edge ``removed`` plus the pair
+        ``added``, or None unless ``removed`` is a back edge and ``added``
+        joins an ancestor to a descendant.  Then the tree is still a palm
+        tree, ``added`` takes the id of ``removed``, and only the lowpoints
+        on the tree paths from the two tails to the root can change: they
+        are recomputed bottom-up until one stays, and only the edge lists
+        whose nesting depths moved are sorted again.  This tree is left as
+        it was."""
+        height, parent, src, dst = self.height, self.parent, self.src, self.dst
+        x, y = removed
+        if height[x] < height[y]:
+            x, y = y, x
+        if src[parent[x]] == y:  # a tree edge
+            return None
+        d, a = added
+        if height[d] < height[a]:
+            d, a = a, d
+        if not self.pre[a] < self.pre[d] < self.end[a]:
+            return None
+        out = self.out[:]
+        [eid] = [e for e in out[x] if dst[e] == y]
+        out[x] = [e for e in out[x] if e != eid]
+        out[d] = out[d] + [eid]
+        new = copy.copy(self)
+        new.out = out
+        new.src, new.dst = src, dst = src[:], dst[:]
+        new.lowpt, new.lowpt2, new.depth = lowpt, lowpt2, depth = (
+            self.lowpt[:], self.lowpt2[:], self.depth[:])
+        src[eid], dst[eid] = d, a
+        lowpt[eid], lowpt2[eid], depth[eid] = height[a], height[d], 2 * height[a]
+        resort = {d}
+        for w in x, d:
+            e = parent[w]
+            while e >= 0:  # recompute the lowpoints of e, the tree edge into w
+                v = src[e]
+                hv = height[v]
+                low = low2 = hv
+                for o in out[w]:
+                    lo, lo2 = lowpt[o], lowpt2[o]
+                    if lo < low:
+                        low2 = low if low < lo2 else lo2
+                        low = lo
+                    elif lo > low:
+                        if lo < low2:
+                            low2 = lo
+                    elif lo2 < low2:
+                        low2 = lo2
+                if low == lowpt[e] and low2 == lowpt2[e]:
+                    break
+                lowpt[e], lowpt2[e] = low, low2
+                nesting = 2 * low + (low2 < hv)
+                if nesting != depth[e]:
+                    depth[e] = nesting
+                    resort.add(v)
+                w, e = v, parent[v]
+        for v in resort:
+            out[v] = sorted(out[v], key=depth.__getitem__)
+        return new
+
+    def planar(self) -> bool:
+        """The testing phase on every component."""
+        nxt = [0] * len(self.height)
+        return all(_testing(self.out, nxt, self.height, self.parent, self.src, self.dst,
+                            self.lowpt, root) for root in self.roots)
+
+
+def _orient(adj, height, parent, out, nxt, root, src, dst, lowpt, lowpt2) -> list[int]:
+    """Orientation of the component of ``root``: tree edges point away from
+    root, back edges towards it.  New edges are appended to the per-edge
+    lists, so their ids continue from the lists' length.  Returns the
+    vertices reached, in preorder."""
     height[root] = 0
     reached = [root]
     path = [root]
@@ -195,19 +325,23 @@ def _component_planar(adj, height, parent, out, nxt, root) -> bool:
                     lowpt2[e] = low
             elif low2 < lowpt2[e]:
                 lowpt2[e] = low2
+    return reached
 
-    m = len(src)
-    if m <= 8:
-        return True
-    if m > 3 * len(reached) - 6:  # 9 or more edges span at least 5 vertices
-        return False
-    # nesting depth: twice the lowpoint, +1 if chordal
+
+def _nest(out, reached, height, src, lowpt, lowpt2) -> list[int]:
+    """Sort the edges out of each reached vertex by nesting depth: twice the
+    lowpoint, +1 if chordal.  Returns the depths."""
     depth = [2 * low + (low2 < height[v]) for v, low, low2 in zip(src, lowpt, lowpt2)]
     for v in reached:
         out[v].sort(key=depth.__getitem__)
+    return depth
 
-    # Testing: a stack S of conflict pairs over the return edges seen so far,
-    # each [left low, left high, right low, right high] with -1 for none.
+
+def _testing(out, nxt, height, parent, src, dst, lowpt, root) -> bool:
+    """The testing phase on the oriented component of ``root``: a stack S of
+    conflict pairs over the return edges seen so far, each [left low, left
+    high, right low, right high] with -1 for none."""
+    m = len(src)
     S = []
     ref = [-1] * m
     lowpt_edge = list(range(m))  # final for back edges; tree edges copy a child's

@@ -19,6 +19,18 @@ the m edges on sparse states.  When peeling would remove under an eighth of
 the edges (so whenever no vertex of H + f has degree below 2), finding the
 core costs about what the smaller test saves, and the test runs on all m
 edges.
+
+On dense states nearly every proposal is rejected, so one state faces
+hundreds of tests on all m edges.  After a state's ninth such test since the
+last acceptance, the chain builds a palm tree of it (a DFS tree that goes
+next to the unvisited neighbour with the fewest unvisited neighbours, which
+makes it deep) and keeps its left-right orientation.  A proposal is
+eligible when e is a back edge of that tree and f joins an ancestor to a
+descendant: the tree is then still a palm tree of G - e + f, and the test
+patches the orientation instead of running its DFS again.  Other proposals
+take the test on all m edges.  An accepted eligible swap carries the
+patched tree to the new state; any other acceptance drops the tree.
+Either way the answer is the whole-graph one.
 """
 
 from __future__ import annotations
@@ -26,14 +38,24 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ._bits import edges_from_mask, mask_from_edges, pair_count, pair_index, pairs_in_order
+from ._bits import (
+    bit_positions,
+    edges_from_mask,
+    mask_from_edges,
+    pair_count,
+    pair_index,
+    pairs_in_order,
+)
 from .census import EXACT_MAX_N, count_class
 from .errors import CensusMissingError, EmptyClassBoundError, EmptyClassError, InvalidArgumentError
 from .graphs import LabeledGraph, decode, encode
-from .planarity import is_planar_edges
+from .planarity import TABLE_MAX_N, PalmTree, is_planar_edges
 
 DEFAULT_BURN_IN_FACTOR = 50  # burn_in = 50 * n * m
-# thinning = n * m
+# A state gets a palm tree at its ninth step on all m edges since the last
+# acceptance: a tree costs about one whole-graph test to build, and a state
+# left within a few steps would pay for it without reuse.
+_PALM_AFTER = 8
 
 
 def fan_triangulation_edges(n: int) -> list[tuple[int, int]]:
@@ -75,6 +97,9 @@ class ChainState:
         self._adj = list(start.adjacency)  # neighbour bitsets of the state
         # its vertices of degree at most 1, as a bitset
         self._low = sum(1 << x for x, row in enumerate(self._adj) if x and not row & (row - 1))
+        # a palm tree of the state, built once enough steps tested all m edges
+        self._palm: PalmTree | None = None
+        self._whole_tests = 0  # steps since the last acceptance that tested all m edges
         self.rng = _rng(self.seed)
 
     @property
@@ -95,9 +120,10 @@ def mcmc_step(state: ChainState) -> ChainState:
     on an edge set that settles it (module docstring): ``(f,)`` when f
     joins two components of G - e, which the test's at-most-8-edges bound
     accepts at once; all m edges of G - e + f when its 2-core keeps at least
-    seven eighths of them; else the 2-core of f's component in G - e + f.
-    Each answer equals the answer on all m edges, so every seed's samples
-    are those of the whole-graph test."""
+    seven eighths of them, on the state's patched palm tree when the swap is
+    eligible; else the 2-core of f's component in G - e + f.  Each answer
+    equals the answer on all m edges, so every seed's samples are those of
+    the whole-graph test."""
     state.steps_taken += 1
     n, m = state.n, state.m
     total = pair_count(n)
@@ -121,9 +147,22 @@ def mcmc_step(state: ChainState) -> ChainState:
             low &= ~(1 << x)
         else:
             low |= 1 << x
-    if is_planar_edges(n, _core_edges(adj, edges, low, *added)):
+    tested = _core_edges(adj, edges, low, *added)
+    trial = None  # the state's palm tree patched for the swap, if it still is one
+    if tested is edges and n > TABLE_MAX_N:
+        state._whole_tests += 1
+        palm = state._palm
+        if palm is None and state._whole_tests > _PALM_AFTER:
+            _swap(adj, added, removed)  # back to G for a moment
+            palm = state._palm = _palm_tree(n, adj)
+            _swap(adj, removed, added)
+        if palm is not None:
+            trial = palm.swapped(removed, added)
+    if is_planar_edges(n, tested, trial):
         state.mask = mask ^ (1 << slot | 1 << pair_index(n, *removed))
         state._low = low
+        state._palm = trial
+        state._whole_tests = 0
     else:
         edges[drop] = removed
         _swap(adj, added, removed)
@@ -138,6 +177,39 @@ def _swap(adj: list[int], out: tuple[int, int], into: tuple[int, int]) -> None:
     adj[b] ^= 1 << a
     adj[u] ^= 1 << v
     adj[v] ^= 1 << u
+
+
+def _palm_tree(n: int, adj: list[int]) -> PalmTree:
+    """A palm tree of the graph with neighbour bitsets ``adj``.  Its DFS
+    starts at the lowest vertex of each component with an edge and goes next
+    to the unvisited neighbour with the fewest unvisited neighbours (the
+    lowest on ties), which makes the tree deep, so that most pairs join an
+    ancestor to a descendant."""
+    unseen = (1 << n + 1) - 2
+    # neighbour lists, each vertex's children first in the order the DFS took
+    # them, so that the orientation DFS retraces it
+    nbrs: list[list[int]] = [[] for _ in range(n + 1)]
+    for root in range(1, n + 1):
+        if not (unseen >> root & 1 and adj[root]):
+            continue
+        unseen ^= 1 << root
+        path = [root]
+        while path:
+            v = path[-1]
+            todo = adj[v] & unseen
+            if not todo:
+                path.pop()
+                continue
+            best = min(bit_positions(todo), key=lambda w: (adj[w] & unseen).bit_count())
+            nbrs[v].append(best)
+            unseen ^= 1 << best
+            path.append(best)
+    for v, kids in enumerate(nbrs):
+        rest = adj[v]
+        for w in kids:
+            rest ^= 1 << w
+        kids += bit_positions(rest)
+    return PalmTree(n, nbrs)
 
 
 def _core_edges(adj: list[int], edges, low: int, u: int, v: int):
@@ -247,7 +319,9 @@ def sample_many(
         raise InvalidArgumentError(f"thinning must be at least 1, got {thinning}")
     if burn_in < 0:
         raise InvalidArgumentError(f"burn-in must be non-negative, got {burn_in}")
-    state = ChainState(n, m, seed)
+    state = ChainState(n, m, seed)  # refuses a negative seed and m past the fan
+    if count == 0:  # no sample needs the burn-in
+        return SampleBatch(n, m, "mcmc", seed, burn_in, thinning, ())
     for _ in range(burn_in):
         mcmc_step(state)
     out: list[str] = []

@@ -256,3 +256,54 @@ def random_planar_graph(rng: random.Random, n: int, m: int) -> LabeledGraph:
         g = random_graph(rng, n, m)
         if is_planar(g):
             return g
+
+
+def check_palm_tree(palm, edges) -> None:
+    """Assert that ``palm`` (planarity.PalmTree) is a palm tree of the graph
+    with these edges, oriented as the left-right test needs, with every
+    per-edge value taken from its definition rather than from a DFS.
+
+    Tree edges point from parent to child and every other edge from a
+    descendant to an ancestor.  A back edge v->w has lowpoints (height[w],
+    height[v]); a tree edge p->w has as lowpoint the least of height[p] and
+    the heights of the heads of the back edges leaving w's subtree, and as
+    second lowpoint the next distinct one of them, or height[p] when
+    height[p] is the least.  The nesting depth is twice the lowpoint, +1 when
+    the second lowpoint is below the tail; each vertex's edges out are sorted
+    by it."""
+    height, parent, src, dst = palm.height, palm.parent, palm.src, palm.dst
+    ids = range(len(src))
+    assert {tuple(sorted(p)) for p in zip(src, dst)} == {tuple(sorted(e)) for e in edges}
+    assert len(src) == len(set(map(tuple, map(sorted, edges))))
+    up = {w: src[e] for w, e in enumerate(parent) if e >= 0}
+    assert all(dst[e] == w for w, e in enumerate(parent) if e >= 0)
+
+    def ancestors(v):
+        while v in up:
+            v = up[v]
+            yield v
+
+    for v, w in zip(src, dst):
+        if up.get(w) != v:
+            assert w in set(ancestors(v)), (v, w)
+    for w, p in up.items():
+        assert height[w] == height[p] + 1
+        assert palm.pre[p] < palm.pre[w] < palm.end[w] <= palm.end[p]
+    returns: dict[int, set[int]] = {}  # vertex -> heights its subtree returns to
+    for e in ids:
+        if up.get(dst[e]) != src[e]:
+            for v in [src[e], *ancestors(src[e])]:
+                returns.setdefault(v, set()).add(height[dst[e]])
+    for e in ids:
+        v, w = src[e], dst[e]
+        if up.get(w) == v:
+            hv = height[v]
+            heights = sorted(returns.get(w, set()) | {hv})
+            want = (heights[0], heights[1] if heights[0] < hv else hv)
+        else:
+            want = (height[w], height[v])
+        assert (palm.lowpt[e], palm.lowpt2[e]) == want, (v, w)
+        assert palm.depth[e] == 2 * want[0] + (want[1] < height[v]), (v, w)
+    for v, out in enumerate(palm.out):
+        assert sorted(out) == [e for e in ids if src[e] == v]
+        assert [palm.depth[e] for e in out] == sorted(palm.depth[e] for e in out)

@@ -56,18 +56,25 @@ def test_names_the_benchmark_jobs_resolve():
 
 def test_tracer_counts_every_chain_decision():
     """The chain's counts come from the traced names: one is_planar_edges
-    call per mcmc_step, left-right calls below it, and accepted swaps."""
+    call per mcmc_step, left-right calls below it, and accepted swaps, one
+    per change of the state.  At (12, 28) every step tests all m edges,
+    some of them on a palm tree."""
     tracing = load_tracing()
-    tracer = tracing.Tracer()
-    tracer.install(planarlab)
-    try:
-        planarlab.sampler.sample_many(12, 20, 5, method="mcmc", seed=1, burn_in=20, thinning=2)
-    finally:
-        tracer.restore()
-    steps = 20 + 5 * 2
-    keys = tracer.per_key()
-    assert keys["sampler.mcmc_step"][0] == steps
-    assert tracer.edges[("sampler.mcmc_step", "planarity.is_planar_edges")][0] == steps
-    assert keys["planarity.is_planar_edges"][0] == steps
-    assert keys["planarity.left_right"][0] > 0
-    assert tracer.counters["sampler.accepted"] > 0
+    for n, m in (12, 20), (12, 28):
+        tracer = tracing.Tracer()
+        tracer.install(planarlab)
+        steps, changes = 300, 0
+        try:
+            state = planarlab.sampler.ChainState(n, m, 1)
+            for _ in range(steps):
+                before = state.mask
+                planarlab.sampler.mcmc_step(state)
+                changes += state.mask != before
+        finally:
+            tracer.restore()
+        keys = tracer.per_key()
+        assert keys["sampler.mcmc_step"][0] == steps
+        assert tracer.edges[("sampler.mcmc_step", "planarity.is_planar_edges")][0] == steps
+        assert keys["planarity.is_planar_edges"][0] == steps
+        assert keys["planarity.left_right"][0] > 0
+        assert tracer.counters["sampler.accepted"] == changes > 0, (n, m)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import networkx as nx
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import planarlab.planarity as planarity_module
+import planarlab.sampler as sampler_module
 from planarlab import (
     CensusMissingError,
     CensusRecord,
@@ -32,8 +34,10 @@ from planarlab import (
     tv_distance_to_uniform,
 )
 from planarlab._bits import pair_count, pair_index, pairs_in_order
-from planarlab.planarity import is_planar_edges
-from planarlab.sampler import _core_edges
+from planarlab.planarity import _left_right_planar, is_planar_edges
+from planarlab.sampler import _core_edges, _palm_tree
+from tests.oracles import check_palm_tree
+from tests.test_planarity import networkx_planar
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -269,9 +273,9 @@ def count_left_right(monkeypatch) -> list[tuple]:
     calls = []
     left_right = planarity_module._left_right_planar
 
-    def counted(n, edges):
+    def counted(n, edges, palm=None):
         calls.append(tuple(edges))
-        return left_right(n, edges)
+        return left_right(n, edges, palm)
 
     monkeypatch.setattr(planarity_module, "_left_right_planar", counted)
     return calls
@@ -362,6 +366,152 @@ class TestLocalDecision:
         assert state.mask == before and state._edges == edges  # rejected
         [tested] = calls
         assert sorted(tested) == sorted(k33_sub)
+
+
+def record_palm_decisions(monkeypatch) -> list[tuple]:
+    """(n, edges, answer) of every chain decision made on a palm tree from
+    now on."""
+    decisions = []
+    decide = sampler_module.is_planar_edges
+
+    def recorded(n, edges, palm=None):
+        planar = decide(n, edges, palm)
+        if palm is not None:
+            decisions.append((n, tuple(edges), planar))
+        return planar
+
+    monkeypatch.setattr(sampler_module, "is_planar_edges", recorded)
+    return decisions
+
+
+def record_branches(monkeypatch) -> list[str]:
+    """Per step from now on: "whole" if it tested all m edges, else "part"."""
+    branches = []
+    core_edges = sampler_module._core_edges
+
+    def recorded(adj, edges, *rest):
+        tested = core_edges(adj, edges, *rest)
+        branches.append("whole" if tested is edges else "part")
+        return tested
+
+    monkeypatch.setattr(sampler_module, "_core_edges", recorded)
+    return branches
+
+
+def eligible_swap(state):
+    """The first (drop index, slot) whose swap keeps the state's palm tree
+    and the graph planar, with no vertex left below degree 3."""
+    n, edges = state.n, state._edges
+    degree = Counter(v for e in edges for v in e)
+    for drop, e in enumerate(edges):
+        for slot, f in enumerate(pairs_in_order(n)):
+            if f in edges or min(degree[v] - (v in e) + (v in f) for v in range(1, n + 1)) < 3:
+                continue
+            if state._palm.swapped(e, f) is not None and is_planar_edges(
+                    n, [x for x in edges if x != e] + [f]):
+                return drop, slot
+    raise AssertionError("no eligible planar swap")
+
+
+class TestPalmReuse:
+    """A state that keeps rejecting proposals on all m edges gets a palm
+    tree; a proposal that drops a back edge and adds an ancestor-descendant
+    pair is decided on the patched tree.  Every such decision equals the
+    whole-graph one."""
+
+    @pytest.mark.parametrize("n, m, seed, steps", [
+        (100, 290, 200_000, 2000), (100, 290, 200_001, 2000), (100, 290, 200_002, 2000),
+        (100, 250, 200_000, 2000), (30, 45, 300_000, 4000),
+    ])
+    def test_recorded_decisions_match_the_whole_graph(self, monkeypatch, n, m, seed, steps):
+        decisions = record_palm_decisions(monkeypatch)
+        state = ChainState(n, m, seed)
+        for _ in range(steps):
+            mcmc_step(state)
+        assert len(decisions) > (steps // 10 if m > 2 * n else 0)
+        for i, (_, edges, planar) in enumerate(decisions):
+            assert planar == _left_right_planar(n, edges), i
+            if planar or i % 20 == 0:
+                assert planar == networkx_planar(n, edges), i
+
+    def test_accepted_eligible_swap_carries_the_tree(self, monkeypatch):
+        monkeypatch.setattr(sampler_module, "_PALM_AFTER", 0)
+        n = 12
+        edges = sorted(fan_triangulation_edges(n))[2:]  # (1, 2) and (1, 3) gone
+        state = chain_at(n, edges)
+        state._palm = _palm_tree(n, state._adj)
+        drop, slot = eligible_swap(state)
+        state.rng = Scripted(drop, slot)
+        mcmc_step(state)
+        assert state.mask != build_graph(n, edges).mask  # accepted
+        assert state._palm is not None
+        check_palm_tree(state._palm, state._edges)
+        # the next proposals, decided on the carried tree, still agree
+        decisions = record_palm_decisions(monkeypatch)
+        state.rng = random.Random(9)
+        rng, edges, mask = random.Random(9), list(state._edges), state.mask
+        for _ in range(300):
+            mcmc_step(state)
+            mask = reference_step(n, state.m, rng, edges, mask)
+            assert state.mask == mask
+            if state._palm is not None:
+                check_palm_tree(state._palm, state._edges)
+        assert decisions
+
+    def test_core_path_acceptance_drops_the_tree(self, monkeypatch):
+        # K4 on 1..4 with the path 4-5-...-12 hanging off it; the tree runs
+        # 1-2-3-4-...-12, so dropping the back edge (1, 3) and adding (1, 5)
+        # is eligible, but the peeled path sends the step to the 2-core
+        n = 12
+        edges = sorted(combinations(range(1, 5), 2)) + [(v, v + 1) for v in range(4, n)]
+        state = chain_at(n, edges, edges.index((1, 3)), pair_index(n, 1, 5))
+        state._palm = _palm_tree(n, state._adj)
+        assert state._palm.swapped((1, 3), (1, 5)) is not None
+        branches = record_branches(monkeypatch)
+        mcmc_step(state)
+        assert branches == ["part"]
+        assert set(state._edges) == set(edges) - {(1, 3)} | {(1, 5)}  # accepted
+        assert state._palm is None
+
+    def test_ineligible_acceptance_drops_the_tree(self, monkeypatch):
+        # the fan less (1, 2) and (1, 3); a tree edge of its palm tree is
+        # traded for (1, 2), which keeps the graph planar
+        n = 12
+        edges = sorted(fan_triangulation_edges(n))[2:]
+        state = chain_at(n, edges)
+        palm = state._palm = _palm_tree(n, state._adj)
+        e = next(e for e in edges if palm.parent[e[1]] >= 0 and palm.src[palm.parent[e[1]]] == e[0])
+        assert palm.swapped(e, (1, 2)) is None
+        state.rng = Scripted(edges.index(e), pair_index(n, 1, 2))
+        branches = record_branches(monkeypatch)
+        mcmc_step(state)
+        assert branches == ["whole"]
+        assert set(state._edges) == set(edges) - {e} | {(1, 2)}  # accepted
+        assert state._palm is None
+
+
+class TestNoSamples:
+    def test_count_zero_takes_no_step(self, monkeypatch):
+        steps = []
+        step = sampler_module.mcmc_step
+        monkeypatch.setattr(sampler_module, "mcmc_step", lambda state: steps.append(1) or step(state))
+        batch = sample_many(30, 60, 0)  # the default burn-in is 90,000 steps
+        assert batch.samples == () and steps == []
+        assert (batch.burn_in, batch.thinning) == (50 * 30 * 60, 30 * 60)
+        sample_many(30, 60, 1, burn_in=3, thinning=2)
+        assert len(steps) == 5
+
+    @pytest.mark.parametrize("n, m, kwargs, error", [
+        (0, 3, {}, InvalidArgumentError),
+        (5, 10, {}, EmptyClassBoundError),
+        (12, 15, {"seed": -1}, InvalidArgumentError),
+        (12, 15, {"burn_in": -1}, InvalidArgumentError),
+        (12, 15, {"thinning": 0}, InvalidArgumentError),
+        (12, 15, {"method": "gibbs"}, InvalidArgumentError),
+    ])
+    def test_count_zero_keeps_every_error(self, n, m, kwargs, error):
+        with pytest.raises(error):
+            sample_many(n, m, 0, **kwargs)
 
 
 class TestSeeds:
