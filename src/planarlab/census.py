@@ -5,7 +5,9 @@ edge with a slot index above the previous minimum choice, and any branch whose
 partial graph is non-planar is pruned (sound because planarity survives edge
 deletion).  Children are explored so that fixed-m graphs stream out in
 lexicographic order of their text encoding.  Counting goes through the orbit
-census instead: the unlabeled graphs, each with its number of labelings.
+census instead: the unlabeled graphs, each with its number of labelings.  Its
+connected graphs are read from checked-in tables under ``orbits/``, one per
+n <= 9, when an answer first needs that n.
 """
 
 from __future__ import annotations
@@ -13,11 +15,10 @@ from __future__ import annotations
 import os
 import zlib
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import factorial
 from typing import Callable, Iterator, NamedTuple
 
-from ._bits import bit_positions, edges_from_mask, mask_from_edges, pair_count, pair_index
+from ._bits import edges_from_mask, mask_from_edges, pair_count
 from .errors import (
     ChecksumMismatchError,
     InvalidArgumentError,
@@ -26,13 +27,14 @@ from .errors import (
     ResourceLimitError,
     VersionUnsupportedError,
 )
-from .graphs import LabeledGraph, decode, encode, graph_from_mask, is_planar, reach
+from .graphs import LabeledGraph, decode, encode, graph_from_mask, is_planar
 from .planarity import TABLE_MAX_N, mask_planarity
 from .planarity import is_planar_edges, planar_mask_table  # noqa: F401  (bench/tracing.py)
 
 DEFAULT_BUDGET = 50_000_000
 
 _HEADER = "planarlab-census v1"
+_ORBIT_HEADER = "planarlab-orbits v1"
 
 
 def _validate_params(n: int, m: int, budget: int | None = None) -> None:
@@ -130,8 +132,9 @@ def enumerate_all(n: int, visitor: Callable[[LabeledGraph], None]) -> None:
 #
 # Class sizes and nearly every event are isomorphism invariants, so a class is
 # summed over its unlabeled members, each weighted by its number of labelings
-# n!/|Aut G|.  Connected members are built by vertex addition and told apart
-# by a canonical form; the others are multisets of them.
+# n!/|Aut G|.  The connected members are read from orbits/connected_{n}.txt,
+# written by the vertex-addition generator in tests/oracles.py; the others are
+# multisets of them.
 
 EXACT_MAX_N = 9
 
@@ -157,7 +160,8 @@ def check_exact(n: int) -> None:
 
 
 def planar_orbits(n: int) -> tuple[Orbit, ...]:
-    """Every unlabeled planar graph on n <= 9 vertices, built once per n."""
+    """Every unlabeled planar graph on n <= 9 vertices, composed once per n
+    from the checked-in tables of the connected ones."""
     check_exact(n)
     return _orbit_data(n)[1]
 
@@ -183,65 +187,45 @@ def count_class(n: int, m: int, *, budget: int | None = None) -> int:
 
 def _orbit_data(n: int):
     if n not in _ORBIT_CACHE:
-        connected = _connected_orbits(n)
+        connected = _read_connected(n)
         _ORBIT_CACHE[n] = (connected, _compose(n, connected))
     return _ORBIT_CACHE[n]
 
 
-def _connected_orbits(n: int) -> tuple[tuple[int, int], ...]:
-    """(canonical mask, |Aut|) of every connected planar graph on n vertices.
-    Deleting a leaf of a spanning tree leaves a connected graph, so each one
-    is a connected graph on n - 1 vertices plus a vertex joined to a non-empty
-    set S of them.  Only a vertex of least degree among those whose deletion
-    leaves the graph connected is added this way.  Permuting twins of the
-    smaller graph is an automorphism, so S takes the lowest vertices of each
-    twin class it meets; and a non-planar S stays non-planar in every superset."""
-    if n == 1:
-        return ((0, 1),)
-    found: dict[int, int] = {}
-    nonplanar: set[int] = set()
-    planar = mask_planarity(n)
-    new = 1 << n
-    for parent_mask, _ in _orbit_data(n - 1)[0]:
-        parent = LabeledGraph(n - 1, parent_mask).adjacency
-        room = max_planar_edges(n) - parent_mask.bit_count()
-        prefixes = {}
-        for group in set(_twins(parent, n - 1)) - {0}:
-            low = _members(n)[group]
-            prefixes[group] = {sum(1 << v for v in low[:k]) for k in range(len(low) + 1)}
-        leaves = sum(1 << v for v, row in enumerate(parent) if row.bit_count() == 1)
-        bad: list[int] = []
-        for s in range(2, 1 << n, 2):  # S as a vertex bitset over 1..n-1
-            if s.bit_count() > room or any(s & b == b for b in bad):
-                continue
-            if leaves & ~s and s & (s - 1):
-                continue  # a leaf outside S stays deletable: _deletable_below, sooner
-            if any((s & group) not in allowed for group, allowed in prefixes.items()):
-                continue
-            adj = [row | new if s >> v & 1 else row for v, row in enumerate(parent)]
-            adj.append(s)
-            if _deletable_below(adj, n, s.bit_count()):
-                continue
-            form, aut = _canonical_form(n, adj)
-            if form in found:
-                continue
-            if form in nonplanar or not planar(form):
-                nonplanar.add(form)
-                bad.append(s)
-                continue
-            found[form] = aut
-    return tuple(sorted(found.items()))
+def _table(n: int):
+    """The checked-in table of the connected orbits on n vertices."""
+    from importlib.resources import files
+
+    return files(__package__) / "orbits" / f"connected_{n}.txt"
 
 
-def _deletable_below(adj, n: int, degree: int) -> bool:
-    """Whether a vertex of degree below ``degree`` leaves the connected graph
-    with neighbour bitsets adj connected when it is deleted."""
-    for u in range(1, n):
-        if adj[u].bit_count() < degree:
-            rest = (1 << (n + 1)) - 2 & ~(1 << u)
-            if reach([row & rest for row in adj], rest & -rest) == rest:
-                return True
-    return False
+def _read_connected(n: int) -> tuple[tuple[int, int], ...]:
+    """(canonical mask, |Aut|) of every connected planar graph on n vertices,
+    from its table: a header, one "<mask in hex> <|Aut|>" row per graph, and
+    the CRC-32 of everything above the checksum line."""
+    table = _table(n)
+    try:
+        text = table.read_text(encoding="ascii")
+    except (OSError, ValueError) as exc:
+        raise IoFailureError(f"orbit table {table} is unreadable: {exc}") from exc
+    body, found, stated = text.rpartition("checksum ")
+    if not found:
+        raise ChecksumMismatchError(f"orbit table {table} has no checksum line")
+    actual = _crc_text(body)
+    if stated.rstrip("\n") != actual:
+        raise ChecksumMismatchError(
+            f"orbit table {table}: payload checksum {actual} != stated {stated.strip()}"
+        )
+    lines = body.splitlines()
+    rows = lines[3:]
+    if lines[:2] != [_ORBIT_HEADER, f"n {n}"]:
+        raise IoFailureError(f"orbit table {table} is not the {_ORBIT_HEADER} table for n = {n}")
+    if lines[2:3] != [f"rows {len(rows)}"]:
+        raise IoFailureError(f"orbit table {table}: its row count is not the {len(rows)} it lists")
+    try:
+        return tuple((int(mask, 16), int(aut)) for mask, aut in map(str.split, rows))
+    except ValueError as exc:
+        raise IoFailureError(f"orbit table {table} has a bad row: {exc}") from exc
 
 
 def _compose(n: int, connected) -> tuple[Orbit, ...]:
@@ -268,103 +252,6 @@ def _compose(n: int, connected) -> tuple[Orbit, ...]:
 
     extend(0, 0, 0, 1, 0)
     return tuple(out)
-
-
-def _refine(adj, cells: list[int], n: int, members) -> list[int]:
-    """The coarsest equitable refinement of an ordered partition of {1..n}
-    into vertex bitsets: a cell splits by the number of neighbours its
-    vertices have in each cell, the parts in order of those numbers."""
-    while len(cells) < n:
-        split = []
-        for cell in cells:
-            if not cell & (cell - 1):
-                split.append(cell)
-                continue
-            groups: dict[tuple[int, ...], int] = {}
-            for v in members[cell]:
-                row = adj[v]
-                key = tuple([(row & c).bit_count() for c in cells])
-                groups[key] = groups.get(key, 0) | 1 << v
-            split += [groups[key] for key in sorted(groups)]
-        if len(split) == len(cells):
-            break
-        cells = split
-    return cells
-
-
-def _canonical_form(n: int, adj) -> tuple[int, int]:
-    """(canonical edge mask, |Aut|) of the graph with neighbour bitsets adj.
-
-    Each branch individualises one vertex of the first non-singleton cell of
-    an equitable partition and refines again; every discrete partition is an
-    order of the vertices, and the form is the largest edge mask over those
-    orders.  Swapping two twins (equal open or closed neighbourhoods) is an
-    automorphism that fixes every earlier choice, so a branch tries one
-    vertex per twin class: the orders reaching the form are then one per
-    coset of the twin group, and |Aut| is their number times its order."""
-    members = _members(n)
-    twins = _twins(adj, n)
-    twin_order = 1
-    for group in set(twins):
-        twin_order *= factorial(group.bit_count())
-    slot = _slot_table(n)
-    best = [-1, 0]
-
-    def search(cells: list[int]) -> None:
-        cells = _refine(adj, cells, n, members)
-        if len(cells) == n:
-            label = [0] * (n + 1)
-            for i, cell in enumerate(cells):
-                label[cell.bit_length() - 1] = i
-            mask = 0
-            for v in range(1, n + 1):
-                row = slot[label[v]]
-                for w in members[adj[v] >> v + 1 << v + 1]:
-                    mask |= row[label[w]]
-            if mask > best[0]:
-                best[0], best[1] = mask, 1
-            elif mask == best[0]:
-                best[1] += 1
-            return
-        i = next(i for i, cell in enumerate(cells) if cell & (cell - 1))
-        cell = cells[i]
-        tried = 0
-        for v in members[cell]:
-            if not twins[v] & tried:
-                tried |= 1 << v
-                search(cells[:i] + [1 << v, cell ^ 1 << v] + cells[i + 1:])
-
-    search([(1 << (n + 1)) - 2])
-    return best[0], best[1] * twin_order
-
-
-def _twins(adj, n: int) -> list[int]:
-    """twins[v]: the bitset of v's twin class (vertices with v's open or
-    closed neighbourhood) if it has two or more vertices, else 0."""
-    twins = [0] * (n + 1)
-    for closed in (0, 1):
-        groups: dict[int, int] = {}
-        for v in range(1, n + 1):
-            key = adj[v] | closed << v
-            groups[key] = groups.get(key, 0) | 1 << v
-        for group in groups.values():
-            if group & (group - 1):
-                for v in _members(n)[group]:
-                    twins[v] = group
-    return twins
-
-
-@lru_cache(maxsize=None)
-def _members(n: int) -> tuple[list[int], ...]:
-    """The vertices of every vertex bitset over {1..n}."""
-    return tuple(bit_positions(cell) for cell in range(1 << (n + 1)))
-
-
-@lru_cache(maxsize=None)
-def _slot_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """Bit of the edge between the vertices at positions a and b of an order."""
-    return tuple(tuple(1 << pair_index(n, min(a, b) + 1, max(a, b) + 1) if a != b else 0
-                       for b in range(n)) for a in range(n))
 
 
 # -- persistent census -----------------------------------------------------------

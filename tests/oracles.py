@@ -2,20 +2,31 @@
 
 Everything here is written directly from definitions with no shared code
 paths: permutation scans, subset scans, the Kuratowski subdivision search and
-plain BFS.  Slow on purpose.
+plain BFS.  Slow on purpose.  The exception is the connected-orbit generator
+at the end, which wrote the library's checked-in orbit tables: it shares the
+mask planarity test with the library, and the tests check what it wrote
+against the labeled sweep, the automorphism search and the OEIS totals.
 """
 
 from __future__ import annotations
 
+import argparse
 import random
+import sys
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb
+from math import comb, factorial
+from pathlib import Path
 
 import numpy as np
 
-from planarlab import LabeledGraph, ResourceLimitError, build_graph, is_planar
-from planarlab._bits import edges_from_mask, pair_count, pairs_in_order
+from planarlab import LabeledGraph, ResourceLimitError, build_graph, is_planar, max_planar_edges
+from planarlab._bits import bit_positions, edges_from_mask, pair_count, pair_index, pairs_in_order
+from planarlab.census import _ORBIT_HEADER, EXACT_MAX_N, _crc_text
+from planarlab.graphs import reach
+from planarlab.planarity import mask_planarity
+
+ORBIT_TABLES = Path(__file__).resolve().parent.parent / "src" / "planarlab" / "orbits"
 
 # below this many |H|-subsets the plain Python scan beats the vectorized one
 _SUBSET_VECTOR_THRESHOLD = 512
@@ -307,3 +318,200 @@ def check_palm_tree(palm, edges) -> None:
     for v, out in enumerate(palm.out):
         assert sorted(out) == [e for e in ids if src[e] == v]
         assert [palm.depth[e] for e in out] == sorted(palm.depth[e] for e in out)
+
+
+# -- the connected-orbit generator ---------------------------------------------
+#
+# This generator wrote the checked-in tables under src/planarlab/orbits that
+# the orbit census reads.  Rewrite them (and then check them) with
+#
+#     PYTHONPATH=src python -m tests.oracles
+#     PYTHONPATH=src python -m tests.oracles --check
+
+
+@lru_cache(maxsize=None)
+def connected_orbits(n: int) -> tuple[tuple[int, int], ...]:
+    """(canonical mask, |Aut|) of every connected planar graph on n vertices,
+    sorted.  Deleting a leaf of a spanning tree leaves a connected graph, so
+    each one is a connected graph on n - 1 vertices plus a vertex joined to a
+    non-empty set S of them.  Only a vertex of least degree among those whose
+    deletion leaves the graph connected is added this way.  Permuting twins of
+    the smaller graph is an automorphism, so S takes the lowest vertices of
+    each twin class it meets; and a non-planar S stays non-planar in every
+    superset."""
+    if n == 1:
+        return ((0, 1),)
+    found: dict[int, int] = {}
+    nonplanar: set[int] = set()
+    planar = mask_planarity(n)
+    new = 1 << n
+    for parent_mask, _ in connected_orbits(n - 1):
+        parent = LabeledGraph(n - 1, parent_mask).adjacency
+        room = max_planar_edges(n) - parent_mask.bit_count()
+        prefixes = {}
+        for group in set(_twins(parent, n - 1)) - {0}:
+            low = _members(n)[group]
+            prefixes[group] = {sum(1 << v for v in low[:k]) for k in range(len(low) + 1)}
+        leaves = sum(1 << v for v, row in enumerate(parent) if row.bit_count() == 1)
+        bad: list[int] = []
+        for s in range(2, 1 << n, 2):  # S as a vertex bitset over 1..n-1
+            if s.bit_count() > room or any(s & b == b for b in bad):
+                continue
+            if leaves & ~s and s & (s - 1):
+                continue  # a leaf outside S stays deletable: _deletable_below, sooner
+            if any((s & group) not in allowed for group, allowed in prefixes.items()):
+                continue
+            adj = [row | new if s >> v & 1 else row for v, row in enumerate(parent)]
+            adj.append(s)
+            if _deletable_below(adj, n, s.bit_count()):
+                continue
+            form, aut = canonical_form(n, adj)
+            if form in found:
+                continue
+            if form in nonplanar or not planar(form):
+                nonplanar.add(form)
+                bad.append(s)
+                continue
+            found[form] = aut
+    return tuple(sorted(found.items()))
+
+
+def _deletable_below(adj, n: int, degree: int) -> bool:
+    """Whether a vertex of degree below ``degree`` leaves the connected graph
+    with neighbour bitsets adj connected when it is deleted."""
+    for u in range(1, n):
+        if adj[u].bit_count() < degree:
+            rest = (1 << (n + 1)) - 2 & ~(1 << u)
+            if reach([row & rest for row in adj], rest & -rest) == rest:
+                return True
+    return False
+
+
+def _refine(adj, cells: list[int], n: int, members) -> list[int]:
+    """The coarsest equitable refinement of an ordered partition of {1..n}
+    into vertex bitsets: a cell splits by the number of neighbours its
+    vertices have in each cell, the parts in order of those numbers."""
+    while len(cells) < n:
+        split = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                split.append(cell)
+                continue
+            groups: dict[tuple[int, ...], int] = {}
+            for v in members[cell]:
+                row = adj[v]
+                key = tuple([(row & c).bit_count() for c in cells])
+                groups[key] = groups.get(key, 0) | 1 << v
+            split += [groups[key] for key in sorted(groups)]
+        if len(split) == len(cells):
+            break
+        cells = split
+    return cells
+
+
+def canonical_form(n: int, adj) -> tuple[int, int]:
+    """(canonical edge mask, |Aut|) of the graph with neighbour bitsets adj.
+
+    Each branch individualises one vertex of the first non-singleton cell of
+    an equitable partition and refines again; every discrete partition is an
+    order of the vertices, and the form is the largest edge mask over those
+    orders.  Swapping two twins (equal open or closed neighbourhoods) is an
+    automorphism that fixes every earlier choice, so a branch tries one
+    vertex per twin class: the orders reaching the form are then one per
+    coset of the twin group, and |Aut| is their number times its order."""
+    members = _members(n)
+    twins = _twins(adj, n)
+    twin_order = 1
+    for group in set(twins):
+        twin_order *= factorial(group.bit_count())
+    slot = _slot_table(n)
+    best = [-1, 0]
+
+    def search(cells: list[int]) -> None:
+        cells = _refine(adj, cells, n, members)
+        if len(cells) == n:
+            label = [0] * (n + 1)
+            for i, cell in enumerate(cells):
+                label[cell.bit_length() - 1] = i
+            mask = 0
+            for v in range(1, n + 1):
+                row = slot[label[v]]
+                for w in members[adj[v] >> v + 1 << v + 1]:
+                    mask |= row[label[w]]
+            if mask > best[0]:
+                best[0], best[1] = mask, 1
+            elif mask == best[0]:
+                best[1] += 1
+            return
+        i = next(i for i, cell in enumerate(cells) if cell & (cell - 1))
+        cell = cells[i]
+        tried = 0
+        for v in members[cell]:
+            if not twins[v] & tried:
+                tried |= 1 << v
+                search(cells[:i] + [1 << v, cell ^ 1 << v] + cells[i + 1:])
+
+    search([(1 << (n + 1)) - 2])
+    return best[0], best[1] * twin_order
+
+
+def _twins(adj, n: int) -> list[int]:
+    """twins[v]: the bitset of v's twin class (vertices with v's open or
+    closed neighbourhood) if it has two or more vertices, else 0."""
+    twins = [0] * (n + 1)
+    for closed in (0, 1):
+        groups: dict[int, int] = {}
+        for v in range(1, n + 1):
+            key = adj[v] | closed << v
+            groups[key] = groups.get(key, 0) | 1 << v
+        for group in groups.values():
+            if group & (group - 1):
+                for v in _members(n)[group]:
+                    twins[v] = group
+    return twins
+
+
+@lru_cache(maxsize=None)
+def _members(n: int) -> tuple[list[int], ...]:
+    """The vertices of every vertex bitset over {1..n}."""
+    return tuple(bit_positions(cell) for cell in range(1 << (n + 1)))
+
+
+@lru_cache(maxsize=None)
+def _slot_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Bit of the edge between the vertices at positions a and b of an order."""
+    return tuple(tuple(1 << pair_index(n, min(a, b) + 1, max(a, b) + 1) if a != b else 0
+                       for b in range(n)) for a in range(n))
+
+
+def orbit_table_text(n: int, rows) -> str:
+    """The table of the connected orbits on n vertices as census reads it:
+    a header, one "<canonical mask in hex> <|Aut|>" line per orbit, and the
+    CRC-32 of everything above the checksum line."""
+    body = f"{_ORBIT_HEADER}\nn {n}\nrows {len(rows)}\n"
+    body += "".join(f"{mask:x} {aut}\n" for mask, aut in rows)
+    return f"{body}checksum {_crc_text(body)}\n"
+
+
+def main(argv=None) -> int:
+    """Write the checked-in orbit tables for n = 1..9 from the generator, or
+    with --check compare them with it and exit 1 on a difference."""
+    parser = argparse.ArgumentParser(prog="python -m tests.oracles", description=main.__doc__)
+    parser.add_argument("--check", action="store_true")
+    args = parser.parse_args(argv)
+    stale = []
+    for n in range(1, EXACT_MAX_N + 1):
+        text = orbit_table_text(n, connected_orbits(n))
+        path = ORBIT_TABLES / f"connected_{n}.txt"
+        if not args.check:
+            path.write_text(text, encoding="ascii", newline="\n")
+        elif not path.is_file() or path.read_text(encoding="ascii") != text:
+            stale.append(path.name)
+        print(f"{path.name}: {len(connected_orbits(n))} rows", file=sys.stderr)
+    if stale:
+        print(f"differs from the generator: {', '.join(stale)}", file=sys.stderr)
+    return 1 if stale else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import errno
 import random
+import re
+import subprocess
+import sys
 import zlib
 from math import comb, factorial
 
@@ -37,7 +40,15 @@ from planarlab import (
     save_census,
 )
 from planarlab._bits import pair_count
-from tests.oracles import brute_force_count, random_graph
+from planarlab.cli import main
+from tests.oracles import (
+    ORBIT_TABLES,
+    brute_force_count,
+    canonical_form,
+    connected_orbits,
+    orbit_table_text,
+    random_graph,
+)
 
 # unlabeled planar graphs on n = 1..8 vertices (OEIS A005470), and connected ones (A003094)
 UNLABELED = (1, 2, 4, 11, 33, 142, 822, 6966)
@@ -244,10 +255,104 @@ class TestOrbitCensus:
             perm = list(range(1, n + 1))
             rng.shuffle(perm)
             h = build_graph(n, [(perm[i - 1], perm[j - 1]) for i, j in g.edges])
-            form, aut = census_module._canonical_form(n, g.adjacency)
-            assert census_module._canonical_form(n, h.adjacency) == (form, aut)
+            form, aut = canonical_form(n, g.adjacency)
+            assert canonical_form(n, h.adjacency) == (form, aut)
             assert isomorphic(LabeledGraph(n, form), g)
             assert aut == automorphism_count(g)
+
+
+class TestOrbitTables:
+    """The connected orbits come from checked-in tables that the generator in
+    tests/oracles.py wrote; n = 9 is checked against it by a CI step."""
+
+    def test_tables_equal_the_generator(self):
+        for n in range(1, 9):
+            rows = connected_orbits(n)
+            assert census_module._read_connected(n) == rows, n
+            path = ORBIT_TABLES / f"connected_{n}.txt"
+            assert path.read_text(encoding="ascii") == orbit_table_text(n, rows), n
+
+    def test_import_reads_no_table(self):
+        code = """
+import sys
+opened = []
+sys.addaudithook(lambda event, args: event == "open" and opened.append(str(args[0])))
+import planarlab, planarlab.cli
+print(sum("connected_" in path for path in opened), len(planarlab.census._ORBIT_CACHE))
+"""
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "0 0\n"
+
+    def test_an_n7_answer_reads_the_tables_up_to_7(self, monkeypatch):
+        read = []
+        table = census_module._table
+        monkeypatch.setattr(census_module, "_ORBIT_CACHE", {})
+        monkeypatch.setattr(census_module, "_table", lambda n: read.append(n) or table(n))
+        assert class_counts(7)[9] == 293_860
+        assert sorted(read) == list(range(1, 8))
+
+    @staticmethod
+    def tampered(monkeypatch, tmp_path, n, edit):
+        """Point the loader at a copy of the tables in tmp_path whose n table
+        is rewritten by ``edit``, with a cold cache."""
+        for path in ORBIT_TABLES.iterdir():
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        target = tmp_path / f"connected_{n}.txt"
+        edit(target)
+        monkeypatch.setattr(census_module, "_table", lambda k: tmp_path / f"connected_{k}.txt")
+        monkeypatch.setattr(census_module, "_ORBIT_CACHE", {})
+        return target
+
+    def test_a_wrong_checksum_is_refused(self, monkeypatch, tmp_path):
+        def flip_a_row(path):
+            text = path.read_text(encoding="ascii")
+            path.write_text(text.replace("\n1a8 2\n", "\n1a9 2\n"), encoding="ascii")
+
+        path = self.tampered(monkeypatch, tmp_path, 5, flip_a_row)
+        with pytest.raises(ChecksumMismatchError, match=re.escape(str(path))):
+            planar_orbits(5)
+
+    def test_a_missing_checksum_line_is_refused(self, monkeypatch, tmp_path):
+        def truncate(path):
+            path.write_bytes(path.read_bytes()[:-18])
+
+        path = self.tampered(monkeypatch, tmp_path, 6, truncate)
+        with pytest.raises(ChecksumMismatchError, match=re.escape(str(path))):
+            planar_orbits(6)
+
+    def test_a_wrong_row_count_is_refused(self, monkeypatch, tmp_path):
+        def drop_a_row(path):
+            body = orbit_table_text(6, connected_orbits(6)[:-1]).rpartition("checksum ")[0]
+            body = body.replace("rows 98", "rows 99")
+            path.write_text(f"{body}checksum {census_module._crc_text(body)}\n", encoding="ascii")
+
+        path = self.tampered(monkeypatch, tmp_path, 6, drop_a_row)
+        with pytest.raises(IoFailureError, match=re.escape(str(path))):
+            planar_orbits(6)
+
+    def test_a_table_for_another_n_is_refused(self, monkeypatch, tmp_path):
+        def swap(path):
+            path.write_text(orbit_table_text(4, connected_orbits(4)), encoding="ascii")
+
+        path = self.tampered(monkeypatch, tmp_path, 5, swap)
+        with pytest.raises(IoFailureError, match=re.escape(str(path))):
+            planar_orbits(5)
+
+    def test_a_missing_table_is_refused(self, monkeypatch, tmp_path):
+        path = self.tampered(monkeypatch, tmp_path, 4, lambda path: path.unlink())
+        with pytest.raises(IoFailureError, match=re.escape(str(path))):
+            class_counts(4)
+
+    def test_the_cli_prints_one_error_line(self, monkeypatch, tmp_path, capsys):
+        path = self.tampered(monkeypatch, tmp_path, 3, lambda path: path.write_text("x"))
+        code = main(["experiment", "--n-list", "5", "--m-list", "4", "--events", "connected",
+                     "--method", "exact", "--out", str(tmp_path / "t.csv")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(path) in captured.err and "Traceback" not in captured.err
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestPersistence:
