@@ -246,8 +246,8 @@ def _compose(n: int, connected) -> tuple[Orbit, ...]:
             if offset + k > n:
                 break
             again = repeat + 1 if idx == start and offset else 1
-            placed = mask_from_edges(n, [(i + offset, j + offset)
-                                         for i, j in edges_from_mask(k, part)])
+            placed = part if k == n else mask_from_edges(
+                n, [(i + offset, j + offset) for i, j in edges_from_mask(k, part)])
             extend(idx, offset + k, mask | placed, weight * aut * again, again)
 
     extend(0, 0, 0, 1, 0)

@@ -11,34 +11,34 @@ mechanisms, all cross-checked in the test suite:
   the edge mask of every K5/K3,3 subdivision on {1..n} in one Python int
   and closing upward over supersets, one shift-and-or per vertex pair (a
   graph is non-planar exactly when it contains one of them);
-* n >= 8: the left-right planarity test (Brandes 2009), run on each
-  connected component with an edge, as two iterative DFS phases over an
-  explicit path: the orientation, started at each such vertex no earlier
-  orientation reached, finds the component and its lowpoints and nesting
-  depths; the testing phase keeps a stack of conflict pairs.  Neither
+* n >= 8: the left-right planarity test (Brandes 2009), as two iterative
+  DFS phases over an explicit path.  The orientation, started at each
+  vertex with an edge that no earlier start reached, builds a ``PalmTree``:
+  a DFS tree of every component with its lowpoints and nesting depths.
+  The testing phase walks the components one after the other, keeping a
+  stack of conflict pairs, and decides every one of them.  Neither
   recurses, so any n works without touching the interpreter's recursion
-  limit.  Oriented edges are integer ids, numbered per component in the
-  order the orientation creates them: every per-edge value (tail, head,
-  lowpoints, nesting depth, ref, lowpoint edge, stack bottom) is a list
-  indexed by id, the tree edge into each vertex a list indexed by vertex,
-  and a conflict pair is a 4-slot list [left low, left high, right low,
-  right high] of edge ids, -1 where an interval has no edge.
+  limit.  Oriented edges are integer ids over all components, numbered in
+  the order the orientation creates them: every per-edge value (tail,
+  head, lowpoints, nesting depth, ref, lowpoint edge, stack bottom) is a
+  list indexed by id, the tree edge into each vertex a list indexed by
+  vertex, and a conflict pair is a 4-slot list [left low, left high, right
+  low, right high] of edge ids, -1 where an interval has no edge.
 
-The two phases are separate functions, so that a caller that decides many
-graphs one edge swap apart can keep the orientation: a ``PalmTree`` holds
-one, for a DFS tree of the caller's choosing, with edge ids running over
-all components.  A DFS tree stays a palm tree (every non-tree edge joins an
-ancestor to a descendant) when a back edge leaves and a pair that joins an
-ancestor to a descendant comes in; ``PalmTree.swapped`` patches the
-orientation for such a swap, recomputing lowpoints only on the two tree
-paths to the root, and ``is_planar_edges(n, edges, palm)`` then runs only
-the testing phase.
+Every left-right test runs the testing phase on a ``PalmTree``, so that a
+caller that decides many graphs one edge swap apart can keep the
+orientation, for a DFS tree of its choosing.  A DFS tree stays a palm tree
+(every non-tree edge joins an ancestor to a descendant) when a back edge
+leaves and a pair that joins an ancestor to a descendant comes in;
+``PalmTree.swapped`` patches the orientation for such a swap, recomputing
+lowpoints only on the two tree paths to the root, and
+``is_planar_edges(n, edges, palm)`` then runs only the testing phase.
 """
 
 from __future__ import annotations
 
 import copy
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from typing import Callable, Iterable
 
@@ -136,39 +136,18 @@ def planar_mask_table(n: int) -> bytes:
 
 
 def _left_right_planar(n: int, edges, palm: PalmTree | None = None) -> bool:
-    if palm is not None:
-        return palm.planar()
-    adj = [[] for _ in range(n + 1)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    for neighbours in adj:
-        neighbours.sort()
-    # By vertex, allocated once and shared by the components: the height (-1
-    # until the orientation reaches the vertex), the id of the tree edge into
-    # it (-1 at a root), its oriented edges out, and the next position in
-    # adj (orientation) or out (testing).
-    height = [-1] * (n + 1)
-    parent = [-1] * (n + 1)
-    out = [[] for _ in range(n + 1)]
-    nxt = [0] * (n + 1)
-    return all(height[root] >= 0 or not adj[root]
-               or _component_planar(adj, height, parent, out, nxt, root)
-               for root in range(1, n + 1))
-
-
-def _component_planar(adj, height, parent, out, nxt, root) -> bool:
-    """Left-right criterion on the component of ``root``, which the
-    orientation finds; the ids of its oriented edges start at 0."""
-    src, dst, lowpt, lowpt2 = [], [], [], []
-    reached = _orient(adj, height, parent, out, nxt, root, src, dst, lowpt, lowpt2)
-    m = len(src)
-    if m <= 8:
-        return True
-    if m > 3 * len(reached) - 6:  # 9 or more edges span at least 5 vertices
-        return False
-    _nest(out, reached, height, src, lowpt, lowpt2)
-    return _testing(out, nxt, height, parent, src, dst, lowpt, root)
+    """The left-right test of the graph on {1..n} with these edges, on its
+    palm tree ``palm`` if given, else on the one found over sorted
+    neighbour lists."""
+    if palm is None:
+        adj = [[] for _ in range(n + 1)]
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        for neighbours in adj:
+            neighbours.sort()
+        palm = PalmTree(n, adj)
+    return palm.planar()
 
 
 class PalmTree:
@@ -178,7 +157,8 @@ class PalmTree:
     vertex's edges out sorted by nesting depth.  ``pre`` and ``end`` number
     the vertices in preorder (-1 where no edge reaches), v's subtree being
     the numbers pre[v] .. end[v] - 1, so the ancestor test costs two
-    comparisons.  Edge ids run over all components."""
+    comparisons; only ``swapped`` needs them, so they are found on first
+    use.  Edge ids run over all components."""
 
     def __init__(self, n: int, adj) -> None:
         """The palm tree that the orientation DFS finds when it starts at each
@@ -190,20 +170,35 @@ class PalmTree:
         nxt = [0] * (n + 1)
         self.src, self.dst, self.lowpt, self.lowpt2 = src, dst, lowpt, lowpt2 = [], [], [], []
         self.roots = []
-        order = []  # preorder
+        self.order = order = []  # the vertices with an edge, in preorder
         for root in range(1, n + 1):
             if height[root] < 0 and adj[root]:
                 self.roots.append(root)
                 order += _orient(adj, height, parent, out, nxt, root, src, dst, lowpt, lowpt2)
-        self.depth = _nest(out, order, height, src, lowpt, lowpt2)
-        self.pre = pre = [-1] * (n + 1)
-        self.end = end = [-1] * (n + 1)
-        for i, v in enumerate(order):
-            pre[v], end[v] = i, i + 1
-        for v in reversed(order):
+        # nesting depth: twice the lowpoint, +1 if chordal
+        self.depth = depth = [2 * low + (low2 < height[v])
+                              for v, low, low2 in zip(src, lowpt, lowpt2)]
+        for v in order:
+            out[v].sort(key=depth.__getitem__)
+
+    @cached_property
+    def pre(self) -> list[int]:
+        pre = [-1] * len(self.height)
+        for i, v in enumerate(self.order):
+            pre[v] = i
+        return pre
+
+    @cached_property
+    def end(self) -> list[int]:
+        end = [-1] * len(self.height)
+        for i, v in enumerate(self.order):
+            end[v] = i + 1
+        parent, src = self.parent, self.src
+        for v in reversed(self.order):
             e = parent[v]
             if e >= 0 and end[v] > end[src[e]]:
                 end[src[e]] = end[v]
+        return end
 
     def swapped(self, removed: tuple[int, int], added: tuple[int, int]) -> PalmTree | None:
         """This tree for the graph less the edge ``removed`` plus the pair
@@ -267,9 +262,8 @@ class PalmTree:
 
     def planar(self) -> bool:
         """The testing phase on every component."""
-        nxt = [0] * len(self.height)
-        return all(_testing(self.out, nxt, self.height, self.parent, self.src, self.dst,
-                            self.lowpt, root) for root in self.roots)
+        return _testing(self.out, self.height, self.parent, self.src, self.dst, self.lowpt,
+                        self.roots)
 
 
 def _orient(adj, height, parent, out, nxt, root, src, dst, lowpt, lowpt2) -> list[int]:
@@ -328,26 +322,18 @@ def _orient(adj, height, parent, out, nxt, root, src, dst, lowpt, lowpt2) -> lis
     return reached
 
 
-def _nest(out, reached, height, src, lowpt, lowpt2) -> list[int]:
-    """Sort the edges out of each reached vertex by nesting depth: twice the
-    lowpoint, +1 if chordal.  Returns the depths."""
-    depth = [2 * low + (low2 < height[v]) for v, low, low2 in zip(src, lowpt, lowpt2)]
-    for v in reached:
-        out[v].sort(key=depth.__getitem__)
-    return depth
-
-
-def _testing(out, nxt, height, parent, src, dst, lowpt, root) -> bool:
-    """The testing phase on the oriented component of ``root``: a stack S of
-    conflict pairs over the return edges seen so far, each [left low, left
-    high, right low, right high] with -1 for none."""
+def _testing(out, height, parent, src, dst, lowpt, roots) -> bool:
+    """The testing phase on the oriented components of ``roots``, one after
+    the other: a stack S of conflict pairs over the return edges seen so
+    far, each [left low, left high, right low, right high] with -1 for
+    none.  S is empty again when a component is done."""
     m = len(src)
     S = []
     ref = [-1] * m
     lowpt_edge = list(range(m))  # final for back edges; tree edges copy a child's
     stack_bottom = [None] * m
-    nxt[root] = 0
-    path = [root]
+    nxt = [0] * len(out)  # by vertex: the next position in out
+    path = roots[::-1]  # the roots not yet walked wait below the walk
     while path:
         v = path[-1]
         i = nxt[v]
@@ -356,15 +342,14 @@ def _testing(out, nxt, height, parent, src, dst, lowpt, root) -> bool:
             stack_bottom[ei] = S[-1] if S else None
             w = dst[ei]
             if ei == parent[w]:  # tree edge: finished when w is
-                nxt[w] = 0
                 path.append(w)
                 continue
             S.append([-1, -1, ei, ei])  # back edge
         else:
             path.pop()
             ei = parent[v]
-            if ei < 0:
-                break
+            if ei < 0:  # v is a root
+                continue
             v = src[ei]
             i = nxt[v]
             # trim the back edges that return to v

@@ -284,8 +284,8 @@ def _stored_graphs(n: int, m: int, census) -> tuple[str, ...]:
 
 def exact_sample(n: int, m: int, seed: int, census) -> LabeledGraph:
     """One uniform draw from a census record that stores its graphs."""
-    graphs = _stored_graphs(n, m, census)
-    return decode(graphs[_rng(seed).randrange(len(graphs))])
+    [enc] = sample_many(n, m, 1, method="exact", seed=seed, census=census).samples
+    return decode(enc)
 
 
 def sample_many(

@@ -272,6 +272,14 @@ class TestOrbitTables:
             path = ORBIT_TABLES / f"connected_{n}.txt"
             assert path.read_text(encoding="ascii") == orbit_table_text(n, rows), n
 
+    def test_connected_orbits_are_the_table_rows(self):
+        # the census composes each connected orbit from its table row alone
+        for n in range(1, 9):
+            connected = sorted(o for o in planar_orbits(n) if kappa(LabeledGraph(n, o.mask)) == 1)
+            rows = census_module._read_connected(n)
+            assert connected == sorted((mask, mask.bit_count(), factorial(n) // aut)
+                                       for mask, aut in rows), n
+
     def test_import_reads_no_table(self):
         code = """
 import sys

@@ -163,6 +163,15 @@ class TestStructuredFamiliesBeyondTable:
         k4 = list(combinations(range(97, 101), 2))
         assert is_planar_edges(100, k4)
         assert _left_right_planar(100, k4)
+        # components with more than 3|V| - 6 edges (K6, K7) and a K3,3 are
+        # decided by the testing phase alone, beside a planar component too
+        k6 = list(combinations(range(95, 101), 2))
+        k7 = list(combinations(range(94, 101), 2))
+        k33 = [(a, b) for a in (90, 92, 94) for b in (95, 97, 100)]
+        wheel = [(1, v) for v in range(2, 12)] + [(v, v + 1) for v in range(2, 11)] + [(2, 11)]
+        cases = [(k6, False), (k7, False), (k33, False), (wheel + k6, False), (wheel, True)]
+        for edges, planar in cases:
+            assert _left_right_planar(100, edges) == networkx_planar(100, edges) == planar
 
 
 def stacked_triangulation(rng, labels):
@@ -228,8 +237,9 @@ class TestNetworkxOracle:
         assert verdicts[True] > 0 and verdicts[False] > 0
 
     def test_disjoint_unions_of_many_small_components(self):
-        # hundreds of components share the per-vertex arrays of one call;
-        # allocating them per component would make this quadratic in n
+        # hundreds of components share the per-vertex and per-edge arrays of
+        # one call; allocating them per component would make this quadratic
+        # in n
         n = 2000
         rng = random.Random(n)
         labels = list(range(1, n + 1))
@@ -308,6 +318,7 @@ class TestPalmTree:
 
     def test_eligible_swap_is_patched_and_leaves_the_tree(self):
         palm = sorted_palm(8, PATH_WITH_CHORDS)
+        palm.pre, palm.end  # found on first use; here before the snapshot
         before = copy.deepcopy(vars(palm))
         edges = [e for e in PATH_WITH_CHORDS if e != (1, 5)] + [(3, 7)]
         trial = palm.swapped((1, 5), (3, 7))

@@ -80,6 +80,15 @@ class TestExactSampling:
         for seed in (0, 1, 987654321):
             assert exact_sample(4, 6, seed, store) == complete_graph(4)
 
+    def test_single_draw_is_the_first_batch_draw(self):
+        store = build_census(5, [5], store_graphs=True)
+        graphs = store.get(5, 5).graphs
+        for seed in range(20):
+            batch = sample_many(5, 5, 3, method="exact", seed=seed, census=store)
+            drawn = exact_sample(5, 5, seed, store)
+            assert drawn == decode(batch.samples[0])
+            assert drawn == decode(graphs[random.Random(seed).randrange(len(graphs))])
+
     def test_empty_class(self):
         store = build_census(5, [10], store_graphs=True)
         with pytest.raises(EmptyClassError):
