@@ -15,6 +15,7 @@ from __future__ import annotations
 import os
 import zlib
 from dataclasses import dataclass, field
+from itertools import pairwise
 from math import factorial
 from typing import Callable, Iterator, NamedTuple
 
@@ -288,7 +289,7 @@ class CensusRecord:
             return
         if len(self.graphs) != self.count:
             raise IoFailureError("stored graph list does not match the class count")
-        if list(self.graphs) != sorted(set(self.graphs)):
+        if any(a >= b for a, b in pairwise(self.graphs)):
             raise IoFailureError("stored graphs must be sorted and duplicate-free")
         for enc in self.graphs:
             try:

@@ -4,9 +4,12 @@ Simple undirected graphs on the vertex set {1..n}, the element type of the
 uniform classes this package enumerates and samples.  A graph is (n, mask),
 bit s of the mask being the edge in slot s (``_bits``); statistics run on
 neighbour bitsets built on first use (the components and the bridges are
-kept the same way), and the edge pairs are derived on demand.  Values are
-never modified once built and are safe to share; every operation here is a
-pure function of its inputs.
+kept the same way), and the edge pairs are derived on demand.  Components
+are bitset flood fills (``reach``); bridges come from one breadth-first
+spanning forest, walked leaves first.  The text encoding is the mask's bits
+reversed, read off its hex digits.  Values are never modified once built
+and are safe to share; every operation here is a pure function of its
+inputs.
 """
 
 from __future__ import annotations
@@ -153,15 +156,17 @@ def induced_subgraph(g: LabeledGraph, vertices) -> LabeledGraph:
 # -- canonical text encoding ---------------------------------------------------
 
 
+# hex digit -> the digit with its four bits in reverse order
+_NIBBLE_REVERSED = str.maketrans("0123456789ABCDEF", "084C2A6E195D3B7F")
+
+
 def encode(g: LabeledGraph) -> str:
-    """Render as "n:HEX": upper-triangle bits in slot order, right-padded to 4."""
-    slots = pair_count(g.n)
-    pad = (-slots) % 4
-    width = (slots + pad) // 4
+    """Render as "n:HEX": upper-triangle bits in slot order, right-padded to 4;
+    the mask's hex digits in reverse order, each with its bits reversed."""
+    width = (pair_count(g.n) + 3) // 4
     if not width:
         return f"{g.n}:"
-    flipped = int(f"{g.mask:0{slots}b}"[::-1], 2)  # slot 0 becomes the top bit
-    return f"{g.n}:{flipped << pad:0{width}X}"
+    return f"{g.n}:{f'{g.mask:0{width}X}'[::-1].translate(_NIBBLE_REVERSED)}"
 
 
 def decode(text: str) -> LabeledGraph:
@@ -174,16 +179,15 @@ def decode(text: str) -> LabeledGraph:
         raise MalformedEncodingError("vertex count must be positive")
     hexpart = match.group(2)
     slots = pair_count(n)
-    pad = (-slots) % 4
-    width = (slots + pad) // 4
+    width = (slots + 3) // 4
     if len(hexpart) != width:
         raise MalformedEncodingError(
             f"expected {width} hex digits for n={n}, got {len(hexpart)}"
         )
-    acc = int(hexpart, 16) if hexpart else 0
-    if acc & ((1 << pad) - 1):
+    mask = int(hexpart[::-1].translate(_NIBBLE_REVERSED), 16) if hexpart else 0
+    if mask >> slots:  # the pad bits land above the last slot
         raise MalformedEncodingError("nonzero trailing pad bits")
-    return LabeledGraph(n, int(f"{acc >> pad:0{slots}b}"[::-1], 2))
+    return LabeledGraph(n, mask)
 
 
 # -- planarity ------------------------------------------------------------------
@@ -208,36 +212,38 @@ def kappa(g: LabeledGraph) -> int:
 
 
 def bridges(g: LabeledGraph) -> frozenset[Edge]:
-    """Edges whose deletion increases the component count: the edges (p, v)
-    of a spanning forest such that no other edge leaves the subtree below v.
-    Computed once per graph."""
+    """Edges whose deletion increases the component count: the tree edges
+    (p, v) of a breadth-first spanning forest whose subtree below v has no
+    neighbour but p; breadth first, p has no other neighbour in that subtree."""
     if g._bridges is not None:
         return g._bridges
     adj = g.adjacency
     parent = [0] * (g.n + 1)
-    inside = [0] * (g.n + 1)  # the subtree below v, v included
-    around = [0] * (g.n + 1)  # the neighbours of that subtree
-    out: set[Edge] = set()
-    seen = 0
-    for root in range(1, g.n + 1):
-        if seen >> root & 1:
-            continue
-        seen |= 1 << root
-        tree = [root]
+    inside = [0] * (g.n + 1)  # the subtrees of v's children
+    around = [0] * (g.n + 1)  # the neighbours of those subtrees
+    out = []
+    rest = (1 << (g.n + 1)) - 2  # the vertices no tree has reached yet
+    while rest:
+        seen = rest & -rest  # the root; a tree stays inside its component
+        tree = [seen.bit_length() - 1]
         for v in tree:  # breadth-first; the list grows while it is walked
             fresh = adj[v] & ~seen
             seen |= fresh
-            for w in bit_positions(fresh):
+            while fresh:
+                low = fresh & -fresh
+                w = low.bit_length() - 1
                 parent[w] = v
                 tree.append(w)
+                fresh ^= low
+        rest &= ~seen
         for v in reversed(tree[1:]):  # each vertex after all of its descendants
             p = parent[v]
-            inside[v] |= 1 << v
-            around[v] |= adj[v]
-            if around[v] & ~inside[v] == 1 << p and adj[p] & inside[v] == 1 << v:
-                out.add((p, v) if p < v else (v, p))
-            inside[p] |= inside[v]
-            around[p] |= around[v]
+            below = inside[v] | 1 << v  # the subtree below v, v included
+            reached = around[v] | adj[v]  # and its neighbours
+            if reached & ~below == 1 << p:  # p is the subtree's one neighbour
+                out.append((p, v) if p < v else (v, p))
+            inside[p] |= below
+            around[p] |= reached
     g._bridges = frozenset(out)
     return g._bridges
 

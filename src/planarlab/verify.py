@@ -3,6 +3,8 @@
 Each check is a theorem about every member of the class, so a single
 violation on an enumerated graph means a bug in this package, not in the
 mathematics.  Strict inequalities are compared in exact integer arithmetic.
+``verify_graph`` returns the public ``check_*`` results on one graph; a class
+verification tallies, per check, the graphs checked and the violations.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Any
 
-from ._bits import bit_positions
 from .census import _validate_params, enumerate_class
 from .errors import (
     NotPlanarInputError,
@@ -38,7 +39,8 @@ from .patterns import (
 )
 
 
-@dataclass(frozen=True)
+# Not frozen, as LabeledGraph: a frozen __init__ costs three times as much.
+@dataclass(unsafe_hash=True, slots=True)
 class CheckResult:
     name: str
     holds: bool
@@ -46,7 +48,7 @@ class CheckResult:
     rhs: Any
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class VerificationReport:
     encoding: str
     checks: tuple[CheckResult, ...]
@@ -65,12 +67,17 @@ def check_component_bound(g: LabeledGraph) -> CheckResult:
 def check_addable_cross_component(g: LabeledGraph) -> CheckResult:
     """Every cross-component pair is addable, so add(G) >= #cross pairs."""
     comps = g.component_masks
-    cross = (g.n * g.n - sum(c.bit_count() ** 2 for c in comps)) // 2
     addable = addable_nonedges(g)
-    comp_of = {v: comp for comp in comps for v in bit_positions(comp)}
-    # addable pairs are distinct, so all cross pairs are addable iff
-    # exactly ``cross`` of them join two components
-    cross_addable = sum(1 for i, j in addable if comp_of[i] != comp_of[j])
+    cross = cross_addable = 0
+    if len(comps) > 1:  # one component has no cross pair
+        cross = (g.n * g.n - sum(c.bit_count() ** 2 for c in comps)) // 2
+        # addable pairs are distinct, so all cross pairs are addable iff
+        # exactly ``cross`` of them join two components
+        comp = 0  # the component of i; i ascends along the list
+        for i, j in addable:
+            if not comp >> i & 1:
+                comp = next(c for c in comps if c >> i & 1)
+            cross_addable += not comp >> j & 1
     holds = len(addable) >= cross and cross_addable == cross
     return CheckResult("addable-cross-component", holds, len(addable), cross)
 
@@ -100,23 +107,17 @@ def check_appearance_disjointness(g: LabeledGraph, pattern: Pattern) -> CheckRes
         raise PatternNotTwoEdgeConnectedError(
             f"pattern {pattern.name} is not 2-edge-connected"
         )
-    witnesses = appearance_witnesses(g, pattern)
-    seen: set[int] = set()
-    overlaps = 0
-    for w in witnesses:
-        if seen & set(w):
-            overlaps += 1
-        seen.update(w)
+    seen = overlaps = 0  # vertex bitsets
+    for w in appearance_witnesses(g, pattern):
+        side = sum(1 << v for v in w)
+        overlaps += bool(seen & side)
+        seen |= side
     return CheckResult(f"appearance-disjoint-{pattern.name}", overlaps == 0, overlaps, 0)
 
 
 def verify_graph(g: LabeledGraph) -> VerificationReport:
     """Run every applicable check on one planar graph."""
-    checks = [
-        check_component_bound(g),
-        check_addable_cross_component(g),
-        check_cutedge_bound(g),
-    ]
+    checks = [check_component_bound(g), check_addable_cross_component(g), check_cutedge_bound(g)]
     if g.n >= 3 and g.m == 3 * g.n - 6:
         checks.append(check_triangulation_degrees(g))
     for pattern in _default_disjointness_patterns():
@@ -145,11 +146,17 @@ class ClassVerification:
     def _absorb(self, g: LabeledGraph) -> None:
         """Run the check battery on one more graph and tally the outcome."""
         self.class_size += 1
+        checked = self.checked
         for result in verify_graph(g).checks:
-            self.checked[result.name] = self.checked.get(result.name, 0) + 1
-            self.violations[result.name] = (
-                self.violations.get(result.name, 0) + int(not result.holds)
-            )
+            name = result.name
+            count = checked.get(name)
+            if count is None:  # the first graph: both tallies start here
+                checked[name] = 1
+                self.violations[name] = int(not result.holds)
+            else:
+                checked[name] = count + 1
+                if not result.holds:
+                    self.violations[name] += 1
 
 
 def verify_class(n: int, m: int, census=None, *, budget: int | None = None) -> ClassVerification:

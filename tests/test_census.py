@@ -459,8 +459,9 @@ class TestPersistence:
     def test_record_validation(self):
         with pytest.raises(IoFailureError):
             CensusRecord(4, 3, 2, ("4:1C",)).validate()
-        with pytest.raises(IoFailureError):
-            CensusRecord(4, 3, 2, ("4:70", "4:1C")).validate()
+        for unsorted in (("4:70", "4:1C"), ("4:1C", "4:1C")):  # out of order, repeated
+            with pytest.raises(IoFailureError, match="sorted and duplicate-free"):
+                CensusRecord(4, 3, 2, unsorted).validate()
         with pytest.raises(IoFailureError):
             CensusRecord(5, 10, 3).validate()
         triangle_record = CensusRecord(3, 3, 1, ("3:E",))

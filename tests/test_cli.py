@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from planarlab.census import load_census
 from planarlab.cli import main
+
+GOLDEN_VERIFY_N6 = Path(__file__).resolve().parent / "golden" / "verify_n6.csv"
 
 
 def run(capsys, *argv):
@@ -67,6 +70,25 @@ class TestVerify:
     def test_single_m(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "5", "--m", "5")
         assert code == 0 and "component-bound" in out
+
+    def test_all_m_at_six_matches_the_golden_table(self, capsys, tmp_path):
+        # every check's checked and violation tally over the 67 rows of n=6
+        path = tmp_path / "verify_n6.csv"
+        code, _, _ = run(capsys, "verify", "--n", "6", "--all-m", "--out", str(path))
+        assert code == 0
+        assert path.read_bytes() == GOLDEN_VERIFY_N6.read_bytes()
+
+    def test_census_route_writes_the_same_table(self, capsys, tmp_path):
+        # stored graphs decoded from a census file against the class enumerated
+        census = tmp_path / "c7-15.txt"
+        direct, stored = tmp_path / "direct.csv", tmp_path / "stored.csv"
+        assert run(capsys, "enumerate", "--n", "7", "--m", "15", "--store",
+                   "--out", str(census))[0] == 0
+        assert run(capsys, "verify", "--n", "7", "--m", "15", "--out", str(direct))[0] == 0
+        assert run(capsys, "verify", "--n", "7", "--m", "15", "--census", str(census),
+                   "--out", str(stored))[0] == 0
+        assert stored.read_bytes() == direct.read_bytes()
+        assert len(direct.read_text().splitlines()) == 1 + 6
 
 
 class TestExperiment:

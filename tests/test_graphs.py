@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 
@@ -102,6 +103,33 @@ class TestEncoding:
     def test_round_trip(self, g):
         assert decode(encode(g)) == g
 
+    def test_every_nonzero_pad_bit_is_rejected(self):
+        # the pad bits are the low bits of the last digit; set each one alone
+        # on the edgeless and the complete graph's text
+        tried = 0
+        for n in range(2, 41):
+            pad = -pair_count(n) % 4
+            for g in (build_graph(n, []), complete_graph(n)):
+                text = encode(g)
+                assert decode(text) == g
+                for bit in range(pad):
+                    bad = text[:-1] + f"{int(text[-1], 16) | 1 << bit:X}"
+                    with pytest.raises(MalformedEncodingError, match="pad bits"):
+                        decode(bad)
+                    tried += 1
+        assert tried == 2 * sum(-pair_count(n) % 4 for n in range(2, 41)) > 0
+
+    @pytest.mark.parametrize("m", [100, 150, 290])
+    def test_chain_size_encoding(self, m):
+        # n=100: 4,950 slots in 1,238 digits, with two pad bits
+        rng = random.Random(m)
+        for _ in range(5):
+            g = random_graph(rng, 100, m)
+            text = encode(g)
+            assert text == encode_definition(g)
+            assert len(text) == len("100:") + 1238
+            assert decode(text) == g and decode(text).edges == g.edges
+
 
 class TestComponents:
     def test_edgeless(self):
@@ -139,6 +167,18 @@ class TestBridges:
     def test_triangle_with_pendant(self):
         g = build_graph(4, [(1, 2), (2, 3), (1, 3), (3, 4)])
         assert bridges(g) == frozenset({(3, 4)})
+
+    @pytest.mark.parametrize("m", [100, 150])
+    def test_chain_size_graphs_against_networkx(self, m):
+        # n=100 at the chain's sparse densities: many components and bridges
+        rng = random.Random(1000 + m)
+        for _ in range(10):
+            g = random_graph(rng, 100, m)
+            oracle = nx.Graph(sorted(g.edges))
+            oracle.add_nodes_from(range(1, 101))
+            expected = frozenset((min(e), max(e)) for e in nx.bridges(oracle))
+            assert bridges(g) == expected
+            assert components(g) == components_bfs(g)
 
     def test_deleting_bridge_raises_kappa_by_one(self):
         rng = random.Random(2)

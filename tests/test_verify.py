@@ -177,6 +177,31 @@ class TestVerifyClass:
         assert "triangulation-degrees" in names
         assert report.all_pass == all(c.holds for c in report.checks)
 
+    def test_violations_are_tallied_per_check(self, monkeypatch):
+        # a stand-in check that fails on the graphs of (4,3) holding edge (1,2):
+        # 10 of the 20; the other checks still pass on every graph
+        import planarlab.verify as verify_module
+        from planarlab import CheckResult
+
+        monkeypatch.setattr(verify_module, "check_component_bound",
+                            lambda g: CheckResult("component-bound", not g.has_edge(1, 2), 0, 0))
+        outcome = verify_class(4, 3)
+        assert outcome.class_size == 20 and not outcome.all_pass
+        assert set(outcome.checked.values()) == {20}
+        assert outcome.violations == {name: 10 if name == "component-bound" else 0
+                                      for name in outcome.checked}
+
+    def test_reports_compare_and_hash_by_value(self):
+        # two graphs built apart: equal reports, equal hashes, one set member
+        first = verify_graph(build_graph(6, [(1, 2), (2, 3), (1, 3), (4, 5)]))
+        second = verify_graph(build_graph(6, [(4, 5), (1, 3), (3, 2), (2, 1)]))
+        assert first is not second and first == second
+        assert hash(first) == hash(second) and len({first, second}) == 1
+        assert [hash(c) for c in first.checks] == [hash(c) for c in second.checks]
+        assert len(set(first.checks) | set(second.checks)) == len(first.checks)
+        other = verify_graph(build_graph(6, [(1, 2), (2, 3), (1, 3), (5, 6)]))
+        assert other != first and len({first, other}) == 2
+
     def test_sample_batch_route(self):
         from planarlab import sample_many, verify_batch
 
