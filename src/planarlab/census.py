@@ -15,6 +15,7 @@ from __future__ import annotations
 import os
 import zlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import pairwise
 from math import factorial
 from typing import Callable, Iterator, NamedTuple
@@ -135,7 +136,8 @@ def enumerate_all(n: int, visitor: Callable[[LabeledGraph], None]) -> None:
 # summed over its unlabeled members, each weighted by its number of labelings
 # n!/|Aut G|.  The connected members are read from orbits/connected_{n}.txt,
 # written by the vertex-addition generator in tests/oracles.py; the others are
-# multisets of them.
+# multisets of them.  Each table is read once per process, and each n composed
+# once from the tables of 1..n alone, behind planar_orbits' validation of n.
 
 EXACT_MAX_N = 9
 
@@ -149,10 +151,6 @@ class Orbit(NamedTuple):
     labelings: int
 
 
-# n -> ((canonical mask, |Aut|) of each connected graph, every orbit)
-_ORBIT_CACHE: dict[int, tuple[tuple[tuple[int, int], ...], tuple[Orbit, ...]]] = {}
-
-
 def check_exact(n: int) -> None:
     """Refuse an exact answer past the orbit census before any work starts."""
     _validate_params(n, 0)
@@ -164,13 +162,14 @@ def planar_orbits(n: int) -> tuple[Orbit, ...]:
     """Every unlabeled planar graph on n <= 9 vertices, composed once per n
     from the checked-in tables of the connected ones."""
     check_exact(n)
-    return _orbit_data(n)[1]
+    return _compose(n)
 
 
 def class_counts(n: int) -> tuple[int, ...]:
     """|class(n, m)| for every m in 0..C(n,2), summed over the orbits."""
+    orbits = planar_orbits(n)  # validates n before any arithmetic on it
     counts = [0] * (pair_count(n) + 1)
-    for orbit in planar_orbits(n):
+    for orbit in orbits:
         counts[orbit.m] += orbit.labelings
     return tuple(counts)
 
@@ -186,13 +185,6 @@ def count_class(n: int, m: int, *, budget: int | None = None) -> int:
     return sum(1 for _ in _iter_class_masks(n, m, budget))
 
 
-def _orbit_data(n: int):
-    if n not in _ORBIT_CACHE:
-        connected = _read_connected(n)
-        _ORBIT_CACHE[n] = (connected, _compose(n, connected))
-    return _ORBIT_CACHE[n]
-
-
 def _table(n: int):
     """The checked-in table of the connected orbits on n vertices."""
     from importlib.resources import files
@@ -200,6 +192,7 @@ def _table(n: int):
     return files(__package__) / "orbits" / f"connected_{n}.txt"
 
 
+@lru_cache(maxsize=None)
 def _read_connected(n: int) -> tuple[tuple[int, int], ...]:
     """(canonical mask, |Aut|) of every connected planar graph on n vertices,
     from its table: a header, one "<mask in hex> <|Aut|>" row per graph, and
@@ -229,12 +222,11 @@ def _read_connected(n: int) -> tuple[tuple[int, int], ...]:
         raise IoFailureError(f"orbit table {table} has a bad row: {exc}") from exc
 
 
-def _compose(n: int, connected) -> tuple[Orbit, ...]:
+@lru_cache(maxsize=None)
+def _compose(n: int) -> tuple[Orbit, ...]:
     """Every orbit on n vertices as a multiset of connected orbits.  Parts
     C_i taken k_i times give n!/prod(|Aut C_i|^k_i k_i!) labelings."""
-    parts = [(k, mask, aut) for k in range(1, n)
-             for mask, aut in _orbit_data(k)[0]]
-    parts += [(n, mask, aut) for mask, aut in connected]
+    parts = [(k, mask, aut) for k in range(1, n + 1) for mask, aut in _read_connected(k)]
     out: list[Orbit] = []
     total = factorial(n)
 

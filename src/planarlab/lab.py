@@ -336,8 +336,9 @@ def phase_table(spec: ExperimentSpec) -> ExperimentResult:
             _check_class(n, m)
             by_n.setdefault(n, []).append(m)
         tallies = {n: exact_event_counts(n, spec.events, ms) for n, ms in by_n.items()}
+        totals = {n: class_counts(n) for n in by_n}
         for n, m in spec.grid:
-            total = class_counts(n)[m]
+            total = totals[n][m]
             regime = regime_of(n, m)
             for idx, event in enumerate(spec.events):
                 p = Fraction(tallies[n][m][idx], total)

@@ -122,8 +122,13 @@ def pattern_from_name(text: str) -> Pattern:
     if name == "k4":
         return make_pattern(complete_graph(4), "k4")
     for prefix, builder, least in (("path", path_graph, 1), ("cycle", cycle_graph, 3), ("star", star_graph, 2)):
-        if name.startswith(prefix) and name[len(prefix):].isdigit():
-            k = int(name[len(prefix):])
+        digits = name[len(prefix):]
+        if name.startswith(prefix) and digits.isdecimal():
+            # judged on the digits: a big preset takes seconds to build; int() fails past 4,300
+            order = digits.lstrip("0") or "0"
+            if len(order) > len(str(PATTERN_MAX_ORDER)) or int(order) > PATTERN_MAX_ORDER:
+                raise PatternTooLargeError(f"pattern order {order} exceeds {PATTERN_MAX_ORDER}")
+            k = int(order)
             if k < least:
                 raise PatternError(f"{prefix}{k} is not a valid pattern")
             return make_pattern(builder(k), name)

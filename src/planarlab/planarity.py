@@ -1,9 +1,9 @@
 """Planarity decisions.
 
 Two entry points: ``mask_planarity(n)`` is the test for edge masks on
-{1..n}, and ``is_planar_edges(n, edges)`` the test for an edge list, whose
-order the left-right test follows.  Behind them, three cooperating
-mechanisms, all cross-checked in the test suite:
+{1..n}, and ``is_planar_edges(n, edges)`` the test for an edge list in any
+order, as the left-right test sorts every neighbour list.  Behind them,
+three cooperating mechanisms, all cross-checked in the test suite:
 
 * trivial bounds: any graph with at most 8 edges or at most 4 vertices is
   planar; for n >= 3 more than 3n-6 edges is impossible in a planar graph;

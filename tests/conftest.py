@@ -23,3 +23,16 @@ def small_patterns():
     from planarlab import pattern_from_name
 
     return {name: pattern_from_name(name) for name in ("vertex", "edge", "path3", "triangle", "k4")}
+
+
+@pytest.fixture
+def cold_orbit_caches():
+    """The orbit census with nothing read or composed, before and after the test."""
+    from planarlab import census
+
+    caches = (census._read_connected, census._compose)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()

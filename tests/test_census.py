@@ -261,6 +261,7 @@ class TestOrbitCensus:
             assert aut == automorphism_count(g)
 
 
+@pytest.mark.usefixtures("cold_orbit_caches")
 class TestOrbitTables:
     """The connected orbits come from checked-in tables that the generator in
     tests/oracles.py wrote; n = 9 is checked against it by a CI step."""
@@ -286,30 +287,55 @@ import sys
 opened = []
 sys.addaudithook(lambda event, args: event == "open" and opened.append(str(args[0])))
 import planarlab, planarlab.cli
-print(sum("connected_" in path for path in opened), len(planarlab.census._ORBIT_CACHE))
+census = planarlab.census
+print(sum("connected_" in path for path in opened),
+      census._read_connected.cache_info().currsize, census._compose.cache_info().currsize)
 """
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True).stdout
-        assert out == "0 0\n"
+        assert out == "0 0 0\n"
 
     def test_an_n7_answer_reads_the_tables_up_to_7(self, monkeypatch):
         read = []
         table = census_module._table
-        monkeypatch.setattr(census_module, "_ORBIT_CACHE", {})
         monkeypatch.setattr(census_module, "_table", lambda n: read.append(n) or table(n))
         assert class_counts(7)[9] == 293_860
         assert sorted(read) == list(range(1, 8))
 
+    def test_an_n9_answer_reads_each_table_once_and_composes_only_9(self, monkeypatch):
+        read, composed = [], []
+        table, compose = census_module._table, census_module._compose
+
+        def counted(*args):
+            composed.append(args[0])
+            return compose(*args)
+
+        monkeypatch.setattr(census_module, "_table", lambda n: read.append(n) or table(n))
+        monkeypatch.setattr(census_module, "_compose", counted)
+        orbits = planar_orbits(9)
+        assert len(orbits) == 79_853
+        assert read == list(range(1, 10)) and composed == [9]
+        assert planar_orbits(9) is orbits and class_counts(9)[9] == comb(36, 9) - 10 * comb(9, 6)
+        assert read == list(range(1, 10)) and compose.cache_info().misses == 1
+
+    @pytest.mark.parametrize("bad", [7.0, "7", [7]])
+    def test_class_counts_refuses_a_non_integer_n(self, bad):
+        refusal = "vertex count must be a positive integer"
+        with pytest.raises(InvalidArgumentError, match=refusal):
+            class_counts(bad)
+        assert class_counts(7)[9] == 293_860
+        with pytest.raises(InvalidArgumentError, match=refusal):
+            class_counts(bad)
+
     @staticmethod
     def tampered(monkeypatch, tmp_path, n, edit):
         """Point the loader at a copy of the tables in tmp_path whose n table
-        is rewritten by ``edit``, with a cold cache."""
+        is rewritten by ``edit``; the class's fixture keeps the caches cold."""
         for path in ORBIT_TABLES.iterdir():
             (tmp_path / path.name).write_bytes(path.read_bytes())
         target = tmp_path / f"connected_{n}.txt"
         edit(target)
         monkeypatch.setattr(census_module, "_table", lambda k: tmp_path / f"connected_{k}.txt")
-        monkeypatch.setattr(census_module, "_ORBIT_CACHE", {})
         return target
 
     def test_a_wrong_checksum_is_refused(self, monkeypatch, tmp_path):

@@ -8,7 +8,8 @@ import pytest
 from planarlab.census import load_census
 from planarlab.cli import main
 
-GOLDEN_VERIFY_N6 = Path(__file__).resolve().parent / "golden" / "verify_n6.csv"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_VERIFY_N6 = GOLDEN / "verify_n6.csv"
 
 
 def run(capsys, *argv):
@@ -112,6 +113,19 @@ class TestExperiment:
         assert code == 0
         assert len(out.strip().splitlines()) == 1 + 7  # m = 0..6
 
+    def test_several_n_in_one_process(self, capsys, tmp_path):
+        # the C7 job at n = 7 and n = 8: the two golden tables under one header
+        path = tmp_path / "c78.csv"
+        code, _, _ = run(
+            capsys, "experiment", "--n-list", "7,8", "--m-list", "all",
+            "--events", "connected,isolated,component:triangle,component:k4,copy:triangle",
+            "--method", "exact", "--out", str(path),
+        )
+        n7 = (GOLDEN / "phase_table_n7.csv").read_text(encoding="utf-8")
+        n8 = (GOLDEN / "phase_table_n8.csv").read_text(encoding="utf-8")
+        assert code == 0
+        assert path.read_text(encoding="utf-8") == n7 + n8.split("\n", 1)[1]
+
     def test_mcmc_rows_are_tagged_diagnostic(self, capsys):
         code, out, _ = run(
             capsys, "experiment", "--n-list", "5", "--m-list", "5",
@@ -174,6 +188,15 @@ class TestBadInput:
     def test_malformed_event(self, capsys, token):
         self.check(capsys, "experiment", "--n-list", "5", "--m-list", "4",
                    "--events", token)
+
+    @pytest.mark.parametrize("argv", [
+        ("stats", "--graph", "4:FC", "--pattern", "path1000000"),
+        ("experiment", "--n-list", "5", "--m-list", "4", "--events", "copy:star1000000"),
+    ])
+    def test_oversized_preset_pattern(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: pattern order 1000000 exceeds 16\n"
 
     def test_exact_sweep_past_the_census(self, capsys):
         self.check(capsys, "experiment", "--n-list", "10", "--m-list", "3",

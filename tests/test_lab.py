@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import planarlab.census as census_module
+import planarlab.lab as lab_module
 
 from planarlab import (
     EmptyClassError,
@@ -128,19 +129,16 @@ class TestExactProbability:
         with pytest.raises(EmptyClassError):
             exact_probability(5, 10, EventKind.connected())
 
-    def test_no_labeled_sweep_on_a_cold_cache(self, monkeypatch):
+    def test_no_labeled_sweep_on_a_cold_cache(self, monkeypatch, cold_orbit_caches):
         sweeps = count_sweeps(monkeypatch)
-        monkeypatch.setattr(census_module, "_ORBIT_CACHE", {})
         p = exact_probability(7, 9, EventKind.connected())
         assert sweeps == []
         # C(21, 9) - 10 C(7, 6): K3,3 is the only 9-edge obstruction
-        assert census_module._ORBIT_CACHE and class_counts(7)[9] == 293_860
+        assert census_module._compose.cache_info().currsize and class_counts(7)[9] == 293_860
         assert 293_860 % p.denominator == 0
 
-    def test_refusals_come_before_any_sweep(self, monkeypatch):
+    def test_refusals_come_before_any_sweep(self, monkeypatch, cold_orbit_caches):
         sweeps = count_sweeps(monkeypatch)
-        orbits = []
-        monkeypatch.setattr(census_module, "_orbit_data", orbits.append)
         with pytest.raises(EmptyClassError):
             exact_probability(10, 25, EventKind.connected())  # 3n - 6 = 24
         with pytest.raises(ResourceLimitError):
@@ -151,7 +149,9 @@ class TestExactProbability:
             phase_table(ExperimentSpec(((10, 25),), (EventKind.connected(),)))
         with pytest.raises(ResourceLimitError):
             phase_table(ExperimentSpec(((7, 3), (10, 3)), (EventKind.connected(),)))
-        assert sweeps == [] and orbits == []
+        orbits = [cache.cache_info().misses
+                  for cache in (census_module._read_connected, census_module._compose)]
+        assert sweeps == [] and orbits == [0, 0]
 
     def test_complement_counting_sums_to_one(self):
         event = EventKind.connected()
@@ -236,6 +236,15 @@ class TestPhaseTable:
         assert all(r.regime == "saturated" for r in saturated)
         connected_12 = next(r for r in saturated if r.event == "connected")
         assert connected_12.prob == 1.0  # every triangulation is connected
+
+    def test_class_sizes_are_read_once_per_n(self, monkeypatch):
+        read = []
+        counts = lab_module.class_counts
+        monkeypatch.setattr(lab_module, "class_counts", lambda n: read.append(n) or counts(n))
+        grid = ((6, 3), (7, 9), (6, 4), (7, 10), (6, 5))
+        rows = phase_table(ExperimentSpec(grid, (EventKind.connected(),))).rows
+        assert sorted(read) == [6, 7]
+        assert [row.k for row in rows] == [count_class(n, m) for n, m in grid]
 
     def test_empty_grid(self):
         result = phase_table(ExperimentSpec((), (EventKind.connected(),)))

@@ -8,10 +8,12 @@ from math import factorial
 
 import pytest
 
+import planarlab.patterns as patterns_module
 from planarlab import (
     DisconnectedPatternError,
     decode as decode_graph,
     NonplanarPatternError,
+    PatternError,
     PatternTooLargeError,
     appearance_witnesses,
     automorphism_count,
@@ -74,6 +76,22 @@ class TestMakePattern:
     def test_oversized_rejected(self):
         with pytest.raises(PatternTooLargeError):
             make_pattern(path_graph(17))
+
+    @pytest.mark.parametrize("preset", ["path", "cycle", "star"])
+    def test_oversized_preset_is_refused_before_it_is_built(self, preset, monkeypatch):
+        monkeypatch.setattr(patterns_module, f"{preset}_graph", lambda k: pytest.fail(f"built {k}"))
+        for digits, order in (("1000000", "1000000"), ("17", "17"), ("00017", "17"),
+                              ("9" * 5000, "9" * 5000)):
+            with pytest.raises(PatternTooLargeError, match=f"^pattern order {order} exceeds 16$"):
+                pattern_from_name(preset + digits)
+
+    def test_preset_orders_up_to_the_limit(self):
+        assert pattern_from_name("path16").size == 16
+        assert pattern_from_name("cycle016").edge_count == 16
+        assert pattern_from_name("star008").edge_count == 7
+        for name in ("path²", "path"):
+            with pytest.raises(PatternError, match="unknown pattern"):
+                pattern_from_name(name)
 
     def test_presets(self):
         assert pattern_from_name("vertex").size == 1
