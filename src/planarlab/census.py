@@ -137,7 +137,8 @@ def enumerate_all(n: int, visitor: Callable[[LabeledGraph], None]) -> None:
 # n!/|Aut G|.  The connected members are read from orbits/connected_{n}.txt,
 # written by the vertex-addition generator in tests/oracles.py; the others are
 # multisets of them.  Each table is read once per process, and each n composed
-# once from the tables of 1..n alone, behind planar_orbits' validation of n.
+# once from the tables of 1..n alone and its class sizes summed once, behind
+# check_exact's validation of n.
 
 EXACT_MAX_N = 9
 
@@ -166,12 +167,9 @@ def planar_orbits(n: int) -> tuple[Orbit, ...]:
 
 
 def class_counts(n: int) -> tuple[int, ...]:
-    """|class(n, m)| for every m in 0..C(n,2), summed over the orbits."""
-    orbits = planar_orbits(n)  # validates n before any arithmetic on it
-    counts = [0] * (pair_count(n) + 1)
-    for orbit in orbits:
-        counts[orbit.m] += orbit.labelings
-    return tuple(counts)
+    """|class(n, m)| for every m in 0..C(n,2), summed over the orbits once per n."""
+    check_exact(n)
+    return _class_sizes(n)
 
 
 def count_class(n: int, m: int, *, budget: int | None = None) -> int:
@@ -220,6 +218,15 @@ def _read_connected(n: int) -> tuple[tuple[int, int], ...]:
         return tuple((int(mask, 16), int(aut)) for mask, aut in map(str.split, rows))
     except ValueError as exc:
         raise IoFailureError(f"orbit table {table} has a bad row: {exc}") from exc
+
+
+@lru_cache(maxsize=None)
+def _class_sizes(n: int) -> tuple[int, ...]:
+    """|class(n, m)| for every m, summed over the composed orbits of n."""
+    counts = [0] * (pair_count(n) + 1)
+    for orbit in _compose(n):
+        counts[orbit.m] += orbit.labelings
+    return tuple(counts)
 
 
 @lru_cache(maxsize=None)
@@ -321,6 +328,7 @@ def build_census(
     Empty classes are normalized to counts-only records so that saving and
     reloading reproduces the store exactly.
     """
+    _validate_params(n, 0, budget)
     if m_values is None:
         m_values = range(pair_count(n) + 1)
     store = CensusStore()

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from ._bits import bit_positions
 from .census import (  # enumerate_all: the benchmark's tracer patches lab.enumerate_all
+    _validate_params,
     check_exact,
     class_counts,
     enumerate_all,  # noqa: F401
@@ -169,8 +170,7 @@ _SATURATED_BAND = 0.05
 
 def regime_of(n: int, m: int) -> DensityRegime:
     """Classify m/n against the sparse / critical / middle / saturated bands."""
-    if n < 1:
-        raise InvalidArgumentError(f"vertex count must be a positive integer, got {n!r}")
+    _validate_params(n, m)
     ratio = Fraction(m, n)
     if ratio < 1 - _CRITICAL_BAND:
         label = "sparse"
@@ -187,8 +187,9 @@ def regime_of(n: int, m: int) -> DensityRegime:
 
 
 def _check_class(n: int, m: int) -> None:
-    """Refuse an empty class, then one past the orbit census, before any work."""
-    if not 0 <= m <= max_planar_edges(n):
+    """Refuse bad counts, an empty class, then n past the orbit census."""
+    _validate_params(n, m)
+    if m > max_planar_edges(n):
         raise EmptyClassError(f"class ({n}, {m}) is empty")
     check_exact(n)
 
@@ -207,13 +208,11 @@ def exact_event_counts(n: int, events, m_values=None) -> dict[int, list[int]]:
     """Satisfying-graph counts per m for several events, summed over the
     unlabeled graphs of the wanted classes: each one is evaluated once and
     counts its satisfying labelings.  Refuses n > 9 before any work."""
+    orbits = planar_orbits(n)  # validates n before any arithmetic on it
     events = list(events)
-    if m_values is None:
-        wanted = set(range(max_planar_edges(n) + 1))
-    else:
-        wanted = set(m_values)
+    wanted = set(range(max_planar_edges(n) + 1) if m_values is None else m_values)
     tallies: dict[int, list[int]] = {m: [0] * len(events) for m in wanted}
-    for orbit in planar_orbits(n):
+    for orbit in orbits:
         row = tallies.get(orbit.m)
         if row is None:
             continue

@@ -10,7 +10,10 @@ injection search over the neighbour bitsets of ``LabeledGraph.adjacency``.
 Isomorphism, automorphisms and isomorphic components are injections between
 graphs (``isomorphic``: between paired components) with as many vertices and
 edges, since a bijection that preserves edges between graphs with equal edge
-counts is an isomorphism.
+counts is an isomorphism.  Automorphisms are counted by orbit and stabiliser,
+never one by one: along one branch of the search, |Aut H| is the product over
+the steps of the images each step's vertex can take once the earlier steps
+are fixed, each image found by one early-exit search.
 """
 
 from __future__ import annotations
@@ -158,16 +161,18 @@ def _injection_plan(h: LabeledGraph, within: int | None = None) -> tuple[tuple[i
 
 
 def _count_edge_injections(
-    g: LabeledGraph, plan: tuple[tuple[int, ...], ...], early_exit: bool, within: int | None = None
+    g: LabeledGraph, plan: tuple[tuple[int, ...], ...], early_exit: bool,
+    within: int | None = None, prefix: tuple[int, ...] = (),
 ) -> int:
     """Edge-preserving injections of the planned graph H into g, or into the
-    vertex bitset ``within`` of g; each step's candidates are the common
-    neighbours of its already-mapped anchors, as a bitset."""
+    vertex bitset ``within`` of g, that send the first steps to ``prefix``
+    (shorter than the plan); each step's candidates are the common neighbours
+    of its already-mapped anchors, as a bitset."""
     if len(plan) > g.n:
         return 0
     adj = g.adjacency
     everyone = (1 << (g.n + 1)) - 2 if within is None else within
-    image = [0] * len(plan)
+    image = list(prefix) + [0] * (len(plan) - len(prefix))
     last = len(plan) - 1
 
     def extend(i: int, used: int) -> int:
@@ -186,7 +191,7 @@ def _count_edge_injections(
                 return total
         return total
 
-    return extend(0, 0)
+    return extend(len(prefix), sum(1 << v for v in prefix))
 
 
 def _shape(g: LabeledGraph, comp: int) -> tuple[int, int]:
@@ -211,7 +216,20 @@ def isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
 
 
 def automorphism_count(h: LabeledGraph) -> int:
-    return _count_edge_injections(h, _injection_plan(h), early_exit=False)
+    """|Aut h| by orbit and stabiliser: the product, over the plan's steps, of
+    the images that step's vertex can take with the earlier steps fixed."""
+    plan = _injection_plan(h)
+    image: list[int] = []
+    count = 1
+    for anchors in plan:
+        candidates = (1 << (h.n + 1)) - 2 - sum(1 << v for v in image)
+        for p in anchors:
+            candidates &= h.adjacency[image[p]]
+        images = [w for w in bit_positions(candidates) if len(image) + 1 == len(plan)
+                  or _count_edge_injections(h, plan, early_exit=True, prefix=(*image, w))]
+        count *= len(images)
+        image.append(images[0])
+    return count
 
 
 # -- appearances -----------------------------------------------------------------

@@ -46,7 +46,7 @@ from ._bits import (
     pair_index,
     pairs_in_order,
 )
-from .census import EXACT_MAX_N, count_class
+from .census import EXACT_MAX_N, _validate_params, count_class
 from .errors import CensusMissingError, EmptyClassBoundError, EmptyClassError, InvalidArgumentError
 from .graphs import LabeledGraph, decode, encode
 from .planarity import TABLE_MAX_N, PalmTree, is_planar_edges
@@ -72,8 +72,7 @@ def fan_triangulation_edges(n: int) -> list[tuple[int, int]]:
 
 def mcmc_init(n: int, m: int) -> LabeledGraph:
     """Deterministic start state: first m fan-triangulation edges, lex order."""
-    if n < 1 or m < 0:
-        raise InvalidArgumentError("need n >= 1 and m >= 0")
+    _validate_params(n, m)
     fan = fan_triangulation_edges(n)
     if m > len(fan):
         raise EmptyClassBoundError(f"no planar graph with n={n}, m={m}")
@@ -300,8 +299,7 @@ def sample_many(
     census=None,
 ) -> SampleBatch:
     """Draw ``count`` samples; exact draws are independent, MCMC is one chain."""
-    if n < 1 or m < 0:
-        raise InvalidArgumentError("need n >= 1 and m >= 0")
+    _validate_params(n, m)
     if count < 0:
         raise InvalidArgumentError(f"count must be non-negative, got {count}")
     if method == "exact":

@@ -26,10 +26,10 @@ from .graphs import (
     bridges,
     decode,
     degree_histogram,
-    encode,
     is_planar,
     kappa,
 )
+from .graphs import encode  # noqa: F401  (bench/tracing.py)
 from .patterns import (
     Pattern,
     appearance_witnesses,
@@ -50,7 +50,6 @@ class CheckResult:
 
 @dataclass(unsafe_hash=True, slots=True)
 class VerificationReport:
-    encoding: str
     checks: tuple[CheckResult, ...]
 
     @property
@@ -123,7 +122,7 @@ def verify_graph(g: LabeledGraph) -> VerificationReport:
     for pattern in _default_disjointness_patterns():
         if pattern.size < g.n:
             checks.append(check_appearance_disjointness(g, pattern))
-    return VerificationReport(encode(g), tuple(checks))
+    return VerificationReport(tuple(checks))
 
 
 @lru_cache(maxsize=None)

@@ -27,10 +27,10 @@ def small_patterns():
 
 @pytest.fixture
 def cold_orbit_caches():
-    """The orbit census with nothing read or composed, before and after the test."""
+    """The orbit census with nothing read, composed or summed, before and after the test."""
     from planarlab import census
 
-    caches = (census._read_connected, census._compose)
+    caches = (census._read_connected, census._compose, census._class_sizes)
     for cache in caches:
         cache.cache_clear()
     yield

@@ -15,6 +15,8 @@ import planarlab.census as census_module
 from planarlab import (
     CensusRecord,
     ChecksumMismatchError,
+    EventKind,
+    ExperimentSpec,
     InvalidArgumentError,
     IoFailureError,
     LabeledGraph,
@@ -30,13 +32,18 @@ from planarlab import (
     enumerate_class,
     evaluate_event,
     exact_event_counts,
+    exact_probability,
     is_planar,
     isomorphic,
     kappa,
     load_census,
     max_planar_edges,
+    mcmc_init,
     parse_event,
+    phase_table,
     planar_orbits,
+    regime_of,
+    sample_many,
     save_census,
 )
 from planarlab._bits import pair_count
@@ -123,6 +130,42 @@ class TestCountClass:
             build_census(10, [12], budget=500)
         with pytest.raises(ResourceLimitError):
             build_census(10, [12], store_graphs=True, budget=500)
+
+
+@pytest.mark.usefixtures("cold_orbit_caches")
+class TestOneArgumentCheck:
+    """Every entry point checks n and m through census._validate_params, so a
+    float or a string is refused as count_class refuses it, before any work."""
+
+    CALLS = {
+        "sample_many n": lambda: sample_many(7.0, 3, 1),
+        "sample_many m": lambda: sample_many(7, 3.0, 1),
+        "mcmc_init n": lambda: mcmc_init(7.0, 3),
+        "exact_probability n": lambda: exact_probability("7", 3, EventKind.connected()),
+        "exact_probability m": lambda: exact_probability(7, 3.0, EventKind.connected()),
+        "regime_of m": lambda: regime_of(7, 3.0),
+        "build_census n": lambda: build_census(7.0),
+        "phase_table cell": lambda: phase_table(
+            ExperimentSpec(((7, 3), (7, 3.0)), (EventKind.connected(),))),
+        "exact_event_counts n": lambda: exact_event_counts(7.0, [EventKind.connected()]),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_refused_before_any_work(self, name):
+        with pytest.raises(InvalidArgumentError, match=r"count must be a .* integer, got"):
+            self.CALLS[name]()
+        misses = [cache.cache_info().misses for cache in
+                  (census_module._read_connected, census_module._compose, census_module._class_sizes)]
+        assert misses == [0, 0, 0]
+
+    def test_the_same_refusal_as_count_class(self):
+        for n, m in ((7.0, 3), (7, 3.0), ("7", 3), (0, 3), (7, -1)):
+            with pytest.raises(InvalidArgumentError) as expected:
+                count_class(n, m)
+            for call in (lambda: sample_many(n, m, 1), lambda: mcmc_init(n, m),
+                         lambda: regime_of(n, m)):
+                with pytest.raises(InvalidArgumentError, match=re.escape(str(expected.value))):
+                    call()
 
 
 class TestEnumerateClass:
@@ -317,6 +360,14 @@ print(sum("connected_" in path for path in opened),
         assert read == list(range(1, 10)) and composed == [9]
         assert planar_orbits(9) is orbits and class_counts(9)[9] == comb(36, 9) - 10 * comb(9, 6)
         assert read == list(range(1, 10)) and compose.cache_info().misses == 1
+
+    def test_a_count_only_census_sums_the_orbits_once(self, monkeypatch):
+        summed = []
+        compose = census_module._compose
+        monkeypatch.setattr(census_module, "_compose", lambda n: summed.append(n) or compose(n))
+        store = build_census(9)
+        assert summed == [9]
+        assert [store.get(9, m).count for m in range(pair_count(9) + 1)] == list(class_counts(9))
 
     @pytest.mark.parametrize("bad", [7.0, "7", [7]])
     def test_class_counts_refuses_a_non_integer_n(self, bad):

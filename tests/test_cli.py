@@ -239,7 +239,8 @@ class TestBadInput:
         # not a complaint about the burn-in derived from it
         code, out, err = run(capsys, "sample", "--n", "5", "--m", "-1", "--method", "mcmc",
                              "--count", "2")
-        assert (code, out, err) == (2, "", "error: need n >= 1 and m >= 0\n")
+        assert (code, out, err) == (
+            2, "", "error: edge count must be a non-negative integer, got -1\n")
 
     @pytest.mark.parametrize("argv", [
         ("enumerate", "--n", "5", "--m", "3"),

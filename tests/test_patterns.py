@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import signal
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
@@ -34,7 +35,7 @@ from planarlab import (
 )
 from planarlab._bits import edges_from_mask, pair_count
 from planarlab.graphs import induced_subgraph
-from planarlab.patterns import appearance_law
+from planarlab.patterns import PATTERN_MAX_ORDER, appearance_law
 from tests.oracles import (
     _count_appearances_subset_np,
     _count_appearances_subset_py,
@@ -137,6 +138,25 @@ class TestIsomorphism:
         assert automorphism_count(complete_graph(4)) == 24
         assert automorphism_count(star_graph(4)) == 6
         assert automorphism_count(build_graph(1, [])) == 1
+
+    def test_automorphism_closed_forms_up_to_the_order_limit(self):
+        # star16 has 15! automorphisms: counting them one by one would take days
+        def too_slow(signum, frame):
+            raise TimeoutError("automorphism counts took over 5 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(5)
+        try:
+            for k in range(1, PATTERN_MAX_ORDER + 1):
+                assert automorphism_count(path_graph(k)) == (1 if k == 1 else 2), k
+                if k >= 2:
+                    assert automorphism_count(star_graph(k)) == (2 if k == 2 else factorial(k - 1)), k
+                if k >= 3:
+                    assert automorphism_count(cycle_graph(k)) == 2 * k, k
+            assert automorphism_count(complete_graph(4)) == 24
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_equivalence_relation_spot_checks(self):
         rng = random.Random(9)

@@ -170,6 +170,17 @@ class TestVerifyClass:
         assert outcome.class_size == count_class(4, 3) == 20
         assert outcome.all_pass
 
+    def test_census_route_encodes_nothing(self, monkeypatch):
+        import planarlab.verify as verify_module
+        from planarlab import build_census, encode
+
+        store = build_census(7, [15], store_graphs=True)
+        encoded = []
+        monkeypatch.setattr(verify_module, "encode", lambda g: encoded.append(g) or encode(g))
+        outcome = verify_class(7, 15, store)
+        assert outcome.class_size == count_class(7, 15) and outcome.all_pass
+        assert encoded == []
+
     def test_report_shape(self):
         report = verify_graph(complete_graph(4))
         names = [c.name for c in report.checks]
@@ -199,7 +210,10 @@ class TestVerifyClass:
         assert hash(first) == hash(second) and len({first, second}) == 1
         assert [hash(c) for c in first.checks] == [hash(c) for c in second.checks]
         assert len(set(first.checks) | set(second.checks)) == len(first.checks)
-        other = verify_graph(build_graph(6, [(1, 2), (2, 3), (1, 3), (5, 6)]))
+        # a report holds only its checks: a relabeled copy reports the same
+        relabeled = verify_graph(build_graph(6, [(1, 2), (2, 3), (1, 3), (5, 6)]))
+        assert relabeled == first and hash(relabeled) == hash(first)
+        other = verify_graph(build_graph(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6)]))
         assert other != first and len({first, other}) == 2
 
     def test_sample_batch_route(self):
