@@ -210,7 +210,10 @@ def exact_event_counts(n: int, events, m_values=None) -> dict[int, list[int]]:
     counts its satisfying labelings.  Refuses n > 9 before any work."""
     orbits = planar_orbits(n)  # validates n before any arithmetic on it
     events = list(events)
-    wanted = set(range(max_planar_edges(n) + 1) if m_values is None else m_values)
+    if m_values is None:
+        wanted = set(range(max_planar_edges(n) + 1))
+    else:
+        wanted = set(m_values)
     tallies: dict[int, list[int]] = {m: [0] * len(events) for m in wanted}
     for orbit in orbits:
         row = tallies.get(orbit.m)
