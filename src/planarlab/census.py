@@ -29,7 +29,7 @@ from .errors import (
     ResourceLimitError,
     VersionUnsupportedError,
 )
-from .graphs import LabeledGraph, decode, encode, graph_from_mask, is_planar
+from .graphs import LabeledGraph, decode, encode, graph_from_mask
 from .planarity import TABLE_MAX_N, mask_planarity
 from .planarity import is_planar_edges, planar_mask_table  # noqa: F401  (bench/tracing.py)
 
@@ -40,16 +40,17 @@ _ORBIT_HEADER = "planarlab-orbits v1"
 
 
 def _validate_params(n: int, m: int, budget: int | None = None) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise InvalidArgumentError(f"vertex count must be a positive integer, got {n!r}")
-    if not isinstance(m, int) or m < 0:
-        raise InvalidArgumentError(f"edge count must be a non-negative integer, got {m!r}")
-    _check_budget(budget)
+    _check_int("vertex count", n, 1)
+    _check_int("edge count", m)
+    if budget is not None:
+        _check_int("budget", budget)
 
 
-def _check_budget(budget: int | None) -> None:
-    if budget is not None and (not isinstance(budget, int) or budget < 0):
-        raise InvalidArgumentError(f"budget must be a non-negative integer, got {budget!r}")
+def _check_int(name: str, value, least: int = 0) -> None:
+    """Refuse a ``value`` that is not an integer of at least ``least`` (0 or 1)."""
+    if not isinstance(value, int) or value < least:
+        kind = "positive" if least else "non-negative"
+        raise InvalidArgumentError(f"{name} must be a {kind} integer, got {value!r}")
 
 
 def max_planar_edges(n: int) -> int:
@@ -264,12 +265,12 @@ class CensusRecord:
     n: int
     m: int
     count: int
-    graphs: tuple[str, ...] | None = None
+    graphs: tuple[int, ...] | None = None  # edge masks in encoding order; lines() writes text
 
     def lines(self) -> list[str]:
         out = [f"{self.n} {self.m} {self.count}"]
         if self.graphs is not None:
-            out.extend(f"  {enc}" for enc in self.graphs)
+            out.extend(f"  {encode(LabeledGraph(self.n, mask))}" for mask in self.graphs)
         return out
 
     def checksum(self) -> str:
@@ -288,14 +289,13 @@ class CensusRecord:
             return
         if len(self.graphs) != self.count:
             raise IoFailureError("stored graph list does not match the class count")
-        if any(a >= b for a, b in pairwise(self.graphs)):
+        # in encoding order b follows a when the lowest slot where they differ is set in b
+        if any(not b & (a ^ b) & -(a ^ b) for a, b in pairwise(self.graphs)):
             raise IoFailureError("stored graphs must be sorted and duplicate-free")
-        for enc in self.graphs:
-            try:
-                g = decode(enc)
-            except MalformedEncodingError as exc:
-                raise IoFailureError(f"stored graph {enc!r} is unreadable: {exc}") from exc
-            if g.n != self.n or g.m != self.m or not is_planar(g):
+        planar = mask_planarity(self.n)
+        for mask in self.graphs:  # a negative mask or a pad bit leaves a nonzero shift
+            if mask >> pair_count(self.n) or mask.bit_count() != self.m or not planar(mask):
+                enc = encode(LabeledGraph(self.n, mask))
                 raise IoFailureError(f"stored graph {enc!r} is not in the class")
 
 
@@ -334,10 +334,9 @@ def build_census(
     store = CensusStore()
     for m in m_values:
         if store_graphs:
-            encodings: list[str] = []
-            enumerate_class(n, m, lambda g: encodings.append(encode(g)), budget=budget)
-            graphs = tuple(encodings) if encodings else None
-            store.add(CensusRecord(n, m, len(encodings), graphs))
+            masks: list[int] = []
+            enumerate_class(n, m, lambda g: masks.append(g.mask), budget=budget)
+            store.add(CensusRecord(n, m, len(masks), tuple(masks) if masks else None))
         else:
             store.add(CensusRecord(n, m, count_class(n, m, budget=budget)))
     return store
@@ -392,7 +391,7 @@ def load_census(path) -> CensusStore:
 
     store = CensusStore()
     header: tuple[int, int, int] | None = None
-    encodings: list[str] = []
+    masks: list[int] = []
 
     def close_record() -> None:
         if header is None:
@@ -400,7 +399,7 @@ def load_census(path) -> CensusStore:
         n, m, count = header
         if (n, m) in store.records:
             raise IoFailureError(f"class ({n}, {m}) is recorded twice")
-        record = CensusRecord(n, m, count, tuple(encodings) if encodings else None)
+        record = CensusRecord(n, m, count, tuple(masks) if masks else None)
         record.validate()
         store.add(record)
 
@@ -408,7 +407,13 @@ def load_census(path) -> CensusStore:
         if line.startswith("  "):
             if header is None:
                 raise IoFailureError("indented encoding before any record line")
-            encodings.append(line[2:])
+            try:
+                g = decode(line[2:])
+            except MalformedEncodingError as exc:
+                raise IoFailureError(f"stored graph {line[2:]!r} is unreadable: {exc}") from exc
+            if g.n != header[0]:
+                raise IoFailureError(f"stored graph {line[2:]!r} is not in the class")
+            masks.append(g.mask)
             continue
         close_record()
         tokens = line.split()
@@ -418,6 +423,6 @@ def load_census(path) -> CensusStore:
             header = (int(tokens[0]), int(tokens[1]), int(tokens[2]))
         except ValueError as exc:
             raise IoFailureError(f"bad record line {line!r}") from exc
-        encodings = []
+        masks = []
     close_record()
     return store

@@ -14,7 +14,7 @@ import sys
 from . import census as census_mod
 from . import lab
 from .errors import InvalidArgumentError, IoFailureError, PlanarLabError
-from .graphs import decode
+from .graphs import LabeledGraph, decode, encode
 from .patterns import pattern_from_name
 from .sampler import sample_many
 from .verify import verify_class
@@ -58,15 +58,13 @@ def _cmd_enumerate(args) -> int:
         census_mod.save_census(store, args.out)
         print(f"wrote {args.out}: {args.n} {args.m} {record.count}")
     else:
-        print(f"{args.n} {args.m} {record.count}")
-        if args.store and record.graphs:
-            for enc in record.graphs:
-                print(f"  {enc}")
+        print("\n".join(record.lines()))
     return 0
 
 
 def _cmd_sample(args) -> int:
-    census_mod._check_budget(args.budget)  # whatever the method, before any work
+    if args.budget is not None:  # whatever the method, before any work
+        census_mod._check_int("budget", args.budget)
     census = None
     if args.method == "exact":
         if args.census:
@@ -85,12 +83,11 @@ def _cmd_sample(args) -> int:
         thinning=args.thin,
         census=census,
     )
-    lines = "\n".join(batch.samples)
+    text = "".join(encode(LabeledGraph(batch.n, mask)) + "\n" for mask in batch.samples)
     if args.out:
-        _write_text(args.out, lines + ("\n" if lines else ""))
+        _write_text(args.out, text)
     else:
-        if lines:
-            print(lines)
+        print(text, end="")
     return 0
 
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from ._bits import bit_positions
 from .census import (  # enumerate_all: the benchmark's tracer patches lab.enumerate_all
+    _check_int,
     _validate_params,
     check_exact,
     class_counts,
@@ -27,7 +28,6 @@ from .graphs import (
     LabeledGraph,
     add_count,
     bridges,
-    decode,
     degree_histogram,
     encode,
     kappa,
@@ -72,8 +72,8 @@ class EventKind:
             if (value is not None) != takes:
                 verb = "takes no" if value is not None else "needs a"
                 raise InvalidArgumentError(f"event {self.kind!r} {verb} {part}")
-        if self.threshold is not None and self.threshold < 0:
-            raise InvalidArgumentError(f"event {self.kind!r} needs a non-negative threshold")
+        if self.threshold is not None:
+            _check_int(f"event {self.kind!r} threshold", self.threshold)
 
     def describe(self) -> str:
         text = self.kind
@@ -207,15 +207,20 @@ def _satisfying_labelings(g: LabeledGraph, event: EventKind, labelings: int) -> 
 def exact_event_counts(n: int, events, m_values=None) -> dict[int, list[int]]:
     """Satisfying-graph counts per m for several events, summed over the
     unlabeled graphs of the wanted classes: each one is evaluated once and
-    counts its satisfying labelings.  Refuses n > 9 before any work."""
-    orbits = planar_orbits(n)  # validates n before any arithmetic on it
+    counts its satisfying labelings.  Refuses n > 9, and an m that is not a
+    non-negative integer, before any work; an m past ``max_planar_edges(n)``
+    names an empty class, whose row is all zeros."""
+    check_exact(n)  # before any arithmetic on n
     events = list(events)
     if m_values is None:
         wanted = set(range(max_planar_edges(n) + 1))
     else:
+        m_values = list(m_values)
+        for m in m_values:
+            _validate_params(n, m)
         wanted = set(m_values)
     tallies: dict[int, list[int]] = {m: [0] * len(events) for m in wanted}
-    for orbit in orbits:
+    for orbit in planar_orbits(n):
         row = tallies.get(orbit.m)
         if row is None:
             continue
@@ -262,20 +267,19 @@ def estimate_probability(
     batch = sample_many(
         n, m, k, method=method, seed=seed, burn_in=burn_in, thinning=thinning, census=census
     )
-    [(p_hat, stderr)] = _sampled_frequencies(batch.samples, [event])
+    [(p_hat, stderr)] = _sampled_frequencies(batch, [event])
     tag = "exact-sample" if method == "exact" else "mcmc-diagnostic"
     return ProbabilityEstimate(p_hat, stderr, tag, k, seed)
 
 
 def _check_sample_size(k: int) -> None:
-    if k < 1:
-        raise InvalidArgumentError(f"a sampled probability needs k >= 1 samples, got {k}")
+    _check_int("sample size k", k, 1)
 
 
-def _sampled_frequencies(samples, events) -> list[tuple[float, float]]:
-    """(frequency, binomial standard error) of each event over the samples,
-    of which there is at least one."""
-    graphs = [decode(enc) for enc in samples]
+def _sampled_frequencies(batch, events) -> list[tuple[float, float]]:
+    """(frequency, binomial standard error) of each event over the batch's
+    samples, of which there is at least one."""
+    graphs = [LabeledGraph(batch.n, mask) for mask in batch.samples]
     k = len(graphs)
     out = []
     for event in events:
@@ -356,7 +360,7 @@ def phase_table(spec: ExperimentSpec) -> ExperimentResult:
             cell_seed = spec.seed + cell_index
             batch = sample_many(n, m, spec.k, method="mcmc", seed=cell_seed)
             regime = regime_of(n, m)
-            frequencies = _sampled_frequencies(batch.samples, spec.events)
+            frequencies = _sampled_frequencies(batch, spec.events)
             for event, (p_hat, stderr) in zip(spec.events, frequencies):
                 rows.append(ExperimentRow(
                     n, m, regime.ratio, regime.label, event.describe(),

@@ -1,12 +1,13 @@
 """Uniform sampling from the planar classes.
 
-Exact sampling draws an index into a stored census.  The Markov chain swaps
-one edge for one non-edge per step and accepts exactly when the result stays
-planar; the proposal is symmetric (edge and non-edge counts are invariant),
-so the uniform distribution on the reachable class is stationary.  Chains are
-deterministic functions of their non-negative seed (Mersenne Twister via
-random.Random, documented and stable; a negative seed is refused, since
-random.Random(-s) draws the same stream as random.Random(s)).
+Samples are edge masks, as a census stores its graphs; the CLI writes their
+text.  Exact sampling draws an index into a stored census.  The Markov chain
+swaps one edge for one non-edge per step and accepts exactly when the result
+stays planar; the proposal is symmetric (edge and non-edge counts are
+invariant), so the uniform distribution on the reachable class is
+stationary.  Chains are deterministic functions of their non-negative seed
+(Mersenne Twister via random.Random, documented and stable; a negative seed
+is refused, since random.Random(-s) draws the same stream as random.Random(s)).
 
 A step decides planarity locally.  With G the state, e the dropped edge and
 f the proposed pair, H = G - e is planar, being a subgraph of G.  Every K5
@@ -36,6 +37,7 @@ Either way the answer is the whole-graph one.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from ._bits import (
@@ -46,9 +48,9 @@ from ._bits import (
     pair_index,
     pairs_in_order,
 )
-from .census import EXACT_MAX_N, _validate_params, count_class
+from .census import EXACT_MAX_N, _check_int, _validate_params, count_class
 from .errors import CensusMissingError, EmptyClassBoundError, EmptyClassError, InvalidArgumentError
-from .graphs import LabeledGraph, decode, encode
+from .graphs import LabeledGraph, decode, encode  # noqa: F401  (decode: bench/tracing.py)
 from .planarity import TABLE_MAX_N, PalmTree, is_planar_edges
 
 DEFAULT_BURN_IN_FACTOR = 50  # burn_in = 50 * n * m
@@ -107,8 +109,7 @@ class ChainState:
 
 
 def _rng(seed: int) -> random.Random:
-    if seed < 0:  # random.Random(-s) would repeat the stream of seed s
-        raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
+    _check_int("seed", seed)  # random.Random(-s) would repeat the stream of seed s
     return random.Random(seed)
 
 
@@ -252,7 +253,7 @@ def _core_edges(adj: list[int], edges, low: int, u: int, v: int):
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Samples plus the parameters that produced them, as encodings."""
+    """Samples, as edge masks in draw order, plus the parameters behind them."""
 
     n: int
     m: int
@@ -260,11 +261,11 @@ class SampleBatch:
     seed: int
     burn_in: int
     thinning: int
-    samples: tuple[str, ...]
+    samples: tuple[int, ...]
 
 
-def _stored_graphs(n: int, m: int, census) -> tuple[str, ...]:
-    """The encodings of a non-empty class, from a census record that stores
+def _stored_graphs(n: int, m: int, census) -> tuple[int, ...]:
+    """The edge masks of a non-empty class, from a census record that stores
     them; up to n = 9 the record must hold the whole class."""
     record = census.get(n, m) if census is not None else None
     if record is None:
@@ -283,8 +284,8 @@ def _stored_graphs(n: int, m: int, census) -> tuple[str, ...]:
 
 def exact_sample(n: int, m: int, seed: int, census) -> LabeledGraph:
     """One uniform draw from a census record that stores its graphs."""
-    [enc] = sample_many(n, m, 1, method="exact", seed=seed, census=census).samples
-    return decode(enc)
+    [mask] = sample_many(n, m, 1, method="exact", seed=seed, census=census).samples
+    return LabeledGraph(n, mask)
 
 
 def sample_many(
@@ -300,8 +301,7 @@ def sample_many(
 ) -> SampleBatch:
     """Draw ``count`` samples; exact draws are independent, MCMC is one chain."""
     _validate_params(n, m)
-    if count < 0:
-        raise InvalidArgumentError(f"count must be non-negative, got {count}")
+    _check_int("count", count)
     if method == "exact":
         graphs = _stored_graphs(n, m, census)
         rng = _rng(seed)
@@ -313,20 +313,18 @@ def sample_many(
         burn_in = DEFAULT_BURN_IN_FACTOR * n * m
     if thinning is None:
         thinning = max(1, n * m)
-    if thinning < 1:
-        raise InvalidArgumentError(f"thinning must be at least 1, got {thinning}")
-    if burn_in < 0:
-        raise InvalidArgumentError(f"burn-in must be non-negative, got {burn_in}")
+    _check_int("thinning", thinning, 1)
+    _check_int("burn-in", burn_in)
     state = ChainState(n, m, seed)  # refuses a negative seed and m past the fan
     if count == 0:  # no sample needs the burn-in
         return SampleBatch(n, m, "mcmc", seed, burn_in, thinning, ())
     for _ in range(burn_in):
         mcmc_step(state)
-    out: list[str] = []
+    out: list[int] = []
     for _ in range(count):
         for _ in range(thinning):
             mcmc_step(state)
-        out.append(encode(state.current))
+        out.append(state.mask)
     return SampleBatch(n, m, "mcmc", seed, burn_in, thinning, tuple(out))
 
 
@@ -335,13 +333,12 @@ def tv_distance_to_uniform(batch: SampleBatch, census) -> float:
     graphs = _stored_graphs(batch.n, batch.m, census)
     if not batch.samples:
         raise InvalidArgumentError("cannot measure an empty batch")
-    support = set(graphs)
-    freq: dict[str, int] = {}
-    for enc in batch.samples:
-        if enc not in support:
-            raise InvalidArgumentError(f"sample {enc!r} is not in the stored class")
-        freq[enc] = freq.get(enc, 0) + 1
+    freq = Counter(batch.samples)
+    alien = freq.keys() - set(graphs)
+    if alien:
+        enc = encode(LabeledGraph(batch.n, next(x for x in batch.samples if x in alien)))
+        raise InvalidArgumentError(f"sample {enc!r} is not in the stored class")
     k = len(batch.samples)
     target = 1.0 / len(graphs)
-    total = sum(abs(freq.get(enc, 0) / k - target) for enc in graphs)
+    total = sum(abs(freq.get(mask, 0) / k - target) for mask in graphs)
     return total / 2.0

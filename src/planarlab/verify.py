@@ -24,7 +24,6 @@ from .graphs import (
     LabeledGraph,
     addable_nonedges,
     bridges,
-    decode,
     degree_histogram,
     is_planar,
     kappa,
@@ -169,8 +168,8 @@ def verify_class(n: int, m: int, census=None, *, budget: int | None = None) -> C
     outcome = ClassVerification(n, m, 0, {}, {})
     record = census.get(n, m) if census is not None else None
     if record is not None and record.graphs is not None:
-        for enc in record.graphs:
-            outcome._absorb(decode(enc))
+        for mask in record.graphs:
+            outcome._absorb(LabeledGraph(n, mask))
     else:
         enumerate_class(n, m, outcome._absorb, budget=budget)
     return outcome
@@ -179,6 +178,6 @@ def verify_class(n: int, m: int, census=None, *, budget: int | None = None) -> C
 def verify_batch(batch) -> ClassVerification:
     """Run the check battery over a sample batch instead of a full class."""
     outcome = ClassVerification(batch.n, batch.m, 0, {}, {})
-    for enc in batch.samples:
-        outcome._absorb(decode(enc))
+    for mask in batch.samples:
+        outcome._absorb(LabeledGraph(batch.n, mask))
     return outcome

@@ -19,7 +19,6 @@ from planarlab import (
     count_appearances,
     count_class,
     count_copies,
-    decode,
     enumerate_all,
     max_planar_edges,
     pattern_from_name,
@@ -28,6 +27,7 @@ from planarlab import (
     verify_class,
 )
 from planarlab._bits import pair_count
+from planarlab.graphs import LabeledGraph
 from planarlab.lab import EventKind, ExperimentSpec, phase_table
 from tests.oracles import (
     brute_force_count,
@@ -114,12 +114,12 @@ def test_c4_appearance_counting_equivalence(small_patterns):
         for m, count in ((29, 3334), (45, 3333), (75, 3333)):
             batch = sample_many(30, m, count, method="mcmc", seed=300 + m,
                                 burn_in=500, thinning=2)
-            for enc in batch.samples:
-                g = decode(enc)
+            for mask in batch.samples:
+                g = LabeledGraph(30, mask)
                 for pattern in patterns:
                     subset = count_appearances_subset(g, pattern.h)
                     bridge = count_appearances(g, pattern)
-                    assert subset == bridge, (enc, pattern.name, subset, bridge)
+                    assert subset == bridge, (g, pattern.name, subset, bridge)
                 checked += 1
         assert checked == 10_000
 
@@ -193,8 +193,6 @@ def test_c7_phase_table_regression_n8():
 
 def test_c8_copy_count_identity(small_patterns):
     with criterion("C8 copy-count identity vs injection enumeration (all graphs n<=6)"):
-        from planarlab.graphs import LabeledGraph
-
         patterns = [small_patterns[name] for name in ("triangle", "path3", "k4")]
         for n in range(1, 7):
             slots = pair_count(n)

@@ -534,22 +534,26 @@ class TestPersistence:
         assert [p.name for p in tmp_path.iterdir()] == ["n4.census"]
 
     def test_record_validation(self):
+        def masks(*encodings):
+            return tuple(decode(enc).mask for enc in encodings)
+
         with pytest.raises(IoFailureError):
-            CensusRecord(4, 3, 2, ("4:1C",)).validate()
+            CensusRecord(4, 3, 2, masks("4:1C")).validate()
         for unsorted in (("4:70", "4:1C"), ("4:1C", "4:1C")):  # out of order, repeated
             with pytest.raises(IoFailureError, match="sorted and duplicate-free"):
-                CensusRecord(4, 3, 2, unsorted).validate()
+                CensusRecord(4, 3, 2, masks(*unsorted)).validate()
         with pytest.raises(IoFailureError):
             CensusRecord(5, 10, 3).validate()
-        triangle_record = CensusRecord(3, 3, 1, ("3:E",))
+        triangle_record = CensusRecord(3, 3, 1, masks("3:E"))
         triangle_record.validate()
 
     def test_stored_graphs_decode_into_the_class(self, tmp_path):
         store = build_census(5, [5], store_graphs=True)
         record = store.get(5, 5)
         assert record.count == 252
-        assert list(record.graphs) == sorted(record.graphs)
-        sample = random.Random(0).sample(record.graphs, 20)
+        encodings = [encode(LabeledGraph(5, mask)) for mask in record.graphs]
+        assert encodings == sorted(encodings)
+        sample = random.Random(0).sample(encodings, 20)
         for enc in sample:
             g = decode(enc)
             assert g.n == 5 and g.m == 5 and is_planar(g)

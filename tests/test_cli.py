@@ -53,6 +53,22 @@ class TestSample:
         lines = path.read_text().split()
         assert len(lines) == 4 and all(line.startswith("5:") for line in lines)
 
+    def test_exact_stream_matches_the_golden_file(self, capsys, tmp_path):
+        # the class search and a census file draw the same stream; written to
+        # a file and printed, it is the golden text byte for byte
+        golden = (GOLDEN / "exact_n6_m9.txt").read_bytes()
+        census = tmp_path / "c.census"
+        assert run(capsys, "enumerate", "--n", "6", "--m", "9", "--store",
+                   "--out", str(census))[0] == 0
+        argv = ["sample", "--method", "exact", "--n", "6", "--m", "9",
+                "--count", "50", "--seed", "7"]
+        for route in ([], ["--census", str(census)]):
+            path = tmp_path / "samples.txt"
+            assert run(capsys, *argv, *route, "--out", str(path))[0] == 0
+            assert path.read_bytes() == golden
+            code, out, _ = run(capsys, *argv, *route)
+            assert code == 0 and out.encode("ascii") == golden
+
     def test_empty_class_errors(self, capsys):
         code, _, err = run(
             capsys, "sample", "--n", "5", "--m", "10", "--method", "exact", "--count", "1"

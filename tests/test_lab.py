@@ -9,6 +9,7 @@ import planarlab.census as census_module
 import planarlab.lab as lab_module
 
 from planarlab import (
+    ChainState,
     EmptyClassError,
     EventKind,
     ResourceLimitError,
@@ -33,6 +34,7 @@ from planarlab import (
     pendant_edge_count,
     phase_table,
     regime_of,
+    sample_many,
 )
 from tests.oracles import random_graph
 
@@ -153,6 +155,15 @@ class TestExactProbability:
                   for cache in (census_module._read_connected, census_module._compose)]
         assert sweeps == [] and orbits == [0, 0]
 
+    def test_counts_refuse_a_bad_m_before_any_table(self, cold_orbit_caches):
+        event = EventKind.connected()
+        for m_values in ([-1, 3.0, 99], [99, 3.0], [99, -1]):
+            with pytest.raises(InvalidArgumentError, match="edge count must be a non-negative"):
+                exact_event_counts(7, [event], m_values)
+        assert census_module._read_connected.cache_info().misses == 0
+        # (7, 99) is an empty class: its row holds no satisfying graph
+        assert exact_event_counts(7, [event], [99]) == {99: [0]}
+
     def test_complement_counting_sums_to_one(self):
         event = EventKind.connected()
         for n, m in ((4, 3), (5, 5), (5, 7)):
@@ -199,6 +210,24 @@ class TestExactProbability:
         store = build_census(5, [5], store_graphs=True)
         with pytest.raises(InvalidArgumentError):
             estimate_probability(5, 5, EventKind.connected(), method=method, k=0, census=store)
+
+
+class TestNumericArguments:
+    """Counts, seeds, sample sizes and thresholds that are not integers of
+    the least allowed value are refused, not met by a TypeError or recorded."""
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: sample_many(5, 5, 2.0), id="count"),
+        pytest.param(lambda: sample_many(5, 5, 1, burn_in=2.5), id="burn-in"),
+        pytest.param(lambda: estimate_probability(5, 5, EventKind.connected(), k=2.0), id="k"),
+        pytest.param(lambda: EventKind("pendant", None, "3"), id="threshold-text"),
+        pytest.param(lambda: sample_many(5, 5, 1, seed=1.5), id="seed"),
+        pytest.param(lambda: ChainState(5, 5, 1.5), id="chain-seed"),
+        pytest.param(lambda: EventKind("pendant", None, 2.5), id="threshold-float"),
+    ])
+    def test_refused(self, call):
+        with pytest.raises(InvalidArgumentError, match="must be a (positive|non-negative) integer"):
+            call()
 
 
 class TestRegimes:

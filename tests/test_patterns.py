@@ -12,7 +12,7 @@ import pytest
 import planarlab.patterns as patterns_module
 from planarlab import (
     DisconnectedPatternError,
-    decode as decode_graph,
+    LabeledGraph,
     NonplanarPatternError,
     PatternError,
     PatternTooLargeError,
@@ -252,8 +252,8 @@ class TestAppearances:
 
         for n, m in ((12, 14), (20, 30), (30, 45)):
             batch = sample_many(n, m, 12, method="mcmc", seed=n, burn_in=300, thinning=2)
-            for enc in batch.samples:
-                g = decode_graph(enc)
+            for mask in batch.samples:
+                g = LabeledGraph(n, mask)
                 for pattern in small_patterns.values():
                     assert count_appearances_subset(g, pattern.h) == count_appearances(
                         g, pattern

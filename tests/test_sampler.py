@@ -20,10 +20,10 @@ from planarlab import (
     EmptyClassBoundError,
     EmptyClassError,
     InvalidArgumentError,
+    LabeledGraph,
     build_census,
     build_graph,
     complete_graph,
-    decode,
     encode,
     exact_sample,
     fan_triangulation_edges,
@@ -86,8 +86,8 @@ class TestExactSampling:
         for seed in range(20):
             batch = sample_many(5, 5, 3, method="exact", seed=seed, census=store)
             drawn = exact_sample(5, 5, seed, store)
-            assert drawn == decode(batch.samples[0])
-            assert drawn == decode(graphs[random.Random(seed).randrange(len(graphs))])
+            assert drawn.mask == batch.samples[0]
+            assert drawn.mask == graphs[random.Random(seed).randrange(len(graphs))]
 
     def test_empty_class(self):
         store = build_census(5, [10], store_graphs=True)
@@ -162,8 +162,8 @@ class TestChain:
 
     def test_membership(self):
         batch = sample_many(6, 8, 300, method="mcmc", seed=3, burn_in=200, thinning=3)
-        for enc in batch.samples:
-            g = decode(enc)
+        for mask in batch.samples:
+            g = LabeledGraph(6, mask)
             assert g.n == 6 and g.m == 8 and is_planar(g)
 
     def test_proposal_symmetry_by_direct_count(self):
@@ -230,7 +230,7 @@ class TestGoldenChains:
         n, m, burn_in, thinning, count, seed = self.RUNS[name]
         batch = sample_many(n, m, count, method="mcmc", seed=seed,
                             burn_in=burn_in, thinning=thinning)
-        text = "".join(enc + "\n" for enc in batch.samples)
+        text = "".join(encode(LabeledGraph(n, mask)) + "\n" for mask in batch.samples)
         assert text.encode("ascii") == (GOLDEN / name).read_bytes()
 
 
@@ -563,6 +563,6 @@ class TestTvDistance:
     def test_alien_sample_rejected(self):
         store = build_census(4, [3], store_graphs=True)
         batch = sample_many(4, 3, 1, method="exact", seed=0, census=store)
-        bad = batch.__class__(4, 3, "exact", 0, 0, 0, ("4:FC",))
-        with pytest.raises(ValueError):
+        bad = batch.__class__(4, 3, "exact", 0, 0, 0, (complete_graph(4).mask,))
+        with pytest.raises(InvalidArgumentError, match="sample '4:FC' is not in the stored class"):
             tv_distance_to_uniform(bad, store)

@@ -181,6 +181,26 @@ class TestVerifyClass:
         assert outcome.class_size == count_class(7, 15) and outcome.all_pass
         assert encoded == []
 
+    def test_census_route_decodes_each_stored_graph_once(self, monkeypatch, tmp_path):
+        # every module that binds decode, wrapped at its import site as the
+        # benchmark's tracer does: loading and verifying decode each graph once
+        from importlib import import_module
+
+        from planarlab import build_census, decode, load_census, save_census
+
+        path = tmp_path / "c.census"
+        save_census(build_census(6, [9], store_graphs=True), path)
+        calls = []
+        for name in ("census", "cli", "graphs", "lab", "patterns", "sampler", "verify"):
+            module = import_module(f"planarlab.{name}")
+            if getattr(module, "decode", None) is decode:
+                monkeypatch.setattr(module, "decode",
+                                    lambda text: calls.append(text) or decode(text))
+        store = load_census(path)
+        outcome = verify_class(6, 9, store)
+        assert outcome.class_size == store.get(6, 9).count == 4995
+        assert len(calls) == 4995
+
     def test_report_shape(self):
         report = verify_graph(complete_graph(4))
         names = [c.name for c in report.checks]
