@@ -18,10 +18,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import pairwise
 from math import factorial
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from ._bits import edges_from_mask, mask_from_edges, pair_count
 from .errors import (
+    CensusMissingError,
     ChecksumMismatchError,
     InvalidArgumentError,
     IoFailureError,
@@ -113,10 +114,7 @@ def enumerate_class(
 ) -> None:
     """Call the visitor once per class member, in encoding-lexicographic order.
     ``budget`` bounds the search nodes, which only a class past n = 7 can reach."""
-    _validate_params(n, m, budget)
-    if m > max_planar_edges(n):
-        return
-    for mask in _iter_class_masks(n, m, budget):
+    for mask in class_masks(n, m, budget=budget):
         visitor(graph_from_mask(n, mask))
 
 
@@ -315,6 +313,28 @@ class CensusStore:
         return {key: rec.checksum() for key, rec in sorted(self.records.items())}
 
 
+def class_masks(n: int, m: int, census=None, *, budget: int | None = None) -> Iterable[int]:
+    """The members of class (n, m) as edge masks in encoding order; none past
+    ``max_planar_edges(n)``.  A census must hold the whole class (up to n = 9:
+    its record's count is the class size) or CensusMissingError is raised;
+    with no census they stream from the search, its nodes bounded by ``budget``."""
+    _validate_params(n, m, budget)
+    if m > max_planar_edges(n):
+        return ()
+    if census is None:
+        return _iter_class_masks(n, m, budget)  # by this name: bench/tracing.py counts it
+    record = census.get(n, m)
+    if record is None:
+        raise CensusMissingError(f"no census record for ({n}, {m})")
+    size = count_class(n, m) if n <= EXACT_MAX_N else record.count
+    if record.count != size:
+        raise CensusMissingError(
+            f"census record for ({n}, {m}) stores {record.count} of its {size} graphs")
+    if not record.graphs:  # counts only, or none of a class past n = 9
+        raise CensusMissingError(f"census record for ({n}, {m}) has no stored graphs")
+    return record.graphs
+
+
 def build_census(
     n: int,
     m_values=None,
@@ -334,9 +354,8 @@ def build_census(
     store = CensusStore()
     for m in m_values:
         if store_graphs:
-            masks: list[int] = []
-            enumerate_class(n, m, lambda g: masks.append(g.mask), budget=budget)
-            store.add(CensusRecord(n, m, len(masks), tuple(masks) if masks else None))
+            masks = tuple(class_masks(n, m, budget=budget))
+            store.add(CensusRecord(n, m, len(masks), masks or None))
         else:
             store.add(CensusRecord(n, m, count_class(n, m, budget=budget)))
     return store

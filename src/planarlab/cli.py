@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--m", type=int)
     which.add_argument("--all-m", action="store_true")
-    p.add_argument("--census", help="reuse stored graphs from this census file")
+    p.add_argument("--census", help="check the class stored whole in this census file")
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)

@@ -48,7 +48,7 @@ from ._bits import (
     pair_index,
     pairs_in_order,
 )
-from .census import EXACT_MAX_N, _check_int, _validate_params, count_class
+from .census import _check_int, _validate_params, class_masks
 from .errors import CensusMissingError, EmptyClassBoundError, EmptyClassError, InvalidArgumentError
 from .graphs import LabeledGraph, decode, encode  # noqa: F401  (decode: bench/tracing.py)
 from .planarity import TABLE_MAX_N, PalmTree, is_planar_edges
@@ -265,21 +265,13 @@ class SampleBatch:
 
 
 def _stored_graphs(n: int, m: int, census) -> tuple[int, ...]:
-    """The edge masks of a non-empty class, from a census record that stores
-    them; up to n = 9 the record must hold the whole class."""
-    record = census.get(n, m) if census is not None else None
-    if record is None:
+    """The edge masks of a non-empty class, from a census that holds it whole."""
+    if census is None:
         raise CensusMissingError(f"no census record for ({n}, {m})")
-    if record.count == 0:
+    graphs = class_masks(n, m, census)
+    if not graphs:
         raise EmptyClassError(f"class ({n}, {m}) is empty")
-    if record.graphs is None:
-        raise CensusMissingError(f"census record for ({n}, {m}) has no stored graphs")
-    if n <= EXACT_MAX_N:
-        size = count_class(n, m)
-        if record.count != size:
-            raise CensusMissingError(
-                f"census record for ({n}, {m}) stores {record.count} of its {size} graphs")
-    return record.graphs
+    return graphs
 
 
 def exact_sample(n: int, m: int, seed: int, census) -> LabeledGraph:

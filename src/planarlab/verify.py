@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Any
 
-from .census import _validate_params, enumerate_class
+from .census import class_masks
 from .errors import (
     NotPlanarInputError,
     NotTriangulationError,
@@ -141,43 +141,32 @@ class ClassVerification:
     def all_pass(self) -> bool:
         return all(v == 0 for v in self.violations.values())
 
-    def _absorb(self, g: LabeledGraph) -> None:
-        """Run the check battery on one more graph and tally the outcome."""
-        self.class_size += 1
+    def _absorb(self, masks) -> ClassVerification:
+        """Run the check battery on each graph of ``masks`` and tally the outcomes."""
         checked = self.checked
-        for result in verify_graph(g).checks:
-            name = result.name
-            count = checked.get(name)
-            if count is None:  # the first graph: both tallies start here
-                checked[name] = 1
-                self.violations[name] = int(not result.holds)
-            else:
-                checked[name] = count + 1
-                if not result.holds:
-                    self.violations[name] += 1
+        for mask in masks:
+            self.class_size += 1
+            for result in verify_graph(LabeledGraph(self.n, mask)).checks:
+                name = result.name
+                count = checked.get(name)
+                if count is None:  # the first graph: both tallies start here
+                    checked[name] = 1
+                    self.violations[name] = int(not result.holds)
+                else:
+                    checked[name] = count + 1
+                    if not result.holds:
+                        self.violations[name] += 1
+        return self
 
 
 def verify_class(n: int, m: int, census=None, *, budget: int | None = None) -> ClassVerification:
-    """Run the full check battery over every graph of the class.
-
-    If a census store with graphs for (n, m) is supplied, its stored graphs
-    are used; otherwise the class is enumerated directly, with ``budget``
-    bounding the class search past n = 7.
-    """
-    _validate_params(n, m, budget)
-    outcome = ClassVerification(n, m, 0, {}, {})
-    record = census.get(n, m) if census is not None else None
-    if record is not None and record.graphs is not None:
-        for mask in record.graphs:
-            outcome._absorb(LabeledGraph(n, mask))
-    else:
-        enumerate_class(n, m, outcome._absorb, budget=budget)
-    return outcome
+    """Run the full check battery over every graph of the class, as
+    ``census.class_masks`` gives them: from a census, which must hold the
+    whole class, or else streamed from the class search, with ``budget``
+    bounding it past n = 7."""
+    return ClassVerification(n, m, 0, {}, {})._absorb(class_masks(n, m, census, budget=budget))
 
 
 def verify_batch(batch) -> ClassVerification:
     """Run the check battery over a sample batch instead of a full class."""
-    outcome = ClassVerification(batch.n, batch.m, 0, {}, {})
-    for mask in batch.samples:
-        outcome._absorb(LabeledGraph(batch.n, mask))
-    return outcome
+    return ClassVerification(batch.n, batch.m, 0, {}, {})._absorb(batch.samples)

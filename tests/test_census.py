@@ -13,8 +13,11 @@ import pytest
 import planarlab.census as census_module
 
 from planarlab import (
+    CensusMissingError,
     CensusRecord,
+    CensusStore,
     ChecksumMismatchError,
+    EmptyClassError,
     EventKind,
     ExperimentSpec,
     InvalidArgumentError,
@@ -32,6 +35,7 @@ from planarlab import (
     enumerate_class,
     evaluate_event,
     exact_event_counts,
+    exact_sample,
     exact_probability,
     is_planar,
     isomorphic,
@@ -45,6 +49,8 @@ from planarlab import (
     regime_of,
     sample_many,
     save_census,
+    tv_distance_to_uniform,
+    verify_class,
 )
 from planarlab._bits import pair_count
 from planarlab.cli import main
@@ -557,3 +563,90 @@ class TestPersistence:
         for enc in sample:
             g = decode(enc)
             assert g.n == 5 and g.m == 5 and is_planar(g)
+
+
+def _short_census(kind: str) -> CensusStore:
+    """A census that lacks part or all of class (4, 3), whose size is 20."""
+    store = CensusStore()
+    if kind == "counts only":
+        store.add(CensusRecord(4, 3, 20))
+    elif kind == "19 of 20":
+        stored = build_census(4, [3], store_graphs=True).get(4, 3).graphs
+        store.add(CensusRecord(4, 3, 19, stored[:19]))
+    elif kind == "0 of 20":
+        store.add(CensusRecord(4, 3, 0))
+    return store
+
+
+_SHORT_CENSUS_ERRORS = {
+    "missing": "no census record for (4, 3)",
+    "counts only": "census record for (4, 3) has no stored graphs",
+    "19 of 20": "census record for (4, 3) stores 19 of its 20 graphs",
+    # a record of none of its graphs does not make a non-empty class empty
+    "0 of 20": "census record for (4, 3) stores 0 of its 20 graphs",
+}
+
+
+def _full_batch():
+    return sample_many(4, 3, 10, method="exact", seed=1,
+                       census=build_census(4, [3], store_graphs=True))
+
+
+class TestClassMasks:
+    """census.class_masks is the one source of a class's members: every
+    consumer refuses, through it, a census that does not hold the whole class."""
+
+    @pytest.mark.parametrize("kind", sorted(_SHORT_CENSUS_ERRORS))
+    @pytest.mark.parametrize("consume", [
+        lambda store: verify_class(4, 3, store),
+        lambda store: sample_many(4, 3, 5, method="exact", seed=1, census=store),
+        lambda store: exact_sample(4, 3, 1, store),
+        lambda store: tv_distance_to_uniform(_full_batch(), store),
+        lambda store: census_module.class_masks(4, 3, store),
+    ], ids=["verify_class", "sample_many", "exact_sample", "tv_distance", "class_masks"])
+    def test_a_census_without_the_whole_class_is_refused(self, consume, kind):
+        with pytest.raises(CensusMissingError, match=re.escape(_SHORT_CENSUS_ERRORS[kind])):
+            consume(_short_census(kind))
+
+    @pytest.mark.parametrize("kind", sorted(_SHORT_CENSUS_ERRORS))
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--n", "4", "--m", "3"],
+        ["sample", "--n", "4", "--m", "3", "--method", "exact", "--count", "3"],
+    ], ids=["verify", "sample"])
+    def test_the_cli_refuses_it_in_one_line(self, capsys, tmp_path, argv, kind):
+        path = tmp_path / "short.census"
+        save_census(_short_census(kind), path)
+        load_census(path)  # every such file is consistent, so it loads
+        code = main([*argv, "--census", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {_SHORT_CENSUS_ERRORS[kind]}\n"
+
+    def test_an_m_past_the_bound_has_no_members(self, capsys, tmp_path):
+        # (4, 7) lies past 3n - 6 = 6: empty with or without a census, and
+        # whether or not the census has a record for it
+        full = build_census(4, range(8), store_graphs=True)
+        assert full.get(4, 7) == CensusRecord(4, 7, 0)
+        for census in (None, CensusStore(), full):
+            assert tuple(census_module.class_masks(4, 7, census)) == ()
+            outcome = verify_class(4, 7, census)
+            assert outcome.class_size == 0 and outcome.checked == {}
+        for census in (CensusStore(), full):
+            with pytest.raises(EmptyClassError, match=re.escape("class (4, 7) is empty")):
+                sample_many(4, 7, 1, method="exact", census=census)
+        path = tmp_path / "empty.census"
+        save_census(CensusStore(), path)
+        argv = ["--n", "4", "--m", "7", "--census", str(path)]
+        assert main(["sample", "--method", "exact", "--count", "1", *argv]) == 2
+        assert capsys.readouterr().err == "error: class (4, 7) is empty\n"
+        assert main(["verify", *argv]) == 0
+        assert capsys.readouterr().out == "n,m,check,checked,violations\n"
+
+    def test_a_stored_census_builds_no_graph_objects(self, monkeypatch):
+        built = []
+        graph_from_mask = census_module.graph_from_mask
+        monkeypatch.setattr(census_module, "graph_from_mask",
+                            lambda n, mask: built.append(mask) or graph_from_mask(n, mask))
+        record = build_census(4, [3], store_graphs=True).get(4, 3)
+        assert record.count == len(record.graphs) == 20
+        assert built == []

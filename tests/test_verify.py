@@ -170,6 +170,16 @@ class TestVerifyClass:
         assert outcome.class_size == count_class(4, 3) == 20
         assert outcome.all_pass
 
+    def test_census_and_search_routes_agree_up_to_five(self):
+        # every class with n <= 5, past the edge bound too: the whole outcome
+        from planarlab import build_census
+        from planarlab._bits import pair_count
+
+        for n in range(1, 6):
+            for m in range(pair_count(n) + 1):
+                stored = build_census(n, [m], store_graphs=True)
+                assert verify_class(n, m, stored) == verify_class(n, m), (n, m)
+
     def test_census_route_encodes_nothing(self, monkeypatch):
         import planarlab.verify as verify_module
         from planarlab import build_census, encode
