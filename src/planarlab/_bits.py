@@ -10,6 +10,7 @@ Vertex sets are bitsets too: vertex v is bit ``1 << v`` (bit 0 unused).
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 
 
 def pair_count(n: int) -> int:
@@ -19,6 +20,15 @@ def pair_count(n: int) -> int:
 def pair_index(n: int, i: int, j: int) -> int:
     """Slot of the pair (i, j), requiring 1 <= i < j <= n."""
     return (i - 1) * (2 * n - i) // 2 + (j - i - 1)
+
+
+def slot_pair(n: int, s: int) -> tuple[int, int]:
+    """The pair in slot s, 0 <= s < pair_count(n): pair_index inverted by
+    arithmetic, so no pair table is built.  Row i is the largest with
+    pair_index(n, i, i + 1) <= s, a root of that quadratic in i."""
+    b = 2 * n - 1
+    i = (b + 1 - isqrt(b * b - 8 * s - 1)) // 2
+    return i, s - (i - 1) * (2 * n - i) // 2 + i + 1
 
 
 @lru_cache(maxsize=None)

@@ -315,9 +315,9 @@ class CensusStore:
 
 def class_masks(n: int, m: int, census=None, *, budget: int | None = None) -> Iterable[int]:
     """The members of class (n, m) as edge masks in encoding order; none past
-    ``max_planar_edges(n)``.  A census must hold the whole class (up to n = 9:
-    its record's count is the class size) or CensusMissingError is raised;
-    with no census they stream from the search, its nodes bounded by ``budget``."""
+    ``max_planar_edges(n)``.  A census must store every graph of the class (up
+    to n = 9, as many as the class has) or CensusMissingError is raised; with
+    no census they stream from the search, its nodes bounded by ``budget``."""
     _validate_params(n, m, budget)
     if m > max_planar_edges(n):
         return ()
@@ -327,9 +327,10 @@ def class_masks(n: int, m: int, census=None, *, budget: int | None = None) -> It
     if record is None:
         raise CensusMissingError(f"no census record for ({n}, {m})")
     size = count_class(n, m) if n <= EXACT_MAX_N else record.count
-    if record.count != size:
+    stored = record.count if record.graphs is None else len(record.graphs)
+    if stored != size:
         raise CensusMissingError(
-            f"census record for ({n}, {m}) stores {record.count} of its {size} graphs")
+            f"census record for ({n}, {m}) stores {stored} of its {size} graphs")
     if not record.graphs:  # counts only, or none of a class past n = 9
         raise CensusMissingError(f"census record for ({n}, {m}) has no stored graphs")
     return record.graphs

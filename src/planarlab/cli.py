@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 from . import census as census_mod
 from . import lab
@@ -20,9 +21,10 @@ from .sampler import sample_many
 from .verify import verify_class
 
 
-def _parse_int_list(text: str) -> list[int]:
-    """Integers and ascending ranges "lo-hi", comma-separated; at least one."""
-    out: list[int] = []
+def _parse_int_list(text: str) -> list[range]:
+    """Integers and ascending ranges "lo-hi", comma-separated, as ranges
+    (never built out); at least one."""
+    out: list[range] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
@@ -34,7 +36,7 @@ def _parse_int_list(text: str) -> list[int]:
             raise InvalidArgumentError(f"bad integer list {text!r}") from None
         if lo > hi:
             raise InvalidArgumentError(f"descending range {chunk!r} in {text!r}")
-        out.extend(range(lo, hi + 1))
+        out.append(range(lo, hi + 1))
     if not out:
         raise InvalidArgumentError(f"integer list {text!r} names no integer")
     return out
@@ -115,15 +117,20 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    n_values = _parse_int_list(args.n_list)
+    n_values = chain.from_iterable(_parse_int_list(args.n_list))
     events = tuple(lab.parse_event(tok) for tok in args.events.split(","))
+    m_ranges = None if args.m_list == "all" else _parse_int_list(args.m_list)
+    # the table refuses an empty class, and an exact n past the orbit census:
+    # the grid ends at the first such m of each n, and at the first such n
     grid: list[tuple[int, int]] = []
     for n in n_values:
-        if args.m_list == "all":
-            ms = range(census_mod.max_planar_edges(n) + 1)
-        else:
-            ms = _parse_int_list(args.m_list)
-        grid.extend((n, m) for m in ms)
+        top = census_mod.max_planar_edges(n)
+        for m in range(top + 1) if m_ranges is None else chain.from_iterable(m_ranges):
+            grid.append((n, m))
+            if m > top:
+                break
+        if args.method == "exact" and n > census_mod.EXACT_MAX_N:
+            break
     spec = lab.ExperimentSpec(
         grid=tuple(grid),
         events=events,

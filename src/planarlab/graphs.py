@@ -17,8 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from ._bits import bit_positions, edges_from_mask, mask_from_edges, pair_count, pair_index
-from ._bits import pairs_in_order
+from ._bits import bit_positions, edges_from_mask, pair_count, pair_index, pairs_in_order
 from .errors import (
     DuplicateEdgeError,
     LoopEdgeError,
@@ -142,15 +141,6 @@ def build_graph(n: int, edge_list) -> LabeledGraph:
 def graph_from_mask(n: int, mask: int) -> LabeledGraph:
     """Internal fast constructor from a trusted edge mask."""
     return LabeledGraph(n, mask)
-
-
-def induced_subgraph(g: LabeledGraph, vertices) -> LabeledGraph:
-    """g[W] relabeled by the increasing bijection W -> {1..|W|}."""
-    verts = sorted(vertices)
-    adj = g.adjacency
-    kept = [(a, b) for a, u in enumerate(verts, 1)
-            for b, w in enumerate(verts[a:], a + 1) if adj[u] >> w & 1]
-    return LabeledGraph(len(verts), mask_from_edges(len(verts), kept))
 
 
 # -- canonical text encoding ---------------------------------------------------

@@ -13,7 +13,12 @@ edges, since a bijection that preserves edges between graphs with equal edge
 counts is an isomorphism.  Automorphisms are counted by orbit and stabiliser,
 never one by one: along one branch of the search, |Aut H| is the product over
 the steps of the images each step's vertex can take once the earlier steps
-are fixed, each image found by one early-exit search.
+are fixed, each image found by one early-exit search.  One rule places an
+appearance: H appears at a bridge side W with |H| vertices exactly when W's
+labels, in increasing order, are an allowed order of W, an isomorphism from H
+onto g[W] that sends vertex 1 to the attachment vertex.  The labeled
+witnesses and the exact law under relabeling both read it from
+``_allowed_orders``.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from .graphs import (
     build_graph,
     decode,
     encode,
-    induced_subgraph,
     is_planar,
     kappa,
     reach,
@@ -252,33 +256,22 @@ def _pendant_sides(g: LabeledGraph, size: int) -> list[tuple[int, int]]:
 
 
 def appearance_witnesses(g: LabeledGraph, pattern: Pattern) -> list[tuple[int, ...]]:
-    """Witness sets W of all appearances of the pattern, sorted.
-
-    Bridge-driven: the unique edge leaving a witness set is a bridge, so only
-    bridge sides of size |H| whose attachment vertex is the side's minimum
-    need the labeled induced check: the increasing bijection {1..|H|} -> W
-    must carry H onto g[W].  A pattern with |H| >= n has no appearance.
-    """
+    """Witness sets W of all appearances of the pattern, sorted: the bridge
+    sides W of size |H| whose labels, in increasing order, are one of W's
+    allowed orders (``_allowed_orders``, the rule ``appearance_law`` counts
+    with).  An allowed order starts at the attachment vertex, so that vertex
+    must be W's minimum.  A pattern with |H| >= n has no appearance."""
     h = pattern.h
     if h.n >= g.n:
         return []
-    out: list[tuple[int, ...]] = []
-    for side, a in _pendant_sides(g, h.n):
-        if side & -side != 1 << a:
-            continue
-        witness = bit_positions(side)
-        if induced_subgraph(g, witness).mask == h.mask:
-            out.append(tuple(witness))
-    out.sort()
-    return out
+    return sorted(w for side, a in _pendant_sides(g, h.n) if side & -side == 1 << a
+                  and (w := tuple(bit_positions(side))) in _allowed_orders(g, h, side, a))
 
 
 def appearance_law(g: LabeledGraph, pattern: Pattern) -> list[Fraction]:
     """law[k]: the probability that g, relabeled uniformly at random, has
-    exactly k appearances of the pattern.  Appearances depend on the labels:
-    the pattern appears at a bridge side W with |H| vertices exactly when the
-    labels of W, in increasing order, list an isomorphism from H onto g[W]
-    that starts at the attachment vertex (an allowed order of W).  Sides that
+    exactly k appearances of the pattern.  Appearances depend on the labels,
+    by the allowed orders of each bridge side (module docstring).  Sides that
     share no vertex hold independently; overlapping sides are taken together,
     over the orders of their union.  Two overlapping sides of one size cover
     their component, so a union has fewer than 2|H| vertices.  A pattern

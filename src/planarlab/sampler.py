@@ -40,14 +40,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from ._bits import (
-    bit_positions,
-    edges_from_mask,
-    mask_from_edges,
-    pair_count,
-    pair_index,
-    pairs_in_order,
-)
+from ._bits import bit_positions, mask_from_edges, pair_count, pair_index, slot_pair
 from .census import _check_int, _validate_params, class_masks
 from .errors import CensusMissingError, EmptyClassBoundError, EmptyClassError, InvalidArgumentError
 from .graphs import LabeledGraph, decode, encode  # noqa: F401  (decode: bench/tracing.py)
@@ -91,11 +84,14 @@ class ChainState:
     steps_taken: int = 0
 
     def __post_init__(self) -> None:
-        start = mcmc_init(self.n, self.m)
-        self.mask = start.mask
-        # the edges in the order randrange(m) picks from; a swap keeps the slot
-        self._edges: list[tuple[int, int]] = list(edges_from_mask(self.n, self.mask))
-        self._adj = list(start.adjacency)  # neighbour bitsets of the state
+        self.mask = mcmc_init(self.n, self.m).mask
+        # the edges in the order randrange(m) picks from, at first in slot
+        # order as the fan's are; a swap keeps the slot
+        self._edges: list[tuple[int, int]] = fan_triangulation_edges(self.n)[: self.m]
+        self._adj = [0] * (self.n + 1)  # neighbour bitsets of the state
+        for u, v in self._edges:
+            self._adj[u] |= 1 << v
+            self._adj[v] |= 1 << u
         # its vertices of degree at most 1, as a bitset
         self._low = sum(1 << x for x, row in enumerate(self._adj) if x and not row & (row - 1))
         # a palm tree of the state, built once enough steps tested all m edges
@@ -138,7 +134,7 @@ def mcmc_step(state: ChainState) -> ChainState:
         slot = rng.randrange(total)
         if not mask >> slot & 1:
             break
-    added = edges[drop] = pairs_in_order(n)[slot]
+    added = edges[drop] = slot_pair(n, slot)
     adj = state._adj
     _swap(adj, removed, added)  # adj is now G - e + f
     low = state._low

@@ -435,6 +435,18 @@ print(sum("connected_" in path for path in opened),
         with pytest.raises(IoFailureError, match=re.escape(str(path))):
             class_counts(4)
 
+    @pytest.mark.parametrize("row", ["1a8", "1a8 2 3", "zz 2", "1a8 two"])
+    def test_a_row_that_is_not_a_mask_and_a_count_is_refused(self, monkeypatch, tmp_path, row):
+        def rewrite_a_row(path):
+            body = orbit_table_text(5, connected_orbits(5)).rpartition("checksum ")[0]
+            assert "\n1a8 2\n" in body
+            body = body.replace("\n1a8 2\n", f"\n{row}\n")
+            path.write_text(f"{body}checksum {census_module._crc_text(body)}\n", encoding="ascii")
+
+        path = self.tampered(monkeypatch, tmp_path, 5, rewrite_a_row)
+        with pytest.raises(IoFailureError, match=re.escape(f"orbit table {path} has a bad row: ")):
+            census_module._read_connected(5)
+
     def test_the_cli_prints_one_error_line(self, monkeypatch, tmp_path, capsys):
         path = self.tampered(monkeypatch, tmp_path, 3, lambda path: path.write_text("x"))
         code = main(["experiment", "--n-list", "5", "--m-list", "4", "--events", "connected",
@@ -497,6 +509,24 @@ class TestPersistence:
         path = tmp_path / "impossible.census"
         self.write_with_checksum(path, "-4 3 0\n")
         with pytest.raises(IoFailureError):
+            load_census(path)
+
+    @pytest.mark.parametrize("payload, refusal", [
+        ("4 3 -1\n", "negative class count"),
+        ("  4:94\n4 3 1\n", "indented encoding before any record line"),
+        ("4 3 1\n  4:ZZ\n", "stored graph '4:ZZ' is unreadable: bad syntax: '4:ZZ'"),
+        ("4 3 1\n  3:E\n", "stored graph '3:E' is not in the class"),  # another n
+        ("4 3\n", "bad record line '4 3'"),
+        ("4 3 1 1\n", "bad record line '4 3 1 1'"),
+        ("4 x 1\n", "bad record line '4 x 1'"),
+        ("6 9 1\n  6:3BF0\n", "stored graph '6:3BF0' is not in the class"),  # K3,3
+        ("4 2 1\n  4:94\n", "stored graph '4:94' is not in the class"),  # three edges
+    ], ids=["negative count", "indent first", "unreadable graph", "other n", "two tokens",
+            "four tokens", "non-integer token", "not planar", "wrong edge count"])
+    def test_outside_input_is_refused_with_its_reason(self, tmp_path, payload, refusal):
+        path = tmp_path / "bad.census"
+        self.write_with_checksum(path, payload)
+        with pytest.raises(IoFailureError, match=f"^{re.escape(refusal)}$"):
             load_census(path)
 
     def test_future_version(self, tmp_path):
@@ -575,6 +605,9 @@ def _short_census(kind: str) -> CensusStore:
         store.add(CensusRecord(4, 3, 19, stored[:19]))
     elif kind == "0 of 20":
         store.add(CensusRecord(4, 3, 0))
+    elif kind == "19 of a counted 20":  # judged by what it stores, not by its count
+        stored = build_census(4, [3], store_graphs=True).get(4, 3).graphs
+        store.add(CensusRecord(4, 3, 20, stored[:19]))
     return store
 
 
@@ -584,7 +617,10 @@ _SHORT_CENSUS_ERRORS = {
     "19 of 20": "census record for (4, 3) stores 19 of its 20 graphs",
     # a record of none of its graphs does not make a non-empty class empty
     "0 of 20": "census record for (4, 3) stores 0 of its 20 graphs",
+    "19 of a counted 20": "census record for (4, 3) stores 19 of its 20 graphs",
 }
+# load_census refuses a file whose record stores other than its count
+_SHORT_CENSUS_FILES = sorted(set(_SHORT_CENSUS_ERRORS) - {"19 of a counted 20"})
 
 
 def _full_batch():
@@ -608,7 +644,7 @@ class TestClassMasks:
         with pytest.raises(CensusMissingError, match=re.escape(_SHORT_CENSUS_ERRORS[kind])):
             consume(_short_census(kind))
 
-    @pytest.mark.parametrize("kind", sorted(_SHORT_CENSUS_ERRORS))
+    @pytest.mark.parametrize("kind", _SHORT_CENSUS_FILES)
     @pytest.mark.parametrize("argv", [
         ["verify", "--n", "4", "--m", "3"],
         ["sample", "--n", "4", "--m", "3", "--method", "exact", "--count", "3"],

@@ -1,15 +1,21 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from planarlab import lab
 from planarlab.census import load_census
 from planarlab.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_VERIFY_N6 = GOLDEN / "verify_n6.csv"
+# every event kind, with and without a pattern and a threshold
+KIND_EVENTS = ("connected,isolated,component:edge,components:edge>=2,copy:path3,pendant>=2,"
+               "appearances:edge>=1,appearances:path3>=1")
 
 
 def run(capsys, *argv):
@@ -142,6 +148,20 @@ class TestExperiment:
         assert code == 0
         assert path.read_text(encoding="utf-8") == n7 + n8.split("\n", 1)[1]
 
+    @pytest.mark.parametrize("golden, argv", [
+        ("phase_table_n7_kinds.csv", ["--n-list", "7", "--m-list", "all", "--method", "exact"]),
+        ("phase_table_mcmc_n12_kinds.csv", ["--n-list", "12", "--m-list", "6,9,12,16",
+                                            "--method", "mcmc", "--k", "40", "--seed", "3"]),
+    ])
+    def test_every_event_kind_matches_the_golden_table(self, capsys, tmp_path, golden, argv):
+        path = tmp_path / golden
+        code, _, _ = run(capsys, "experiment", *argv, "--events", KIND_EVENTS, "--out", str(path))
+        assert code == 0
+        assert path.read_bytes() == (GOLDEN / golden).read_bytes()
+        kinds = {row.split(",")[4].partition(">=")[0].partition(":")[0]
+                 for row in path.read_text(encoding="utf-8").splitlines()[1:]}
+        assert kinds == set(lab.EVENT_KINDS)
+
     def test_mcmc_rows_are_tagged_diagnostic(self, capsys):
         code, out, _ = run(
             capsys, "experiment", "--n-list", "5", "--m-list", "5",
@@ -217,6 +237,40 @@ class TestBadInput:
     def test_exact_sweep_past_the_census(self, capsys):
         self.check(capsys, "experiment", "--n-list", "10", "--m-list", "3",
                    "--events", "connected")
+
+    @pytest.mark.parametrize("argv, cells, refusal", [
+        (["--n-list", "7", "--m-list", "0-2000000"], [(7, m) for m in range(17)],
+         "class (7, 16) is empty"),
+        (["--n-list", "7", "--m-list", "0-2000000", "--method", "mcmc", "--k", "1"],
+         [(7, m) for m in range(17)], "no planar graph with n=7, m=16"),
+        (["--n-list", "1-2000000", "--m-list", "0"], [(n, 0) for n in range(1, 11)],
+         "exact answers are limited to n <= 9"),
+    ], ids=["exact m", "mcmc m", "exact n"])
+    def test_the_grid_ends_at_its_first_refused_cell(self, capsys, monkeypatch, argv, cells,
+                                                     refusal):
+        specs = []
+        phase_table = lab.phase_table
+        monkeypatch.setattr(lab, "phase_table", lambda spec: specs.append(spec) or phase_table(spec))
+        code, out, err = run(capsys, "experiment", *argv, "--events", "connected")
+        assert (code, out, err) == (2, "", f"error: {refusal}\n")
+        assert [spec.grid for spec in specs] == [tuple(cells)]
+
+    def test_a_huge_m_range_is_refused_without_building_it(self):
+        # at 8 bytes a cell the 10^12 values would need terabytes: under a
+        # 1 GB address-space limit the list of them fails with MemoryError
+        code = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from planarlab.cli import main
+raise SystemExit(main(sys.argv[1:]))
+"""
+        done = subprocess.run(
+            [sys.executable, "-c", code, "experiment", "--n-list", "7",
+             "--m-list", "0-1000000000000", "--events", "connected"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: class (7, 16) is empty\n"
 
     def test_exact_sample_from_incomplete_census(self, capsys, tmp_path):
         from planarlab import CensusRecord, CensusStore, build_census, save_census

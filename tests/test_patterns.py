@@ -34,7 +34,6 @@ from planarlab import (
     star_graph,
 )
 from planarlab._bits import edges_from_mask, pair_count
-from planarlab.graphs import induced_subgraph
 from planarlab.patterns import PATTERN_MAX_ORDER, appearance_law
 from tests.oracles import (
     _count_appearances_subset_np,
@@ -46,6 +45,14 @@ from tests.oracles import (
     random_graph,
     random_planar_graph,
 )
+
+
+def induced_subgraph(g: LabeledGraph, vertices) -> LabeledGraph:
+    """g[W] relabeled by the increasing bijection W -> {1..|W|}."""
+    label = {v: a for a, v in enumerate(sorted(vertices), 1)}
+    return build_graph(len(label), [(label[u], label[w]) for u, w in g.edges
+                                    if u in label and w in label])
+
 
 FIGURE_H = build_graph(4, [(1, 3), (1, 4), (2, 4), (3, 4)])
 FIGURE_G = build_graph(

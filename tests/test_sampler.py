@@ -33,7 +33,7 @@ from planarlab import (
     sample_many,
     tv_distance_to_uniform,
 )
-from planarlab._bits import pair_count, pair_index, pairs_in_order
+from planarlab._bits import mask_from_edges, pair_count, pair_index, pairs_in_order, slot_pair
 from planarlab.planarity import _left_right_planar, is_planar_edges
 from planarlab.sampler import _core_edges, _palm_tree
 from tests.oracles import check_palm_tree
@@ -154,6 +154,23 @@ class TestChain:
             assert g.edges == frozenset(state._edges)  # the list and the mask agree
             assert tuple(state._adj) == g.adjacency  # so do the neighbour bitsets
             assert state._low == sum(1 << v for v in range(1, 7) if g.degree(v) <= 1)
+
+    def test_slot_pair_inverts_pair_index(self):
+        for n in range(2, 40):
+            assert [slot_pair(n, s) for s in range(pair_count(n))] == list(pairs_in_order(n))
+        n = 10**6
+        for i, j in (1, 2), (1, n), (2, 3), (n // 2, n // 2 + 1), (n - 1, n):
+            assert slot_pair(n, pair_index(n, i, j)) == (i, j)
+
+    def test_a_large_chain_builds_no_pair_table(self):
+        # the start state and each drawn slot are mapped to pairs by
+        # arithmetic, not through the pairs_in_order(n) table of n^2 / 2 pairs
+        pairs_in_order.cache_clear()
+        state = ChainState(3000, 3000, 0)
+        for _ in range(10):
+            mcmc_step(state)
+        assert pairs_in_order.cache_info().currsize == 0
+        assert state.mask == mask_from_edges(3000, state._edges)
 
     def test_trajectory_determinism(self):
         a = sample_many(5, 5, 200, method="mcmc", seed=99, burn_in=50, thinning=2)
