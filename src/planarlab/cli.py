@@ -42,8 +42,12 @@ def _parse_int_list(text: str) -> list[range]:
     return out
 
 
-def _write_text(path, text: str) -> None:
-    """Write an ``--out`` file; a failed write is an IoFailureError."""
+def _emit(path, text: str) -> None:
+    """Write text to the ``--out`` file, or print it when there is none; a
+    failed write is an IoFailureError."""
+    if not path:
+        print(text, end="")
+        return
     try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -86,10 +90,7 @@ def _cmd_sample(args) -> int:
         census=census,
     )
     text = "".join(encode(LabeledGraph(batch.n, mask)) + "\n" for mask in batch.samples)
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        print(text, end="")
+    _emit(args.out, text)
     return 0
 
 
@@ -109,10 +110,7 @@ def _cmd_verify(args) -> int:
             )
             failures += outcome.violations[name]
     text = "\n".join(lines) + "\n"
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        print(text, end="")
+    _emit(args.out, text)
     return 1 if failures else 0
 
 
@@ -139,12 +137,9 @@ def _cmd_experiment(args) -> int:
         seed=args.seed,
     )
     result = lab.phase_table(spec)
-    text = result.to_csv()
+    _emit(args.out, result.to_csv())
     if args.out:
-        _write_text(args.out, text)
         print(f"wrote {args.out}: {len(result.rows)} rows")
-    else:
-        print(text, end="")
     return 0
 
 

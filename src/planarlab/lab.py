@@ -44,22 +44,15 @@ from .patterns import (
 from .sampler import sample_many
 
 # kind -> (takes a pattern, takes a threshold, indicator(g, event)): each row
-# holds the kind's indicator, the one place its meaning is written.  The
-# indicators look their callees up when called, since bench/tracing.py patches
-# those names here.
+# holds the kind's indicator, the one place its meaning is written.  Indicators
+# look their callees up when called, since bench/tracing.py patches them here.
 EVENT_KINDS = {
     "connected": (False, False, lambda g, e: kappa(g) == 1),
-    # has a component isomorphic to the pattern
     "component": (True, False, lambda g, e: count_components_isomorphic(g, e.pattern) >= 1),
-    # has a subgraph copy of the pattern
     "copy": (True, False, lambda g, e: has_copy(g, e.pattern)),
-    # has an isolated vertex
     "isolated": (False, False, lambda g, e: isolated_vertex_count(g) >= 1),
-    # at least <threshold> pendant edges
     "pendant": (False, True, lambda g, e: pendant_edge_count(g) >= e.threshold),
-    # at least <threshold> appearances of the pattern
     "appearances": (True, True, lambda g, e: count_appearances(g, e.pattern) >= e.threshold),
-    # at least <threshold> components isomorphic to the pattern
     "components": (True, True,
                    lambda g, e: count_components_isomorphic(g, e.pattern) >= e.threshold),
 }
@@ -149,8 +142,7 @@ def isolated_vertex_count(g: LabeledGraph) -> int:
 
 
 def evaluate_event(g: LabeledGraph, event: EventKind) -> bool:
-    """Indicator of the event on one graph, by its kind's row of EVENT_KINDS;
-    never raises."""
+    """Indicator of the event on one graph, by its kind's EVENT_KINDS row; never raises."""
     return EVENT_KINDS[event.kind][2](g, event)
 
 

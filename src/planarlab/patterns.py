@@ -16,9 +16,8 @@ the steps of the images each step's vertex can take once the earlier steps
 are fixed, each image found by one early-exit search.  One rule places an
 appearance: H appears at a bridge side W with |H| vertices exactly when W's
 labels, in increasing order, are an allowed order of W, an isomorphism from H
-onto g[W] that sends vertex 1 to the attachment vertex.  The labeled
-witnesses and the exact law under relabeling both read it from
-``_allowed_orders``.
+onto g[W] that sends vertex 1 to the attachment vertex, grown by ``_fits``.
+The labeled witnesses test that one order; the exact law lists them all.
 """
 
 from __future__ import annotations
@@ -257,15 +256,20 @@ def _pendant_sides(g: LabeledGraph, size: int) -> list[tuple[int, int]]:
 
 def appearance_witnesses(g: LabeledGraph, pattern: Pattern) -> list[tuple[int, ...]]:
     """Witness sets W of all appearances of the pattern, sorted: the bridge
-    sides W of size |H| whose labels, in increasing order, are one of W's
-    allowed orders (``_allowed_orders``, the rule ``appearance_law`` counts
-    with).  An allowed order starts at the attachment vertex, so that vertex
-    must be W's minimum.  A pattern with |H| >= n has no appearance."""
+    sides W of size |H| whose labels, in increasing order, are an allowed
+    order of W (module docstring), so W's minimum is the attachment vertex.
+    Only that one order is tested, prefix by prefix.  A pattern with
+    |H| >= n has no appearance."""
     h = pattern.h
     if h.n >= g.n:
         return []
-    return sorted(w for side, a in _pendant_sides(g, h.n) if side & -side == 1 << a
-                  and (w := tuple(bit_positions(side))) in _allowed_orders(g, h, side, a))
+    out = []
+    for side, a in _pendant_sides(g, h.n):
+        if side & -side == 1 << a:
+            w = bit_positions(side)
+            if all(_fits(g.adjacency, h.adjacency, w[:i], w[i]) for i in range(1, h.n)):
+                out.append(tuple(w))
+    return sorted(out)
 
 
 def appearance_law(g: LabeledGraph, pattern: Pattern) -> list[Fraction]:
@@ -299,16 +303,22 @@ def _allowed_orders(g: LabeledGraph, h: LabeledGraph, side: int, a: int) -> set:
     out = set()
 
     def extend(image: list[int], free: int) -> None:
-        i = len(image) + 1
-        if i > h.n:
+        if len(image) == h.n:
             out.add(tuple(image))
             return
         for w in bit_positions(free):
-            if all((adj[w] >> image[j - 1] ^ hadj[i] >> j) & 1 == 0 for j in range(1, i)):
+            if _fits(adj, hadj, image, w):
                 extend(image + [w], free & ~(1 << w))
 
     extend([a], side & ~(1 << a))
     return out
+
+
+def _fits(adj: list[int], hadj: list[int], image: list[int], w: int) -> bool:
+    """Whether vertex len(image) + 1 of h, sent to w, extends the partial
+    isomorphism image: w is joined to image[j - 1] exactly when it is to j."""
+    i = len(image) + 1
+    return all((adj[w] >> image[j - 1] ^ hadj[i] >> j) & 1 == 0 for j in range(1, i))
 
 
 def _cluster_law(cluster) -> list[Fraction]:

@@ -65,13 +65,18 @@ def fan_triangulation_edges(n: int) -> list[tuple[int, int]]:
     return sorted(edges)
 
 
-def mcmc_init(n: int, m: int) -> LabeledGraph:
-    """Deterministic start state: first m fan-triangulation edges, lex order."""
+def _start_edges(n: int, m: int) -> list[tuple[int, int]]:
+    """The start state's edges: the first m fan-triangulation edges, lex order."""
     _validate_params(n, m)
     fan = fan_triangulation_edges(n)
     if m > len(fan):
         raise EmptyClassBoundError(f"no planar graph with n={n}, m={m}")
-    return LabeledGraph(n, mask_from_edges(n, fan[:m]))
+    return fan[:m]
+
+
+def mcmc_init(n: int, m: int) -> LabeledGraph:
+    """Deterministic start state: first m fan-triangulation edges, lex order."""
+    return LabeledGraph(n, mask_from_edges(n, _start_edges(n, m)))
 
 
 @dataclass
@@ -84,10 +89,10 @@ class ChainState:
     steps_taken: int = 0
 
     def __post_init__(self) -> None:
-        self.mask = mcmc_init(self.n, self.m).mask
         # the edges in the order randrange(m) picks from, at first in slot
         # order as the fan's are; a swap keeps the slot
-        self._edges: list[tuple[int, int]] = fan_triangulation_edges(self.n)[: self.m]
+        self._edges: list[tuple[int, int]] = _start_edges(self.n, self.m)
+        self.mask = mask_from_edges(self.n, self._edges)
         self._adj = [0] * (self.n + 1)  # neighbour bitsets of the state
         for u, v in self._edges:
             self._adj[u] |= 1 << v

@@ -33,7 +33,7 @@ from planarlab import (
     pattern_from_name,
     star_graph,
 )
-from planarlab._bits import edges_from_mask, pair_count
+from planarlab._bits import bit_positions, edges_from_mask, pair_count
 from planarlab.patterns import PATTERN_MAX_ORDER, appearance_law
 from tests.oracles import (
     _count_appearances_subset_np,
@@ -274,6 +274,33 @@ class TestAppearances:
                 assert _count_appearances_subset_py(g, pattern.h) == (
                     _count_appearances_subset_np(g, pattern.h)
                 )
+
+    def test_witnesses_are_the_sides_whose_increasing_order_is_allowed(self, small_patterns):
+        rng = random.Random(8)
+        for _ in range(100):
+            g = random_graph(rng, 7, rng.randint(5, 8))
+            for pattern in small_patterns.values():
+                if pattern.size >= g.n:
+                    continue
+                allowed = sorted(
+                    tuple(bit_positions(side))
+                    for side, a in patterns_module._pendant_sides(g, pattern.size)
+                    if tuple(bit_positions(side)) in patterns_module._allowed_orders(
+                        g, pattern.h, side, a))
+                assert appearance_witnesses(g, pattern) == allowed
+
+    def test_a_star_side_is_decided_without_listing_its_orders(self):
+        # each of the 16 sides of star17 has 15! allowed orders for star16
+        def too_slow(signum, frame):
+            raise TimeoutError("star16 appearances took over 1 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(1)
+        try:
+            assert count_appearances(star_graph(17), pattern_from_name("star16")) == 16
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_two_edge_connected_witnesses_disjoint(self):
         rng = random.Random(7)
