@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import chain
+from itertools import chain, islice
 
 from . import census as census_mod
 from . import lab
@@ -19,6 +19,9 @@ from .graphs import LabeledGraph, decode, encode
 from .patterns import pattern_from_name
 from .sampler import sample_many
 from .verify import verify_class
+
+# Far past any grid that could finish: an mcmc cell takes a second or more.
+MAX_GRID_CELLS = 100_000
 
 
 def _parse_int_list(text: str) -> list[range]:
@@ -114,23 +117,28 @@ def _cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-def _cmd_experiment(args) -> int:
-    n_values = chain.from_iterable(_parse_int_list(args.n_list))
-    events = tuple(lab.parse_event(tok) for tok in args.events.split(","))
-    m_ranges = None if args.m_list == "all" else _parse_int_list(args.m_list)
-    # the table refuses an empty class, and an exact n past the orbit census:
-    # the grid ends at the first such m of each n, and at the first such n
-    grid: list[tuple[int, int]] = []
-    for n in n_values:
+def _grid_cells(n_ranges, m_ranges, exact: bool):
+    """The cells (n, m) of an experiment grid in order, ``m_ranges`` None for
+    every m, up to the first that the table refuses: an empty class, or an
+    exact n past the orbit census."""
+    for n in chain.from_iterable(n_ranges):
         top = census_mod.max_planar_edges(n)
         for m in range(top + 1) if m_ranges is None else chain.from_iterable(m_ranges):
-            grid.append((n, m))
-            if m > top:
-                break
-        if args.method == "exact" and n > census_mod.EXACT_MAX_N:
-            break
+            yield n, m
+            if m > top or exact and n > census_mod.EXACT_MAX_N:
+                return
+
+
+def _cmd_experiment(args) -> int:
+    n_ranges = _parse_int_list(args.n_list)
+    events = tuple(lab.parse_event(tok) for tok in args.events.split(","))
+    m_ranges = None if args.m_list == "all" else _parse_int_list(args.m_list)
+    cells = _grid_cells(n_ranges, m_ranges, args.method == "exact")
+    grid = tuple(islice(cells, MAX_GRID_CELLS + 1))  # never more built
+    if len(grid) > MAX_GRID_CELLS:
+        raise InvalidArgumentError(f"the grid has more than {MAX_GRID_CELLS} cells")
     spec = lab.ExperimentSpec(
-        grid=tuple(grid),
+        grid=grid,
         events=events,
         method=args.method,
         k=args.k,

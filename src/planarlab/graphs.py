@@ -3,13 +3,14 @@
 Simple undirected graphs on the vertex set {1..n}, the element type of the
 uniform classes this package enumerates and samples.  A graph is (n, mask),
 bit s of the mask being the edge in slot s (``_bits``); statistics run on
-neighbour bitsets built on first use (the components and the bridges are
-kept the same way), and the edge pairs are derived on demand.  Components
-are bitset flood fills (``reach``); bridges come from one breadth-first
-spanning forest, walked leaves first.  The text encoding is the mask's bits
-reversed, read off its hex digits.  Values are never modified once built
-and are safe to share; every operation here is a pure function of its
-inputs.
+neighbour bitsets read off the mask's rows on first use, and the edge pairs
+are derived on demand.  One breadth-first spanning forest, walked once per
+graph, gives the components (its trees) and, walked again leaves first when
+asked, the bridges and the two sides of each; all of it is kept on the
+graph, so the checks and searches that share it pay once.  The text
+encoding is the mask's bits reversed, read off its hex digits.  Values are
+never modified once built and are safe to share; every operation here is a
+pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from ._bits import bit_positions, edges_from_mask, pair_count, pair_index, pairs_in_order
+from ._bits import bit_positions, edges_from_mask, pair_count, pair_index
 from .errors import (
     DuplicateEdgeError,
     LoopEdgeError,
@@ -42,8 +43,8 @@ class LabeledGraph:
     n: int
     mask: int
     _adj: tuple[int, ...] | None = field(default=None, init=False, compare=False)
-    _comps: tuple[int, ...] | None = field(default=None, init=False, compare=False)
-    _bridges: frozenset[Edge] | None = field(default=None, init=False, compare=False)
+    _forest: tuple | None = field(default=None, init=False, compare=False)
+    _sides: tuple | None = field(default=None, init=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -56,18 +57,22 @@ class LabeledGraph:
 
     @property
     def adjacency(self) -> tuple[int, ...]:
-        """Neighbour bitsets indexed by vertex label; index 0 is 0."""
+        """Neighbour bitsets indexed by vertex label; index 0 is 0.  Row i of
+        the mask, the n - i slots of (i, i+1) .. (i, n), is i's upper row."""
         adj = self._adj
         if adj is None:
-            rows = [0] * (self.n + 1)
-            pairs = pairs_in_order(self.n)
-            mask = self.mask
-            while mask:
-                low = mask & -mask
-                i, j = pairs[low.bit_length() - 1]
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-                mask ^= low
+            n, rest = self.n, self.mask
+            rows = [0] * (n + 1)
+            i = 1
+            while rest:
+                up = rest & ((1 << (n - i)) - 1)
+                rest >>= n - i
+                rows[i] |= up << (i + 1)
+                while up:  # and i is in the lower row of each upper neighbour
+                    low = up & -up
+                    rows[i + low.bit_length()] |= 1 << i
+                    up ^= low
+                i += 1
             adj = self._adj = tuple(rows)
         return adj
 
@@ -77,18 +82,9 @@ class LabeledGraph:
 
     @property
     def component_masks(self) -> tuple[int, ...]:
-        """Vertex bitsets of the components, by ascending minimum vertex."""
-        comps = self._comps
-        if comps is None:
-            adj = self.adjacency
-            rest = (1 << (self.n + 1)) - 2
-            parts = []
-            while rest:
-                comp = reach(adj, rest & -rest)
-                parts.append(comp)
-                rest &= ~comp
-            comps = self._comps = tuple(parts)
-        return comps
+        """Vertex bitsets of the components, by ascending minimum vertex: the
+        trees of ``spanning_forest``."""
+        return spanning_forest(self)[0]
 
     @property
     def component_sets(self) -> tuple[frozenset[int], ...]:
@@ -107,16 +103,33 @@ class LabeledGraph:
         return f"LabeledGraph({encode(self)!r})"
 
 
-def reach(adj, seeds: int) -> int:
-    """Bitset of the vertices reachable from the seed bitset."""
-    seen = frontier = seeds
-    while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        new = adj[low.bit_length() - 1] & ~seen
-        seen |= new
-        frontier |= new
-    return seen
+def spanning_forest(g: LabeledGraph) -> tuple[tuple[int, ...], list[list[int]]]:
+    """The breadth-first spanning forest, walked once per graph and kept on
+    it: (the vertex bitset of each tree, each tree's layers as bitsets), one
+    tree per component, rooted at its minimum vertex, by ascending root.  The
+    parent of a vertex is its smallest neighbour in the layer above."""
+    forest = g._forest
+    if forest is None:
+        adj = g.adjacency
+        comps, layered = [], []
+        rest = (1 << (g.n + 1)) - 2  # the vertices no tree has reached yet
+        while rest:
+            seen = layer = rest & -rest  # the root
+            layers = []
+            while layer:
+                layers.append(layer)
+                reached = 0
+                while layer:
+                    low = layer & -layer
+                    reached |= adj[low.bit_length() - 1]
+                    layer ^= low
+                layer = reached & ~seen
+                seen |= layer
+            rest &= ~seen
+            comps.append(seen)
+            layered.append(layers)
+        forest = g._forest = (tuple(comps), layered)
+    return forest
 
 
 def build_graph(n: int, edge_list) -> LabeledGraph:
@@ -202,40 +215,60 @@ def kappa(g: LabeledGraph) -> int:
 
 
 def bridges(g: LabeledGraph) -> frozenset[Edge]:
-    """Edges whose deletion increases the component count: the tree edges
-    (p, v) of a breadth-first spanning forest whose subtree below v has no
-    neighbour but p; breadth first, p has no other neighbour in that subtree."""
-    if g._bridges is not None:
-        return g._bridges
-    adj = g.adjacency
-    parent = [0] * (g.n + 1)
-    inside = [0] * (g.n + 1)  # the subtrees of v's children
-    around = [0] * (g.n + 1)  # the neighbours of those subtrees
-    out = []
-    rest = (1 << (g.n + 1)) - 2  # the vertices no tree has reached yet
-    while rest:
-        seen = rest & -rest  # the root; a tree stays inside its component
-        tree = [seen.bit_length() - 1]
-        for v in tree:  # breadth-first; the list grows while it is walked
-            fresh = adj[v] & ~seen
-            seen |= fresh
-            while fresh:
-                low = fresh & -fresh
-                w = low.bit_length() - 1
-                parent[w] = v
-                tree.append(w)
-                fresh ^= low
-        rest &= ~seen
-        for v in reversed(tree[1:]):  # each vertex after all of its descendants
-            p = parent[v]
-            below = inside[v] | 1 << v  # the subtree below v, v included
-            reached = around[v] | adj[v]  # and its neighbours
-            if reached & ~below == 1 << p:  # p is the subtree's one neighbour
-                out.append((p, v) if p < v else (v, p))
-            inside[p] |= below
-            around[p] |= reached
-    g._bridges = frozenset(out)
-    return g._bridges
+    """Edges whose deletion increases the component count."""
+    return bridge_sides(g)[0]
+
+
+def bridge_sides(g: LabeledGraph) -> tuple[frozenset[Edge], tuple[tuple[Edge, int, int], ...]]:
+    """(the bridges, ((u, v), side of u, side of v) of each bridge (u, v) by
+    ascending edge), kept on the graph; a side is the vertex bitset left with
+    that end.  A bridge is a tree edge (p, v) of ``spanning_forest`` whose
+    subtree below v has no neighbour but p (breadth first, p has no other
+    neighbour there); its sides are that subtree and the rest of the tree."""
+    found = g._sides
+    if found is None:
+        comps, layered = spanning_forest(g)
+        adj = g.adjacency
+        out = []
+        if not _tree_edges_on_cycles(adj, layered):
+            inside = [0] * (g.n + 1)  # the subtrees of v's children
+            around = [0] * (g.n + 1)  # the neighbours of those subtrees
+            for comp, layers in zip(comps, layered):
+                for d in range(len(layers) - 1, 0, -1):  # each vertex after its descendants
+                    layer = layers[d]
+                    while layer:
+                        low = layer & -layer
+                        layer ^= low
+                        v = low.bit_length() - 1
+                        up = adj[v] & layers[d - 1]
+                        up &= -up  # the parent
+                        p = up.bit_length() - 1
+                        below = inside[v] | low  # the subtree below v, v included
+                        reached = around[v] | adj[v]  # and its neighbours
+                        if reached & ~below == up:  # p is the subtree's one neighbour
+                            rest = comp & ~below
+                            out.append(((p, v), rest, below) if p < v else ((v, p), below, rest))
+                        inside[p] |= below
+                        around[p] |= reached
+            out.sort()
+        found = g._sides = (frozenset([edge for edge, _, _ in out]), tuple(out))
+    return found
+
+
+def _tree_edges_on_cycles(adj, layered) -> bool:
+    """Whether each vertex but the roots has a second neighbour in its own
+    layer or the one above.  Those lie outside its subtree, so then no tree
+    edge, and no edge at all, is a bridge."""
+    for layers in layered:
+        for d in range(1, len(layers)):
+            layer = layers[d]
+            near = layers[d - 1] | layer
+            while layer:
+                low = layer & -layer
+                if (adj[low.bit_length() - 1] & near).bit_count() < 2:
+                    return False
+                layer ^= low
+    return True
 
 
 def degree_histogram(g: LabeledGraph) -> "DegreeHistogram":
@@ -274,8 +307,19 @@ def addable_nonedges(g: LabeledGraph) -> list[Edge]:
     planar = mask_planarity(n)
     if not planar(mask):
         raise NotPlanarInputError("addable non-edges are defined for planar graphs")
-    pairs = pairs_in_order(n)
-    return [pairs[s] for s in range(len(pairs)) if not mask >> s & 1 and planar(mask | 1 << s)]
+    out = []
+    free = ~mask & ((1 << pair_count(n)) - 1)  # the non-edges
+    i, row = 1, 0  # a vertex and the slot of (i, i + 1)
+    while free:
+        low = free & -free
+        free ^= low
+        if planar(mask | low):
+            s = low.bit_length() - 1
+            while s >= row + n - i:  # past the last slot of row i, (i, n)
+                row += n - i
+                i += 1
+            out.append((i, i + 1 + s - row))
+    return out
 
 
 def add_count(g: LabeledGraph) -> int:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
 
-from ._bits import bit_positions, edges_from_mask
+from ._bits import bit_positions
 from .errors import (
     DisconnectedPatternError,
     NonplanarPatternError,
@@ -36,13 +36,13 @@ from .errors import (
 )
 from .graphs import (
     LabeledGraph,
+    bridge_sides,
     bridges,
     build_graph,
     decode,
     encode,
     is_planar,
     kappa,
-    reach,
 )
 
 PATTERN_MAX_ORDER = 16
@@ -241,16 +241,12 @@ def automorphism_count(h: LabeledGraph) -> int:
 def _pendant_sides(g: LabeledGraph, size: int) -> list[tuple[int, int]]:
     """(vertex bitset, attachment vertex) of every set of ``size`` vertices
     that one edge, a bridge at the attachment vertex, joins to the rest."""
-    adj = g.adjacency
     out = []
-    for u, v in sorted(bridges(g)):
-        cut = list(adj)
-        cut[u] &= ~(1 << v)
-        cut[v] &= ~(1 << u)
-        for a in (u, v):
-            side = reach(cut, 1 << a)
-            if side.bit_count() == size:
-                out.append((side, a))
+    for (u, v), side_u, side_v in bridge_sides(g)[1]:
+        if side_u.bit_count() == size:
+            out.append((side_u, u))
+        if side_v.bit_count() == size:
+            out.append((side_v, v))
     return out
 
 
@@ -374,15 +370,20 @@ def has_copy(g: LabeledGraph, pattern: Pattern) -> bool:
 
 
 def count_good_triangles(g: LabeledGraph) -> int:
-    """Triangles with at least one vertex of degree <= 6 in g."""
+    """Triangles with at least one vertex of degree <= 6 in g, each counted
+    at its edge (u, v) of its two smallest vertices."""
     adj = g.adjacency
     low_degree = sum(1 << v for v in range(1, g.n + 1) if adj[v].bit_count() <= 6)
     count = 0
-    for u, v in edges_from_mask(g.n, g.mask):
-        apexes = adj[u] & adj[v] >> (v + 1) << (v + 1)  # third vertices above v
-        if not (low_degree >> u | low_degree >> v) & 1:
-            apexes &= low_degree
-        count += apexes.bit_count()
+    for u in range(1, g.n + 1):
+        above = adj[u] >> (u + 1) << (u + 1)  # u's neighbours above u, then above v
+        while above:
+            low = above & -above
+            above ^= low
+            apexes = above & adj[low.bit_length() - 1]  # third vertices above v
+            if not (low_degree >> u & 1 or low_degree & low):
+                apexes &= low_degree
+            count += apexes.bit_count()
     return count
 
 

@@ -4,7 +4,10 @@ Each check is a theorem about every member of the class, so a single
 violation on an enumerated graph means a bug in this package, not in the
 mathematics.  Strict inequalities are compared in exact integer arithmetic.
 ``verify_graph`` returns the public ``check_*`` results on one graph; a class
-verification tallies, per check, the graphs checked and the violations.
+verification tallies, per check, the graphs checked and the violations.  The
+checks read the components, bridges and bridge sides of the graph's one
+spanning forest (``graphs``); what depends only on the class or the pattern,
+a bound or a pattern's 2-edge-connectivity, is computed once.
 """
 
 from __future__ import annotations
@@ -56,10 +59,20 @@ class VerificationReport:
         return all(c.holds for c in self.checks)
 
 
+# What depends only on the class or the pattern is computed once, not per
+# graph: a check's bound, and a pattern's 2-edge-connectivity.
+_fraction = lru_cache(maxsize=256)(Fraction)
+
+
+@lru_cache(maxsize=64)
+def _two_edge_connected(pattern: Pattern) -> bool:
+    return is_two_edge_connected(pattern.h)
+
+
 def check_component_bound(g: LabeledGraph) -> CheckResult:
     """Component count is at least n - m (each edge closes at most one gap)."""
-    k = kappa(g)
-    return CheckResult("component-bound", k >= g.n - g.m, k, g.n - g.m)
+    k, gap = kappa(g), g.n - g.m
+    return CheckResult("component-bound", k >= gap, k, gap)
 
 
 def check_addable_cross_component(g: LabeledGraph) -> CheckResult:
@@ -85,7 +98,8 @@ def check_cutedge_bound(g: LabeledGraph) -> CheckResult:
     if not is_planar(g):
         raise NotPlanarInputError("check requires a planar graph")
     c = len(bridges(g))
-    return CheckResult("cutedge-bound", 2 * c < 3 * g.n - g.m, c, Fraction(3 * g.n - g.m, 2))
+    twice = 3 * g.n - g.m
+    return CheckResult("cutedge-bound", 2 * c < twice, c, _fraction(twice, 2))
 
 
 def check_triangulation_degrees(g: LabeledGraph) -> CheckResult:
@@ -96,30 +110,32 @@ def check_triangulation_degrees(g: LabeledGraph) -> CheckResult:
     small = degree_histogram(g).at_most(6)
     good = count_good_triangles(g)
     holds = 7 * small > g.n and 7 * good >= g.n
-    return CheckResult("triangulation-degrees", holds, (small, good), Fraction(g.n, 7))
+    return CheckResult("triangulation-degrees", holds, (small, good), _fraction(g.n, 7))
 
 
 def check_appearance_disjointness(g: LabeledGraph, pattern: Pattern) -> CheckResult:
     """Witness sets of a 2-edge-connected pattern never share a vertex."""
-    if not is_two_edge_connected(pattern.h):
+    if not _two_edge_connected(pattern):
         raise PatternNotTwoEdgeConnectedError(
             f"pattern {pattern.name} is not 2-edge-connected"
         )
     seen = overlaps = 0  # vertex bitsets
-    for w in appearance_witnesses(g, pattern):
-        side = sum(1 << v for v in w)
-        overlaps += bool(seen & side)
-        seen |= side
+    if bridges(g):  # an appearance hangs off a bridge: none without one
+        for w in appearance_witnesses(g, pattern):
+            side = sum(1 << v for v in w)
+            overlaps += bool(seen & side)
+            seen |= side
     return CheckResult(f"appearance-disjoint-{pattern.name}", overlaps == 0, overlaps, 0)
 
 
 def verify_graph(g: LabeledGraph) -> VerificationReport:
     """Run every applicable check on one planar graph."""
+    n = g.n
     checks = [check_component_bound(g), check_addable_cross_component(g), check_cutedge_bound(g)]
-    if g.n >= 3 and g.m == 3 * g.n - 6:
+    if n >= 3 and g.m == 3 * n - 6:
         checks.append(check_triangulation_degrees(g))
     for pattern in _default_disjointness_patterns():
-        if pattern.size < g.n:
+        if pattern.size < n:
             checks.append(check_appearance_disjointness(g, pattern))
     return VerificationReport(tuple(checks))
 

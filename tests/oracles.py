@@ -23,7 +23,6 @@ import numpy as np
 from planarlab import LabeledGraph, ResourceLimitError, build_graph, is_planar, max_planar_edges
 from planarlab._bits import bit_positions, edges_from_mask, pair_count, pair_index, pairs_in_order
 from planarlab.census import _ORBIT_HEADER, EXACT_MAX_N, _crc_text
-from planarlab.graphs import reach
 from planarlab.planarity import mask_planarity
 
 ORBIT_TABLES = Path(__file__).resolve().parent.parent / "src" / "planarlab" / "orbits"
@@ -217,6 +216,46 @@ def components_bfs(g: LabeledGraph) -> list[frozenset[int]]:
     return parts
 
 
+def reach(adj, seeds: int) -> int:
+    """Bitset of the vertices reachable from the seed bitset, by flood fill."""
+    seen = frontier = seeds
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = adj[low.bit_length() - 1] & ~seen
+        seen |= new
+        frontier |= new
+    return seen
+
+
+def component_masks_reach(g: LabeledGraph) -> tuple[int, ...]:
+    """Vertex bitsets of the components, by ascending minimum vertex: one
+    flood fill from the smallest vertex not yet reached."""
+    rest = (1 << (g.n + 1)) - 2
+    parts = []
+    while rest:
+        comp = reach(g.adjacency, rest & -rest)
+        parts.append(comp)
+        rest &= ~comp
+    return tuple(parts)
+
+
+def pendant_sides_flood(g: LabeledGraph, bridge_set, size: int) -> list[tuple[int, int]]:
+    """(vertex bitset, attachment vertex) of every side of ``size`` vertices
+    of a bridge in bridge_set, by ascending bridge and then end: each side a
+    flood fill from the bridge's end with the bridge deleted."""
+    out = []
+    for u, v in sorted(bridge_set):
+        cut = list(g.adjacency)
+        cut[u] &= ~(1 << v)
+        cut[v] &= ~(1 << u)
+        for a in (u, v):
+            side = reach(cut, 1 << a)
+            if side.bit_count() == size:
+                out.append((side, a))
+    return out
+
+
 def component_count_bfs(g: LabeledGraph) -> int:
     return len(components_bfs(g))
 
@@ -267,6 +306,39 @@ def random_planar_graph(rng: random.Random, n: int, m: int) -> LabeledGraph:
         g = random_graph(rng, n, m)
         if is_planar(g):
             return g
+
+
+def grown_planar_graph(rng: random.Random, n: int, m: int, core: int | None = None) -> LabeledGraph:
+    """A planar graph with n vertices and at most m edges, on shuffled labels:
+    pairs of the first ``core`` vertices (all n when None) added in random
+    order while planar, up to m edges; each vertex past the core then hangs
+    by one edge from a random earlier one, so the rest are pendant trees."""
+    core = n if core is None else core
+    labels = list(range(1, n + 1))
+    rng.shuffle(labels)
+    pairs = list(combinations(labels[:core], 2))
+    rng.shuffle(pairs)
+    edges: list[tuple[int, int]] = []
+    budget = m - (n - core)
+    for pair in pairs:
+        if len(edges) >= budget:
+            break
+        if is_planar(build_graph(n, edges + [pair])):
+            edges.append(pair)
+    edges += [(labels[rng.randrange(i)], labels[i]) for i in range(core, n)]
+    return build_graph(n, edges)
+
+
+def appearance_witnesses_subset(g: LabeledGraph, h: LabeledGraph) -> list[tuple[int, ...]]:
+    """Witness sets of the appearances of h, ascending, by the subset scan of
+    count_appearances_subset."""
+    deg = g.degrees
+    return [
+        witness for witness in combinations(range(1, g.n + 1), h.n)
+        if deg[witness[0]] == h.degrees[1] + 1
+        and sum(deg[v] for v in witness) == 2 * h.m + 1
+        and relabeled_subgraph(g, witness).mask == h.mask
+    ]
 
 
 def check_palm_tree(palm, edges) -> None:

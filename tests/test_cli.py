@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from planarlab import cli as cli_module
 from planarlab import lab
 from planarlab.census import load_census
-from planarlab.cli import main
+from planarlab.cli import MAX_GRID_CELLS, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_VERIFY_N6 = GOLDEN / "verify_n6.csv"
@@ -112,6 +113,20 @@ class TestVerify:
                    "--out", str(stored))[0] == 0
         assert stored.read_bytes() == direct.read_bytes()
         assert len(direct.read_text().splitlines()) == 1 + 6
+
+    def test_benchmark_classes_match_the_golden_table(self, capsys, tmp_path):
+        # (7,14) and (7,15) stored, reloaded and checked: the tallies of the
+        # verify-census-n7 benchmark workload, rows under one header
+        lines = ["n,m,check,checked,violations"]
+        for m in ("14", "15"):
+            census = tmp_path / f"c7-{m}.txt"
+            assert run(capsys, "enumerate", "--n", "7", "--m", m, "--store",
+                       "--out", str(census))[0] == 0
+            code, out, _ = run(capsys, "verify", "--n", "7", "--m", m, "--census", str(census))
+            assert code == 0
+            lines += out.splitlines()[1:]
+        golden = (GOLDEN / "verify_n7_m14_15.csv").read_text(encoding="utf-8")
+        assert "\n".join(lines) + "\n" == golden
 
 
 class TestExperiment:
@@ -261,7 +276,7 @@ class TestBadInput:
         code = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-from planarlab.cli import main
+from planarlab.cli import MAX_GRID_CELLS, main
 raise SystemExit(main(sys.argv[1:]))
 """
         done = subprocess.run(
@@ -271,6 +286,35 @@ raise SystemExit(main(sys.argv[1:]))
         )
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == "error: class (7, 16) is empty\n"
+
+    def test_a_huge_mcmc_grid_is_refused_without_building_it(self):
+        # every (n, 0) is a class the chain can sample, so nothing ends this
+        # grid early: 10^12 cells, refused past the cap under a 1 GB limit
+        code = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from planarlab.cli import MAX_GRID_CELLS, main
+raise SystemExit(main(sys.argv[1:]))
+"""
+        done = subprocess.run(
+            [sys.executable, "-c", code, "experiment", "--method", "mcmc", "--n-list",
+             "1-1000000000000", "--m-list", "0", "--k", "1", "--events", "connected"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == f"error: the grid has more than {MAX_GRID_CELLS} cells\n"
+
+    def test_a_grid_at_the_cap_is_built(self, capsys, monkeypatch):
+        specs = []
+        phase_table = lab.phase_table
+        monkeypatch.setattr(lab, "phase_table", lambda spec: specs.append(spec) or phase_table(spec))
+        monkeypatch.setattr(cli_module, "MAX_GRID_CELLS", 3)
+        code, _, _ = run(capsys, "experiment", "--n-list", "4-6", "--m-list", "0",
+                         "--events", "connected")
+        assert code == 0 and [spec.grid for spec in specs] == [((4, 0), (5, 0), (6, 0))]
+        code, _, err = run(capsys, "experiment", "--n-list", "4-7", "--m-list", "0",
+                           "--events", "connected")
+        assert (code, err) == (2, "error: the grid has more than 3 cells\n")
 
     def test_exact_sample_from_incomplete_census(self, capsys, tmp_path):
         from planarlab import CensusRecord, CensusStore, build_census, save_census

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,7 @@ from planarlab import (
     regime_of,
     sample_many,
 )
+from planarlab._bits import pairs_in_order
 from tests.oracles import random_graph
 
 TRIANGLE = pattern_from_name("triangle")
@@ -204,6 +206,21 @@ class TestExactProbability:
         )
         assert est.diagnostic and est.method == "mcmc-diagnostic"
         assert abs(est.value - exact) <= 3 * max(est.stderr, 1e-9)
+
+    def test_a_large_mcmc_estimate_builds_no_pair_table(self):
+        # each sampled graph's neighbour bitsets come from the mask's rows, not
+        # from the pairs_in_order(2000) table of about two million pairs, which
+        # alone made the traced peak about 180 MB
+        pairs_in_order.cache_clear()
+        tracemalloc.start()
+        try:
+            est = estimate_probability(2000, 2000, EventKind.connected(), method="mcmc",
+                                       k=1, burn_in=0, thinning=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.k == 1 and pairs_in_order.cache_info().currsize == 0
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("method", ["exact", "mcmc"])
     def test_estimate_needs_a_sample(self, method):

@@ -4,7 +4,7 @@ import random
 import signal
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
@@ -438,6 +438,17 @@ class TestGoodTriangles:
         g = build_graph(nxt - 1, edges)
         assert g.degree(1) == g.degree(2) == g.degree(3) == 7
         assert count_good_triangles(g) == 0
+
+    def test_against_a_scan_of_all_triples(self):
+        rng = random.Random(17)
+        for _ in range(60):
+            n = rng.randint(8, 13)
+            g = random_graph(rng, n, rng.randint(2 * n, pair_count(n)))
+            deg = g.degrees
+            scan = sum(1 for t in combinations(range(1, g.n + 1), 3)
+                       if all(g.has_edge(a, b) for a, b in combinations(t, 2))
+                       and min(deg[v] for v in t) <= 6)
+            assert count_good_triangles(g) == scan, g
 
 
 class TestTwoEdgeConnected:

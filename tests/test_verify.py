@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import random
+from fractions import Fraction
+from itertools import combinations
+
+import networkx as nx
 import pytest
 
+import planarlab.patterns as patterns_module
 from planarlab import (
     InvalidArgumentError,
     NotTriangulationError,
@@ -20,6 +26,16 @@ from planarlab import (
     path_graph,
     verify_class,
     verify_graph,
+)
+from planarlab.graphs import bridges, is_planar
+from planarlab.patterns import appearance_law, appearance_witnesses
+from planarlab.verify import CheckResult
+from tests.oracles import (
+    appearance_witnesses_subset,
+    component_masks_reach,
+    degrees_from_edges,
+    grown_planar_graph,
+    pendant_sides_flood,
 )
 
 
@@ -110,6 +126,14 @@ class TestAppearanceDisjointness:
     def test_requires_two_edge_connected_pattern(self):
         with pytest.raises(PatternNotTwoEdgeConnectedError):
             check_appearance_disjointness(complete_graph(4), pattern_from_name("path3"))
+
+    def test_a_bad_pattern_is_refused_on_every_call(self):
+        # the pattern's 2-edge-connectivity is cached, its refusal is not; a
+        # bridgeless graph, searched for no appearance, refuses it too
+        path3 = pattern_from_name("path3")
+        for g in (complete_graph(4), complete_graph(4), path_graph(6), complete_graph(4)):
+            with pytest.raises(PatternNotTwoEdgeConnectedError):
+                check_appearance_disjointness(g, path3)
 
     def test_exhaustive_triangle_sweep_at_seven(self):
         # every planar graph on 7 vertices, all edge counts (~1.8M graphs);
@@ -252,3 +276,88 @@ class TestVerifyClass:
         batch = sample_many(6, 8, 100, method="mcmc", seed=4, burn_in=200, thinning=2)
         outcome = verify_batch(batch)
         assert outcome.class_size == 100 and outcome.all_pass
+
+
+@pytest.fixture(scope="module")
+def grown_graphs():
+    """Planar graphs with n = 8..16: grown from empty at five densities, from
+    a half-matching to a triangulation, and pendant trees hung on a
+    triangulated core of 4 and of n/2 vertices."""
+    rng = random.Random(21)
+    graphs = []
+    for n in range(8, 17):
+        for m in (n // 2, n - 1, n + 2, 2 * n, 3 * n - 6):
+            graphs.append(grown_planar_graph(rng, n, m))
+        for core in (4, n // 2):
+            graphs.append(grown_planar_graph(rng, n, 3 * n, core))
+    return graphs
+
+
+def oracle_checks(g, nx_graph) -> tuple[CheckResult, ...]:
+    """verify_graph's results from networkx components and bridges, every
+    non-edge tested, triangles by triples and witnesses by subset scan."""
+    n, m = g.n, g.m
+    comps = list(nx.connected_components(nx_graph))
+    which = {v: i for i, comp in enumerate(comps) for v in comp}
+    nonedges = [e for e in combinations(range(1, n + 1), 2) if not g.has_edge(*e)]
+    addable = {e for e in nonedges if is_planar(build_graph(n, [*g.edges, e]))}
+    cross = {e for e in nonedges if which[e[0]] != which[e[1]]}
+    cut = len(list(nx.bridges(nx_graph)))
+    checks = [
+        CheckResult("component-bound", len(comps) >= n - m, len(comps), n - m),
+        CheckResult("addable-cross-component", cross <= addable, len(addable), len(cross)),
+        CheckResult("cutedge-bound", 2 * cut < 3 * n - m, cut, Fraction(3 * n - m, 2)),
+    ]
+    if m == 3 * n - 6:
+        deg = degrees_from_edges(g)
+        small = sum(1 for v in range(1, n + 1) if deg[v] <= 6)
+        good = sum(1 for t in combinations(range(1, n + 1), 3)
+                   if all(g.has_edge(a, b) for a, b in combinations(t, 2))
+                   and min(deg[v] for v in t) <= 6)
+        checks.append(CheckResult("triangulation-degrees", 7 * small > n and 7 * good >= n,
+                                  (small, good), Fraction(n, 7)))
+    for name in ("triangle", "k4"):
+        seen, overlaps = set(), 0
+        for w in appearance_witnesses_subset(g, pattern_from_name(name).h):
+            overlaps += bool(seen & set(w))
+            seen |= set(w)
+        checks.append(CheckResult(f"appearance-disjoint-{name}", overlaps == 0, overlaps, 0))
+    return tuple(checks)
+
+
+class TestSharedPassAgainstOracles:
+    """The one spanning forest per graph gives the components, the bridges and
+    the bridge sides that every check and appearance search reads."""
+
+    def test_the_sample_is_sparse_to_dense_with_bridges(self, grown_graphs):
+        assert len(grown_graphs) == 63
+        assert sum(g.m == 3 * g.n - 6 for g in grown_graphs) >= 9
+        assert sum(len(g.component_masks) > 1 for g in grown_graphs) >= 9
+        assert max(len(bridges(g)) for g in grown_graphs) >= 12
+
+    def test_every_check_matches_the_oracles(self, grown_graphs):
+        for g in grown_graphs:
+            nx_graph = nx.Graph(g.edges)
+            nx_graph.add_nodes_from(range(1, g.n + 1))
+            comps = sorted((sum(1 << v for v in c) for c in nx.connected_components(nx_graph)),
+                           key=lambda c: c & -c)
+            assert g.component_masks == component_masks_reach(g) == tuple(comps), g
+            assert bridges(g) == {tuple(sorted(e)) for e in nx.bridges(nx_graph)}, g
+            assert verify_graph(g).checks == oracle_checks(g, nx_graph), g
+
+    def test_sides_witnesses_and_laws_match_the_flood_fills(self, grown_graphs, small_patterns,
+                                                              monkeypatch):
+        flood = {}
+        for g in grown_graphs:
+            for size in range(1, g.n):
+                sides = pendant_sides_flood(g, bridges(g), size)
+                assert patterns_module._pendant_sides(g, size) == sides, (g, size)
+                flood[g, size] = sides
+            for pattern in small_patterns.values():
+                assert appearance_witnesses(g, pattern) == appearance_witnesses_subset(
+                    g, pattern.h), (g, pattern.name)
+        laws = {(g, name): appearance_law(g, pattern)
+                for g in grown_graphs for name, pattern in small_patterns.items()}
+        monkeypatch.setattr(patterns_module, "_pendant_sides", lambda g, size: flood[g, size])
+        for (g, name), law in laws.items():
+            assert sum(law) == 1 and law == appearance_law(g, small_patterns[name]), (g, name)
