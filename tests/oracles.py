@@ -90,19 +90,19 @@ def count_appearances_subset(g: LabeledGraph, h: LabeledGraph) -> int:
 
 
 def _count_appearances_subset_py(g: LabeledGraph, h: LabeledGraph) -> int:
+    return len(appearance_witnesses_subset(g, h))
+
+
+def appearance_witnesses_subset(g: LabeledGraph, h: LabeledGraph) -> list[tuple[int, ...]]:
+    """Witness sets of the appearances of h, ascending, by the subset scan of
+    count_appearances_subset."""
     deg = g.degrees
-    k = h.n
-    degsum_target = 2 * h.m + 1
-    root_degree = h.degrees[1] + 1
-    count = 0
-    for witness in combinations(range(1, g.n + 1), k):
-        if deg[witness[0]] != root_degree:
-            continue
-        if sum(deg[v] for v in witness) != degsum_target:
-            continue
-        if relabeled_subgraph(g, witness).mask == h.mask:
-            count += 1
-    return count
+    root_degree, degree_sum = h.degrees[1] + 1, 2 * h.m + 1
+    return [
+        witness for witness in combinations(range(1, g.n + 1), h.n)
+        if deg[witness[0]] == root_degree and sum(deg[v] for v in witness) == degree_sum
+        and relabeled_subgraph(g, witness).mask == h.mask
+    ]
 
 
 @lru_cache(maxsize=64)
@@ -327,18 +327,6 @@ def grown_planar_graph(rng: random.Random, n: int, m: int, core: int | None = No
             edges.append(pair)
     edges += [(labels[rng.randrange(i)], labels[i]) for i in range(core, n)]
     return build_graph(n, edges)
-
-
-def appearance_witnesses_subset(g: LabeledGraph, h: LabeledGraph) -> list[tuple[int, ...]]:
-    """Witness sets of the appearances of h, ascending, by the subset scan of
-    count_appearances_subset."""
-    deg = g.degrees
-    return [
-        witness for witness in combinations(range(1, g.n + 1), h.n)
-        if deg[witness[0]] == h.degrees[1] + 1
-        and sum(deg[v] for v in witness) == 2 * h.m + 1
-        and relabeled_subgraph(g, witness).mask == h.mask
-    ]
 
 
 def check_palm_tree(palm, edges) -> None:
