@@ -55,5 +55,16 @@ def mask_from_edges(n: int, edges) -> int:
 
 
 def edges_from_mask(n: int, mask: int) -> tuple[tuple[int, int], ...]:
-    pairs = pairs_in_order(n)
-    return tuple(pairs[s] for s in bit_positions(mask))
+    """The edges of mask in slot order, read row by row: row i holds the
+    n - i slots of (i, i+1) .. (i, n), so no pair table is built."""
+    edges = []
+    i = 1
+    while mask:
+        row = mask & ((1 << (n - i)) - 1)
+        mask >>= n - i
+        while row:
+            low = row & -row
+            edges.append((i, i + low.bit_length()))
+            row ^= low
+        i += 1
+    return tuple(edges)

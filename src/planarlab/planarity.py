@@ -7,10 +7,12 @@ three cooperating mechanisms, all cross-checked in the test suite:
 
 * trivial bounds: any graph with at most 8 edges or at most 4 vertices is
   planar; for n >= 3 more than 3n-6 edges is impossible in a planar graph;
-* n <= 7: a lookup table over all edge masks, built once per n by marking
-  the edge mask of every K5/K3,3 subdivision on {1..n} in one Python int
-  and closing upward over supersets, one shift-and-or per vertex pair (a
-  graph is non-planar exactly when it contains one of them);
+* n <= 7: a lookup table over all edge masks, one byte per mask, read once
+  per n from a checked-in zlib file under ``tables/`` (47,968 bytes at n=7,
+  2,097,152 bytes inflated).  A missing or damaged file stops with a census
+  error naming it.  The generator that wrote the files closes the edge masks
+  of the K5/K3,3 subdivisions over supersets; it lives with the tests
+  (``tests/oracles.py``), which compare every table with it;
 * n >= 8: the left-right planarity test (Brandes 2009), as two iterative
   DFS phases over an explicit path.  The orientation, started at each
   vertex with an edge that no earlier start reached, builds a ``PalmTree``:
@@ -38,19 +40,14 @@ lowpoints only on the two tree paths to the root, and
 from __future__ import annotations
 
 import copy
+import zlib
 from functools import cached_property, lru_cache
-from itertools import combinations, permutations
 from typing import Callable, Iterable
 
-from ._bits import edges_from_mask, mask_from_edges, pair_count, pair_index
+from ._bits import edges_from_mask, mask_from_edges, pair_count
+from .errors import ChecksumMismatchError, IoFailureError
 
 TABLE_MAX_N = 7
-
-_K5_ORDER = 5
-_K33_ORDER = 6
-
-# a binary digit of the non-planar marks -> its table byte ("0" -> 1, planar)
-_DIGIT_TO_PLANAR = bytes.maketrans(b"01", b"\x01\x00")
 
 
 def is_planar_edges(n: int, edges: Iterable[tuple[int, int]], palm: PalmTree | None = None) -> bool:
@@ -71,7 +68,8 @@ def is_planar_edges(n: int, edges: Iterable[tuple[int, int]], palm: PalmTree | N
 @lru_cache(maxsize=None)
 def mask_planarity(n: int) -> Callable[[int], bool]:
     """The planarity test for edge masks on {1..n}: a lookup in the n <= 7
-    table (truthy byte), else the left-right test on the decoded edges."""
+    table read from its checked-in file (truthy byte), else the left-right
+    test on the edges decoded row by row."""
     if n <= TABLE_MAX_N:
         return planar_mask_table(n).__getitem__
     return lambda mask: is_planar_edges(n, edges_from_mask(n, mask))
@@ -80,56 +78,32 @@ def mask_planarity(n: int) -> Callable[[int], bool]:
 # -- small-order tables -------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def forbidden_subdivision_masks(n: int) -> tuple[int, ...]:
-    """Edge masks of all K5 and K3,3 subdivisions on subsets of {1..n}.  Each
-    connection (u, v) of branch vertices becomes a path u - d1 - ... - dk - v
-    whose internal vertices are distinct other vertices, not all used."""
-    verts = range(1, n + 1)
-    models = [(branch, tuple(combinations(branch, 2))) for branch in combinations(verts, _K5_ORDER)]
-    for branch in combinations(verts, _K33_ORDER):
-        for pick in combinations(branch[1:], 2):
-            side = (branch[0],) + pick
-            models.append((branch, tuple((a, b) for a in side for b in branch if b not in side)))
-    found: set[int] = set()
+def _table(n: int):
+    """The checked-in planarity table for n: one byte per mask, zlib-compressed."""
+    from importlib.resources import files
 
-    def subdivide(connections, spares, mask):
-        if not connections:
-            found.add(mask)
-            return
-        u, v = connections[0]
-        for r in range(len(spares) + 1):
-            for inner in permutations(spares, r):
-                path_mask = mask
-                for a, b in zip((u,) + inner, inner + (v,)):
-                    path_mask |= 1 << (pair_index(n, a, b) if a < b else pair_index(n, b, a))
-                subdivide(connections[1:], tuple(s for s in spares if s not in inner), path_mask)
-
-    for branch, connections in models:
-        subdivide(connections, tuple(v for v in verts if v not in branch), 0)
-    return tuple(sorted(found))
+    return files(__package__) / "tables" / f"planar_{n}.bin"
 
 
 @lru_cache(maxsize=None)
 def planar_mask_table(n: int) -> bytes:
-    """byte[mask] == 1 iff the graph on {1..n} with that edge mask is planar."""
-    if n > TABLE_MAX_N:
-        raise ValueError(f"table limited to n <= {TABLE_MAX_N}")
-    slots = pair_count(n)
-    size = 1 << slots
-    # x has bit size-1-mask set iff the mask is non-planar, so that its binary
-    # digits, most significant first, run in mask order
-    marks = bytearray(size + 7 >> 3)
-    for p in (size - 1 - mask for mask in forbidden_subdivision_masks(n)):
-        marks[p >> 3] |= 1 << (p & 7)
-    x = int.from_bytes(marks, "little")
-    # superset closure, one slot b at a time: adding b to a mask moves its bit
-    # down by 2**b from a position that has bit b set
-    for b in range(slots):
-        half = 1 << b >> 3  # bytes in half a period of those positions
-        unit = bytes(half) + b"\xff" * half if half else bytes([(0xAA, 0xCC, 0xF0)[b]])
-        x |= (x & int.from_bytes(unit * (size // 8 // len(unit) + 1), "little")) >> (1 << b)
-    return format(x, f"0{size}b").encode("ascii").translate(_DIGIT_TO_PLANAR)
+    """byte[mask] == 1 iff the graph on {1..n} with that edge mask is planar,
+    inflated from its checked-in table the first time n is asked."""
+    if not 1 <= n <= TABLE_MAX_N:
+        raise ValueError(f"table limited to 1 <= n <= {TABLE_MAX_N}")
+    table = _table(n)
+    try:
+        data = zlib.decompress(table.read_bytes())
+    except (OSError, zlib.error) as exc:
+        raise IoFailureError(f"planarity table {table} is unreadable: {exc}") from exc
+    size = 1 << pair_count(n)
+    if len(data) != size:
+        raise ChecksumMismatchError(
+            f"planarity table {table} inflates to {len(data)} bytes, not {size}")
+    # deleting every 0 and 1 takes a quarter of the time of counting them
+    if data.translate(None, b"\x00\x01"):
+        raise ChecksumMismatchError(f"planarity table {table} holds a byte other than 0 or 1")
+    return data
 
 
 # -- left-right test ----------------------------------------------------------

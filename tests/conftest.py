@@ -36,3 +36,13 @@ def cold_orbit_caches():
     yield
     for cache in caches:
         cache.cache_clear()
+
+
+@pytest.fixture
+def cold_planar_tables():
+    """No n <= 7 planarity table read, before and after the test."""
+    from planarlab.planarity import planar_mask_table
+
+    planar_mask_table.cache_clear()
+    yield
+    planar_mask_table.cache_clear()

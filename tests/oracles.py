@@ -2,10 +2,13 @@
 
 Everything here is written directly from definitions with no shared code
 paths: permutation scans, subset scans, the Kuratowski subdivision search and
-plain BFS.  Slow on purpose.  The exception is the connected-orbit generator
-at the end, which wrote the library's checked-in orbit tables: it shares the
-mask planarity test with the library, and the tests check what it wrote
-against the labeled sweep, the automorphism search and the OEIS totals.
+plain BFS.  Slow on purpose.  The exceptions are the table generators at
+the end, which wrote the library's checked-in tables.  The n <= 7 planarity
+tables close the K5/K3,3 subdivisions over supersets; the tests check them
+against the Kuratowski search, the left-right test and the OEIS totals.  The
+connected-orbit generator uses those tables and, past n = 7, the library's
+left-right test; the tests check what it wrote against the labeled sweep,
+the automorphism search and the OEIS totals.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+import zlib
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, factorial
@@ -23,9 +27,11 @@ import numpy as np
 from planarlab import LabeledGraph, ResourceLimitError, build_graph, is_planar, max_planar_edges
 from planarlab._bits import bit_positions, edges_from_mask, pair_count, pair_index, pairs_in_order
 from planarlab.census import _ORBIT_HEADER, EXACT_MAX_N, _crc_text
-from planarlab.planarity import mask_planarity
+from planarlab.planarity import TABLE_MAX_N, mask_planarity
 
-ORBIT_TABLES = Path(__file__).resolve().parent.parent / "src" / "planarlab" / "orbits"
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "planarlab"
+ORBIT_TABLES = PACKAGE / "orbits"
+PLANAR_TABLES = PACKAGE / "tables"
 
 # below this many |H|-subsets the plain Python scan beats the vectorized one
 _SUBSET_VECTOR_THRESHOLD = 512
@@ -380,13 +386,73 @@ def check_palm_tree(palm, edges) -> None:
         assert [palm.depth[e] for e in out] == sorted(palm.depth[e] for e in out)
 
 
-# -- the connected-orbit generator ---------------------------------------------
+# -- the table generators -------------------------------------------------------
 #
-# This generator wrote the checked-in tables under src/planarlab/orbits that
-# the orbit census reads.  Rewrite them (and then check them) with
+# These generators wrote the checked-in tables that the library reads: the
+# n <= 7 planarity tables under src/planarlab/tables and the connected orbits
+# under src/planarlab/orbits.  Rewrite them (and then check them) with
 #
 #     PYTHONPATH=src python -m tests.oracles
 #     PYTHONPATH=src python -m tests.oracles --check
+
+
+@lru_cache(maxsize=None)
+def forbidden_subdivision_masks(n: int) -> tuple[int, ...]:
+    """Edge masks of all K5 and K3,3 subdivisions on subsets of {1..n}.  Each
+    connection (u, v) of branch vertices becomes a path u - d1 - ... - dk - v
+    whose internal vertices are distinct other vertices, not all used."""
+    verts = range(1, n + 1)
+    models = [(branch, tuple(combinations(branch, 2))) for branch in combinations(verts, 5)]
+    for branch in combinations(verts, 6):
+        for pick in combinations(branch[1:], 2):
+            side = (branch[0],) + pick
+            models.append((branch, tuple((a, b) for a in side for b in branch if b not in side)))
+    found: set[int] = set()
+
+    def subdivide(connections, spares, mask):
+        if not connections:
+            found.add(mask)
+            return
+        u, v = connections[0]
+        for r in range(len(spares) + 1):
+            for inner in permutations(spares, r):
+                path_mask = mask
+                for a, b in zip((u,) + inner, inner + (v,)):
+                    path_mask |= 1 << (pair_index(n, a, b) if a < b else pair_index(n, b, a))
+                subdivide(connections[1:], tuple(s for s in spares if s not in inner), path_mask)
+
+    for branch, connections in models:
+        subdivide(connections, tuple(v for v in verts if v not in branch), 0)
+    return tuple(sorted(found))
+
+
+@lru_cache(maxsize=None)
+def planar_table(n: int) -> bytes:
+    """byte[mask] == 1 iff the graph on {1..n} with that edge mask is planar:
+    the edge mask of every K5/K3,3 subdivision marked in one Python int and
+    closed upward over supersets, one shift-and-or per vertex pair (a graph is
+    non-planar exactly when it contains one of them)."""
+    slots = pair_count(n)
+    size = 1 << slots
+    # x has bit size-1-mask set iff the mask is non-planar, so that its binary
+    # digits, most significant first, run in mask order
+    marks = bytearray(size + 7 >> 3)
+    for p in (size - 1 - mask for mask in forbidden_subdivision_masks(n)):
+        marks[p >> 3] |= 1 << (p & 7)
+    x = int.from_bytes(marks, "little")
+    # superset closure, one slot b at a time: adding b to a mask moves its bit
+    # down by 2**b from a position that has bit b set
+    for b in range(slots):
+        half = 1 << b >> 3  # bytes in half a period of those positions
+        unit = bytes(half) + b"\xff" * half if half else bytes([(0xAA, 0xCC, 0xF0)[b]])
+        x |= (x & int.from_bytes(unit * (size // 8 // len(unit) + 1), "little")) >> (1 << b)
+    # a binary digit of the non-planar marks -> its table byte ("0" -> 1, planar)
+    return format(x, f"0{size}b").encode("ascii").translate(bytes.maketrans(b"01", b"\x01\x00"))
+
+
+def read_planar_table(n: int) -> bytes:
+    """The checked-in planarity table for n, inflated, read straight from its file."""
+    return zlib.decompress((PLANAR_TABLES / f"planar_{n}.bin").read_bytes())
 
 
 @lru_cache(maxsize=None)
@@ -403,7 +469,7 @@ def connected_orbits(n: int) -> tuple[tuple[int, int], ...]:
         return ((0, 1),)
     found: dict[int, int] = {}
     nonplanar: set[int] = set()
-    planar = mask_planarity(n)
+    planar = planar_table(n).__getitem__ if n <= TABLE_MAX_N else mask_planarity(n)
     new = 1 << n
     for parent_mask, _ in connected_orbits(n - 1):
         parent = LabeledGraph(n - 1, parent_mask).adjacency
@@ -554,12 +620,21 @@ def orbit_table_text(n: int, rows) -> str:
 
 
 def main(argv=None) -> int:
-    """Write the checked-in orbit tables for n = 1..9 from the generator, or
-    with --check compare them with it and exit 1 on a difference."""
+    """Write the checked-in planarity tables for n = 1..7 and orbit tables
+    for n = 1..9 from the generators, or with --check compare them with
+    them and exit 1 on a difference."""
     parser = argparse.ArgumentParser(prog="python -m tests.oracles", description=main.__doc__)
     parser.add_argument("--check", action="store_true")
     args = parser.parse_args(argv)
     stale = []
+    for n in range(1, TABLE_MAX_N + 1):
+        table = planar_table(n)
+        path = PLANAR_TABLES / f"planar_{n}.bin"
+        if not args.check:
+            path.write_bytes(zlib.compress(table, 9))
+        elif not path.is_file() or read_planar_table(n) != table:
+            stale.append(path.name)
+        print(f"{path.name}: {table.count(1)} planar of {len(table)}", file=sys.stderr)
     for n in range(1, EXACT_MAX_N + 1):
         text = orbit_table_text(n, connected_orbits(n))
         path = ORBIT_TABLES / f"connected_{n}.txt"

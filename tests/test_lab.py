@@ -16,6 +16,7 @@ from planarlab import (
     ResourceLimitError,
     ExperimentSpec,
     InvalidArgumentError,
+    LabeledGraph,
     build_census,
     build_graph,
     class_counts,
@@ -29,6 +30,7 @@ from planarlab import (
     evaluate_event,
     exact_event_counts,
     exact_probability,
+    is_planar,
     isolated_vertex_count,
     parse_event,
     pattern_from_name,
@@ -37,7 +39,7 @@ from planarlab import (
     regime_of,
     sample_many,
 )
-from planarlab._bits import pairs_in_order
+from planarlab._bits import bit_positions, pairs_in_order
 from tests.oracles import random_graph
 
 TRIANGLE = pattern_from_name("triangle")
@@ -221,6 +223,25 @@ class TestExactProbability:
             tracemalloc.stop()
         assert est.k == 1 and pairs_in_order.cache_info().currsize == 0
         assert peak < 8 * 2**20
+
+    def test_a_large_graph_decodes_its_edges_without_a_pair_table(self):
+        # mask_planarity past n = 7 and LabeledGraph.edges decode the mask row
+        # by row; through the pairs_in_order(2000) table, is_planar alone took
+        # about 4 s with a traced peak of about 190 MB
+        g = LabeledGraph(2000, ChainState(2000, 2000, 0).mask)
+        pairs_in_order.cache_clear()
+        tracemalloc.start()
+        try:
+            planar = is_planar(g)
+            edges = g.edges
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert planar and pairs_in_order.cache_info().currsize == 0
+        assert peak < 8 * 2**20
+        assert edges == {(u, v) for u, row in enumerate(g.adjacency)
+                         for v in bit_positions(row) if u < v}
+        assert len(edges) == 2000
 
     @pytest.mark.parametrize("method", ["exact", "mcmc"])
     def test_estimate_needs_a_sample(self, method):

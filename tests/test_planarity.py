@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import copy
+import os
 import random
+import re
+import shutil
 import subprocess
 import sys
+import zlib
 from collections import Counter
 from itertools import combinations
 
@@ -11,14 +15,30 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 
-from planarlab import LabeledGraph, addable_nonedges, build_graph, complete_graph, is_planar
+from planarlab import (
+    ChecksumMismatchError,
+    IoFailureError,
+    LabeledGraph,
+    addable_nonedges,
+    build_graph,
+    complete_graph,
+    is_planar,
+)
+from planarlab import planarity as planarity_module
 from planarlab.cli import main as cli_main
 from planarlab._bits import edges_from_mask, pair_count, pairs_in_order
-from tests.oracles import check_palm_tree, has_forbidden_subdivision
+from tests.oracles import (
+    PACKAGE,
+    PLANAR_TABLES,
+    check_palm_tree,
+    forbidden_subdivision_masks,
+    has_forbidden_subdivision,
+    planar_table,
+    read_planar_table,
+)
 from planarlab.planarity import (
     PalmTree,
     _left_right_planar,
-    forbidden_subdivision_masks,
     is_planar_edges,
     planar_mask_table,
 )
@@ -412,6 +432,9 @@ class TestForbiddenMasks:
 
 
 class TestTable:
+    """The n <= 7 tables are read from checked-in files that the generator in
+    tests/oracles.py wrote."""
+
     # labeled planar graphs on n vertices, OEIS A066537
     PLANAR_COUNTS = (1, 2, 8, 64, 1023, 32071, 1823707)
 
@@ -421,6 +444,81 @@ class TestTable:
         assert len(table) == 1 << pair_count(n)
         assert table.count(1) == self.PLANAR_COUNTS[n - 1]
         assert table.count(0) == len(table) - table.count(1)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_checked_in_tables_equal_the_generator(self, n):
+        # byte for byte, from the file and through the library's reader
+        table = planar_table(n)
+        assert read_planar_table(n) == table
+        assert planar_mask_table(n) == table
+
+    def test_import_reads_no_table(self):
+        code = """
+import sys
+opened = []
+sys.addaudithook(lambda event, args: event == "open" and opened.append(str(args[0])))
+import planarlab, planarlab.cli
+print(sum("planar_" in path for path in opened),
+      planarlab.planarity.planar_mask_table.cache_info().currsize)
+"""
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "0 0\n"
+
+    @pytest.mark.usefixtures("cold_planar_tables")
+    @pytest.mark.parametrize("edit, error", [
+        ("missing", IoFailureError),
+        ("empty", IoFailureError),
+        ("truncated", IoFailureError),
+        ("byte flipped", IoFailureError),
+        ("one mask short", ChecksumMismatchError),
+        ("one mask too many", ChecksumMismatchError),
+        ("a byte of 2", ChecksumMismatchError),
+        ("not compressed", IoFailureError),
+    ])
+    def test_a_damaged_table_is_refused(self, monkeypatch, tmp_path, edit, error):
+        table = planar_table(6)
+        stored = (PLANAR_TABLES / "planar_6.bin").read_bytes()
+        middle = len(stored) // 2
+        data = {
+            "missing": None,
+            "empty": b"",
+            "truncated": stored[:middle],
+            "byte flipped": stored[:middle] + bytes([stored[middle] ^ 0xFF]) + stored[middle + 1:],
+            "one mask short": zlib.compress(table[:-1]),
+            "one mask too many": zlib.compress(table + b"\x00"),
+            "a byte of 2": zlib.compress(table[:100] + b"\x02" + table[101:]),
+            "not compressed": table,
+        }[edit]
+        path = tmp_path / "planar_6.bin"
+        if data is not None:
+            path.write_bytes(data)
+        monkeypatch.setattr(planarity_module, "_table", lambda n: path)
+        with pytest.raises(error, match=re.escape(str(path))):
+            planar_mask_table(6)
+
+    @pytest.mark.parametrize("edit", ["missing", "byte flipped"])
+    def test_the_cli_stops_on_a_damaged_table_in_one_line(self, tmp_path, edit):
+        # an n=7 class stored whole, so searched, in a copy of the package
+        # whose n=7 table is damaged
+        copy = tmp_path / "planarlab"
+        shutil.copytree(PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        path = copy / "tables" / "planar_7.bin"
+        if edit == "missing":
+            path.unlink()
+        else:
+            stored = bytearray(path.read_bytes())
+            stored[len(stored) // 2] ^= 0xFF
+            path.write_bytes(bytes(stored))
+        done = subprocess.run(
+            [sys.executable, "-m", "planarlab.cli", "enumerate", "--n", "7", "--m", "15",
+             "--store", "--out", "class.census"],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(tmp_path)})
+        assert done.returncode == 2 and done.stdout == ""
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: planarity table ")
+        assert str(path) in lines[0]
 
     def test_library_runs_without_numpy(self, tmp_path):
         # numpy blocked: importing it raises ImportError

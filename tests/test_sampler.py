@@ -33,7 +33,14 @@ from planarlab import (
     sample_many,
     tv_distance_to_uniform,
 )
-from planarlab._bits import mask_from_edges, pair_count, pair_index, pairs_in_order, slot_pair
+from planarlab._bits import (
+    edges_from_mask,
+    mask_from_edges,
+    pair_count,
+    pair_index,
+    pairs_in_order,
+    slot_pair,
+)
 from planarlab.planarity import _left_right_planar, is_planar_edges
 from planarlab.sampler import _core_edges, _palm_tree
 from tests.oracles import check_palm_tree
@@ -161,6 +168,16 @@ class TestChain:
         n = 10**6
         for i, j in (1, 2), (1, n), (2, 3), (n // 2, n // 2 + 1), (n - 1, n):
             assert slot_pair(n, pair_index(n, i, j)) == (i, j)
+
+    def test_edges_from_mask_reads_the_slots_in_order(self):
+        rng = random.Random(58)
+        for n in range(1, 40):
+            pairs = pairs_in_order(n)
+            for _ in range(20):
+                mask = rng.getrandbits(pair_count(n))
+                assert edges_from_mask(n, mask) == tuple(
+                    pair for s, pair in enumerate(pairs) if mask >> s & 1), (n, mask)
+            assert edges_from_mask(n, (1 << pair_count(n)) - 1) == pairs
 
     def test_a_large_chain_builds_no_pair_table(self):
         # the start state and each drawn slot are mapped to pairs by
