@@ -450,9 +450,13 @@ def planar_table(n: int) -> bytes:
     return format(x, f"0{size}b").encode("ascii").translate(bytes.maketrans(b"01", b"\x01\x00"))
 
 
-def read_planar_table(n: int) -> bytes:
-    """The checked-in planarity table for n, inflated, read straight from its file."""
-    return zlib.decompress((PLANAR_TABLES / f"planar_{n}.bin").read_bytes())
+def read_planar_table(n: int) -> bytes | None:
+    """The checked-in planarity table for n, inflated, read straight from its
+    file; None if the file is missing or does not inflate."""
+    try:
+        return zlib.decompress((PLANAR_TABLES / f"planar_{n}.bin").read_bytes())
+    except (OSError, zlib.error):
+        return None
 
 
 @lru_cache(maxsize=None)
@@ -632,7 +636,7 @@ def main(argv=None) -> int:
         path = PLANAR_TABLES / f"planar_{n}.bin"
         if not args.check:
             path.write_bytes(zlib.compress(table, 9))
-        elif not path.is_file() or read_planar_table(n) != table:
+        elif read_planar_table(n) != table:
             stale.append(path.name)
         print(f"{path.name}: {table.count(1)} planar of {len(table)}", file=sys.stderr)
     for n in range(1, EXACT_MAX_N + 1):
