@@ -7,6 +7,7 @@ import subprocess
 import sys
 import zlib
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -593,6 +594,44 @@ class TestPersistence:
         for enc in sample:
             g = decode(enc)
             assert g.n == 5 and g.m == 5 and is_planar(g)
+
+
+GOLDEN_CENSUS = Path(__file__).resolve().parent / "golden" / "census_n6_m9.txt"
+
+
+class TestCensusText:
+    """The bytes of a census file, the line endings it is read with, and the
+    memory its save, load and checksums take."""
+
+    def test_save_reproduces_the_golden_file(self, tmp_path):
+        # written by ``enumerate --n 6 --m 9 --store --out``: 45,002 bytes
+        path = tmp_path / "n6-m9.census"
+        save_census(build_census(6, [9], store_graphs=True), path)
+        assert path.read_bytes() == GOLDEN_CENSUS.read_bytes()
+
+    def test_the_golden_file_loads_to_the_built_store(self):
+        store = build_census(6, [9], store_graphs=True)
+        loaded = load_census(GOLDEN_CENSUS)
+        assert loaded.records == store.records
+        assert loaded.record_checksums() == store.record_checksums()
+
+    @pytest.mark.parametrize("convert", [
+        lambda data: data.replace(b"\n", b"\r\n"),
+        lambda data: data.replace(b"\n", b"\r"),
+        lambda data: data[:-1],
+    ], ids=["crlf", "cr", "no final newline"])
+    def test_other_line_endings_load_to_the_same_store(self, tmp_path, convert):
+        path = tmp_path / "converted.census"
+        path.write_bytes(convert(GOLDEN_CENSUS.read_bytes()))
+        assert load_census(path).records == load_census(GOLDEN_CENSUS).records
+
+    @pytest.mark.parametrize("tail", ["checksum 00000000\n", "", "checksum 00000000\n\n"],
+                             ids=["wrong checksum", "no checksum line", "blank last line"])
+    def test_the_checksum_is_checked_before_any_line_is_read(self, tmp_path, tail):
+        path = tmp_path / "bad.census"
+        path.write_text(f"planarlab-census v1\n4 3 1\n  4:ZZ\n{tail}")
+        with pytest.raises(ChecksumMismatchError):
+            load_census(path)
 
 
 def _short_census(kind: str) -> CensusStore:

@@ -40,6 +40,12 @@ class TestEnumerate:
         record = store.get(4, 3)
         assert record.count == 20 and len(record.graphs) == 20
 
+    def test_store_without_out_prints_the_record(self, capsys):
+        # the census file's lines between its header and its checksum
+        code, out, _ = run(capsys, "enumerate", "--n", "6", "--m", "9", "--store")
+        lines = (GOLDEN / "census_n6_m9.txt").read_text().splitlines(keepends=True)
+        assert code == 0 and out == "".join(lines[1:-1])
+
 
 class TestSample:
     def test_exact_singleton(self, capsys):
