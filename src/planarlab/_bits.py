@@ -9,7 +9,6 @@ Vertex sets are bitsets too: vertex v is bit ``1 << v`` (bit 0 unused).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import isqrt
 
 
@@ -29,12 +28,6 @@ def slot_pair(n: int, s: int) -> tuple[int, int]:
     b = 2 * n - 1
     i = (b + 1 - isqrt(b * b - 8 * s - 1)) // 2
     return i, s - (i - 1) * (2 * n - i) // 2 + i + 1
-
-
-@lru_cache(maxsize=None)
-def pairs_in_order(n: int) -> tuple[tuple[int, int], ...]:
-    """All vertex pairs of {1..n} in slot order."""
-    return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
 def bit_positions(mask: int) -> list[int]:

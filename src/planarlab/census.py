@@ -16,7 +16,7 @@ import os
 import zlib
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import pairwise
+from itertools import chain, islice, pairwise
 from math import factorial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -263,16 +263,20 @@ class CensusRecord:
     n: int
     m: int
     count: int
-    graphs: tuple[int, ...] | None = None  # edge masks in encoding order; lines() writes text
+    graphs: tuple[int, ...] | None = None  # edge masks in encoding order; iter_lines() writes text
+
+    def iter_lines(self) -> Iterator[str]:
+        """The record's lines in a census file, without newlines, one at a time."""
+        yield f"{self.n} {self.m} {self.count}"
+        if self.graphs is not None:
+            for mask in self.graphs:
+                yield f"  {encode(LabeledGraph(self.n, mask))}"
 
     def lines(self) -> list[str]:
-        out = [f"{self.n} {self.m} {self.count}"]
-        if self.graphs is not None:
-            out.extend(f"  {encode(LabeledGraph(self.n, mask))}" for mask in self.graphs)
-        return out
+        return list(self.iter_lines())
 
     def checksum(self) -> str:
-        return _crc_text("".join(line + "\n" for line in self.lines()))
+        return _write_blocks(self.iter_lines(), None)
 
     def validate(self) -> None:
         if self.n < 1 or self.m < 0:
@@ -367,18 +371,34 @@ def _crc_text(payload: str) -> str:
     return f"{zlib.crc32(payload.encode('utf-8')) & 0xFFFFFFFF:08x}"
 
 
+# Census text is streamed in blocks, so no whole-file string is ever built:
+# the memory of a save, a load or a checksum follows the stored masks.
+_BLOCK_LINES = 1024
+_BLOCK_CHARS = 1 << 16
+
+
+def _write_blocks(lines: Iterable[str], write: Callable[[str], object] | None) -> str:
+    """Pass the lines, each ended by a newline, to ``write`` in blocks of
+    ``_BLOCK_LINES``; return their CRC-32 as the checksum line states it."""
+    crc = 0
+    lines = iter(lines)
+    while batch := list(islice(lines, _BLOCK_LINES)):
+        block = "\n".join(batch) + "\n"
+        crc = zlib.crc32(block.encode("utf-8"), crc)
+        if write is not None:
+            write(block)
+    return f"{crc:08x}"
+
+
 def save_census(store: CensusStore, path) -> None:
-    payload_lines: list[str] = []
-    for key in sorted(store.records):
-        payload_lines.extend(store.records[key].lines())
-    payload = "".join(line + "\n" for line in payload_lines)
-    text = f"{_HEADER}\n{payload}checksum {_crc_text(payload)}\n"
+    lines = chain.from_iterable(store.records[key].iter_lines() for key in sorted(store.records))
     # write beside the target, then rename: a failed write leaves ``path`` as it was
     tmp = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"
     try:
         try:
             with open(tmp, "x", encoding="utf-8") as handle:
-                handle.write(text)
+                handle.write(f"{_HEADER}\n")
+                handle.write(f"checksum {_write_blocks(lines, handle.write)}\n")
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
@@ -388,27 +408,48 @@ def save_census(store: CensusStore, path) -> None:
 
 
 def load_census(path) -> CensusStore:
+    """Read a census file in two passes over its text: the header and the
+    checksum first, so a damaged file is refused before any line is parsed,
+    then the records line by line.  Any line ending is read as a newline."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            rows = _check_payload(handle)
+            handle.seek(0)
+            return _parse_payload(islice(handle, 1, 1 + rows))
     except OSError as exc:
         raise IoFailureError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise IoFailureError(f"census file is not UTF-8 text: {exc}") from exc
 
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0] != _HEADER:
-        head = lines[0] if lines else ""
+
+def _check_payload(handle) -> int:
+    """Check the header line and the checksum of the lines between it and the
+    last line, the checksum line; return how many lines lie between."""
+    head = handle.readline().removesuffix("\n")
+    if head != _HEADER:
         raise VersionUnsupportedError(f"unsupported census header {head!r}")
-    if len(lines) < 2 or not lines[-1].startswith("checksum "):
+    crc = rows = 0
+    tail = ""
+    # a read at least as long as the held text doubles it, so a long line is
+    # copied a few times, not once per block
+    while block := handle.read(max(_BLOCK_CHARS, len(tail))):
+        text = tail + block
+        # the payload runs through the last newline that does not end the file
+        cut = text.rfind("\n", 0, len(text) - 1) + 1
+        crc = zlib.crc32(text[:cut].encode("utf-8"), crc)
+        rows += text.count("\n", 0, cut)
+        tail = text[cut:]
+    last = tail.removesuffix("\n")
+    if not last.startswith("checksum "):
         raise ChecksumMismatchError("checksum line missing (file truncated?)")
-    payload_lines = lines[1:-1]
-    payload = "".join(line + "\n" for line in payload_lines)
-    stated = lines[-1][len("checksum "):].strip()
-    actual = _crc_text(payload)
-    if stated != actual:
-        raise ChecksumMismatchError(f"payload checksum {actual} != stated {stated}")
+    stated = last[len("checksum "):].strip()
+    if stated != f"{crc:08x}":
+        raise ChecksumMismatchError(f"payload checksum {crc:08x} != stated {stated}")
+    return rows
 
+
+def _parse_payload(lines: Iterable[str]) -> CensusStore:
+    """The records of checked payload lines, each ended by a newline."""
     store = CensusStore()
     header: tuple[int, int, int] | None = None
     masks: list[int] = []
@@ -423,26 +464,26 @@ def load_census(path) -> CensusStore:
         record.validate()
         store.add(record)
 
-    for line in payload_lines:
+    for line in lines:
         if line.startswith("  "):
             if header is None:
                 raise IoFailureError("indented encoding before any record line")
             try:
-                g = decode(line[2:])
+                g = decode(line[2:-1])
             except MalformedEncodingError as exc:
-                raise IoFailureError(f"stored graph {line[2:]!r} is unreadable: {exc}") from exc
+                raise IoFailureError(f"stored graph {line[2:-1]!r} is unreadable: {exc}") from exc
             if g.n != header[0]:
-                raise IoFailureError(f"stored graph {line[2:]!r} is not in the class")
+                raise IoFailureError(f"stored graph {line[2:-1]!r} is not in the class")
             masks.append(g.mask)
             continue
         close_record()
         tokens = line.split()
         if len(tokens) != 3:
-            raise IoFailureError(f"bad record line {line!r}")
+            raise IoFailureError(f"bad record line {line[:-1]!r}")
         try:
             header = (int(tokens[0]), int(tokens[1]), int(tokens[2]))
         except ValueError as exc:
-            raise IoFailureError(f"bad record line {line!r}") from exc
+            raise IoFailureError(f"bad record line {line[:-1]!r}") from exc
         masks = []
     close_record()
     return store

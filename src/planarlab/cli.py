@@ -67,7 +67,7 @@ def _cmd_enumerate(args) -> int:
         census_mod.save_census(store, args.out)
         print(f"wrote {args.out}: {args.n} {args.m} {record.count}")
     else:
-        print("\n".join(record.lines()))
+        sys.stdout.writelines(f"{line}\n" for line in record.iter_lines())
     return 0
 
 

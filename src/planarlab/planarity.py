@@ -92,11 +92,11 @@ def planar_mask_table(n: int) -> bytes:
     if not 1 <= n <= TABLE_MAX_N:
         raise ValueError(f"table limited to 1 <= n <= {TABLE_MAX_N}")
     table = _table(n)
-    try:
-        data = zlib.decompress(table.read_bytes())
+    size = 1 << pair_count(n)
+    try:  # inflated into a buffer of the table's size, which then never grows
+        data = zlib.decompress(table.read_bytes(), bufsize=size)
     except (OSError, zlib.error) as exc:
         raise IoFailureError(f"planarity table {table} is unreadable: {exc}") from exc
-    size = 1 << pair_count(n)
     if len(data) != size:
         raise ChecksumMismatchError(
             f"planarity table {table} inflates to {len(data)} bytes, not {size}")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 from planarlab import build_graph
-from planarlab._bits import pairs_in_order
+from tests.oracles import pairs_in_order
 
 
 @st.composite

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from planarlab import LabeledGraph, ResourceLimitError, build_graph, is_planar, max_planar_edges
-from planarlab._bits import bit_positions, edges_from_mask, pair_count, pair_index, pairs_in_order
+from planarlab._bits import bit_positions, edges_from_mask, pair_count, pair_index
 from planarlab.census import _ORBIT_HEADER, EXACT_MAX_N, _crc_text
 from planarlab.planarity import TABLE_MAX_N, mask_planarity
 
@@ -35,6 +35,12 @@ PLANAR_TABLES = PACKAGE / "tables"
 
 # below this many |H|-subsets the plain Python scan beats the vectorized one
 _SUBSET_VECTOR_THRESHOLD = 512
+
+
+@lru_cache(maxsize=None)
+def pairs_in_order(n: int) -> tuple[tuple[int, int], ...]:
+    """All vertex pairs of {1..n} in slot order, as a table of C(n, 2) pairs."""
+    return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
 def injection_count_brute(g: LabeledGraph, h: LabeledGraph) -> int:

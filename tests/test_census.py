@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 import zlib
 from math import comb, factorial
 from pathlib import Path
@@ -632,6 +633,58 @@ class TestCensusText:
         path.write_text(f"planarlab-census v1\n4 3 1\n  4:ZZ\n{tail}")
         with pytest.raises(ChecksumMismatchError):
             load_census(path)
+
+    @pytest.mark.parametrize("text, refusal", [
+        ("planarlab-census v1 \nchecksum 00000000\n", VersionUnsupportedError),
+        ("planarlab-census v1\n checksum 00000000\n", ChecksumMismatchError),
+        ("planarlab-census v1\nchecksum  00000000 \n", None),
+    ], ids=["spaced header", "indented checksum line", "spaced checksum"])
+    def test_only_the_stated_checksum_may_carry_spaces(self, tmp_path, text, refusal):
+        path = tmp_path / "spaced.census"
+        path.write_text(text)
+        if refusal is None:
+            assert load_census(path).records == {}
+        else:
+            with pytest.raises(refusal):
+                load_census(path)
+
+    def test_save_load_and_checksums_stream_the_text(self, tmp_path):
+        # on the 40,950 graphs of (7,14), a 450 KB file, each took a traced
+        # peak of 5 to 7 MB while it built the whole text as strings
+        store = build_census(7, [14], store_graphs=True)
+        path = tmp_path / "n7-m14.census"
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: save_census(store, path)) < 2**20
+        assert peak(store.record_checksums) < 2**20
+        assert peak(lambda: load_census(path)) < 3 * 2**20
+        assert load_census(path).record_checksums() == store.record_checksums()
+
+    def test_lines_longer_than_a_read_load_in_any_line_ending(self, tmp_path):
+        # the empty graph on 2000 vertices is a line of 499,750 hex digits,
+        # longer than several reads of the file
+        store = build_census(2000, [0], store_graphs=True)
+        path = tmp_path / "n2000-m0.census"
+        save_census(store, path)
+        assert load_census(path).records == store.records
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert load_census(path).records == store.records
+
+    def test_a_file_that_is_not_utf8_is_refused_in_one_line(self, tmp_path, capsys):
+        path = tmp_path / "binary.census"
+        path.write_bytes(b"planarlab-census v1\n\xff\xfe\nchecksum 00000000\n")
+        with pytest.raises(IoFailureError, match="^census file is not UTF-8 text: "):
+            load_census(path)
+        assert main(["verify", "--n", "4", "--m", "3", "--census", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def _short_census(kind: str) -> CensusStore:

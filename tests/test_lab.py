@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import planarlab._bits
 import planarlab.census as census_module
 import planarlab.lab as lab_module
 
@@ -39,7 +40,7 @@ from planarlab import (
     regime_of,
     sample_many,
 )
-from planarlab._bits import bit_positions, pairs_in_order
+from planarlab._bits import bit_positions
 from tests.oracles import random_graph
 
 TRIANGLE = pattern_from_name("triangle")
@@ -211,9 +212,8 @@ class TestExactProbability:
 
     def test_a_large_mcmc_estimate_builds_no_pair_table(self):
         # each sampled graph's neighbour bitsets come from the mask's rows, not
-        # from the pairs_in_order(2000) table of about two million pairs, which
-        # alone made the traced peak about 180 MB
-        pairs_in_order.cache_clear()
+        # from a table of the about two million pairs of n = 2000, which alone
+        # made the traced peak about 180 MB; only the tests' pairs_in_order builds one
         tracemalloc.start()
         try:
             est = estimate_probability(2000, 2000, EventKind.connected(), method="mcmc",
@@ -221,15 +221,14 @@ class TestExactProbability:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert est.k == 1 and pairs_in_order.cache_info().currsize == 0
+        assert est.k == 1 and not hasattr(planarlab._bits, "pairs_in_order")
         assert peak < 8 * 2**20
 
     def test_a_large_graph_decodes_its_edges_without_a_pair_table(self):
         # mask_planarity past n = 7 and LabeledGraph.edges decode the mask row
-        # by row; through the pairs_in_order(2000) table, is_planar alone took
+        # by row; through a table of the pairs of n = 2000, is_planar alone took
         # about 4 s with a traced peak of about 190 MB
         g = LabeledGraph(2000, ChainState(2000, 2000, 0).mask)
-        pairs_in_order.cache_clear()
         tracemalloc.start()
         try:
             planar = is_planar(g)
@@ -237,7 +236,7 @@ class TestExactProbability:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert planar and pairs_in_order.cache_info().currsize == 0
+        assert planar and not hasattr(planarlab._bits, "pairs_in_order")
         assert peak < 8 * 2**20
         assert edges == {(u, v) for u, row in enumerate(g.adjacency)
                          for v in bit_positions(row) if u < v}

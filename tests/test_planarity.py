@@ -26,13 +26,14 @@ from planarlab import (
 )
 from planarlab import planarity as planarity_module
 from planarlab.cli import main as cli_main
-from planarlab._bits import edges_from_mask, pair_count, pairs_in_order
+from planarlab._bits import edges_from_mask, pair_count
 from tests.oracles import (
     PACKAGE,
     PLANAR_TABLES,
     check_palm_tree,
     forbidden_subdivision_masks,
     has_forbidden_subdivision,
+    pairs_in_order,
     planar_table,
     read_planar_table,
 )

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import planarlab._bits
 import planarlab.planarity as planarity_module
 import planarlab.sampler as sampler_module
 from planarlab import (
@@ -38,12 +40,11 @@ from planarlab._bits import (
     mask_from_edges,
     pair_count,
     pair_index,
-    pairs_in_order,
     slot_pair,
 )
 from planarlab.planarity import _left_right_planar, is_planar_edges
 from planarlab.sampler import _core_edges, _palm_tree
-from tests.oracles import check_palm_tree
+from tests.oracles import check_palm_tree, pairs_in_order
 from tests.test_planarity import networkx_planar
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -181,12 +182,18 @@ class TestChain:
 
     def test_a_large_chain_builds_no_pair_table(self):
         # the start state and each drawn slot are mapped to pairs by
-        # arithmetic, not through the pairs_in_order(n) table of n^2 / 2 pairs
-        pairs_in_order.cache_clear()
-        state = ChainState(3000, 3000, 0)
-        for _ in range(10):
-            mcmc_step(state)
-        assert pairs_in_order.cache_info().currsize == 0
+        # arithmetic, not through a table of all n^2 / 2 pairs, which only the
+        # tests' pairs_in_order builds (a traced 416 MB at n = 3000)
+        tracemalloc.start()
+        try:
+            state = ChainState(3000, 3000, 0)
+            for _ in range(10):
+                mcmc_step(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not hasattr(planarlab._bits, "pairs_in_order")
+        assert peak < 8 * 2**20
         assert state.mask == mask_from_edges(3000, state._edges)
 
     def test_trajectory_determinism(self):
