@@ -193,30 +193,33 @@ def _table(n: int):
 def _read_connected(n: int) -> tuple[tuple[int, int], ...]:
     """(canonical mask, |Aut|) of every connected planar graph on n vertices,
     from its table: a header, one "<mask in hex> <|Aut|>" row per graph, and
-    the CRC-32 of everything above the checksum line."""
+    the CRC-32 of everything above the checksum line.  Read as a census file
+    is, in two passes: the checksum in blocks, then the rows line by line."""
     table = _table(n)
     try:
-        text = table.read_text(encoding="ascii")
-    except (OSError, ValueError) as exc:
+        with table.open("r", encoding="ascii") as handle:
+            crc, lines, last = _scan(handle)
+            if not last.startswith("checksum "):
+                raise ChecksumMismatchError(f"orbit table {table} has no checksum line")
+            stated = last[len("checksum "):].strip()
+            if stated != f"{crc:08x}":
+                raise ChecksumMismatchError(
+                    f"orbit table {table}: payload checksum {crc:08x} != stated {stated}")
+            handle.seek(0)
+            head = [line.removesuffix("\n") for line in islice(handle, 3)]
+            if head[:2] != [_ORBIT_HEADER, f"n {n}"]:
+                raise IoFailureError(
+                    f"orbit table {table} is not the {_ORBIT_HEADER} table for n = {n}")
+            if head[2:] != [f"rows {lines - 3}"]:
+                raise IoFailureError(
+                    f"orbit table {table}: its row count is not the {lines - 3} it lists")
+            try:
+                return tuple((int(mask, 16), int(aut))
+                             for mask, aut in map(str.split, islice(handle, lines - 3)))
+            except ValueError as exc:
+                raise IoFailureError(f"orbit table {table} has a bad row: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoFailureError(f"orbit table {table} is unreadable: {exc}") from exc
-    body, found, stated = text.rpartition("checksum ")
-    if not found:
-        raise ChecksumMismatchError(f"orbit table {table} has no checksum line")
-    actual = _crc_text(body)
-    if stated.rstrip("\n") != actual:
-        raise ChecksumMismatchError(
-            f"orbit table {table}: payload checksum {actual} != stated {stated.strip()}"
-        )
-    lines = body.splitlines()
-    rows = lines[3:]
-    if lines[:2] != [_ORBIT_HEADER, f"n {n}"]:
-        raise IoFailureError(f"orbit table {table} is not the {_ORBIT_HEADER} table for n = {n}")
-    if lines[2:3] != [f"rows {len(rows)}"]:
-        raise IoFailureError(f"orbit table {table}: its row count is not the {len(rows)} it lists")
-    try:
-        return tuple((int(mask, 16), int(aut)) for mask, aut in map(str.split, rows))
-    except ValueError as exc:
-        raise IoFailureError(f"orbit table {table} has a bad row: {exc}") from exc
 
 
 @lru_cache(maxsize=None)
@@ -366,11 +369,6 @@ def build_census(
     return store
 
 
-def _crc_text(payload: str) -> str:
-    """The CRC-32 of the payload as it is written on the checksum line."""
-    return f"{zlib.crc32(payload.encode('utf-8')) & 0xFFFFFFFF:08x}"
-
-
 # Census text is streamed in blocks, so no whole-file string is ever built:
 # the memory of a save, a load or a checksum follows the stored masks.
 _BLOCK_LINES = 1024
@@ -422,24 +420,30 @@ def load_census(path) -> CensusStore:
         raise IoFailureError(f"census file is not UTF-8 text: {exc}") from exc
 
 
+def _scan(handle) -> tuple[int, int, str]:
+    """Read the text from the handle's position in blocks: the CRC-32 and
+    the count of its lines before the last, and the last one."""
+    crc = lines = 0
+    tail = ""
+    # a read at least as long as the held text doubles it, so a long line is
+    # copied a few times, not once per block
+    while block := handle.read(max(_BLOCK_CHARS, len(tail))):
+        text = tail + block
+        # the lines before the last run through its last newline but one
+        cut = text.rfind("\n", 0, len(text) - 1) + 1
+        crc = zlib.crc32(text[:cut].encode("utf-8"), crc)
+        lines += text.count("\n", 0, cut)
+        tail = text[cut:]
+    return crc, lines, tail.removesuffix("\n")
+
+
 def _check_payload(handle) -> int:
     """Check the header line and the checksum of the lines between it and the
     last line, the checksum line; return how many lines lie between."""
     head = handle.readline().removesuffix("\n")
     if head != _HEADER:
         raise VersionUnsupportedError(f"unsupported census header {head!r}")
-    crc = rows = 0
-    tail = ""
-    # a read at least as long as the held text doubles it, so a long line is
-    # copied a few times, not once per block
-    while block := handle.read(max(_BLOCK_CHARS, len(tail))):
-        text = tail + block
-        # the payload runs through the last newline that does not end the file
-        cut = text.rfind("\n", 0, len(text) - 1) + 1
-        crc = zlib.crc32(text[:cut].encode("utf-8"), crc)
-        rows += text.count("\n", 0, cut)
-        tail = text[cut:]
-    last = tail.removesuffix("\n")
+    crc, rows, last = _scan(handle)
     if not last.startswith("checksum "):
         raise ChecksumMismatchError("checksum line missing (file truncated?)")
     stated = last[len("checksum "):].strip()

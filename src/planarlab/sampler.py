@@ -21,6 +21,20 @@ the edges (so whenever no vertex of H + f has degree below 2), finding the
 core costs about what the smaller test saves, and the test runs on all m
 edges.
 
+Past n = 7 the core can shrink further: its kernel keeps the branch vertices
+(core degree at least 3), numbered 1..k, and one edge per path of degree-2
+vertices between two of them, without loops or parallel edges.  It is
+homeomorphic to the core less those, so by Kuratowski it is planar exactly
+when the core is; a core that is one cycle has the empty kernel.  Smoothing
+a core of c_v vertices and c_e edges removes at least 3 c_v - 2 c_e of its
+edges, one per vertex of degree 2.  The step takes the kernel when that
+bound, on the whole 2-core, is positive, as on the sparse states of
+(100,100), where a core of median 58 edges has a kernel of median 27.
+Elsewhere, as at (30,45) and (100,150), smoothing removes a smaller share of
+a larger core, the walk that finds the kernel costs about what the smaller
+test saves, and the step tests the core's edges.  The kernel is given on at
+least 8 vertices, so a chain past n = 7 never reads an n <= 7 table.
+
 On dense states nearly every proposal is rejected, so one state faces
 hundreds of tests on all m edges.  After a state's ninth such test since the
 last acceptance, the chain builds a palm tree of it (a DFS tree that goes
@@ -122,9 +136,9 @@ def mcmc_step(state: ChainState) -> ChainState:
     joins two components of G - e, which the test's at-most-8-edges bound
     accepts at once; all m edges of G - e + f when its 2-core keeps at least
     seven eighths of them, on the state's patched palm tree when the swap is
-    eligible; else the 2-core of f's component in G - e + f.  Each answer
-    equals the answer on all m edges, so every seed's samples are those of
-    the whole-graph test."""
+    eligible; else the 2-core of f's component in G - e + f, or its kernel.
+    Each answer equals the answer on all m edges, so every seed's samples
+    are those of the whole-graph test."""
     state.steps_taken += 1
     n, m = state.n, state.m
     total = pair_count(n)
@@ -148,7 +162,7 @@ def mcmc_step(state: ChainState) -> ChainState:
             low &= ~(1 << x)
         else:
             low |= 1 << x
-    tested = _core_edges(adj, edges, low, *added)
+    order, tested = _core_edges(adj, edges, low, *added)
     trial = None  # the state's palm tree patched for the swap, if it still is one
     if tested is edges and n > TABLE_MAX_N:
         state._whole_tests += 1
@@ -159,7 +173,7 @@ def mcmc_step(state: ChainState) -> ChainState:
             _swap(adj, removed, added)
         if palm is not None:
             trial = palm.swapped(removed, added)
-    if is_planar_edges(n, tested, trial):
+    if is_planar_edges(order, tested, trial):
         state.mask = mask ^ (1 << slot | 1 << pair_index(n, *removed))
         state._low = low
         state._palm = trial
@@ -214,13 +228,21 @@ def _palm_tree(n: int, adj: list[int]) -> PalmTree:
 
 
 def _core_edges(adj: list[int], edges, low: int, u: int, v: int):
-    """Edges that decide whether H + f is planar, f = (u, v), where ``adj``
-    and ``edges`` are H + f and ``low`` is the bitset of its vertices of
-    degree at most 1: ``(f,)`` if f joins two components of H; else
-    ``edges`` itself if peeling to the 2-core removes under an eighth of
-    them (so whenever nothing can be peeled); else the edges of the 2-core
-    of f's component in H + f."""
-    core = (1 << len(adj)) - 2  # every vertex
+    """(order, edges) of a graph on {1..order} that is planar exactly when
+    H + f is, f = (u, v), where ``adj`` and ``edges`` are H + f on {1..n}
+    and ``low`` is the bitset of its vertices of degree at most 1:
+    ``(n, (f,))`` if f joins two components of H; ``(n, edges)`` itself if
+    peeling to the 2-core removes under an eighth of them (so whenever
+    nothing can be peeled); else the 2-core of f's component, as its kernel
+    (``_kernel``) when n > 7 and smoothing surely pays, or as its edges.
+
+    Smoothing a core of c_v vertices and c_e edges removes at least
+    3 c_v - 2 c_e edges, one per vertex of degree 2.  The kernel is taken
+    when that bound, on the whole 2-core that the peeling leaves, is
+    positive; otherwise smoothing removes a smaller share of a larger core,
+    and the walk costs about what the smaller test saves."""
+    n = len(adj) - 1
+    core = (1 << n + 1) - 2  # every vertex
     peeled = 0  # edges peeled away
     while low:
         bit = low & -low
@@ -233,9 +255,11 @@ def _core_edges(adj: list[int], edges, low: int, u: int, v: int):
             if not left & (left - 1):
                 low |= rest
     if not core >> u & core >> v & 1:
-        return ((u, v),)  # f lies on no cycle
+        return n, ((u, v),)  # f lies on no cycle
     if 8 * peeled < len(edges):
-        return edges  # the rest would cost about what the smaller test saves
+        return n, edges  # the rest would cost about what the smaller test saves
+    if n > TABLE_MAX_N and 3 * core.bit_count() > 2 * (len(edges) - peeled):
+        return _kernel(adj, core, u, v)
     # u's component in the core of H: f is left out by never expanding u again
     unseen = core ^ (1 << u)
     frontier = adj[u] & unseen & ~(1 << v)
@@ -247,9 +271,77 @@ def _core_edges(adj: list[int], edges, low: int, u: int, v: int):
         unseen ^= new
         frontier |= new
     if unseen >> v & 1:
-        return ((u, v),)  # f is a bridge
+        return n, ((u, v),)  # f is a bridge
     core ^= unseen
-    return [e for e in edges if core >> e[0] & core >> e[1] & 1]
+    return n, [e for e in edges if core >> e[0] & core >> e[1] & 1]
+
+
+def _kernel(adj: list[int], core: int, u: int, v: int):
+    """(order, edges) of the kernel of the 2-core of f's component, f =
+    (u, v), where ``adj`` is H + f on {1..n} and ``core`` the vertex bitset
+    of its 2-core; ``(n, (f,))`` when f is a bridge of that core.  The
+    kernel keeps the k branch vertices (core degree at least 3), numbered
+    1..k, and one edge per path of degree-2 vertices between two of them,
+    without loops or parallel edges: it is planar exactly when the core is
+    (a subdivision of K5 or K3,3 needs no loop and no second parallel path).
+    It is given on max(k, 8) vertices, so that no n <= 7 table is read; a
+    core that is one cycle has the empty kernel.
+
+    One walk from u over the core less f finds it all.  It stops at u, v
+    and the branch vertices and follows each path from a stop to the next;
+    v not reached means f is a bridge.  The path through f is joined up
+    last, through u or v where their core degree is 2."""
+    ends = 1 << u | 1 << v
+    known = ends  # the stops found: u, v and the branch vertices met so far
+    stops = [u]  # the stops reached, in order
+    reached = 1 << u
+    done = 0  # the stops expanded and the degree-2 vertices walked
+    paths = set()  # (a, b), a < b: the two stops of each path, f left out
+    for s in stops:  # grows as the walk reaches new stops
+        sbit = 1 << s
+        row = adj[s] & core & ~done  # paths not yet walked from their other stop
+        if sbit & ends:
+            row &= ~ends  # leave f out
+        done |= sbit
+        while row:
+            bit = row & -row
+            row ^= bit
+            if bit & done:
+                continue  # a path that came back to s
+            prev = sbit
+            while not bit & known:
+                nbrs = adj[bit.bit_length() - 1] & core
+                if nbrs.bit_count() > 2:
+                    known |= bit
+                    break
+                done |= bit
+                prev, bit = bit, nbrs ^ prev
+            c = bit.bit_length() - 1
+            if not bit & reached:
+                reached |= bit
+                stops.append(c)
+            if s != c:
+                paths.add((s, c) if s < c else (c, s))
+    if not reached >> v & 1:
+        return len(adj) - 1, ((u, v),)  # f is a bridge
+    # the path through f runs a .. u - v .. b: an end of degree 2 lies inside
+    # it, and its one other path, to a or b, is taken into it
+    a, b = u, v
+    for x in (u, v):
+        if (adj[x] & core).bit_count() == 2:
+            stops.remove(x)
+            if a == b:  # u's path led to v: it is v's path too
+                continue
+            [path] = (e for e in paths if x in e)
+            paths.remove(path)
+            if x == u:
+                a = path[0] + path[1] - u
+            else:
+                b = path[0] + path[1] - v
+    if a != b:
+        paths.add((a, b) if a < b else (b, a))
+    label = {x: i for i, x in enumerate(stops, 1)}
+    return max(len(stops), TABLE_MAX_N + 1), [(label[x], label[y]) for x, y in paths]
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import numpy as np
 
 from planarlab import LabeledGraph, ResourceLimitError, build_graph, is_planar, max_planar_edges
 from planarlab._bits import bit_positions, edges_from_mask, pair_count, pair_index
-from planarlab.census import _ORBIT_HEADER, EXACT_MAX_N, _crc_text
+from planarlab.census import _ORBIT_HEADER, EXACT_MAX_N
 from planarlab.planarity import TABLE_MAX_N, mask_planarity
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "planarlab"
@@ -620,13 +620,18 @@ def _slot_table(n: int) -> tuple[tuple[int, ...], ...]:
                        for b in range(n)) for a in range(n))
 
 
+def crc_text(payload: str) -> str:
+    """The CRC-32 of the payload as it is written on a checksum line."""
+    return f"{zlib.crc32(payload.encode('utf-8')):08x}"
+
+
 def orbit_table_text(n: int, rows) -> str:
     """The table of the connected orbits on n vertices as census reads it:
     a header, one "<canonical mask in hex> <|Aut|>" line per orbit, and the
     CRC-32 of everything above the checksum line."""
     body = f"{_ORBIT_HEADER}\nn {n}\nrows {len(rows)}\n"
     body += "".join(f"{mask:x} {aut}\n" for mask, aut in rows)
-    return f"{body}checksum {_crc_text(body)}\n"
+    return f"{body}checksum {crc_text(body)}\n"
 
 
 def main(argv=None) -> int:

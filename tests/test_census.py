@@ -61,6 +61,7 @@ from tests.oracles import (
     brute_force_count,
     canonical_form,
     connected_orbits,
+    crc_text,
     orbit_table_text,
     random_graph,
 )
@@ -324,6 +325,25 @@ class TestOrbitTables:
             path = ORBIT_TABLES / f"connected_{n}.txt"
             assert path.read_text(encoding="ascii") == orbit_table_text(n, rows), n
 
+    def test_streamed_rows_equal_the_whole_text_parsed(self):
+        # n = 9 too, whose generator only the CI step runs; n <= 8 fit in one block
+        for n in range(1, 10):
+            lines = (ORBIT_TABLES / f"connected_{n}.txt").read_text(encoding="ascii").splitlines()
+            rows = tuple((int(mask, 16), int(aut)) for mask, aut in map(str.split, lines[3:-1]))
+            assert census_module._read_connected(n) == rows, n
+
+    def test_a_cold_n9_read_peaks_near_the_rows_it_keeps(self):
+        # the rows of n = 9 take 6.6 MB; read as one string, the table peaked
+        # at 13.5 MB (tracemalloc)
+        tracemalloc.start()
+        try:
+            rows = census_module._read_connected(9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 71_885
+        assert peak < 8 * 2**20, peak
+
     def test_connected_orbits_are_the_table_rows(self):
         # the census composes each connected orbit from its table row alone
         for n in range(1, 9):
@@ -418,7 +438,7 @@ print(sum("connected_" in path for path in opened),
         def drop_a_row(path):
             body = orbit_table_text(6, connected_orbits(6)[:-1]).rpartition("checksum ")[0]
             body = body.replace("rows 98", "rows 99")
-            path.write_text(f"{body}checksum {census_module._crc_text(body)}\n", encoding="ascii")
+            path.write_text(f"{body}checksum {crc_text(body)}\n", encoding="ascii")
 
         path = self.tampered(monkeypatch, tmp_path, 6, drop_a_row)
         with pytest.raises(IoFailureError, match=re.escape(str(path))):
@@ -443,7 +463,7 @@ print(sum("connected_" in path for path in opened),
             body = orbit_table_text(5, connected_orbits(5)).rpartition("checksum ")[0]
             assert "\n1a8 2\n" in body
             body = body.replace("\n1a8 2\n", f"\n{row}\n")
-            path.write_text(f"{body}checksum {census_module._crc_text(body)}\n", encoding="ascii")
+            path.write_text(f"{body}checksum {crc_text(body)}\n", encoding="ascii")
 
         path = self.tampered(monkeypatch, tmp_path, 5, rewrite_a_row)
         with pytest.raises(IoFailureError, match=re.escape(f"orbit table {path} has a bad row: ")):

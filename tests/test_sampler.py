@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from itertools import combinations
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import planarlab._bits
@@ -43,7 +45,7 @@ from planarlab._bits import (
     slot_pair,
 )
 from planarlab.planarity import _left_right_planar, is_planar_edges
-from planarlab.sampler import _core_edges, _palm_tree
+from planarlab.sampler import _core_edges, _kernel, _palm_tree
 from tests.oracles import check_palm_tree, pairs_in_order
 from tests.test_planarity import networkx_planar
 
@@ -264,6 +266,8 @@ class TestGoldenChains:
         "chain_n100_m100.txt": (100, 100, 1000, 40, 50, 100_000),
         "chain_n100_m290.txt": (100, 290, 500, 50, 10, 200_000),
         "chain_n30_m45.txt": (30, 45, 1000, 30, 50, 300_000),
+        # steps there take the 2-core's edges, not its kernel
+        "chain_n100_m150.txt": (100, 150, 500, 20, 50, 400_000),
     }
 
     @pytest.mark.parametrize("name", sorted(RUNS))
@@ -275,8 +279,9 @@ class TestGoldenChains:
         assert text.encode("ascii") == (GOLDEN / name).read_bytes()
 
 
-def reference_step(n, m, rng, edges, mask):
-    """One chain step decided on the whole edge list; the new mask."""
+def reference_step(n, m, rng, edges, mask, planar=is_planar_edges):
+    """One chain step decided by ``planar`` on the whole edge list; the new
+    mask."""
     total = pair_count(n)
     if m == 0 or m == total:
         return mask
@@ -287,7 +292,7 @@ def reference_step(n, m, rng, edges, mask):
         if not mask >> slot & 1:
             break
     edges[drop] = pairs_in_order(n)[slot]
-    if is_planar_edges(n, edges):
+    if planar(n, edges):
         return mask ^ (1 << slot | 1 << pair_index(n, *removed))
     edges[drop] = removed
     return mask
@@ -331,9 +336,40 @@ def count_left_right(monkeypatch) -> list[tuple]:
     return calls
 
 
+def reference_kernel(hf: nx.Graph, f) -> nx.Graph:
+    """The kernel of the 2-core of f's component in H + f, built with
+    networkx: the branch vertices (core degree at least 3), with an edge
+    for each path of degree-2 vertices between two different ones."""
+    core = nx.k_core(hf.subgraph(nx.node_connected_component(hf, f[0])), 2)
+    branch = {x for x in core if core.degree(x) >= 3}
+    kernel = nx.Graph()
+    kernel.add_nodes_from(branch)
+    kernel.add_edges_from(e for e in core.edges if branch.issuperset(e))
+    for path in nx.connected_components(core.subgraph(set(core) - branch)):
+        # a path of degree-2 vertices is attached by two edges, a cycle by none
+        ends = [x for y in path for x in core[y] if x in branch]
+        if len(ends) == 2 and ends[0] != ends[1]:
+            kernel.add_edge(*ends)
+    return kernel
+
+
+def assert_is_the_kernel(order, edges, kernel: nx.Graph) -> None:
+    """``edges`` on {1..order} is ``kernel`` relabelled 1..k, given on
+    max(k, 8) vertices."""
+    k = len(kernel)
+    assert order == max(k, 8)
+    assert all(0 < x <= k for e in edges for x in e)
+    assert len({frozenset(e) for e in edges if e[0] != e[1]}) == len(edges)  # simple
+    got = nx.Graph(list(edges))
+    got.add_nodes_from(range(1, order + 1))
+    padded = kernel.copy()
+    padded.add_nodes_from(("pad", i) for i in range(order - k))
+    assert nx.is_isomorphic(got, padded)
+
+
 class TestLocalDecision:
-    """Each step tests planarity on (f,), the 2-core of f's component or
-    the whole graph; every decision equals the whole-graph one."""
+    """Each step tests planarity on (f,), the 2-core of f's component, its
+    kernel or the whole graph; every decision equals the whole-graph one."""
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -349,8 +385,11 @@ class TestLocalDecision:
             mask = reference_step(n, m, rng, edges, mask)
             assert state.mask == mask
 
-    @pytest.mark.parametrize("n, m", [(100, 100), (30, 45), (60, 70), (20, 26)])
-    def test_core_is_the_two_core_of_the_component(self, n, m):
+    # the side of the selection that each chain takes at least once
+    SIDES = {(100, 100): "kernel", (30, 45): "core", (60, 70): "kernel", (20, 26): "kernel"}
+
+    @pytest.mark.parametrize("n, m", SIDES)
+    def test_core_is_decided_on_its_kernel(self, n, m):
         state = ChainState(n, m, seed=5)
         rng = random.Random(11)
         kinds = Counter()
@@ -371,19 +410,56 @@ class TestLocalDecision:
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
             low = sum(1 << v for v in hf if hf.degree(v) <= 1)
-            got = _core_edges(adj, edges, low, *f)
+            order, got = _core_edges(adj, edges, low, *f)
+            assert is_planar_edges(order, got) == nx.check_planarity(hf)[0]
+            core = nx.k_core(hf, 2)
             if not nx.has_path(h, *f):
-                assert got == (f,)
+                assert (order, got) == (n, (f,))
                 kinds["cross"] += 1
             elif got is edges:
-                assert 8 * (m - nx.k_core(hf, 2).number_of_edges()) < m
+                assert order == n and 8 * (m - core.number_of_edges()) < m
                 kinds["whole"] += 1
+            elif 3 * len(core) > 2 * core.number_of_edges():  # smoothing surely pays
+                assert_is_the_kernel(order, got, reference_kernel(hf, f))
+                kinds["kernel"] += 1
             else:
                 component = hf.subgraph(nx.node_connected_component(hf, f[0]))
                 want = {tuple(sorted(e)) for e in nx.k_core(component, 2).edges}
-                assert len(got) == len(want) and set(got) == want
+                assert order == n and len(got) == len(want) and set(got) == want
                 kinds["core"] += 1
-        assert kinds["core"] > 0, kinds
+        assert kinds[self.SIDES[n, m]] > 0, kinds
+
+    @pytest.mark.parametrize("seed", [100_000, 100_001, 100_002])
+    def test_lockstep_at_the_critical_workload(self, monkeypatch, seed):
+        # the mcmc-critical chain at (100,100), most of whose steps are decided
+        # on a kernel; the reference decides each on all m edges
+        n, m = 100, 100
+        kernels = []
+        kernel = sampler_module._kernel
+        monkeypatch.setattr(sampler_module, "_kernel", lambda *a: kernels.append(a) or kernel(*a))
+        state = ChainState(n, m, seed)
+        rng = random.Random(seed)
+        edges, mask = list(state._edges), state.mask
+        for _ in range(3000):
+            mcmc_step(state)
+            mask = reference_step(n, m, rng, edges, mask, _left_right_planar)
+            assert state.mask == mask
+        assert len(kernels) > 1000
+
+    def test_critical_workload_reads_no_table(self):
+        # every kernel is given on at least 8 vertices, so a chain past n = 7
+        # never reads an n <= 7 table (2 MB inflated at n = 7)
+        code = """
+from planarlab.planarity import planar_mask_table
+from planarlab.sampler import ChainState, mcmc_step
+state = ChainState(100, 100, 100_000)
+for _ in range(3000):
+    mcmc_step(state)
+print(planar_mask_table.cache_info().currsize)
+"""
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "0\n"
 
     @pytest.mark.parametrize("f", [(4, 5), (1, 12)], ids=["two-cycles", "onto-a-path"])
     def test_cross_component_proposal_runs_no_left_right(self, monkeypatch, f):
@@ -414,8 +490,169 @@ class TestLocalDecision:
         calls = count_left_right(monkeypatch)
         mcmc_step(state)
         assert state.mask == before and state._edges == edges  # rejected
-        [tested] = calls
-        assert sorted(tested) == sorted(k33_sub)
+        [tested] = calls  # the kernel of the core: K3,3 itself
+        assert len(tested) == 9 and {v for e in tested for v in e} == set(range(1, 7))
+        assert nx.is_isomorphic(nx.Graph(tested), nx.complete_bipartite_graph(3, 3))
+
+
+class Shapes:
+    """A planar graph H grown on vertices 1, 2, ..., and the pair f added
+    to it, for ``planar_pair_cases``."""
+
+    def __init__(self, draw):
+        self.draw = draw
+        self.count = 0
+        self.edges: list[tuple[int, int]] = []
+
+    def vertex(self) -> int:
+        self.count += 1
+        return self.count
+
+    def path(self, a: int, b: int, length: int) -> list[int]:
+        """A path of ``length`` edges from a to b through new vertices: all
+        its vertices, a first."""
+        walk = [a] + [self.vertex() for _ in range(length - 1)] + [b]
+        self.edges += zip(walk, walk[1:])
+        return walk
+
+    def subdivided(self, pairs) -> tuple[list[int], list[int]]:
+        """A subdivision of the graph with these edges on 0, 1, ...: its
+        branch vertices and all its vertices."""
+        branch = [self.vertex() for _ in range(1 + max(max(e) for e in pairs))]
+        every = list(branch)
+        for a, b in pairs:
+            every += self.path(branch[a], branch[b], self.draw(st.integers(1, 3)))[1:-1]
+        return branch, every
+
+    def cycle(self, length: int) -> list[int]:
+        start = self.vertex()
+        return self.path(start, start, length)[:-1]
+
+    def decorate(self, hosts) -> None:
+        """Trees hung on some of the hosts, which no core keeps, and a cycle
+        of its own or none."""
+        for host in self.draw(st.lists(st.sampled_from(hosts), max_size=3)):
+            self.path(host, self.vertex(), 1)
+            if self.draw(st.booleans()):
+                self.path(self.count, self.vertex(), 1)
+        if self.draw(st.booleans()):
+            self.cycle(self.draw(st.integers(3, 6)))
+
+
+K4_PAIRS = list(combinations(range(4), 2))
+K5_PAIRS = list(combinations(range(5), 2))
+K33_PAIRS = [(a, b) for a in range(3) for b in range(3, 6)]
+
+
+@st.composite
+def planar_pair_cases(draw):
+    """(kind, n, H's edges, f): H planar on {1..n}, f a non-edge of it."""
+    kind = draw(st.sampled_from(
+        ["cycle", "bridge", "cross", "theta", "loop", "small", "k5", "k33"]))
+    g = Shapes(draw)
+    if kind == "cycle":  # f closes a path into a cycle: the core is one cycle
+        a, b = g.vertex(), g.vertex()
+        walk = g.path(a, b, draw(st.integers(2, 9)))
+        f, hosts = (a, b), walk
+    elif kind == "bridge":  # f joins two cycles of different components
+        one, two = g.cycle(draw(st.integers(3, 6))), g.cycle(draw(st.integers(3, 6)))
+        f, hosts = (draw(st.sampled_from(one)), draw(st.sampled_from(two))), one + two
+    elif kind == "cross":  # f joins a subdivided K4 to the end of a path
+        _, k4 = g.subdivided(K4_PAIRS)
+        tail = g.path(g.vertex(), g.vertex(), draw(st.integers(1, 3)))
+        f, hosts = (draw(st.sampled_from(k4)), tail[-1]), k4
+    elif kind == "theta":  # paths between a and b; f a parallel one or a chord
+        a, b = g.vertex(), g.vertex()
+        lengths = draw(st.lists(st.integers(2, 4), min_size=2, max_size=4))
+        hosts = [a, b]
+        for length in lengths:
+            hosts += g.path(a, b, length)[1:-1]
+        f = (a, b) if draw(st.booleans()) else tuple(draw(st.lists(
+            st.sampled_from(hosts), min_size=2, max_size=2, unique=True)))
+    elif kind == "loop":  # a path leaves a branch vertex and comes back to it
+        branch, hosts = g.subdivided(K4_PAIRS)
+        x = draw(st.sampled_from(branch))
+        walk = g.path(x, g.vertex(), draw(st.integers(2, 5)))
+        hosts += walk[1:]
+        if draw(st.booleans()):
+            f = (walk[-1], x)  # f closes the loop
+        else:
+            g.edges.append((walk[-1], x))
+            f = tuple(draw(st.lists(st.sampled_from(hosts), min_size=2, max_size=2, unique=True)))
+    elif kind == "small":  # a kernel of at most 4 vertices or 8 edges
+        _, hosts = g.subdivided(draw(st.sampled_from([K4_PAIRS, K4_PAIRS[:5], K4_PAIRS[:4]])))
+        f = tuple(draw(st.lists(st.sampled_from(hosts), min_size=2, max_size=2, unique=True)))
+    else:  # K5 or K3,3 subdivided, less one edge: f may put it back
+        pairs = K5_PAIRS if kind == "k5" else K33_PAIRS
+        branch, hosts = g.subdivided(pairs)
+        if draw(st.booleans()):  # a path that leaves a branch vertex and comes back
+            x = draw(st.sampled_from(branch))
+            hosts += g.path(x, x, draw(st.integers(3, 5)))[1:-1]
+        if draw(st.booleans()):  # a second path beside one of the edges
+            a, b = draw(st.sampled_from(pairs))
+            hosts += g.path(branch[a], branch[b], draw(st.integers(2, 4)))[1:-1]
+        f = draw(st.sampled_from(g.edges))
+        g.edges.remove(f)
+        assume(nx.check_planarity(nx.Graph(g.edges))[0])  # f was on the subdivision
+    g.decorate(hosts)
+    n = draw(st.integers(max(g.count, 8), max(g.count, 8) + 4))
+    labels = [0] + draw(st.permutations(range(1, n + 1)))
+    relabel = lambda e: tuple(sorted((labels[e[0]], labels[e[1]])))  # noqa: E731
+    edges = {relabel(e) for e in g.edges}
+    f = relabel(f)
+    assume(f[0] != f[1] and f not in edges)
+    return kind, n, sorted(edges), f
+
+
+class TestKernelCases:
+    """Shapes the chain's states rarely show: every decision on them equals
+    the left-right test on all m edges, and the kernel is the networkx one."""
+
+    @given(planar_pair_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_decision_matches_the_whole_graph(self, case):
+        kind, n, h_edges, f = case
+        h = nx.Graph(h_edges)
+        assert nx.check_planarity(h)[0]
+        hf_edges = h_edges + [f]
+        want = _left_right_planar(n, hf_edges)
+        event(f"{kind}, {'planar' if want else 'not planar'}")
+        # a step that drops e and adds f, e the first edge of a path of t
+        # edges on vertices of its own: peeling removes the other t - 1, over
+        # an eighth of all edges, so the step does not test the whole graph
+        t = (len(hf_edges) + 8) // 7 + 1
+        tail = [(n + i, n + i + 1) for i in range(1, t + 1)]
+        e = tail[0]
+        state = chain_at(n + t + 1, sorted(h_edges + tail))
+        state.rng = Scripted(state._edges.index(e), pair_index(n + t + 1, *f))
+        with pytest.MonkeyPatch.context() as patch:
+            calls = count_left_right(patch)
+            mcmc_step(state)
+        assert (e not in state._edges) == want
+        if kind in ("cycle", "bridge", "cross"):
+            assert calls == []
+        if kind == "cross":
+            return
+        # the kernel itself, whichever side the step chose
+        hf = nx.Graph(hf_edges)
+        hf.add_nodes_from(range(1, n + 1))
+        adj = [0] * (n + 1)
+        for a, b in hf_edges:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        core = sum(1 << x for x in nx.k_core(hf, 2))
+        with pytest.MonkeyPatch.context() as patch:
+            calls = count_left_right(patch)
+            order, kernel = _kernel(adj, core, *f)
+            assert is_planar_edges(order, kernel) == want
+        if kind == "bridge":
+            assert (order, kernel) == (n, (f,)) and calls == []
+            return
+        assert_is_the_kernel(order, kernel, reference_kernel(hf, f))
+        if len(kernel) <= 8:
+            assert calls == []
+        if kind == "cycle":
+            assert kernel == []
 
 
 def record_palm_decisions(monkeypatch) -> list[tuple]:
@@ -440,9 +677,9 @@ def record_branches(monkeypatch) -> list[str]:
     core_edges = sampler_module._core_edges
 
     def recorded(adj, edges, *rest):
-        tested = core_edges(adj, edges, *rest)
+        order, tested = core_edges(adj, edges, *rest)
         branches.append("whole" if tested is edges else "part")
-        return tested
+        return order, tested
 
     monkeypatch.setattr(sampler_module, "_core_edges", recorded)
     return branches
