@@ -597,7 +597,10 @@ def planar_pair_cases(draw):
     g.decorate(hosts)
     n = draw(st.integers(max(g.count, 8), max(g.count, 8) + 4))
     labels = [0] + draw(st.permutations(range(1, n + 1)))
-    relabel = lambda e: tuple(sorted((labels[e[0]], labels[e[1]])))  # noqa: E731
+
+    def relabel(e):
+        return tuple(sorted((labels[e[0]], labels[e[1]])))
+
     edges = {relabel(e) for e in g.edges}
     f = relabel(f)
     assume(f[0] != f[1] and f not in edges)
