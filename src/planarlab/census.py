@@ -201,10 +201,10 @@ def _read_connected(n: int) -> tuple[tuple[int, int], ...]:
             crc, lines, last = _scan(handle)
             if not last.startswith("checksum "):
                 raise ChecksumMismatchError(f"orbit table {table} has no checksum line")
-            stated = last[len("checksum "):].strip()
+            stated = last[len("checksum "):]
             if stated != f"{crc:08x}":
                 raise ChecksumMismatchError(
-                    f"orbit table {table}: payload checksum {crc:08x} != stated {stated}")
+                    f"orbit table {table}: payload checksum {crc:08x} != stated {stated.strip()}")
             handle.seek(0)
             head = [line.removesuffix("\n") for line in islice(handle, 3)]
             if head[:2] != [_ORBIT_HEADER, f"n {n}"]:

@@ -21,19 +21,14 @@ the edges (so whenever no vertex of H + f has degree below 2), finding the
 core costs about what the smaller test saves, and the test runs on all m
 edges.
 
-Past n = 7 the core can shrink further: its kernel keeps the branch vertices
-(core degree at least 3), numbered 1..k, and one edge per path of degree-2
-vertices between two of them, without loops or parallel edges.  It is
-homeomorphic to the core less those, so by Kuratowski it is planar exactly
-when the core is; a core that is one cycle has the empty kernel.  Smoothing
-a core of c_v vertices and c_e edges removes at least 3 c_v - 2 c_e of its
-edges, one per vertex of degree 2.  The step takes the kernel when that
-bound, on the whole 2-core, is positive, as on the sparse states of
-(100,100), where a core of median 58 edges has a kernel of median 27.
-Elsewhere, as at (30,45) and (100,150), smoothing removes a smaller share of
-a larger core, the walk that finds the kernel costs about what the smaller
-test saves, and the step tests the core's edges.  The kernel is given on at
-least 8 vertices, so a chain past n = 7 never reads an n <= 7 table.
+The test is given that core's kernel: the branch vertices (core degree at
+least 3), numbered 1..k, and one edge per path of degree-2 vertices between
+two of them, without loops or parallel edges.  It is homeomorphic to the
+core less those, so by Kuratowski it is planar exactly when the core is; a
+core that is one cycle has the empty kernel.  On the sparse states of
+(100,100) a core of median 58 edges has a kernel of median 27.  The kernel
+is given on at least 8 vertices, so a chain past n = 7 never reads an
+n <= 7 table; at n <= 7 the table decides all m edges in one lookup.
 
 On dense states nearly every proposal is rejected, so one state faces
 hundreds of tests on all m edges.  After a state's ninth such test since the
@@ -136,7 +131,7 @@ def mcmc_step(state: ChainState) -> ChainState:
     joins two components of G - e, which the test's at-most-8-edges bound
     accepts at once; all m edges of G - e + f when its 2-core keeps at least
     seven eighths of them, on the state's patched palm tree when the swap is
-    eligible; else the 2-core of f's component in G - e + f, or its kernel.
+    eligible; else the kernel of the 2-core of f's component in G - e + f.
     Each answer equals the answer on all m edges, so every seed's samples
     are those of the whole-graph test."""
     state.steps_taken += 1
@@ -232,15 +227,9 @@ def _core_edges(adj: list[int], edges, low: int, u: int, v: int):
     H + f is, f = (u, v), where ``adj`` and ``edges`` are H + f on {1..n}
     and ``low`` is the bitset of its vertices of degree at most 1:
     ``(n, (f,))`` if f joins two components of H; ``(n, edges)`` itself if
-    peeling to the 2-core removes under an eighth of them (so whenever
-    nothing can be peeled); else the 2-core of f's component, as its kernel
-    (``_kernel``) when n > 7 and smoothing surely pays, or as its edges.
-
-    Smoothing a core of c_v vertices and c_e edges removes at least
-    3 c_v - 2 c_e edges, one per vertex of degree 2.  The kernel is taken
-    when that bound, on the whole 2-core that the peeling leaves, is
-    positive; otherwise smoothing removes a smaller share of a larger core,
-    and the walk costs about what the smaller test saves."""
+    n <= 7 or peeling to the 2-core removes under an eighth of them (so
+    whenever nothing can be peeled); else the kernel of the 2-core of f's
+    component (``_kernel``)."""
     n = len(adj) - 1
     core = (1 << n + 1) - 2  # every vertex
     peeled = 0  # edges peeled away
@@ -256,24 +245,11 @@ def _core_edges(adj: list[int], edges, low: int, u: int, v: int):
                 low |= rest
     if not core >> u & core >> v & 1:
         return n, ((u, v),)  # f lies on no cycle
-    if 8 * peeled < len(edges):
-        return n, edges  # the rest would cost about what the smaller test saves
-    if n > TABLE_MAX_N and 3 * core.bit_count() > 2 * (len(edges) - peeled):
-        return _kernel(adj, core, u, v)
-    # u's component in the core of H: f is left out by never expanding u again
-    unseen = core ^ (1 << u)
-    frontier = adj[u] & unseen & ~(1 << v)
-    unseen ^= frontier
-    while frontier:
-        bit = frontier & -frontier
-        frontier ^= bit
-        new = adj[bit.bit_length() - 1] & unseen
-        unseen ^= new
-        frontier |= new
-    if unseen >> v & 1:
-        return n, ((u, v),)  # f is a bridge
-    core ^= unseen
-    return n, [e for e in edges if core >> e[0] & core >> e[1] & 1]
+    if 8 * peeled < len(edges) or n <= TABLE_MAX_N:
+        # the rest would cost about what the smaller test saves; at n <= 7 the
+        # table decides all m edges in one lookup
+        return n, edges
+    return _kernel(adj, core, u, v)
 
 
 def _kernel(adj: list[int], core: int, u: int, v: int):
@@ -281,9 +257,10 @@ def _kernel(adj: list[int], core: int, u: int, v: int):
     (u, v), where ``adj`` is H + f on {1..n} and ``core`` the vertex bitset
     of its 2-core; ``(n, (f,))`` when f is a bridge of that core.  The
     kernel keeps the k branch vertices (core degree at least 3), numbered
-    1..k, and one edge per path of degree-2 vertices between two of them,
-    without loops or parallel edges: it is planar exactly when the core is
-    (a subdivision of K5 or K3,3 needs no loop and no second parallel path).
+    1..k in increasing order, and one edge (a, b), a < b, per path of
+    degree-2 vertices between two of them, without loops or parallel edges:
+    it is planar exactly when the core is (a subdivision of K5 or K3,3 needs
+    no loop and no second parallel path).
     It is given on max(k, 8) vertices, so that no n <= 7 table is read; a
     core that is one cycle has the empty kernel.
 
@@ -340,7 +317,8 @@ def _kernel(adj: list[int], core: int, u: int, v: int):
                 b = path[0] + path[1] - v
     if a != b:
         paths.add((a, b) if a < b else (b, a))
-    label = {x: i for i, x in enumerate(stops, 1)}
+    # numbered in increasing order, so each pair (x, y), x < y, keeps it
+    label = {x: i for i, x in enumerate(sorted(stops), 1)}
     return max(len(stops), TABLE_MAX_N + 1), [(label[x], label[y]) for x, y in paths]
 
 

@@ -434,6 +434,17 @@ print(sum("connected_" in path for path in opened),
         with pytest.raises(ChecksumMismatchError, match=re.escape(str(path))):
             planar_orbits(6)
 
+    @pytest.mark.parametrize("stated", [" {}", "{} ", "{}\t"])
+    def test_a_checksum_with_spaces_around_it_is_refused(self, monkeypatch, tmp_path, stated):
+        # the checked-in tables are compared exactly, as written
+        def pad(path):
+            body, _, crc = path.read_text(encoding="ascii").rpartition("checksum ")
+            path.write_text(f"{body}checksum {stated.format(crc.strip())}\n", encoding="ascii")
+
+        path = self.tampered(monkeypatch, tmp_path, 6, pad)
+        with pytest.raises(ChecksumMismatchError, match=re.escape(str(path))):
+            planar_orbits(6)
+
     def test_a_wrong_row_count_is_refused(self, monkeypatch, tmp_path):
         def drop_a_row(path):
             body = orbit_table_text(6, connected_orbits(6)[:-1]).rpartition("checksum ")[0]
