@@ -260,9 +260,9 @@ def _kernel(adj: list[int], core: int, u: int, v: int):
     1..k in increasing order, and one edge (a, b), a < b, per path of
     degree-2 vertices between two of them, without loops or parallel edges:
     it is planar exactly when the core is (a subdivision of K5 or K3,3 needs
-    no loop and no second parallel path).
-    It is given on max(k, 8) vertices, so that no n <= 7 table is read; a
-    core that is one cycle has the empty kernel.
+    no loop and no second parallel path).  It is given on max(k, 8)
+    vertices, so that no n <= 7 table is read; a core that is one cycle has
+    the empty kernel.
 
     One walk from u over the core less f finds it all.  It stops at u, v
     and the branch vertices and follows each path from a stop to the next;
