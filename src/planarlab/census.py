@@ -390,14 +390,18 @@ def _write_blocks(lines: Iterable[str], write: Callable[[str], object] | None) -
 
 def save_census(store: CensusStore, path) -> None:
     lines = chain.from_iterable(store.records[key].iter_lines() for key in sorted(store.records))
-    # write beside the target, then rename: a failed write leaves ``path`` as it was
-    tmp = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"
+    # write beside the target, through any symlink, then rename: a failed
+    # write leaves ``path`` as it was
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.urandom(8).hex()}.tmp"
+    if os.path.lexists(target) and not os.path.isfile(target):
+        raise IoFailureError(f"{os.fspath(path)}: not a regular file")
     try:
         try:
             with open(tmp, "x", encoding="utf-8") as handle:
                 handle.write(f"{_HEADER}\n")
                 handle.write(f"checksum {_write_blocks(lines, handle.write)}\n")
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)

@@ -74,6 +74,8 @@ def _cmd_enumerate(args) -> int:
 def _cmd_sample(args) -> int:
     if args.budget is not None:  # whatever the method, before any work
         census_mod._check_int("budget", args.budget)
+    if args.method == "mcmc" and args.census is not None:
+        raise InvalidArgumentError("--census is read by --method exact only")
     census = None
     if args.method == "exact":
         if args.census:

@@ -16,10 +16,17 @@ H + f must use f: it lies in f's component and survives the peeling of
 vertices of degree at most 1.  H + f is therefore planar exactly when f
 joins two components of H (then f is a bridge), or when the 2-core of f's
 component in H + f is planar.  The test runs on that core, a fraction of
-the m edges on sparse states.  When peeling would remove under an eighth of
-the edges (so whenever no vertex of H + f has degree below 2), finding the
-core costs about what the smaller test saves, and the test runs on all m
-edges.
+the m edges on sparse states.  When peeling removes under an eighth of the
+edges, the smaller test saves little, and the test runs on all m edges.
+
+The chain keeps the 2-core of its state G, as a vertex bitset and its edge
+count, and derives that of H + f from it instead of peeling the whole
+graph.  A swap changes at most four degrees.  If e lay in the core, the
+vertices it leaves with under two core neighbours are peeled, and the cascade
+from them.  Then, unless u and v both stay in the core, their region outside
+it in H + f (the trees of H hanging there, joined by f) is flooded and peeled
+with the core held fixed: what survives joins the core.  An accepted swap
+keeps the new core, a rejected one G's.
 
 The test is given that core's kernel: the branch vertices (core degree at
 least 3), numbered 1..k, and one edge per path of degree-2 vertices between
@@ -106,8 +113,10 @@ class ChainState:
         for u, v in self._edges:
             self._adj[u] |= 1 << v
             self._adj[v] |= 1 << u
-        # its vertices of degree at most 1, as a bitset
-        self._low = sum(1 << x for x, row in enumerate(self._adj) if x and not row & (row - 1))
+        # its 2-core: the vertex bitset and the number of edges
+        every = (1 << self.n + 1) - 2
+        self._core, peeled = _peel(self._adj, every, every)
+        self._core_size = self.m - peeled
         # a palm tree of the state, built once enough steps tested all m edges
         self._palm: PalmTree | None = None
         self._whole_tests = 0  # steps since the last acceptance that tested all m edges
@@ -150,14 +159,8 @@ def mcmc_step(state: ChainState) -> ChainState:
             break
     added = edges[drop] = slot_pair(n, slot)
     adj = state._adj
-    _swap(adj, removed, added)  # adj is now G - e + f
-    low = state._low
-    for x in removed + added:  # the vertices whose degree changed
-        if adj[x] & (adj[x] - 1):
-            low &= ~(1 << x)
-        else:
-            low |= 1 << x
-    order, tested = _core_edges(adj, edges, low, *added)
+    core, size = _swapped_core(adj, state._core, state._core_size, removed, added)
+    order, tested = _core_edges(adj, edges, core, size, *added)  # adj is G - e + f
     trial = None  # the state's palm tree patched for the swap, if it still is one
     if tested is edges and n > TABLE_MAX_N:
         state._whole_tests += 1
@@ -170,7 +173,7 @@ def mcmc_step(state: ChainState) -> ChainState:
             trial = palm.swapped(removed, added)
     if is_planar_edges(order, tested, trial):
         state.mask = mask ^ (1 << slot | 1 << pair_index(n, *removed))
-        state._low = low
+        state._core, state._core_size = core, size
         state._palm = trial
         state._whole_tests = 0
     else:
@@ -222,30 +225,67 @@ def _palm_tree(n: int, adj: list[int]) -> PalmTree:
     return PalmTree(n, nbrs)
 
 
-def _core_edges(adj: list[int], edges, low: int, u: int, v: int):
+def _swapped_core(adj: list[int], core: int, size: int, out, into) -> tuple[int, int]:
+    """Swap the edge ``out`` for ``into`` in the neighbour bitsets ``adj``,
+    and return the 2-core (vertex bitset, edge count) of the result from
+    ``core`` and ``size``, those of the graph before."""
+    a, b = out
+    adj[a] ^= 1 << b
+    adj[b] ^= 1 << a
+    if core >> a & core >> b & 1:  # out lay in the core
+        core, peeled = _peel(adj, core, 1 << a | 1 << b)
+        size -= 1 + peeled
+    u, v = into
+    adj[u] ^= 1 << v
+    adj[v] ^= 1 << u
+    todo = region = (1 << u | 1 << v) & ~core
+    if not region:
+        return core, size + 1
+    # flood the trees that u and v hang in: each of their vertices has all its
+    # neighbours in the region or the core
+    ends = 0  # twice the edges with an end in the region
+    while todo:
+        bit = todo & -todo
+        todo ^= bit
+        row = adj[bit.bit_length() - 1]
+        ends += row.bit_count() + (row & core).bit_count()  # an edge to the core has one end here
+        row &= ~(core | region)
+        region |= row
+        todo |= row
+    core, peeled = _peel(adj, core | region, region)
+    return core, size + ends // 2 - peeled
+
+
+def _peel(adj: list[int], core: int, todo: int) -> tuple[int, int]:
+    """Peel from the vertex bitset ``core`` every vertex left with at most
+    one neighbour in it, starting from those of ``todo``, a part of ``core``
+    that holds every vertex that could be: (what is left, the number of
+    edges peeled)."""
+    peeled = 0
+    while todo:
+        bit = todo & -todo
+        todo ^= bit
+        row = adj[bit.bit_length() - 1] & core
+        if row & (row - 1):
+            continue  # it has two neighbours left
+        core ^= bit
+        if row:  # its one neighbour may have one left now
+            peeled += 1
+            todo |= row
+    return core, peeled
+
+
+def _core_edges(adj: list[int], edges, core: int, size: int, u: int, v: int):
     """(order, edges) of a graph on {1..order} that is planar exactly when
     H + f is, f = (u, v), where ``adj`` and ``edges`` are H + f on {1..n}
-    and ``low`` is the bitset of its vertices of degree at most 1:
-    ``(n, (f,))`` if f joins two components of H; ``(n, edges)`` itself if
-    n <= 7 or peeling to the 2-core removes under an eighth of them (so
-    whenever nothing can be peeled); else the kernel of the 2-core of f's
-    component (``_kernel``)."""
+    and ``core`` and ``size`` the vertex bitset and edge count of its
+    2-core: ``(n, (f,))`` if f joins two components of H; ``(n, edges)``
+    itself if n <= 7 or the core keeps over seven eighths of them; else the
+    kernel of the 2-core of f's component (``_kernel``)."""
     n = len(adj) - 1
-    core = (1 << n + 1) - 2  # every vertex
-    peeled = 0  # edges peeled away
-    while low:
-        bit = low & -low
-        low ^= bit
-        core ^= bit
-        rest = adj[bit.bit_length() - 1] & core  # its one neighbour left, if any
-        if rest:
-            peeled += 1
-            left = adj[rest.bit_length() - 1] & core
-            if not left & (left - 1):
-                low |= rest
     if not core >> u & core >> v & 1:
         return n, ((u, v),)  # f lies on no cycle
-    if 8 * peeled < len(edges) or n <= TABLE_MAX_N:
+    if 8 * (len(edges) - size) < len(edges) or n <= TABLE_MAX_N:
         # the rest would cost about what the smaller test saves; at n <= 7 the
         # table decides all m edges in one lookup
         return n, edges

@@ -240,6 +240,21 @@ def reach(adj, seeds: int) -> int:
     return seen
 
 
+def two_core(adj) -> tuple[int, int]:
+    """(vertex bitset, edge count) of the 2-core of the graph with neighbour
+    bitsets ``adj`` on {1..n}: vertices with under two neighbours left are
+    deleted, in sweeps over all of them, until none is."""
+    core = sum(1 << x for x in range(1, len(adj)))
+    while True:
+        low = [x for x in range(1, len(adj)) if core >> x & 1 and (adj[x] & core).bit_count() < 2]
+        if not low:
+            break
+        for x in low:
+            core &= ~(1 << x)
+    edges = sum((adj[x] & core).bit_count() for x in range(1, len(adj)) if core >> x & 1)
+    return core, edges // 2
+
+
 def component_masks_reach(g: LabeledGraph) -> tuple[int, ...]:
     """Vertex bitsets of the components, by ascending minimum vertex: one
     flood fill from the smallest vertex not yet reached."""

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import errno
+import os
 import random
 import re
 import subprocess
@@ -640,6 +641,39 @@ class TestCensusText:
         path = tmp_path / "n6-m9.census"
         save_census(build_census(6, [9], store_graphs=True), path)
         assert path.read_bytes() == GOLDEN_CENSUS.read_bytes()
+
+    @pytest.mark.parametrize("dangling", [False, True])
+    def test_save_writes_through_a_symlink(self, tmp_path, dangling):
+        target = tmp_path / "target.census"
+        if not dangling:
+            target.write_text("old\n")
+        link = tmp_path / "link.census"
+        link.symlink_to(target)
+        save_census(build_census(6, [9], store_graphs=True), link)
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_bytes() == GOLDEN_CENSUS.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.census", "target.census"]
+
+    @pytest.mark.parametrize("kind", ["fifo", "directory", "link to a fifo"])
+    def test_save_refuses_what_is_not_a_regular_file(self, tmp_path, kind):
+        path = tmp_path / "out"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            os.mkfifo(tmp_path / "fifo")
+            if kind == "fifo":
+                path = tmp_path / "fifo"
+            else:
+                path.symlink_to(tmp_path / "fifo")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        with pytest.raises(IoFailureError, match=f"^{re.escape(str(path))}: not a regular file$"):
+            save_census(build_census(6, [9], store_graphs=True), path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        if kind == "directory":
+            assert path.is_dir() and not any(path.iterdir())
+        else:
+            assert (tmp_path / "fifo").is_fifo()
+            assert path.is_symlink() == (kind == "link to a fifo")
 
     def test_the_golden_file_loads_to_the_built_store(self):
         store = build_census(6, [9], store_graphs=True)

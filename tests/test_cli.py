@@ -212,6 +212,16 @@ class TestBadInput:
         self.check(capsys, "sample", "--n", "5", "--m", "5", "--method", "mcmc",
                    "--count", "-1")
 
+    def test_census_given_to_the_chain(self, capsys, tmp_path):
+        # the chain reads no census; a missing one is not even opened
+        for path in (tmp_path / "absent.census", GOLDEN / "census_n6_m9.txt"):
+            self.check(capsys, "sample", "--n", "6", "--m", "9", "--method", "mcmc",
+                       "--count", "2", "--census", str(path))
+
+    def test_census_out_is_a_directory(self, capsys, tmp_path):
+        self.check(capsys, "enumerate", "--n", "3", "--m", "1", "--out", str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
     def test_zero_thinning(self, capsys):
         self.check(capsys, "sample", "--n", "5", "--m", "5", "--method", "mcmc",
                    "--count", "2", "--thin", "0")

@@ -46,7 +46,7 @@ from planarlab._bits import (
 )
 from planarlab.planarity import _left_right_planar, is_planar_edges
 from planarlab.sampler import _core_edges, _kernel, _palm_tree
-from tests.oracles import check_palm_tree, pairs_in_order
+from tests.oracles import check_palm_tree, pairs_in_order, two_core
 from tests.test_planarity import networkx_planar
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -163,7 +163,7 @@ class TestChain:
             assert g.n == 6 and g.m == 7 and is_planar(g)
             assert g.edges == frozenset(state._edges)  # the list and the mask agree
             assert tuple(state._adj) == g.adjacency  # so do the neighbour bitsets
-            assert state._low == sum(1 << v for v in range(1, 7) if g.degree(v) <= 1)
+            assert (state._core, state._core_size) == two_core(g.adjacency)
 
     def test_slot_pair_inverts_pair_index(self):
         for n in range(2, 40):
@@ -318,7 +318,7 @@ def chain_at(n, edges, *script) -> ChainState:
     state.mask = g.mask
     state._edges = sorted(g.edges)
     state._adj = list(g.adjacency)
-    state._low = sum(1 << v for v in range(1, n + 1) if g.degree(v) <= 1)
+    state._core, state._core_size = two_core(state._adj)
     state.rng = Scripted(*script)
     return state
 
@@ -407,8 +407,7 @@ class TestLocalDecision:
             for a, b in edges:
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
-            low = sum(1 << v for v in hf if hf.degree(v) <= 1)
-            order, got = _core_edges(adj, edges, low, *f)
+            order, got = _core_edges(adj, edges, *two_core(adj), *f)
             assert is_planar_edges(order, got) == nx.check_planarity(hf)[0]
             core = nx.k_core(hf, 2)
             if got is edges:
@@ -501,6 +500,84 @@ print(planar_mask_table.cache_info().currsize)
         [tested] = calls  # the kernel of the core: K3,3 itself
         assert len(tested) == 9 and {v for e in tested for v in e} == set(range(1, 7))
         assert nx.is_isomorphic(nx.Graph(tested), nx.complete_bipartite_graph(3, 3))
+
+
+def record_derived_cores(monkeypatch) -> list[str]:
+    """Per step from now on, what deriving the 2-core of G - e + f from G's
+    did: "cascade" if e left the core and took at least two vertices with
+    it, "reattached" if at least two vertices joined the core of G - e.
+    Each derived core, and the one it came from, is asserted equal to the
+    reference on the way, rejected steps' too."""
+    kinds = []
+    derive = sampler_module._swapped_core
+
+    def checked(adj, core, size, out, into):
+        assert (core, size) == two_core(adj)  # G's
+        got = derive(adj, core, size, out, into)
+        assert got == two_core(adj)  # adj is now G - e + f
+        u, v = into
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+        h_core = two_core(adj)[0]  # G - e
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+        if (core & ~h_core).bit_count() >= 2:
+            kinds.append("cascade")
+        if (got[0] & ~h_core).bit_count() >= 2:
+            kinds.append("reattached")
+        return got
+
+    monkeypatch.setattr(sampler_module, "_swapped_core", checked)
+    return kinds
+
+
+class TestKeptCore:
+    """The chain keeps the 2-core of its state and derives that of G - e + f
+    from it; every one equals a from-scratch peel."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_lockstep_with_the_reference_core(self, data):
+        n = data.draw(st.integers(3, 24), label="n")
+        m = data.draw(st.integers(0, 3 * n - 6), label="m")
+        seed = data.draw(st.integers(0, 2**32), label="seed")
+        state = ChainState(n, m, seed)
+        assert (state._core, state._core_size) == two_core(state._adj)
+        with pytest.MonkeyPatch.context() as patch:
+            kinds = record_derived_cores(patch)
+            for _ in range(150):
+                mcmc_step(state)
+                assert (state._core, state._core_size) == two_core(state._adj)
+        for kind in sorted(set(kinds)):
+            event(kind)
+
+    @pytest.mark.parametrize("n, m", [(10, 12), (16, 20), (24, 30)])
+    def test_chains_peel_and_reattach_paths(self, monkeypatch, n, m):
+        kinds = record_derived_cores(monkeypatch)
+        state = ChainState(n, m, seed=3)
+        for _ in range(150):
+            mcmc_step(state)
+        assert {"cascade", "reattached"} <= set(kinds), Counter(kinds)
+
+    def test_path_peeled_and_reattached(self, monkeypatch):
+        # K4 on 1..4 and the path 4-5-6-7-8 closed by (1, 8); vertex 9 is alone
+        k4 = [(a, b) for a, b in combinations(range(1, 5), 2)]
+        state = chain_at(9, k4 + [(4, 5), (5, 6), (6, 7), (7, 8), (1, 8)])
+        kinds = record_derived_cores(monkeypatch)
+        k4_core = sum(1 << x for x in range(1, 5))
+        # (1, 8) leaves and peels the path; (2, 8) hangs it back from 2
+        for e, f, core, size, kind in [
+                ((1, 8), (2, 8), k4_core | 0b111100000, 11, ["cascade", "reattached"]),
+                # (4, 5) leaves and peels it; (5, 9) joins it to 9, off the core
+                ((4, 5), (5, 9), k4_core, 6, ["cascade"]),
+                # (5, 9) leaves; (3, 5) joins the path to the core, and 9 is peeled
+                ((5, 9), (3, 5), k4_core | 0b111100000, 11, ["reattached"])]:
+            state.rng = Scripted(state._edges.index(e), pair_index(9, *f))
+            kinds.clear()
+            mcmc_step(state)
+            assert f in state._edges and e not in state._edges  # accepted
+            assert (state._core, state._core_size) == (core, size)
+            assert kinds == kind
 
 
 class Shapes:
