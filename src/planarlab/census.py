@@ -390,8 +390,20 @@ def _write_blocks(lines: Iterable[str], write: Callable[[str], object] | None) -
 
 def save_census(store: CensusStore, path) -> None:
     lines = chain.from_iterable(store.records[key].iter_lines() for key in sorted(store.records))
-    # write beside the target, through any symlink, then rename: a failed
-    # write leaves ``path`` as it was
+
+    def write(handle) -> None:
+        handle.write(f"{_HEADER}\n")
+        handle.write(f"checksum {_write_blocks(lines, handle.write)}\n")
+
+    _write_beside(path, write)
+
+
+def _write_beside(path, write) -> None:
+    """Write the text file ``path`` with ``write(handle)`` beside the target,
+    through any symlink, then rename it into place: a failed write leaves
+    ``path`` as it was.  A target that exists but is not a regular file is
+    refused before anything is written, and any OSError is an
+    IoFailureError."""
     target = os.path.realpath(path)
     tmp = f"{target}.{os.urandom(8).hex()}.tmp"
     if os.path.lexists(target) and not os.path.isfile(target):
@@ -399,8 +411,7 @@ def save_census(store: CensusStore, path) -> None:
     try:
         try:
             with open(tmp, "x", encoding="utf-8") as handle:
-                handle.write(f"{_HEADER}\n")
-                handle.write(f"checksum {_write_blocks(lines, handle.write)}\n")
+                write(handle)
             os.replace(tmp, target)
         finally:
             if os.path.exists(tmp):

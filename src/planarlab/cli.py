@@ -14,7 +14,7 @@ from itertools import chain, islice
 
 from . import census as census_mod
 from . import lab
-from .errors import InvalidArgumentError, IoFailureError, PlanarLabError
+from .errors import InvalidArgumentError, PlanarLabError
 from .graphs import LabeledGraph, decode, encode
 from .patterns import pattern_from_name
 from .sampler import sample_many
@@ -46,16 +46,14 @@ def _parse_int_list(text: str) -> list[range]:
 
 
 def _emit(path, text: str) -> None:
-    """Write text to the ``--out`` file, or print it when there is none; a
-    failed write is an IoFailureError."""
-    if not path:
+    """Write text to the ``--out`` file as ``save_census`` writes a census
+    (beside the target, then renamed; a target that is not a regular file
+    refused), or print it when there is none; a failed write is an
+    IoFailureError."""
+    if path:
+        census_mod._write_beside(path, lambda handle: handle.write(text))
+    else:
         print(text, end="")
-        return
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise IoFailureError(str(exc)) from exc
 
 
 def _cmd_enumerate(args) -> int:

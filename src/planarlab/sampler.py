@@ -38,7 +38,20 @@ is given on at least 8 vertices, so a chain past n = 7 never reads an
 n <= 7 table; at n <= 7 the table decides all m edges in one lookup.
 
 On dense states nearly every proposal is rejected, so one state faces
-hundreds of tests on all m edges.  After a state's ninth such test since the
+hundreds of tests on all m edges.  Past n = 7, a certificate rejects many of
+them before any test.  Let a be an end of f, b the other and S = N_H(a).  If
+S has at least 3 vertices and a cycle C through all of them, and the
+component K of b in H - S - a has neighbours at 3 or more vertices of C,
+then H + f has a K5 minor: take as branch sets {a}, K and the three arcs of
+C that start at three of K's attachments.  a sees every arc and K the first
+vertex of each, consecutive arcs meet along C, and f joins a to K.  So H + f
+is not planar, and the step is rejected; each end of f is tried as a.  As H
+is planar and a sees all of S, H[S] is outerplanar, and C is found by taking
+out vertices of degree 2 in time linear in |S|.  At (100,290) the
+certificate settles 72% of the steps (9,722 of 13,500 over chain seeds
+200000-200002), none of which the test would accept.
+
+After a state's ninth such test since the
 last acceptance, the chain builds a palm tree of it (a DFS tree that goes
 next to the unvisited neighbour with the fewest unvisited neighbours, which
 makes it deep) and keeps its left-right orientation.  A proposal is
@@ -140,9 +153,10 @@ def mcmc_step(state: ChainState) -> ChainState:
     joins two components of G - e, which the test's at-most-8-edges bound
     accepts at once; all m edges of G - e + f when its 2-core keeps at least
     seven eighths of them, on the state's patched palm tree when the swap is
-    eligible; else the kernel of the 2-core of f's component in G - e + f.
-    Each answer equals the answer on all m edges, so every seed's samples
-    are those of the whole-graph test."""
+    eligible, unless past n = 7 a K5 minor certifies a rejection first
+    (``_k5_minor``); else the kernel of the 2-core of f's component in
+    G - e + f.  Each answer equals the answer on all m edges, so every
+    seed's samples are those of the whole-graph test."""
     state.steps_taken += 1
     n, m = state.n, state.m
     total = pair_count(n)
@@ -162,7 +176,9 @@ def mcmc_step(state: ChainState) -> ChainState:
     core, size = _swapped_core(adj, state._core, state._core_size, removed, added)
     order, tested = _core_edges(adj, edges, core, size, *added)  # adj is G - e + f
     trial = None  # the state's palm tree patched for the swap, if it still is one
-    if tested is edges and n > TABLE_MAX_N:
+    whole = tested is edges and n > TABLE_MAX_N
+    certified = whole and _k5_minor(adj, *added)
+    if whole and not certified:
         state._whole_tests += 1
         palm = state._palm
         if palm is None and state._whole_tests > _PALM_AFTER:
@@ -171,7 +187,7 @@ def mcmc_step(state: ChainState) -> ChainState:
             _swap(adj, removed, added)
         if palm is not None:
             trial = palm.swapped(removed, added)
-    if is_planar_edges(order, tested, trial):
+    if not certified and is_planar_edges(order, tested, trial):
         state.mask = mask ^ (1 << slot | 1 << pair_index(n, *removed))
         state._core, state._core_size = core, size
         state._palm = trial
@@ -180,6 +196,98 @@ def mcmc_step(state: ChainState) -> ChainState:
         edges[drop] = removed
         _swap(adj, added, removed)
     return state
+
+
+def _k5_minor(adj: list[int], u: int, v: int) -> bool:
+    """Whether the certificate (module docstring) finds a K5 minor in H + f,
+    f = (u, v), where ``adj`` is H + f."""
+    for a, b in (u, v), (v, u):
+        ring = adj[a] ^ 1 << b  # N_H(a)
+        if ring.bit_count() >= 3 and _ring(adj, ring) and _attaches_thrice(adj, ring, b, a):
+            return True
+    return False
+
+
+def _attaches_thrice(adj: list[int], ring: int, start: int, fence: int) -> bool:
+    """Whether the component of ``start`` in the graph less the vertex
+    bitset ``ring`` and the vertex ``fence`` has neighbours at 3 or more
+    vertices of ``ring``; the flood stops at the third."""
+    todo = 1 << start
+    out = ring | 1 << fence | todo  # the vertices not to flood, or flooded
+    hits = 0
+    while todo:
+        bit = todo & -todo
+        todo ^= bit
+        row = adj[bit.bit_length() - 1]
+        if row & ring:
+            hits |= row & ring
+            if hits.bit_count() >= 3:
+                return True
+        row &= ~out
+        out |= row
+        todo |= row
+    return False
+
+
+def _ring(adj: list[int], ring: int) -> list[int] | None:
+    """A cycle through every vertex of the vertex bitset ``ring`` (at least
+    3) in the graph it induces, as its vertices in cycle order, or None when
+    there is none (on a graph that is not outerplanar, it may miss one).
+
+    A vertex x of degree 2, with neighbours y and z, lies between them on
+    any such cycle; on more than 3 vertices the cycle then cannot use an
+    edge yz as well.  So x is taken out and yz stands for the path y - x - z
+    (in place of an edge yz that was there), and a cycle of what is left
+    that uses every edge standing for a path gives one of the whole.  An
+    outerplanar graph with a cycle through all its vertices has a vertex of
+    degree 2 until 3 are left, which must form a triangle."""
+    rows = {}
+    todo = []  # vertices of degree 2
+    rest = ring
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        x = bit.bit_length() - 1
+        row = rows[x] = adj[x] & ring
+        count = row.bit_count()
+        if count < 2:
+            return None
+        if count == 2:
+            todo.append(x)
+    inner: dict[tuple[int, int], list[int]] = {}  # (y, z), y < z: the path yz stands for, y .. z
+    while len(rows) > 3:
+        if not todo:
+            return None
+        x = todo.pop()
+        row = rows.pop(x, None)
+        if row is None:
+            continue  # taken out already
+        if row.bit_count() < 2:
+            return None
+        y, z = bit_positions(row)
+        path = _inside(inner, y, x) + [x] + _inside(inner, x, z)
+        rows[y] ^= 1 << x
+        rows[z] ^= 1 << x
+        if rows[y] >> z & 1:
+            if inner.get((y, z)):
+                return None  # the cycle must take both paths between y and z
+            todo += [w for w in (y, z) if rows[w].bit_count() <= 2]
+        else:
+            rows[y] |= 1 << z
+            rows[z] |= 1 << y
+        inner[y, z] = path
+    a, b, c = rows
+    if any(row.bit_count() != 2 for row in rows.values()):
+        return None
+    return [a, *_inside(inner, a, b), b, *_inside(inner, b, c), c, *_inside(inner, c, a)]
+
+
+def _inside(inner: dict[tuple[int, int], list[int]], y: int, z: int) -> list[int]:
+    """The inner vertices, from y to z, of the path that the edge yz stands
+    for; none for an edge that stands for itself."""
+    if y < z:
+        return inner.pop((y, z), [])
+    return inner.pop((z, y), [])[::-1]
 
 
 def _swap(adj: list[int], out: tuple[int, int], into: tuple[int, int]) -> None:

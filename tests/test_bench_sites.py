@@ -54,13 +54,25 @@ def test_names_the_benchmark_jobs_resolve():
     assert callable(planarlab.census.CensusStore.record_checksums)
 
 
-def test_tracer_counts_every_chain_decision():
+def test_tracer_counts_every_chain_decision(monkeypatch):
     """The chain's counts come from the traced names: one is_planar_edges
-    call per mcmc_step, left-right calls below it, and accepted swaps, one
-    per change of the state.  At (12, 28) every step tests all m edges,
-    some of them on a palm tree."""
+    call per mcmc_step that the K5-minor certificate does not reject,
+    left-right calls below it, and accepted swaps, one per change of the
+    state.  At (12, 28) every step is certified or tests all m edges, some
+    of them on a palm tree."""
     tracing = load_tracing()
+    k5_minor = planarlab.sampler._k5_minor
+    certified = []
+
+    def counted(adj, u, v):
+        found = k5_minor(adj, u, v)
+        if found:
+            certified.append((u, v))
+        return found
+
+    monkeypatch.setattr(planarlab.sampler, "_k5_minor", counted)
     for n, m in (12, 20), (12, 28):
+        certified.clear()
         tracer = tracing.Tracer()
         tracer.install(planarlab)
         steps, changes = 300, 0
@@ -73,8 +85,10 @@ def test_tracer_counts_every_chain_decision():
         finally:
             tracer.restore()
         keys = tracer.per_key()
+        calls = steps - len(certified)
         assert keys["sampler.mcmc_step"][0] == steps
-        assert tracer.edges[("sampler.mcmc_step", "planarity.is_planar_edges")][0] == steps
-        assert keys["planarity.is_planar_edges"][0] == steps
+        assert tracer.edges[("sampler.mcmc_step", "planarity.is_planar_edges")][0] == calls
+        assert keys["planarity.is_planar_edges"][0] == calls
+        assert certified or m < 28
         assert keys["planarity.left_right"][0] > 0
         assert tracer.counters["sampler.accepted"] == changes > 0, (n, m)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -356,6 +357,38 @@ raise SystemExit(main(sys.argv[1:]))
     def test_experiment_out_in_missing_directory(self, capsys, tmp_path):
         self.check(capsys, "experiment", "--n-list", "4", "--m-list", "3",
                    "--events", "connected", "--out", str(tmp_path / "missing" / "x.csv"))
+
+    @pytest.mark.parametrize("argv", [
+        ("sample", "--n", "5", "--m", "5", "--method", "mcmc", "--count", "1",
+         "--burnin", "5", "--thin", "1"),
+        ("verify", "--n", "4", "--m", "3"),
+        ("experiment", "--n-list", "4", "--m-list", "3", "--events", "connected"),
+    ], ids=["sample", "verify", "experiment"])
+    def test_out_to_a_fifo_is_refused(self, tmp_path, argv):
+        # opened for writing, a FIFO with no reader would block: the run is a
+        # child with a timeout, so that a fault fails here instead of hanging
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        done = subprocess.run(
+            [sys.executable, "-m", "planarlab.cli", *argv, "--out", str(fifo)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == f"error: {fifo}: not a regular file\n"
+        assert fifo.is_fifo() and list(tmp_path.iterdir()) == [fifo]
+
+    def test_out_is_replaced_only_after_the_write(self, capsys, tmp_path, monkeypatch):
+        # the text is written beside the target and renamed over it, so a
+        # failed rename leaves the old file whole and no temporary file behind
+        path = tmp_path / "table.csv"
+        path.write_text("old\n")
+
+        def refuse(src, dst):
+            raise OSError(f"cannot rename {src}")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        self.check(capsys, "verify", "--n", "4", "--m", "3", "--out", str(path))
+        assert path.read_text() == "old\n" and list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("argv", [
         ("enumerate", "--n", "10", "--m", "12"),

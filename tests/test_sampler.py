@@ -5,7 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import networkx as nx
@@ -38,6 +38,7 @@ from planarlab import (
     tv_distance_to_uniform,
 )
 from planarlab._bits import (
+    bit_positions,
     edges_from_mask,
     mask_from_edges,
     pair_count,
@@ -45,7 +46,7 @@ from planarlab._bits import (
     slot_pair,
 )
 from planarlab.planarity import _left_right_planar, is_planar_edges
-from planarlab.sampler import _core_edges, _kernel, _palm_tree
+from planarlab.sampler import _attaches_thrice, _core_edges, _kernel, _palm_tree, _ring
 from tests.oracles import check_palm_tree, pairs_in_order, two_core
 from tests.test_planarity import networkx_planar
 
@@ -260,7 +261,8 @@ class TestChain:
 
 class TestGoldenChains:
     """Chain sample streams written before the chain decided its steps
-    locally; the local decision must reproduce them byte for byte."""
+    locally (the (100,250) one before the K5-minor certificate); the local
+    decision must reproduce them byte for byte."""
 
     RUNS = {  # file: n, m, burn-in, thinning, count, seed
         "chain_n100_m100.txt": (100, 100, 1000, 40, 50, 100_000),
@@ -268,6 +270,9 @@ class TestGoldenChains:
         "chain_n30_m45.txt": (30, 45, 1000, 30, 50, 300_000),
         # denser than (100,100): smoothing removes a smaller share of the core
         "chain_n100_m150.txt": (100, 150, 500, 20, 50, 400_000),
+        # the K5-minor certificate, the palm tree and the whole test all
+        # decide steps here; written before the certificate
+        "chain_n100_m250.txt": (100, 250, 500, 40, 50, 500_000),
     }
 
     @pytest.mark.parametrize("name", sorted(RUNS))
@@ -799,6 +804,9 @@ class TestPalmReuse:
         (100, 250, 200_000, 2000), (30, 45, 300_000, 4000),
     ])
     def test_recorded_decisions_match_the_whole_graph(self, monkeypatch, n, m, seed, steps):
+        # with the K5-minor certificate on, most of these steps are rejected
+        # before the tree is asked; off, every such step reaches it
+        monkeypatch.setattr(sampler_module, "_k5_minor", lambda adj, u, v: False)
         decisions = record_palm_decisions(monkeypatch)
         state = ChainState(n, m, seed)
         for _ in range(steps):
@@ -863,6 +871,145 @@ class TestPalmReuse:
         assert branches == ["whole"]
         assert set(state._edges) == set(edges) - {e} | {(1, 2)}  # accepted
         assert state._palm is None
+
+
+def adjacency(n, edges) -> list[int]:
+    """Neighbour bitsets of ``edges`` on {1..n}, as the chain keeps them."""
+    adj = [0] * (n + 1)
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return adj
+
+
+def edges_of(adj) -> list[tuple[int, int]]:
+    return [(a, b) for a, row in enumerate(adj) for b in bit_positions(row) if a < b]
+
+
+def record_certified(monkeypatch) -> list[tuple]:
+    """(neighbour bitsets of H + f, f) of every step that the K5-minor
+    certificate rejects from now on."""
+    certified = []
+    k5_minor = sampler_module._k5_minor
+
+    def recorded(adj, u, v):
+        found = k5_minor(adj, u, v)
+        if found:
+            certified.append((list(adj), (u, v)))
+        return found
+
+    monkeypatch.setattr(sampler_module, "_k5_minor", recorded)
+    return certified
+
+
+def assert_k5_minor(adj, f) -> None:
+    """Build the certificate's K5 minor of H + f with networkx and check it:
+    five connected branch sets, pairwise joined by an edge."""
+    n = len(adj) - 1
+    hf = nx.Graph(edges_of(adj))
+    hf.add_nodes_from(range(1, n + 1))
+    for a, b in f, f[::-1]:
+        ring = set(hf[a]) - {b}
+        cycle = _ring(adj, sum(1 << x for x in ring))
+        if cycle is None:
+            continue
+        assert sorted(cycle) == sorted(ring)
+        assert all(hf.has_edge(x, y) for x, y in zip(cycle, cycle[1:] + cycle[:1]))
+        k = nx.node_connected_component(hf.subgraph(set(hf) - ring - {a}), b)
+        starts = [i for i, x in enumerate(cycle) if any(y in k for y in hf[x])]
+        if len(starts) < 3:
+            continue
+        i, j, l = starts[:3]
+        parts = [{a}, k, set(cycle[i:j]), set(cycle[j:l]), set(cycle[l:] + cycle[:i])]
+        assert all(nx.is_connected(hf.subgraph(p)) for p in parts)
+        for p, q in combinations(parts, 2):
+            assert not p & q and any(hf.has_edge(x, y) for x in p for y in q)
+        return
+    raise AssertionError(f"no K5 minor of the certificate's form for f = {f}")
+
+
+class TestK5Certificate:
+    """Past n = 7, a step that would test all m edges is rejected with no
+    test when H + f has a K5 minor of the certificate's form; each such
+    step is one the whole-graph test rejects."""
+
+    @pytest.mark.parametrize("n, m, seed", [
+        (100, 290, 200_000), (100, 290, 200_001), (100, 290, 200_002),
+        (100, 250, 200_000), (30, 70, 1), (12, 28, 1), (9, 20, 1),
+    ])
+    def test_certified_steps_are_not_planar(self, monkeypatch, n, m, seed):
+        certified = record_certified(monkeypatch)
+        state = ChainState(n, m, seed)
+        steps = 2000
+        for _ in range(steps):
+            mcmc_step(state)
+        if (n, m) == (100, 290):
+            # it settles 57-75% of the steps on these seeds
+            assert len(certified) > steps // 2, len(certified)
+        assert certified
+        for i, (adj, f) in enumerate(certified):
+            edges = edges_of(adj)
+            assert not _left_right_planar(n, edges), i
+            if i % 40 == 0:
+                assert not networkx_planar(n, edges), i
+                assert_k5_minor(adj, f)
+
+    def test_k5_less_an_edge_plus_it(self):
+        n = 8
+        f = (1, 5)
+        adj = adjacency(n, [e for e in combinations(range(1, 6), 2)])
+        assert sampler_module._k5_minor(adj, *f)
+        assert_k5_minor(adj, f)
+
+    @pytest.mark.parametrize("k", range(4, 11))
+    def test_fan_less_a_path_edge_is_not_certified(self, k):
+        # the fan on 12 vertices joins 1 and 2 to every vertex of the path
+        # 3 - 4 - ... - 12; less (k, k + 1), {1, 2} splits the path, and f
+        # joins the two ends that the split exposes.  For either end a of f,
+        # N_H(a) is a triangle, but the other end's side attaches to it at 1
+        # and 2 only
+        n = 12
+        f = (k, k + 1)
+        adj = adjacency(n, fan_triangulation_edges(n))  # H + f
+        assert networkx_planar(n, edges_of(adj))
+        assert not sampler_module._k5_minor(adj, *f)
+        for a, b in f, f[::-1]:
+            ring = adj[a] ^ 1 << b
+            assert ring.bit_count() == 3 and _ring(adj, ring) is not None
+            assert not _attaches_thrice(adj, ring, b, a)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_ring_against_brute_force(self, data):
+        # a cycle through every vertex and random chords, relabelled: the
+        # ring found is such a cycle, and on an outerplanar graph (planar
+        # with a vertex joined to all) one is always found
+        k = data.draw(st.integers(3, 8), label="k")
+        order = data.draw(st.permutations(range(1, k + 1)), label="order")
+        edges = {frozenset(p) for p in zip(order, order[1:] + order[:1])}
+        if data.draw(st.booleans(), label="break the cycle"):
+            edges.discard(frozenset(order[:2]))
+        chords = data.draw(st.sets(st.sampled_from(list(combinations(range(1, k + 1), 2))),
+                                   max_size=k), label="chords")
+        edges |= {frozenset(c) for c in chords}
+        edges = [tuple(sorted(e)) for e in edges]
+        adj = adjacency(k, edges)
+        ring = (1 << k + 1) - 2
+        cycle = _ring(adj, ring)
+        g = nx.Graph(edges)
+        g.add_nodes_from(range(1, k + 1))
+        hamiltonian = any(
+            all(g.has_edge(x, y) for x, y in zip((1, *rest), (*rest, 1)))
+            for rest in permutations(range(2, k + 1)))
+        apex = g.copy()
+        apex.add_edges_from((0, x) for x in range(1, k + 1))
+        outerplanar = nx.check_planarity(apex)[0]
+        event(f"hamiltonian={hamiltonian} outerplanar={outerplanar} found={cycle is not None}")
+        if cycle is not None:
+            assert sorted(cycle) == list(range(1, k + 1))
+            assert all(g.has_edge(x, y) for x, y in zip(cycle, cycle[1:] + cycle[:1]))
+        elif outerplanar:
+            assert not hamiltonian
 
 
 class TestNoSamples:
