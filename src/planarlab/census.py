@@ -275,9 +275,6 @@ class CensusRecord:
             for mask in self.graphs:
                 yield f"  {encode(LabeledGraph(self.n, mask))}"
 
-    def lines(self) -> list[str]:
-        return list(self.iter_lines())
-
     def checksum(self) -> str:
         return _write_blocks(self.iter_lines(), None)
 

@@ -13,11 +13,12 @@ A step decides planarity locally.  With G the state, e the dropped edge and
 f the proposed pair, H = G - e is planar, being a subgraph of G.  Every K5
 or K3,3 subdivision has minimum degree 2 and is 2-connected, so one inside
 H + f must use f: it lies in f's component and survives the peeling of
-vertices of degree at most 1.  H + f is therefore planar exactly when f
-joins two components of H (then f is a bridge), or when the 2-core of f's
-component in H + f is planar.  The test runs on that core, a fraction of
-the m edges on sparse states.  When peeling removes under an eighth of the
-edges, the smaller test saves little, and the test runs on all m edges.
+vertices of degree at most 1.  H + f is therefore planar when that peeling
+takes an end of f (f then lies on no cycle), and else exactly when the
+2-core of f's component in H + f is planar, f being an edge of it like any
+other.  The test runs on that core, a fraction of the m edges on sparse
+states.  When peeling removes under an eighth of the edges, the smaller
+test saves little, and the test runs on all m edges.
 
 The chain keeps the 2-core of its state G, as a vertex bitset and its edge
 count, and derives that of H + f from it instead of peeling the whole
@@ -46,21 +47,20 @@ then H + f has a K5 minor: take as branch sets {a}, K and the three arcs of
 C that start at three of K's attachments.  a sees every arc and K the first
 vertex of each, consecutive arcs meet along C, and f joins a to K.  So H + f
 is not planar, and the step is rejected; each end of f is tried as a.  As H
-is planar and a sees all of S, H[S] is outerplanar, and C is found by taking
-out vertices of degree 2 in time linear in |S|.  At (100,290) the
-certificate settles 72% of the steps (9,722 of 13,500 over chain seeds
-200000-200002), none of which the test would accept.
+is planar and a sees all of S, H[S] is outerplanar, and taking out
+vertices of degree 2 tells whether C exists in time linear in |S|.  At
+(100,290) the certificate settles 72% of the steps (9,722 of 13,500 over
+chain seeds 200000-200002), none of which the test would accept.
 
-After a state's ninth such test since the
-last acceptance, the chain builds a palm tree of it (a DFS tree that goes
-next to the unvisited neighbour with the fewest unvisited neighbours, which
-makes it deep) and keeps its left-right orientation.  A proposal is
-eligible when e is a back edge of that tree and f joins an ancestor to a
-descendant: the tree is then still a palm tree of G - e + f, and the test
-patches the orientation instead of running its DFS again.  Other proposals
-take the test on all m edges.  An accepted eligible swap carries the
-patched tree to the new state; any other acceptance drops the tree.
-Either way the answer is the whole-graph one.
+After a state's ninth such test since the last acceptance, the chain builds
+a palm tree of it (a DFS tree that goes next to the unvisited neighbour with
+the fewest unvisited neighbours, which makes it deep) and keeps its
+left-right orientation.  A proposal is eligible when e is a back edge of
+that tree and f joins an ancestor to a descendant: the tree is then still a
+palm tree of G - e + f, and the test patches the orientation instead of
+running its DFS again.  Other proposals take the test on all m edges.  An
+accepted eligible swap carries the patched tree to the new state; any other
+acceptance drops the tree.  Either way the answer is the whole-graph one.
 """
 
 from __future__ import annotations
@@ -149,14 +149,15 @@ def mcmc_step(state: ChainState) -> ChainState:
     """Advance one step; rejected proposals still advance the counter.
 
     The proposal (drop edge e, add pair f) is decided by one planarity test
-    on an edge set that settles it (module docstring): ``(f,)`` when f
-    joins two components of G - e, which the test's at-most-8-edges bound
-    accepts at once; all m edges of G - e + f when its 2-core keeps at least
-    seven eighths of them, on the state's patched palm tree when the swap is
-    eligible, unless past n = 7 a K5 minor certifies a rejection first
-    (``_k5_minor``); else the kernel of the 2-core of f's component in
-    G - e + f.  Each answer equals the answer on all m edges, so every
-    seed's samples are those of the whole-graph test."""
+    on an edge set that settles it (module docstring): ``(f,)`` when an end
+    of f lies outside the 2-core of G - e + f, which the test's
+    at-most-8-edges bound accepts at once; all m edges of G - e + f when
+    its 2-core keeps at least seven eighths of them, on the state's patched
+    palm tree when the swap is eligible, unless past n = 7 a K5 minor
+    certifies a rejection first (``_k5_minor``); else the kernel of the
+    2-core of f's component in G - e + f, f included.  Each answer equals
+    the answer on all m edges, so every seed's samples are those of the
+    whole-graph test."""
     state.steps_taken += 1
     n, m = state.n, state.m
     total = pair_count(n)
@@ -229,10 +230,10 @@ def _attaches_thrice(adj: list[int], ring: int, start: int, fence: int) -> bool:
     return False
 
 
-def _ring(adj: list[int], ring: int) -> list[int] | None:
-    """A cycle through every vertex of the vertex bitset ``ring`` (at least
-    3) in the graph it induces, as its vertices in cycle order, or None when
-    there is none (on a graph that is not outerplanar, it may miss one).
+def _ring(adj: list[int], ring: int) -> bool:
+    """Whether a cycle runs through every vertex of the vertex bitset
+    ``ring`` (at least 3) in the graph it induces (on a graph that is not
+    outerplanar, it may miss one).
 
     A vertex x of degree 2, with neighbours y and z, lies between them on
     any such cycle; on more than 3 vertices the cycle then cannot use an
@@ -251,43 +252,31 @@ def _ring(adj: list[int], ring: int) -> list[int] | None:
         row = rows[x] = adj[x] & ring
         count = row.bit_count()
         if count < 2:
-            return None
+            return False
         if count == 2:
             todo.append(x)
-    inner: dict[tuple[int, int], list[int]] = {}  # (y, z), y < z: the path yz stands for, y .. z
+    paths = set()  # (y, z), y < z: the edges that stand for a path
     while len(rows) > 3:
         if not todo:
-            return None
+            return False
         x = todo.pop()
         row = rows.pop(x, None)
         if row is None:
             continue  # taken out already
         if row.bit_count() < 2:
-            return None
+            return False
         y, z = bit_positions(row)
-        path = _inside(inner, y, x) + [x] + _inside(inner, x, z)
         rows[y] ^= 1 << x
         rows[z] ^= 1 << x
         if rows[y] >> z & 1:
-            if inner.get((y, z)):
-                return None  # the cycle must take both paths between y and z
+            if (y, z) in paths:
+                return False  # the cycle must take both paths between y and z
             todo += [w for w in (y, z) if rows[w].bit_count() <= 2]
         else:
             rows[y] |= 1 << z
             rows[z] |= 1 << y
-        inner[y, z] = path
-    a, b, c = rows
-    if any(row.bit_count() != 2 for row in rows.values()):
-        return None
-    return [a, *_inside(inner, a, b), b, *_inside(inner, b, c), c, *_inside(inner, c, a)]
-
-
-def _inside(inner: dict[tuple[int, int], list[int]], y: int, z: int) -> list[int]:
-    """The inner vertices, from y to z, of the path that the edge yz stands
-    for; none for an edge that stands for itself."""
-    if y < z:
-        return inner.pop((y, z), [])
-    return inner.pop((z, y), [])[::-1]
+        paths.add((y, z))
+    return all(row.bit_count() == 2 for row in rows.values())
 
 
 def _swap(adj: list[int], out: tuple[int, int], into: tuple[int, int]) -> None:
@@ -387,7 +376,7 @@ def _core_edges(adj: list[int], edges, core: int, size: int, u: int, v: int):
     """(order, edges) of a graph on {1..order} that is planar exactly when
     H + f is, f = (u, v), where ``adj`` and ``edges`` are H + f on {1..n}
     and ``core`` and ``size`` the vertex bitset and edge count of its
-    2-core: ``(n, (f,))`` if f joins two components of H; ``(n, edges)``
+    2-core: ``(n, (f,))`` if an end of f lies outside it; ``(n, edges)``
     itself if n <= 7 or the core keeps over seven eighths of them; else the
     kernel of the 2-core of f's component (``_kernel``)."""
     n = len(adj) - 1
@@ -397,36 +386,37 @@ def _core_edges(adj: list[int], edges, core: int, size: int, u: int, v: int):
         # the rest would cost about what the smaller test saves; at n <= 7 the
         # table decides all m edges in one lookup
         return n, edges
-    return _kernel(adj, core, u, v)
+    return _kernel(adj, core, u)
 
 
-def _kernel(adj: list[int], core: int, u: int, v: int):
-    """(order, edges) of the kernel of the 2-core of f's component, f =
-    (u, v), where ``adj`` is H + f on {1..n} and ``core`` the vertex bitset
-    of its 2-core; ``(n, (f,))`` when f is a bridge of that core.  The
-    kernel keeps the k branch vertices (core degree at least 3), numbered
-    1..k in increasing order, and one edge (a, b), a < b, per path of
-    degree-2 vertices between two of them, without loops or parallel edges:
-    it is planar exactly when the core is (a subdivision of K5 or K3,3 needs
-    no loop and no second parallel path).  It is given on max(k, 8)
-    vertices, so that no n <= 7 table is read; a core that is one cycle has
-    the empty kernel.
+def _kernel(adj: list[int], core: int, u: int):
+    """(order, edges) of the kernel of the 2-core of u's component, where
+    ``adj`` is H + f on {1..n} and ``core`` the vertex bitset of its 2-core.
+    The kernel keeps the k branch vertices (core degree at least 3),
+    numbered 1..k in increasing order, and one edge (a, b), a < b, per path
+    of degree-2 vertices between two of them, without loops or parallel
+    edges: it is planar exactly when the core is (a subdivision of K5 or
+    K3,3 needs no loop and no second parallel path).  It is given on
+    max(k, 8) vertices, so that no n <= 7 table is read; a core that is one
+    cycle has the empty kernel.
 
-    One walk from u over the core less f finds it all.  It stops at u, v
-    and the branch vertices and follows each path from a stop to the next;
-    v not reached means f is a bridge.  The path through f is joined up
-    last, through u or v where their core degree is 2."""
-    ends = 1 << u | 1 << v
-    known = ends  # the stops found: u, v and the branch vertices met so far
-    stops = [u]  # the stops reached, in order
-    reached = 1 << u
+    The walk starts at a branch vertex: u, or the first one met along u's
+    path.  It stops at the branch vertices and follows each path from a stop
+    to the next."""
+    row = adj[u] & core
+    prev, bit = row & -row, 1 << u  # a path through u is walked away from prev
+    while (nbrs := adj[bit.bit_length() - 1] & core).bit_count() == 2:
+        prev, bit = bit, nbrs ^ prev
+        if bit >> u & 1:
+            return TABLE_MAX_N + 1, []  # back at u: the core is one cycle
+    u = bit.bit_length() - 1
+    stops = [u]  # the branch vertices reached, in order
+    known = 1 << u
     done = 0  # the stops expanded and the degree-2 vertices walked
-    paths = set()  # (a, b), a < b: the two stops of each path, f left out
+    paths = set()  # (a, b), a < b: the two stops of each path
     for s in stops:  # grows as the walk reaches new stops
         sbit = 1 << s
         row = adj[s] & core & ~done  # paths not yet walked from their other stop
-        if sbit & ends:
-            row &= ~ends  # leave f out
         done |= sbit
         while row:
             bit = row & -row
@@ -438,33 +428,13 @@ def _kernel(adj: list[int], core: int, u: int, v: int):
                 nbrs = adj[bit.bit_length() - 1] & core
                 if nbrs.bit_count() > 2:
                     known |= bit
+                    stops.append(bit.bit_length() - 1)
                     break
                 done |= bit
                 prev, bit = bit, nbrs ^ prev
             c = bit.bit_length() - 1
-            if not bit & reached:
-                reached |= bit
-                stops.append(c)
             if s != c:
                 paths.add((s, c) if s < c else (c, s))
-    if not reached >> v & 1:
-        return len(adj) - 1, ((u, v),)  # f is a bridge
-    # the path through f runs a .. u - v .. b: an end of degree 2 lies inside
-    # it, and its one other path, to a or b, is taken into it
-    a, b = u, v
-    for x in (u, v):
-        if (adj[x] & core).bit_count() == 2:
-            stops.remove(x)
-            if a == b:  # u's path led to v: it is v's path too
-                continue
-            [path] = (e for e in paths if x in e)
-            paths.remove(path)
-            if x == u:
-                a = path[0] + path[1] - u
-            else:
-                b = path[0] + path[1] - v
-    if a != b:
-        paths.add((a, b) if a < b else (b, a))
     # numbered in increasing order, so each pair (x, y), x < y, keeps it
     label = {x: i for i, x in enumerate(sorted(stops), 1)}
     return max(len(stops), TABLE_MAX_N + 1), [(label[x], label[y]) for x, y in paths]

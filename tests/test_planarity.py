@@ -498,6 +498,18 @@ print(sum("planar_" in path for path in opened),
         with pytest.raises(error, match=re.escape(str(path))):
             planar_mask_table(6)
 
+    @pytest.mark.usefixtures("cold_planar_tables")
+    def test_a_byte_of_2_in_the_last_slice_is_refused(self, monkeypatch, tmp_path):
+        # the bytes are checked in 64 KiB slices: n=6's table fits in one,
+        # n=7's takes 32, and its last byte (K7) is damaged here
+        table = zlib.decompress((PLANAR_TABLES / "planar_7.bin").read_bytes())
+        assert len(table) == 32 << 16 and table[-1] == 0
+        path = tmp_path / "planar_7.bin"
+        path.write_bytes(zlib.compress(table[:-1] + b"\x02"))
+        monkeypatch.setattr(planarity_module, "_table", lambda n: path)
+        with pytest.raises(ChecksumMismatchError, match=re.escape(str(path))):
+            planar_mask_table(7)
+
     @pytest.mark.parametrize("edit", ["missing", "byte flipped"])
     def test_the_cli_stops_on_a_damaged_table_in_one_line(self, tmp_path, edit):
         # an n=7 class stored whole, so searched, in a copy of the package

@@ -418,7 +418,8 @@ class TestLocalDecision:
             if got is edges:
                 assert order == n and 8 * (m - core.number_of_edges()) < m
                 kinds["whole"] += 1
-            elif not nx.has_path(h, *f):
+            elif not core.has_edge(*f):  # an end of f lies outside the core
+                assert not nx.has_path(h, *f)
                 assert (order, got) == (n, (f,))
                 kinds["cross"] += 1
             else:
@@ -476,16 +477,32 @@ print(planar_mask_table.cache_info().currsize)
     @pytest.mark.parametrize("f", [(4, 5), (1, 12)], ids=["two-cycles", "onto-a-path"])
     def test_cross_component_proposal_runs_no_left_right(self, monkeypatch, f):
         # two K4s and the path 9-10-11-12; the step drops (10, 11) and adds
-        # f, which joins two components of what is left
+        # f, which joins two components of what is left.  Onto the path, an
+        # end of f lies outside the 2-core, and the step runs no test;
+        # between the K4s, f is an edge of the core like any other, and the
+        # step tests the core's kernel
         k4s = [(a + s, b + s) for s in (0, 4) for a, b in
                [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]]
         edges = sorted(k4s + [(9, 10), (10, 11), (11, 12)])
         state = chain_at(12, edges, edges.index((10, 11)), pair_index(12, *f))
+        kernels = []
+        kernel = sampler_module._kernel
+        monkeypatch.setattr(sampler_module, "_kernel",
+                            lambda *a: kernels.append(kernel(*a)) or kernels[-1])
         calls = count_left_right(monkeypatch)
         mcmc_step(state)
-        assert calls == []
-        assert state.current.edges == frozenset(edges) - {(10, 11)} | {f}
-        # the whole-graph test would have run it
+        after = frozenset(edges) - {(10, 11)} | {f}
+        assert state.current.edges == after  # accepted
+        if f == (1, 12):
+            assert calls == [] and kernels == []
+        else:
+            [(order, tested)] = kernels
+            hf = nx.Graph(sorted(after))
+            hf.add_nodes_from(range(1, 13))
+            assert_is_the_kernel(order, tested, reference_kernel(hf, f))
+            assert calls == [tuple(tested)]
+        # the whole-graph test would have run it, and accepts it
+        calls.clear()
         assert is_planar_edges(12, sorted(state._edges)) and len(calls) == 1
 
     def test_k33_with_a_long_pendant_path_is_rejected_on_its_core(self, monkeypatch):
@@ -734,18 +751,16 @@ class TestKernelCases:
             adj[a] |= 1 << b
             adj[b] |= 1 << a
         core = sum(1 << x for x in nx.k_core(hf, 2))
-        with pytest.MonkeyPatch.context() as patch:
-            calls = count_left_right(patch)
-            order, kernel = _kernel(adj, core, *f)
-            assert is_planar_edges(order, kernel) == want
-        if kind == "bridge":
-            assert (order, kernel) == (n, (f,)) and calls == []
-            return
-        assert_is_the_kernel(order, kernel, reference_kernel(hf, f))
-        if len(kernel) <= 8:
-            assert calls == []
-        if kind == "cycle":
-            assert kernel == []
+        for u in f:  # the walk may start at either end of f
+            with pytest.MonkeyPatch.context() as patch:
+                calls = count_left_right(patch)
+                order, kernel = _kernel(adj, core, u)
+                assert is_planar_edges(order, kernel) == want
+            assert_is_the_kernel(order, kernel, reference_kernel(hf, f))
+            if len(kernel) <= 8:
+                assert calls == []
+            if kind == "cycle":
+                assert kernel == []
 
 
 def record_palm_decisions(monkeypatch) -> list[tuple]:
@@ -902,6 +917,24 @@ def record_certified(monkeypatch) -> list[tuple]:
     return certified
 
 
+def ring_cycle(g: nx.Graph, ring) -> list | None:
+    """A cycle of g through every vertex of ``ring`` (at least 3) in the
+    graph they induce, or None, found with networkx: the clockwise order
+    of the neighbours of an apex joined to all of them, in
+    ``check_planarity``'s embedding.  With such a cycle the graph plus the
+    apex is 3-connected, so every face at the apex is a triangle and that
+    order is the cycle; with none, the order is not a cycle."""
+    apex = g.subgraph(ring).copy()
+    apex.add_edges_from(("apex", x) for x in ring)
+    planar, embedding = nx.check_planarity(apex)
+    if not planar:
+        return None
+    cycle = list(embedding.neighbors_cw_order("apex"))
+    if all(g.has_edge(x, y) for x, y in zip(cycle, cycle[1:] + cycle[:1])):
+        return cycle
+    return None
+
+
 def assert_k5_minor(adj, f) -> None:
     """Build the certificate's K5 minor of H + f with networkx and check it:
     five connected branch sets, pairwise joined by an edge."""
@@ -910,11 +943,10 @@ def assert_k5_minor(adj, f) -> None:
     hf.add_nodes_from(range(1, n + 1))
     for a, b in f, f[::-1]:
         ring = set(hf[a]) - {b}
-        cycle = _ring(adj, sum(1 << x for x in ring))
+        cycle = ring_cycle(hf, ring) if len(ring) >= 3 else None
         if cycle is None:
             continue
         assert sorted(cycle) == sorted(ring)
-        assert all(hf.has_edge(x, y) for x, y in zip(cycle, cycle[1:] + cycle[:1]))
         k = nx.node_connected_component(hf.subgraph(set(hf) - ring - {a}), b)
         starts = [i for i, x in enumerate(cycle) if any(y in k for y in hf[x])]
         if len(starts) < 3:
@@ -975,15 +1007,15 @@ class TestK5Certificate:
         assert not sampler_module._k5_minor(adj, *f)
         for a, b in f, f[::-1]:
             ring = adj[a] ^ 1 << b
-            assert ring.bit_count() == 3 and _ring(adj, ring) is not None
+            assert ring.bit_count() == 3 and _ring(adj, ring)
             assert not _attaches_thrice(adj, ring, b, a)
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_ring_against_brute_force(self, data):
-        # a cycle through every vertex and random chords, relabelled: the
-        # ring found is such a cycle, and on an outerplanar graph (planar
-        # with a vertex joined to all) one is always found
+        # a cycle through every vertex and random chords, relabelled: a
+        # ring is found only when such a cycle exists, and on an outerplanar
+        # graph (planar with a vertex joined to all) whenever one does
         k = data.draw(st.integers(3, 8), label="k")
         order = data.draw(st.permutations(range(1, k + 1)), label="order")
         edges = {frozenset(p) for p in zip(order, order[1:] + order[:1])}
@@ -994,8 +1026,7 @@ class TestK5Certificate:
         edges |= {frozenset(c) for c in chords}
         edges = [tuple(sorted(e)) for e in edges]
         adj = adjacency(k, edges)
-        ring = (1 << k + 1) - 2
-        cycle = _ring(adj, ring)
+        found = _ring(adj, (1 << k + 1) - 2)
         g = nx.Graph(edges)
         g.add_nodes_from(range(1, k + 1))
         hamiltonian = any(
@@ -1004,12 +1035,12 @@ class TestK5Certificate:
         apex = g.copy()
         apex.add_edges_from((0, x) for x in range(1, k + 1))
         outerplanar = nx.check_planarity(apex)[0]
-        event(f"hamiltonian={hamiltonian} outerplanar={outerplanar} found={cycle is not None}")
-        if cycle is not None:
-            assert sorted(cycle) == list(range(1, k + 1))
-            assert all(g.has_edge(x, y) for x, y in zip(cycle, cycle[1:] + cycle[:1]))
-        elif outerplanar:
-            assert not hamiltonian
+        event(f"hamiltonian={hamiltonian} outerplanar={outerplanar} found={found}")
+        assert hamiltonian or not found
+        if outerplanar:
+            assert found is hamiltonian
+            # the witness that assert_k5_minor takes
+            assert (ring_cycle(g, range(1, k + 1)) is not None) is hamiltonian
 
 
 class TestNoSamples:
