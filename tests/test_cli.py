@@ -18,6 +18,15 @@ GOLDEN_VERIFY_N6 = GOLDEN / "verify_n6.csv"
 # every event kind, with and without a pattern and a threshold
 KIND_EVENTS = ("connected,isolated,component:edge,components:edge>=2,copy:path3,pendant>=2,"
                "appearances:edge>=1,appearances:path3>=1")
+# the stats runs of the golden file, in its order: two bridges and f_H 1; a
+# triangulation with 13 good triangles; five components, three of them
+# isolated vertices; no pattern, so f_H is null
+STATS_RUNS = (
+    ("--graph", "8:0B51490", "--pattern", "4:6C"),
+    ("--graph", "7:FFF128", "--pattern", "triangle"),
+    ("--graph", "9:C08100200", "--pattern", "edge"),
+    ("--graph", "3:8"),
+)
 
 
 def run(capsys, *argv):
@@ -443,6 +452,14 @@ class TestStats:
             "graph", "f_H", "pendant_edges", "add_count", "kappa",
             "bridges", "isolated", "good_triangles", "degree_histogram",
         }
+
+    def test_four_graphs_match_the_golden_file(self, capsys):
+        outs = []
+        for argv in STATS_RUNS:
+            code, out, err = run(capsys, "stats", *argv)
+            assert (code, err) == (0, "")
+            outs.append(out)
+        assert "".join(outs).encode("ascii") == (GOLDEN / "stats_four_graphs.txt").read_bytes()
 
     def test_bad_encoding_is_an_error(self, capsys):
         code, _, err = run(capsys, "stats", "--graph", "4:zz")
