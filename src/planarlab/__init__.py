@@ -44,7 +44,6 @@ from .errors import (
     VertexOutOfRangeError,
 )
 from .graphs import (
-    DegreeHistogram,
     LabeledGraph,
     add_count,
     addable_nonedges,
@@ -63,7 +62,6 @@ from .lab import (
     ExperimentResult,
     ExperimentRow,
     ExperimentSpec,
-    GraphStatistics,
     ProbabilityEstimate,
     compute_statistics,
     estimate_probability,

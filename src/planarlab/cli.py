@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import chain, islice
 
@@ -154,8 +155,7 @@ def _cmd_experiment(args) -> int:
 def _cmd_stats(args) -> int:
     g = decode(args.graph)
     pattern = pattern_from_name(args.pattern) if args.pattern else None
-    stats = lab.compute_statistics(g, pattern)
-    print(json.dumps(stats.as_dict(), indent=2))
+    print(json.dumps(lab.compute_statistics(g, pattern), indent=2))
     return 0
 
 
@@ -221,10 +221,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone early fails here, not at the exit flush
+        return code
     except PlanarLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+    except BrokenPipeError:
+        # the unwritten rest goes to the null device, so the exit flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

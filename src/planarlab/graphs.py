@@ -86,10 +86,6 @@ class LabeledGraph:
         trees of ``spanning_forest``."""
         return spanning_forest(self)[0]
 
-    @property
-    def component_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(bit_positions(comp)) for comp in self.component_masks)
-
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
             u, v = v, u
@@ -206,7 +202,7 @@ def is_planar(g: LabeledGraph) -> bool:
 
 def components(g: LabeledGraph) -> list[frozenset[int]]:
     """Connected components, in ascending order of their minimum vertex."""
-    return list(g.component_sets)
+    return [frozenset(bit_positions(comp)) for comp in g.component_masks]
 
 
 def kappa(g: LabeledGraph) -> int:
@@ -271,27 +267,12 @@ def _tree_edges_on_cycles(adj, layered) -> bool:
     return True
 
 
-def degree_histogram(g: LabeledGraph) -> "DegreeHistogram":
+def degree_histogram(g: LabeledGraph) -> dict[int, int]:
+    """Degree -> number of vertices of that degree, ascending; no zero counts."""
     counts: dict[int, int] = {}
     for d in g.degrees[1:]:
         counts[d] = counts.get(d, 0) + 1
-    return DegreeHistogram(dict(sorted(counts.items())))
-
-
-@dataclass
-class DegreeHistogram:
-    """Map degree -> number of vertices of that degree (zero entries omitted)."""
-
-    counts: dict[int, int]
-
-    def vertex_total(self) -> int:
-        return sum(self.counts.values())
-
-    def degree_sum(self) -> int:
-        return sum(d * c for d, c in self.counts.items())
-
-    def at_most(self, bound: int) -> int:
-        return sum(c for d, c in self.counts.items() if d <= bound)
+    return dict(sorted(counts.items()))
 
 
 # -- addable non-edges -------------------------------------------------------------

@@ -362,47 +362,19 @@ def phase_table(spec: ExperimentSpec) -> ExperimentResult:
     return ExperimentResult(spec, tuple(rows))
 
 
-# -- per-graph statistics bundle ----------------------------------------------------
+# -- per-graph statistics ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GraphStatistics:
-    encoding: str
-    f_h: int | None
-    pendant_edges: int
-    add_count: int
-    kappa: int
-    bridges: tuple[tuple[int, int], ...]
-    isolated: int
-    good_triangles: int
-    degree_histogram: dict[int, int]
-
-    def as_dict(self) -> dict:
-        return {
-            "graph": self.encoding,
-            "f_H": self.f_h,
-            "pendant_edges": self.pendant_edges,
-            "add_count": self.add_count,
-            "kappa": self.kappa,
-            "bridges": [list(edge) for edge in self.bridges],
-            "isolated": self.isolated,
-            "good_triangles": self.good_triangles,
-            "degree_histogram": {str(d): c for d, c in self.degree_histogram.items()},
-        }
-
-
-def compute_statistics(g: LabeledGraph, pattern: Pattern | None = None) -> GraphStatistics:
-    f_h = None
-    if pattern is not None:
-        f_h = count_appearances(g, pattern)
-    return GraphStatistics(
-        encoding=encode(g),
-        f_h=f_h,
-        pendant_edges=pendant_edge_count(g),
-        add_count=add_count(g),
-        kappa=kappa(g),
-        bridges=tuple(sorted(bridges(g))),
-        isolated=isolated_vertex_count(g),
-        good_triangles=count_good_triangles(g),
-        degree_histogram=degree_histogram(g).counts,
-    )
+def compute_statistics(g: LabeledGraph, pattern: Pattern | None = None) -> dict:
+    """The JSON payload of CLI ``stats``; f_H is None without a pattern."""
+    return {
+        "graph": encode(g),
+        "f_H": None if pattern is None else count_appearances(g, pattern),
+        "pendant_edges": pendant_edge_count(g),
+        "add_count": add_count(g),
+        "kappa": kappa(g),
+        "bridges": [list(edge) for edge in sorted(bridges(g))],
+        "isolated": isolated_vertex_count(g),
+        "good_triangles": count_good_triangles(g),
+        "degree_histogram": {str(d): c for d, c in degree_histogram(g).items()},
+    }

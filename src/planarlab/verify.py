@@ -107,7 +107,7 @@ def check_triangulation_degrees(g: LabeledGraph) -> CheckResult:
     at least n/7 triangles with a vertex of degree <= 6."""
     if g.n < 3 or g.m != 3 * g.n - 6 or not is_planar(g):
         raise NotTriangulationError("check requires a triangulation (m = 3n - 6)")
-    small = degree_histogram(g).at_most(6)
+    small = sum(c for d, c in degree_histogram(g).items() if d <= 6)
     good = count_good_triangles(g)
     holds = 7 * small > g.n and 7 * good >= g.n
     return CheckResult("triangulation-degrees", holds, (small, good), _fraction(g.n, 7))

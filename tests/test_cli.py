@@ -21,6 +21,8 @@ KIND_EVENTS = ("connected,isolated,component:edge,components:edge>=2,copy:path3,
 # the stats runs of the golden file, in its order: two bridges and f_H 1; a
 # triangulation with 13 good triangles; five components, three of them
 # isolated vertices; no pattern, so f_H is null
+# a child's stdout is block-buffered on a pipe, as it is by default
+BUFFERED_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
 STATS_RUNS = (
     ("--graph", "8:0B51490", "--pattern", "4:6C"),
     ("--graph", "7:FFF128", "--pattern", "triangle"),
@@ -398,6 +400,49 @@ raise SystemExit(main(sys.argv[1:]))
         monkeypatch.setattr(os, "replace", refuse)
         self.check(capsys, "verify", "--n", "4", "--m", "3", "--out", str(path))
         assert path.read_text() == "old\n" and list(tmp_path.iterdir()) == [path]
+
+    def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch):
+        # a --count too large to hold fails in the tuple of samples
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli_module, "sample_many", exhausted)
+        code, out, err = run(capsys, "sample", "--n", "4", "--m", "3", "--method", "mcmc",
+                             "--count", "1000000000")
+        assert (code, out, err) == (2, "", "error: out of memory\n")
+
+    def test_a_reader_gone_early_is_one_error_line(self):
+        # the reader closes the pipe after the first line of the 40,950: the
+        # next write fails, and the exit flush must print nothing more
+        child = subprocess.Popen(
+            [sys.executable, "-m", "planarlab.cli", "enumerate", "--n", "7", "--m", "14",
+             "--store"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=BUFFERED_ENV,
+        )
+        try:
+            assert child.stdout.readline() == "7 14 40950\n"
+            child.stdout.close()
+            err = child.stderr.read()
+            assert child.wait(timeout=60) == 2
+        finally:
+            child.kill()
+            child.stderr.close()
+        assert err == "error: standard output was closed\n"
+
+    def test_a_reader_gone_before_the_exit_flush_is_one_error_line(self):
+        # block-buffered, the whole payload is still in the buffer when the
+        # command returns: the pipe fails on the flush, not on a write
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "planarlab.cli", "stats", "--graph", "4:FC"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+                env=BUFFERED_ENV,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (2, "error: standard output was closed\n")
 
     @pytest.mark.parametrize("argv", [
         ("enumerate", "--n", "10", "--m", "12"),

@@ -353,8 +353,7 @@ class TestPhaseTable:
 class TestStatisticsBundle:
     def test_figure_graph_bundle(self):
         g = decode("4:FC")
-        stats = compute_statistics(g, TRIANGLE)
-        payload = stats.as_dict()
+        payload = compute_statistics(g, TRIANGLE)
         assert payload["kappa"] == 1
         assert payload["f_H"] == 0  # K4 has no bridge, no appearance sets
         assert payload["good_triangles"] == 4
@@ -366,7 +365,7 @@ class TestStatisticsBundle:
 
     def test_bundle_without_pattern(self):
         g = build_graph(3, [(1, 2)])
-        payload = compute_statistics(g).as_dict()
+        payload = compute_statistics(g)
         assert payload["f_H"] is None
         assert payload["pendant_edges"] == 1
         assert payload["kappa"] == 2

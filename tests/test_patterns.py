@@ -20,6 +20,7 @@ from planarlab import (
     automorphism_count,
     build_graph,
     complete_graph,
+    components,
     count_appearances,
     count_components_isomorphic,
     count_copies,
@@ -371,7 +372,7 @@ class TestComponentsIsomorphic:
             n = rng.randint(1, 8)
             g = random_planar_graph(rng, n, rng.randint(0, min(2 * n, pair_count(n))))
             reps = []
-            for comp in g.component_sets:
+            for comp in components(g):
                 sub = induced_subgraph(g, sorted(comp))
                 if not any(isomorphic(sub, r.h) for r in reps):
                     reps.append(make_pattern(sub))
