@@ -18,11 +18,11 @@ GOLDEN_VERIFY_N6 = GOLDEN / "verify_n6.csv"
 # every event kind, with and without a pattern and a threshold
 KIND_EVENTS = ("connected,isolated,component:edge,components:edge>=2,copy:path3,pendant>=2,"
                "appearances:edge>=1,appearances:path3>=1")
+# a child's stdout is block-buffered on a pipe, as it is by default
+BUFFERED_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
 # the stats runs of the golden file, in its order: two bridges and f_H 1; a
 # triangulation with 13 good triangles; five components, three of them
 # isolated vertices; no pattern, so f_H is null
-# a child's stdout is block-buffered on a pipe, as it is by default
-BUFFERED_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
 STATS_RUNS = (
     ("--graph", "8:0B51490", "--pattern", "4:6C"),
     ("--graph", "7:FFF128", "--pattern", "triangle"),
