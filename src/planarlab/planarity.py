@@ -26,22 +26,12 @@ three cooperating mechanisms, all cross-checked in the test suite:
   list indexed by id, the tree edge into each vertex a list indexed by
   vertex, and a conflict pair is a 4-slot list [left low, left high, right
   low, right high] of edge ids, -1 where an interval has no edge.
-
-Every left-right test runs the testing phase on a ``PalmTree``, so that a
-caller that decides many graphs one edge swap apart can keep the
-orientation, for a DFS tree of its choosing.  A DFS tree stays a palm tree
-(every non-tree edge joins an ancestor to a descendant) when a back edge
-leaves and a pair that joins an ancestor to a descendant comes in;
-``PalmTree.swapped`` patches the orientation for such a swap, recomputing
-lowpoints only on the two tree paths to the root, and
-``is_planar_edges(n, edges, palm)`` then runs only the testing phase.
 """
 
 from __future__ import annotations
 
-import copy
 import zlib
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Iterable
 
 from ._bits import edges_from_mask, mask_from_edges, pair_count
@@ -50,10 +40,8 @@ from .errors import ChecksumMismatchError, IoFailureError
 TABLE_MAX_N = 7
 
 
-def is_planar_edges(n: int, edges: Iterable[tuple[int, int]], palm: PalmTree | None = None) -> bool:
-    """Decide planarity of the simple graph on {1..n} with the given edges.
-    ``palm``, if given, is a palm tree of that graph; the left-right test
-    then runs only its testing phase."""
+def is_planar_edges(n: int, edges: Iterable[tuple[int, int]]) -> bool:
+    """Decide planarity of the simple graph on {1..n} with the given edges."""
     edges = tuple(edges)
     m = len(edges)
     if n <= 4 or m <= 8:
@@ -62,7 +50,7 @@ def is_planar_edges(n: int, edges: Iterable[tuple[int, int]], palm: PalmTree | N
         return False
     if n <= TABLE_MAX_N:
         return planar_mask_table(n)[mask_from_edges(n, edges)] == 1
-    return _left_right_planar(n, edges, palm)
+    return _left_right_planar(n, edges)
 
 
 @lru_cache(maxsize=None)
@@ -111,30 +99,24 @@ def planar_mask_table(n: int) -> bytes:
 # -- left-right test ----------------------------------------------------------
 
 
-def _left_right_planar(n: int, edges, palm: PalmTree | None = None) -> bool:
-    """The left-right test of the graph on {1..n} with these edges, on its
-    palm tree ``palm`` if given, else on the one found over sorted
-    neighbour lists."""
-    if palm is None:
-        adj = [[] for _ in range(n + 1)]
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for neighbours in adj:
-            neighbours.sort()
-        palm = PalmTree(n, adj)
-    return palm.planar()
+def _left_right_planar(n: int, edges) -> bool:
+    """The left-right test of the graph on {1..n} with these edges, on the
+    palm tree found over sorted neighbour lists."""
+    adj = [[] for _ in range(n + 1)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    for neighbours in adj:
+        neighbours.sort()
+    return PalmTree(n, adj).planar()
 
 
 class PalmTree:
     """A DFS palm tree of a graph on {1..n} with its left-right orientation,
     ready for the testing phase: heights, tree edge into each vertex (-1 at
     a root), per-edge tail, head, lowpoints and nesting depth, and each
-    vertex's edges out sorted by nesting depth.  ``pre`` and ``end`` number
-    the vertices in preorder (-1 where no edge reaches), v's subtree being
-    the numbers pre[v] .. end[v] - 1, so the ancestor test costs two
-    comparisons; only ``swapped`` needs them, so they are found on first
-    use.  Edge ids run over all components."""
+    vertex's edges out sorted by nesting depth.  Edge ids run over all
+    components."""
 
     def __init__(self, n: int, adj) -> None:
         """The palm tree that the orientation DFS finds when it starts at each
@@ -146,7 +128,7 @@ class PalmTree:
         nxt = [0] * (n + 1)
         self.src, self.dst, self.lowpt, self.lowpt2 = src, dst, lowpt, lowpt2 = [], [], [], []
         self.roots = []
-        self.order = order = []  # the vertices with an edge, in preorder
+        order = []  # the vertices with an edge, in preorder
         for root in range(1, n + 1):
             if height[root] < 0 and adj[root]:
                 self.roots.append(root)
@@ -156,85 +138,6 @@ class PalmTree:
                               for v, low, low2 in zip(src, lowpt, lowpt2)]
         for v in order:
             out[v].sort(key=depth.__getitem__)
-
-    @cached_property
-    def pre(self) -> list[int]:
-        pre = [-1] * len(self.height)
-        for i, v in enumerate(self.order):
-            pre[v] = i
-        return pre
-
-    @cached_property
-    def end(self) -> list[int]:
-        end = [-1] * len(self.height)
-        for i, v in enumerate(self.order):
-            end[v] = i + 1
-        parent, src = self.parent, self.src
-        for v in reversed(self.order):
-            e = parent[v]
-            if e >= 0 and end[v] > end[src[e]]:
-                end[src[e]] = end[v]
-        return end
-
-    def swapped(self, removed: tuple[int, int], added: tuple[int, int]) -> PalmTree | None:
-        """This tree for the graph less the edge ``removed`` plus the pair
-        ``added``, or None unless ``removed`` is a back edge and ``added``
-        joins an ancestor to a descendant.  Then the tree is still a palm
-        tree, ``added`` takes the id of ``removed``, and only the lowpoints
-        on the tree paths from the two tails to the root can change: they
-        are recomputed bottom-up until one stays, and only the edge lists
-        whose nesting depths moved are sorted again.  This tree is left as
-        it was."""
-        height, parent, src, dst = self.height, self.parent, self.src, self.dst
-        x, y = removed
-        if height[x] < height[y]:
-            x, y = y, x
-        if src[parent[x]] == y:  # a tree edge
-            return None
-        d, a = added
-        if height[d] < height[a]:
-            d, a = a, d
-        if not self.pre[a] < self.pre[d] < self.end[a]:
-            return None
-        out = self.out[:]
-        [eid] = [e for e in out[x] if dst[e] == y]
-        out[x] = [e for e in out[x] if e != eid]
-        out[d] = out[d] + [eid]
-        new = copy.copy(self)
-        new.out = out
-        new.src, new.dst = src, dst = src[:], dst[:]
-        new.lowpt, new.lowpt2, new.depth = lowpt, lowpt2, depth = (
-            self.lowpt[:], self.lowpt2[:], self.depth[:])
-        src[eid], dst[eid] = d, a
-        lowpt[eid], lowpt2[eid], depth[eid] = height[a], height[d], 2 * height[a]
-        resort = {d}
-        for w in x, d:
-            e = parent[w]
-            while e >= 0:  # recompute the lowpoints of e, the tree edge into w
-                v = src[e]
-                hv = height[v]
-                low = low2 = hv
-                for o in out[w]:
-                    lo, lo2 = lowpt[o], lowpt2[o]
-                    if lo < low:
-                        low2 = low if low < lo2 else lo2
-                        low = lo
-                    elif lo > low:
-                        if lo < low2:
-                            low2 = lo
-                    elif lo2 < low2:
-                        low2 = lo2
-                if low == lowpt[e] and low2 == lowpt2[e]:
-                    break
-                lowpt[e], lowpt2[e] = low, low2
-                nesting = 2 * low + (low2 < hv)
-                if nesting != depth[e]:
-                    depth[e] = nesting
-                    resort.add(v)
-                w, e = v, parent[v]
-        for v in resort:
-            out[v] = sorted(out[v], key=depth.__getitem__)
-        return new
 
     def planar(self) -> bool:
         """The testing phase on every component."""

@@ -39,28 +39,26 @@ is given on at least 8 vertices, so a chain past n = 7 never reads an
 n <= 7 table; at n <= 7 the table decides all m edges in one lookup.
 
 On dense states nearly every proposal is rejected, so one state faces
-hundreds of tests on all m edges.  Past n = 7, a certificate rejects many of
-them before any test.  Let a be an end of f, b the other and S = N_H(a).  If
-S has at least 3 vertices and a cycle C through all of them, and the
-component K of b in H - S - a has neighbours at 3 or more vertices of C,
-then H + f has a K5 minor: take as branch sets {a}, K and the three arcs of
-C that start at three of K's attachments.  a sees every arc and K the first
-vertex of each, consecutive arcs meet along C, and f joins a to K.  So H + f
-is not planar, and the step is rejected; each end of f is tried as a.  As H
-is planar and a sees all of S, H[S] is outerplanar, and taking out
-vertices of degree 2 tells whether C exists in time linear in |S|.  At
-(100,290) the certificate settles 72% of the steps (9,722 of 13,500 over
-chain seeds 200000-200002), none of which the test would accept.
-
-After a state's ninth such test since the last acceptance, the chain builds
-a palm tree of it (a DFS tree that goes next to the unvisited neighbour with
-the fewest unvisited neighbours, which makes it deep) and keeps its
-left-right orientation.  A proposal is eligible when e is a back edge of
-that tree and f joins an ancestor to a descendant: the tree is then still a
-palm tree of G - e + f, and the test patches the orientation instead of
-running its DFS again.  Other proposals take the test on all m edges.  An
-accepted eligible swap carries the patched tree to the new state; any other
-acceptance drops the tree.  Either way the answer is the whole-graph one.
+hundreds of tests on all m edges.  Past n = 7, a certificate rejects nearly
+all of them before any test.  Let a be an end of f, b the other and
+S = N_H(a).  As H is planar and a sees all of S, H[S] is outerplanar, and
+taking out vertices of degree 2 tells in time linear in |S| whether it has a
+cycle C through all of S, its outer cycle.  Let K be the component of b in
+H - S - a; f joins a to K.  If K has neighbours at 3 or more vertices of
+C, then H + f has a K5 minor: take as branch sets {a}, K and the three arcs
+of C that start at three of K's attachments.  a sees every arc and K the
+first vertex of each, and consecutive arcs meet along C.  If K has
+neighbours at exactly two vertices x and y of C, not consecutive on it, then
+each arc of C between them has inner vertices, and H + f has a K3,3 minor
+with {a}, {x} and {y} on one side and K and the inner vertices of each arc
+on the other: a sees both arcs, and x and y end both arcs and meet K.  x and
+y are consecutive exactly when xy is an edge and H[S] - x - y is connected,
+for a chord of an outerplanar graph's outer cycle leaves two arcs with no
+edge between them.  Either way H + f is not planar, and the step is
+rejected; each end of f is tried as a.  At (100,290) the certificate
+settles 98% of the steps (13,286 of 13,500 over chain seeds
+200000-200002), none of which the test would accept; the rest take the test
+on all m edges.
 """
 
 from __future__ import annotations
@@ -73,13 +71,9 @@ from ._bits import bit_positions, mask_from_edges, pair_count, pair_index, slot_
 from .census import _check_int, _validate_params, class_masks
 from .errors import CensusMissingError, EmptyClassBoundError, EmptyClassError, InvalidArgumentError
 from .graphs import LabeledGraph, decode, encode  # noqa: F401  (decode: bench/tracing.py)
-from .planarity import TABLE_MAX_N, PalmTree, is_planar_edges
+from .planarity import TABLE_MAX_N, is_planar_edges
 
 DEFAULT_BURN_IN_FACTOR = 50  # burn_in = 50 * n * m
-# A state gets a palm tree at its ninth step on all m edges since the last
-# acceptance: a tree costs about one whole-graph test to build, and a state
-# left within a few steps would pay for it without reuse.
-_PALM_AFTER = 8
 
 
 def fan_triangulation_edges(n: int) -> list[tuple[int, int]]:
@@ -130,9 +124,6 @@ class ChainState:
         every = (1 << self.n + 1) - 2
         self._core, peeled = _peel(self._adj, every, every)
         self._core_size = self.m - peeled
-        # a palm tree of the state, built once enough steps tested all m edges
-        self._palm: PalmTree | None = None
-        self._whole_tests = 0  # steps since the last acceptance that tested all m edges
         self.rng = _rng(self.seed)
 
     @property
@@ -152,12 +143,11 @@ def mcmc_step(state: ChainState) -> ChainState:
     on an edge set that settles it (module docstring): ``(f,)`` when an end
     of f lies outside the 2-core of G - e + f, which the test's
     at-most-8-edges bound accepts at once; all m edges of G - e + f when
-    its 2-core keeps at least seven eighths of them, on the state's patched
-    palm tree when the swap is eligible, unless past n = 7 a K5 minor
-    certifies a rejection first (``_k5_minor``); else the kernel of the
-    2-core of f's component in G - e + f, f included.  Each answer equals
-    the answer on all m edges, so every seed's samples are those of the
-    whole-graph test."""
+    its 2-core keeps at least seven eighths of them, unless past n = 7 a K5
+    or K3,3 minor certifies a rejection first (``_kuratowski_minor``); else
+    the kernel of the 2-core of f's component in G - e + f, f included.
+    Each answer equals the answer on all m edges, so every seed's samples
+    are those of the whole-graph test."""
     state.steps_taken += 1
     n, m = state.n, state.m
     total = pair_count(n)
@@ -176,43 +166,34 @@ def mcmc_step(state: ChainState) -> ChainState:
     adj = state._adj
     core, size = _swapped_core(adj, state._core, state._core_size, removed, added)
     order, tested = _core_edges(adj, edges, core, size, *added)  # adj is G - e + f
-    trial = None  # the state's palm tree patched for the swap, if it still is one
-    whole = tested is edges and n > TABLE_MAX_N
-    certified = whole and _k5_minor(adj, *added)
-    if whole and not certified:
-        state._whole_tests += 1
-        palm = state._palm
-        if palm is None and state._whole_tests > _PALM_AFTER:
-            _swap(adj, added, removed)  # back to G for a moment
-            palm = state._palm = _palm_tree(n, adj)
-            _swap(adj, removed, added)
-        if palm is not None:
-            trial = palm.swapped(removed, added)
-    if not certified and is_planar_edges(order, tested, trial):
+    certified = tested is edges and n > TABLE_MAX_N and _kuratowski_minor(adj, *added)
+    if not certified and is_planar_edges(order, tested):
         state.mask = mask ^ (1 << slot | 1 << pair_index(n, *removed))
         state._core, state._core_size = core, size
-        state._palm = trial
-        state._whole_tests = 0
     else:
         edges[drop] = removed
         _swap(adj, added, removed)
     return state
 
 
-def _k5_minor(adj: list[int], u: int, v: int) -> bool:
-    """Whether the certificate (module docstring) finds a K5 minor in H + f,
-    f = (u, v), where ``adj`` is H + f."""
+def _kuratowski_minor(adj: list[int], u: int, v: int) -> bool:
+    """Whether the certificate (module docstring) finds a K5 or a K3,3 minor
+    in H + f, f = (u, v), where ``adj`` is H + f."""
     for a, b in (u, v), (v, u):
         ring = adj[a] ^ 1 << b  # N_H(a)
-        if ring.bit_count() >= 3 and _ring(adj, ring) and _attaches_thrice(adj, ring, b, a):
+        if ring.bit_count() < 3 or not _ring(adj, ring):
+            continue
+        hits = _attachments(adj, ring, b, a)
+        count = hits.bit_count()
+        if count >= 3 or count == 2 and _apart(adj, ring, hits):
             return True
     return False
 
 
-def _attaches_thrice(adj: list[int], ring: int, start: int, fence: int) -> bool:
-    """Whether the component of ``start`` in the graph less the vertex
-    bitset ``ring`` and the vertex ``fence`` has neighbours at 3 or more
-    vertices of ``ring``; the flood stops at the third."""
+def _attachments(adj: list[int], ring: int, start: int, fence: int) -> int:
+    """The vertices of ``ring`` with a neighbour in the component of
+    ``start`` in the graph less the vertex bitset ``ring`` and the vertex
+    ``fence``, as a bitset; the flood stops at the third."""
     todo = 1 << start
     out = ring | 1 << fence | todo  # the vertices not to flood, or flooded
     hits = 0
@@ -223,11 +204,32 @@ def _attaches_thrice(adj: list[int], ring: int, start: int, fence: int) -> bool:
         if row & ring:
             hits |= row & ring
             if hits.bit_count() >= 3:
-                return True
+                break
         row &= ~out
         out |= row
         todo |= row
-    return False
+    return hits
+
+
+def _apart(adj: list[int], ring: int, pair: int) -> bool:
+    """Whether the two vertices x, y of the bitset ``pair`` are not
+    consecutive on the cycle through the vertex bitset ``ring`` (``_ring``),
+    whose induced graph is outerplanar.  That cycle is then its outer one,
+    so a chord xy splits the rest into two arcs with no edge between them,
+    while an edge xy of the cycle leaves one path: x and y are consecutive
+    exactly when xy is an edge and the ring less x and y is connected."""
+    x = pair.bit_length() - 1
+    if not adj[x] & pair:
+        return True
+    rest = ring ^ pair
+    seen = todo = rest & -rest
+    while todo:
+        bit = todo & -todo
+        todo ^= bit
+        row = adj[bit.bit_length() - 1] & rest & ~seen
+        seen |= row
+        todo |= row
+    return seen != rest
 
 
 def _ring(adj: list[int], ring: int) -> bool:
@@ -287,39 +289,6 @@ def _swap(adj: list[int], out: tuple[int, int], into: tuple[int, int]) -> None:
     adj[b] ^= 1 << a
     adj[u] ^= 1 << v
     adj[v] ^= 1 << u
-
-
-def _palm_tree(n: int, adj: list[int]) -> PalmTree:
-    """A palm tree of the graph with neighbour bitsets ``adj``.  Its DFS
-    starts at the lowest vertex of each component with an edge and goes next
-    to the unvisited neighbour with the fewest unvisited neighbours (the
-    lowest on ties), which makes the tree deep, so that most pairs join an
-    ancestor to a descendant."""
-    unseen = (1 << n + 1) - 2
-    # neighbour lists, each vertex's children first in the order the DFS took
-    # them, so that the orientation DFS retraces it
-    nbrs: list[list[int]] = [[] for _ in range(n + 1)]
-    for root in range(1, n + 1):
-        if not (unseen >> root & 1 and adj[root]):
-            continue
-        unseen ^= 1 << root
-        path = [root]
-        while path:
-            v = path[-1]
-            todo = adj[v] & unseen
-            if not todo:
-                path.pop()
-                continue
-            best = min(bit_positions(todo), key=lambda w: (adj[w] & unseen).bit_count())
-            nbrs[v].append(best)
-            unseen ^= 1 << best
-            path.append(best)
-    for v, kids in enumerate(nbrs):
-        rest = adj[v]
-        for w in kids:
-            rest ^= 1 << w
-        kids += bit_positions(rest)
-    return PalmTree(n, nbrs)
 
 
 def _swapped_core(adj: list[int], core: int, size: int, out, into) -> tuple[int, int]:

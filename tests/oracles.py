@@ -386,7 +386,6 @@ def check_palm_tree(palm, edges) -> None:
             assert w in set(ancestors(v)), (v, w)
     for w, p in up.items():
         assert height[w] == height[p] + 1
-        assert palm.pre[p] < palm.pre[w] < palm.end[w] <= palm.end[p]
     returns: dict[int, set[int]] = {}  # vertex -> heights its subtree returns to
     for e in ids:
         if up.get(dst[e]) != src[e]:

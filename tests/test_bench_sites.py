@@ -56,21 +56,20 @@ def test_names_the_benchmark_jobs_resolve():
 
 def test_tracer_counts_every_chain_decision(monkeypatch):
     """The chain's counts come from the traced names: one is_planar_edges
-    call per mcmc_step that the K5-minor certificate does not reject,
-    left-right calls below it, and accepted swaps, one per change of the
-    state.  At (12, 28) every step is certified or tests all m edges, some
-    of them on a palm tree."""
+    call per mcmc_step that the certificate (a K5 or K3,3 minor) does not
+    reject, left-right calls below it, and accepted swaps, one per change of
+    the state.  At (12, 28) every step is certified or tests all m edges."""
     tracing = load_tracing()
-    k5_minor = planarlab.sampler._k5_minor
+    kuratowski_minor = planarlab.sampler._kuratowski_minor
     certified = []
 
     def counted(adj, u, v):
-        found = k5_minor(adj, u, v)
+        found = kuratowski_minor(adj, u, v)
         if found:
             certified.append((u, v))
         return found
 
-    monkeypatch.setattr(planarlab.sampler, "_k5_minor", counted)
+    monkeypatch.setattr(planarlab.sampler, "_kuratowski_minor", counted)
     for n, m in (12, 20), (12, 28):
         certified.clear()
         tracer = tracing.Tracer()

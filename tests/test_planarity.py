@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import copy
 import os
 import random
 import re
@@ -294,18 +293,9 @@ def sorted_palm(n, edges) -> PalmTree:
     return PalmTree(n, [sorted(row) for row in adj])
 
 
-# the path 1-2-...-8 with four chords: the sorted DFS from 1 walks the path,
-# so (3, 4) is a tree edge, (1, 5) a back edge, and every pair joins an
-# ancestor to a descendant
-PATH_WITH_CHORDS = [(v, v + 1) for v in range(1, 8)] + [(1, 3), (1, 5), (2, 6), (4, 8)]
-# two triangles on 1: the sorted DFS goes 1-2-3, then 1-4-5
-BOWTIE = [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5)]
-
-
 class TestPalmTree:
-    """A palm tree of the state carried across swaps: a swap that drops a
-    back edge and adds an ancestor-descendant pair is patched, and the
-    testing phase on the patched tree decides the new graph."""
+    """The palm tree that the left-right test builds, checked against the
+    definitions of its orientation, lowpoints and nesting depths."""
 
     def test_built_tree_matches_the_definitions(self):
         rng = random.Random(3)
@@ -315,78 +305,6 @@ class TestPalmTree:
             palm = sorted_palm(n, edges)
             check_palm_tree(palm, edges)
             assert palm.planar()
-
-    def test_tree_edge_is_not_swapped(self):
-        palm = sorted_palm(8, PATH_WITH_CHORDS)
-        assert palm.parent[4] >= 0 and palm.src[palm.parent[4]] == 3
-        assert palm.swapped((3, 4), (3, 7)) is None
-
-    def test_cross_pair_is_not_swapped(self):
-        palm = sorted_palm(5, BOWTIE)
-        assert [palm.src[palm.parent[v]] for v in (2, 3, 4, 5)] == [1, 2, 1, 4]
-        assert palm.swapped((1, 3), (3, 5)) is None
-        assert palm.swapped((1, 3), (2, 5)) is None
-        assert palm.swapped((1, 3), (1, 3)) is not None  # the same pair back
-
-    def test_pair_across_two_trees_is_not_swapped(self):
-        # two components, so two trees; f would join them
-        edges = BOWTIE + [(a + 5, b + 5) for a, b in PATH_WITH_CHORDS]
-        palm = sorted_palm(13, edges)
-        assert palm.roots == [1, 6]
-        assert palm.swapped((1, 3), (3, 10)) is None
-        assert palm.swapped((6, 10), (2, 8)) is None
-        assert palm.swapped((6, 10), (8, 12)) is not None  # inside one tree
-
-    def test_eligible_swap_is_patched_and_leaves_the_tree(self):
-        palm = sorted_palm(8, PATH_WITH_CHORDS)
-        palm.pre, palm.end  # found on first use; here before the snapshot
-        before = copy.deepcopy(vars(palm))
-        edges = [e for e in PATH_WITH_CHORDS if e != (1, 5)] + [(3, 7)]
-        trial = palm.swapped((1, 5), (3, 7))
-        assert trial is not None
-        check_palm_tree(trial, edges)
-        assert trial.planar() == _left_right_planar(8, edges) == networkx_planar(8, edges)
-        assert vars(palm) == before
-        check_palm_tree(palm, PATH_WITH_CHORDS)
-
-    def test_swap_into_a_dense_component_is_rejected(self):
-        # K5 less (2, 5) beside a triangle hung off a path; the swap trades a
-        # triangle edge for (2, 5), making a K5 component (10 > 3*5 - 6 edges)
-        k5 = [e for e in combinations(range(1, 6), 2) if e != (2, 5)]
-        edges = k5 + [(6, 7), (7, 8), (8, 9), (6, 9), (6, 8)]
-        palm = sorted_palm(9, edges)
-        trial = palm.swapped((6, 8), (2, 5))
-        assert trial is not None
-        new_edges = [e for e in edges if e != (6, 8)] + [(2, 5)]
-        check_palm_tree(trial, new_edges)
-        assert not trial.planar() and not _left_right_planar(9, new_edges)
-
-    @pytest.mark.parametrize("n", [10, 16, 30])
-    def test_chains_of_swaps_agree_with_rebuilt_trees(self, n):
-        # a triangulation less a few edges; random swaps, each decided on the
-        # patched tree, and the patched tree kept exactly when accepted
-        rng = random.Random(n)
-        verdicts = Counter()
-        for _ in range(4):
-            tri = stacked_triangulation(rng, rng.sample(range(1, n + 1), n))
-            edges = rng.sample(tri, len(tri) - rng.randint(1, 3))
-            palm = sorted_palm(n, edges)
-            pairs = list(combinations(range(1, n + 1), 2))
-            for _ in range(150):
-                e = rng.choice(edges)
-                f = rng.choice([p for p in pairs if p not in set(edges)])
-                trial = palm.swapped(e, f)
-                if trial is None:
-                    verdicts["ineligible"] += 1
-                    continue
-                new_edges = [x for x in edges if x != e] + [f]
-                check_palm_tree(trial, new_edges)
-                planar = trial.planar()
-                assert planar == _left_right_planar(n, new_edges) == networkx_planar(n, new_edges)
-                verdicts[planar] += 1
-                if planar:
-                    palm, edges = trial, new_edges
-        assert verdicts[True] > 0 and verdicts[False] > 0 and verdicts["ineligible"] > 0
 
 
 class TestNoRecursion:

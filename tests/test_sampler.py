@@ -46,8 +46,8 @@ from planarlab._bits import (
     slot_pair,
 )
 from planarlab.planarity import _left_right_planar, is_planar_edges
-from planarlab.sampler import _attaches_thrice, _core_edges, _kernel, _palm_tree, _ring
-from tests.oracles import check_palm_tree, pairs_in_order, two_core
+from planarlab.sampler import _apart, _attachments, _core_edges, _kernel, _ring
+from tests.oracles import pairs_in_order, two_core
 from tests.test_planarity import networkx_planar
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -270,8 +270,8 @@ class TestGoldenChains:
         "chain_n30_m45.txt": (30, 45, 1000, 30, 50, 300_000),
         # denser than (100,100): smoothing removes a smaller share of the core
         "chain_n100_m150.txt": (100, 150, 500, 20, 50, 400_000),
-        # the K5-minor certificate, the palm tree and the whole test all
-        # decide steps here; written before the certificate
+        # the certificate's K5 and K3,3 forms and the whole test all decide
+        # steps here; written before the certificate
         "chain_n100_m250.txt": (100, 250, 500, 40, 50, 500_000),
     }
 
@@ -333,9 +333,9 @@ def count_left_right(monkeypatch) -> list[tuple]:
     calls = []
     left_right = planarity_module._left_right_planar
 
-    def counted(n, edges, palm=None):
+    def counted(n, edges):
         calls.append(tuple(edges))
-        return left_right(n, edges, palm)
+        return left_right(n, edges)
 
     monkeypatch.setattr(planarity_module, "_left_right_planar", counted)
     return calls
@@ -443,6 +443,23 @@ class TestLocalDecision:
             mask = reference_step(n, m, rng, edges, mask, _left_right_planar)
             assert state.mask == mask
         assert len(kernels) > 1000
+
+    @pytest.mark.parametrize("n, m, seed", [
+        (100, 290, 200_000), (100, 290, 200_001), (100, 290, 200_002), (100, 250, 200_000),
+    ])
+    def test_lockstep_at_the_saturated_workload(self, monkeypatch, n, m, seed):
+        # the mcmc-saturated chain at (100,290), nearly all of whose steps the
+        # certificate rejects, and (100,250), where the test on all m edges
+        # decides more of them; the reference decides each on all m edges
+        certified = record_certified(monkeypatch)
+        state = ChainState(n, m, seed)
+        rng = random.Random(seed)
+        edges, mask = list(state._edges), state.mask
+        for _ in range(2000):
+            mcmc_step(state)
+            mask = reference_step(n, m, rng, edges, mask, _left_right_planar)
+            assert state.mask == mask
+        assert len(certified) > 500
 
     @pytest.mark.parametrize("n, m", [(7, 12), (7, 10), (6, 8)])
     def test_lockstep_on_the_table(self, monkeypatch, n, m):
@@ -763,131 +780,6 @@ class TestKernelCases:
                 assert kernel == []
 
 
-def record_palm_decisions(monkeypatch) -> list[tuple]:
-    """(n, edges, answer) of every chain decision made on a palm tree from
-    now on."""
-    decisions = []
-    decide = sampler_module.is_planar_edges
-
-    def recorded(n, edges, palm=None):
-        planar = decide(n, edges, palm)
-        if palm is not None:
-            decisions.append((n, tuple(edges), planar))
-        return planar
-
-    monkeypatch.setattr(sampler_module, "is_planar_edges", recorded)
-    return decisions
-
-
-def record_branches(monkeypatch) -> list[str]:
-    """Per step from now on: "whole" if it tested all m edges, else "part"."""
-    branches = []
-    core_edges = sampler_module._core_edges
-
-    def recorded(adj, edges, *rest):
-        order, tested = core_edges(adj, edges, *rest)
-        branches.append("whole" if tested is edges else "part")
-        return order, tested
-
-    monkeypatch.setattr(sampler_module, "_core_edges", recorded)
-    return branches
-
-
-def eligible_swap(state):
-    """The first (drop index, slot) whose swap keeps the state's palm tree
-    and the graph planar, with no vertex left below degree 3."""
-    n, edges = state.n, state._edges
-    degree = Counter(v for e in edges for v in e)
-    for drop, e in enumerate(edges):
-        for slot, f in enumerate(pairs_in_order(n)):
-            if f in edges or min(degree[v] - (v in e) + (v in f) for v in range(1, n + 1)) < 3:
-                continue
-            if state._palm.swapped(e, f) is not None and is_planar_edges(
-                    n, [x for x in edges if x != e] + [f]):
-                return drop, slot
-    raise AssertionError("no eligible planar swap")
-
-
-class TestPalmReuse:
-    """A state that keeps rejecting proposals on all m edges gets a palm
-    tree; a proposal that drops a back edge and adds an ancestor-descendant
-    pair is decided on the patched tree.  Every such decision equals the
-    whole-graph one."""
-
-    @pytest.mark.parametrize("n, m, seed, steps", [
-        (100, 290, 200_000, 2000), (100, 290, 200_001, 2000), (100, 290, 200_002, 2000),
-        (100, 250, 200_000, 2000), (30, 45, 300_000, 4000),
-    ])
-    def test_recorded_decisions_match_the_whole_graph(self, monkeypatch, n, m, seed, steps):
-        # with the K5-minor certificate on, most of these steps are rejected
-        # before the tree is asked; off, every such step reaches it
-        monkeypatch.setattr(sampler_module, "_k5_minor", lambda adj, u, v: False)
-        decisions = record_palm_decisions(monkeypatch)
-        state = ChainState(n, m, seed)
-        for _ in range(steps):
-            mcmc_step(state)
-        assert len(decisions) > (steps // 10 if m > 2 * n else 0)
-        for i, (_, edges, planar) in enumerate(decisions):
-            assert planar == _left_right_planar(n, edges), i
-            if planar or i % 20 == 0:
-                assert planar == networkx_planar(n, edges), i
-
-    def test_accepted_eligible_swap_carries_the_tree(self, monkeypatch):
-        monkeypatch.setattr(sampler_module, "_PALM_AFTER", 0)
-        n = 12
-        edges = sorted(fan_triangulation_edges(n))[2:]  # (1, 2) and (1, 3) gone
-        state = chain_at(n, edges)
-        state._palm = _palm_tree(n, state._adj)
-        drop, slot = eligible_swap(state)
-        state.rng = Scripted(drop, slot)
-        mcmc_step(state)
-        assert state.mask != build_graph(n, edges).mask  # accepted
-        assert state._palm is not None
-        check_palm_tree(state._palm, state._edges)
-        # the next proposals, decided on the carried tree, still agree
-        decisions = record_palm_decisions(monkeypatch)
-        state.rng = random.Random(9)
-        rng, edges, mask = random.Random(9), list(state._edges), state.mask
-        for _ in range(300):
-            mcmc_step(state)
-            mask = reference_step(n, state.m, rng, edges, mask)
-            assert state.mask == mask
-            if state._palm is not None:
-                check_palm_tree(state._palm, state._edges)
-        assert decisions
-
-    def test_core_path_acceptance_drops_the_tree(self, monkeypatch):
-        # K4 on 1..4 with the path 4-5-...-12 hanging off it; the tree runs
-        # 1-2-3-4-...-12, so dropping the back edge (1, 3) and adding (1, 5)
-        # is eligible, but the peeled path sends the step to the 2-core
-        n = 12
-        edges = sorted(combinations(range(1, 5), 2)) + [(v, v + 1) for v in range(4, n)]
-        state = chain_at(n, edges, edges.index((1, 3)), pair_index(n, 1, 5))
-        state._palm = _palm_tree(n, state._adj)
-        assert state._palm.swapped((1, 3), (1, 5)) is not None
-        branches = record_branches(monkeypatch)
-        mcmc_step(state)
-        assert branches == ["part"]
-        assert set(state._edges) == set(edges) - {(1, 3)} | {(1, 5)}  # accepted
-        assert state._palm is None
-
-    def test_ineligible_acceptance_drops_the_tree(self, monkeypatch):
-        # the fan less (1, 2) and (1, 3); a tree edge of its palm tree is
-        # traded for (1, 2), which keeps the graph planar
-        n = 12
-        edges = sorted(fan_triangulation_edges(n))[2:]
-        state = chain_at(n, edges)
-        palm = state._palm = _palm_tree(n, state._adj)
-        e = next(e for e in edges if palm.parent[e[1]] >= 0 and palm.src[palm.parent[e[1]]] == e[0])
-        assert palm.swapped(e, (1, 2)) is None
-        state.rng = Scripted(edges.index(e), pair_index(n, 1, 2))
-        branches = record_branches(monkeypatch)
-        mcmc_step(state)
-        assert branches == ["whole"]
-        assert set(state._edges) == set(edges) - {e} | {(1, 2)}  # accepted
-        assert state._palm is None
-
-
 def adjacency(n, edges) -> list[int]:
     """Neighbour bitsets of ``edges`` on {1..n}, as the chain keeps them."""
     adj = [0] * (n + 1)
@@ -902,18 +794,18 @@ def edges_of(adj) -> list[tuple[int, int]]:
 
 
 def record_certified(monkeypatch) -> list[tuple]:
-    """(neighbour bitsets of H + f, f) of every step that the K5-minor
-    certificate rejects from now on."""
+    """(neighbour bitsets of H + f, f) of every step that the certificate
+    rejects from now on."""
     certified = []
-    k5_minor = sampler_module._k5_minor
+    kuratowski_minor = sampler_module._kuratowski_minor
 
     def recorded(adj, u, v):
-        found = k5_minor(adj, u, v)
+        found = kuratowski_minor(adj, u, v)
         if found:
             certified.append((list(adj), (u, v)))
         return found
 
-    monkeypatch.setattr(sampler_module, "_k5_minor", recorded)
+    monkeypatch.setattr(sampler_module, "_kuratowski_minor", recorded)
     return certified
 
 
@@ -935,12 +827,15 @@ def ring_cycle(g: nx.Graph, ring) -> list | None:
     return None
 
 
-def assert_k5_minor(adj, f) -> None:
-    """Build the certificate's K5 minor of H + f with networkx and check it:
-    five connected branch sets, pairwise joined by an edge."""
+def certificate_sides(adj, f):
+    """H + f as a networkx graph, and per end a of f (b the other) whose
+    N_H(a) has a cycle through all its vertices: (a, that cycle, b's
+    component K in H - N_H(a) - a, the positions on the cycle of K's
+    attachments), all found with networkx."""
     n = len(adj) - 1
     hf = nx.Graph(edges_of(adj))
     hf.add_nodes_from(range(1, n + 1))
+    sides = []
     for a, b in f, f[::-1]:
         ring = set(hf[a]) - {b}
         cycle = ring_cycle(hf, ring) if len(ring) >= 3 else None
@@ -949,25 +844,79 @@ def assert_k5_minor(adj, f) -> None:
         assert sorted(cycle) == sorted(ring)
         k = nx.node_connected_component(hf.subgraph(set(hf) - ring - {a}), b)
         starts = [i for i, x in enumerate(cycle) if any(y in k for y in hf[x])]
-        if len(starts) < 3:
-            continue
-        i, j, l = starts[:3]
-        parts = [{a}, k, set(cycle[i:j]), set(cycle[j:l]), set(cycle[l:] + cycle[:i])]
-        assert all(nx.is_connected(hf.subgraph(p)) for p in parts)
-        for p, q in combinations(parts, 2):
-            assert not p & q and any(hf.has_edge(x, y) for x in p for y in q)
-        return
-    raise AssertionError(f"no K5 minor of the certificate's form for f = {f}")
+        sides.append((a, cycle, k, starts))
+    return hf, sides
+
+
+def k5_branch_sets(adj, f) -> list[set] | None:
+    """The certificate's K5 minor of H + f: {a}, K and the three arcs of the
+    cycle that start at three of K's attachments; None if it has none."""
+    hf, sides = certificate_sides(adj, f)
+    for a, cycle, k, starts in sides:
+        if len(starts) >= 3:
+            i, j, l = starts[:3]
+            return [{a}, k, set(cycle[i:j]), set(cycle[j:l]), set(cycle[l:] + cycle[:i])]
+    return None
+
+
+def k33_branch_sets(adj, f) -> tuple[list[set], list[set]] | None:
+    """The certificate's K3,3 minor of H + f: {a}, {x} and {y} against K and
+    the inner vertices of the two arcs of the cycle between x and y, K's
+    only attachments; None if it has none (x and y consecutive)."""
+    hf, sides = certificate_sides(adj, f)
+    for a, cycle, k, starts in sides:
+        if len(starts) == 2:
+            i, j = starts
+            arcs = [set(cycle[i + 1:j]), set(cycle[j + 1:] + cycle[:i])]
+            if all(arcs):
+                return [{a}, {cycle[i]}, {cycle[j]}], [k, *arcs]
+    return None
+
+
+def assert_k5_minor(adj, f) -> None:
+    """Build the certificate's K5 minor of H + f with networkx and check it:
+    five connected branch sets, disjoint and pairwise joined by an edge."""
+    parts = k5_branch_sets(adj, f)
+    assert parts is not None, f"no K5 minor of the certificate's form for f = {f}"
+    hf, _ = certificate_sides(adj, f)
+    assert all(nx.is_connected(hf.subgraph(p)) for p in parts)
+    for p, q in combinations(parts, 2):
+        assert not p & q and any(hf.has_edge(x, y) for x in p for y in q)
+
+
+def assert_k33_minor(adj, f) -> None:
+    """Build the certificate's K3,3 minor of H + f with networkx and check
+    it: six connected, disjoint branch sets, and every set of one side
+    joined by an edge to every set of the other."""
+    sides = k33_branch_sets(adj, f)
+    assert sides is not None, f"no K3,3 minor of the certificate's form for f = {f}"
+    hf, _ = certificate_sides(adj, f)
+    one, other = sides
+    parts = one + other
+    assert all(nx.is_connected(hf.subgraph(p)) for p in parts)
+    assert all(not p & q for p, q in combinations(parts, 2))
+    for p in one:
+        for q in other:
+            assert any(hf.has_edge(x, y) for x in p for y in q)
+
+
+def wheel_and_b(pair, chord=None) -> list[tuple[int, int]]:
+    """H on {1..8}: the wheel with hub 1 and rim 2 - 3 - ... - 7 - 2, the
+    rim chord ``chord`` if given, and b = 8 joined to the two rim vertices
+    of ``pair``.  The certificate is asked about f = (1, 8)."""
+    edges = [(1, x) for x in range(2, 8)] + [(x, x + 1) for x in range(2, 7)] + [(2, 7)]
+    return edges + [(x, 8) for x in pair] + ([chord] if chord else [])
 
 
 class TestK5Certificate:
     """Past n = 7, a step that would test all m edges is rejected with no
-    test when H + f has a K5 minor of the certificate's form; each such
-    step is one the whole-graph test rejects."""
+    test when H + f has a K5 or K3,3 minor of the certificate's form; each
+    such step is one the whole-graph test rejects."""
 
     @pytest.mark.parametrize("n, m, seed", [
         (100, 290, 200_000), (100, 290, 200_001), (100, 290, 200_002),
         (100, 250, 200_000), (30, 70, 1), (12, 28, 1), (9, 20, 1),
+        (60, 170, 3), (40, 100, 5), (20, 50, 2),
     ])
     def test_certified_steps_are_not_planar(self, monkeypatch, n, m, seed):
         certified = record_certified(monkeypatch)
@@ -976,39 +925,77 @@ class TestK5Certificate:
         for _ in range(steps):
             mcmc_step(state)
         if (n, m) == (100, 290):
-            # it settles 57-75% of the steps on these seeds
-            assert len(certified) > steps // 2, len(certified)
+            # it settles 98-99% of the steps on these seeds
+            assert 100 * len(certified) > 95 * steps, len(certified)
         assert certified
         for i, (adj, f) in enumerate(certified):
             edges = edges_of(adj)
             assert not _left_right_planar(n, edges), i
             if i % 40 == 0:
                 assert not networkx_planar(n, edges), i
-                assert_k5_minor(adj, f)
+                if k5_branch_sets(adj, f) is not None:
+                    assert_k5_minor(adj, f)
+                else:
+                    assert_k33_minor(adj, f)
 
     def test_k5_less_an_edge_plus_it(self):
         n = 8
         f = (1, 5)
         adj = adjacency(n, [e for e in combinations(range(1, 6), 2)])
-        assert sampler_module._k5_minor(adj, *f)
+        assert sampler_module._kuratowski_minor(adj, *f)
         assert_k5_minor(adj, f)
+
+    def test_wheel_with_b_at_opposite_rim_vertices(self):
+        # K = {8} attaches at 2 and 5, three apart on the rim: a K3,3 minor
+        h, f = wheel_and_b((2, 5)), (1, 8)
+        adj = adjacency(8, h + [f])
+        assert networkx_planar(8, h)
+        assert sampler_module._kuratowski_minor(adj, *f)
+        assert not networkx_planar(8, edges_of(adj))
+        assert k5_branch_sets(adj, f) is None
+        assert_k33_minor(adj, f)
+
+    def test_wheel_with_b_at_consecutive_rim_vertices(self):
+        # K = {8} attaches at 2 and 3, joined by a rim edge: no certificate,
+        # and H + f is planar (8 sits in the face 1 - 2 - 3)
+        h, f = wheel_and_b((2, 3)), (1, 8)
+        adj = adjacency(8, h + [f])
+        ring = adj[1] ^ 1 << 8
+        assert _ring(adj, ring) and _attachments(adj, ring, 8, 1) == 1 << 2 | 1 << 3
+        assert not _apart(adj, ring, 1 << 2 | 1 << 3)
+        assert not sampler_module._kuratowski_minor(adj, *f)
+        assert networkx_planar(8, edges_of(adj))
+
+    def test_attachments_joined_by_a_chord(self):
+        # the rim chord (2, 5), drawn outside the rim, keeps H planar; 2 and
+        # 5 are adjacent but not consecutive on the rim, and the ring less
+        # them falls into 3 - 4 and 6 - 7: a K3,3 minor
+        h, f = wheel_and_b((2, 5), chord=(2, 5)), (1, 8)
+        adj = adjacency(8, h + [f])
+        ring = adj[1] ^ 1 << 8
+        assert networkx_planar(8, h)
+        assert adj[2] >> 5 & 1 and _apart(adj, ring, 1 << 2 | 1 << 5)
+        assert sampler_module._kuratowski_minor(adj, *f)
+        assert not networkx_planar(8, edges_of(adj))
+        assert_k33_minor(adj, f)
 
     @pytest.mark.parametrize("k", range(4, 11))
     def test_fan_less_a_path_edge_is_not_certified(self, k):
         # the fan on 12 vertices joins 1 and 2 to every vertex of the path
         # 3 - 4 - ... - 12; less (k, k + 1), {1, 2} splits the path, and f
         # joins the two ends that the split exposes.  For either end a of f,
-        # N_H(a) is a triangle, but the other end's side attaches to it at 1
-        # and 2 only
+        # N_H(a) is a triangle, and the other end's side attaches to it at 1
+        # and 2 only, which are consecutive on it
         n = 12
         f = (k, k + 1)
         adj = adjacency(n, fan_triangulation_edges(n))  # H + f
         assert networkx_planar(n, edges_of(adj))
-        assert not sampler_module._k5_minor(adj, *f)
+        assert not sampler_module._kuratowski_minor(adj, *f)
         for a, b in f, f[::-1]:
             ring = adj[a] ^ 1 << b
             assert ring.bit_count() == 3 and _ring(adj, ring)
-            assert not _attaches_thrice(adj, ring, b, a)
+            assert _attachments(adj, ring, b, a) == 1 << 1 | 1 << 2
+            assert not _apart(adj, ring, 1 << 1 | 1 << 2)
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -1039,7 +1026,7 @@ class TestK5Certificate:
         assert hamiltonian or not found
         if outerplanar:
             assert found is hamiltonian
-            # the witness that assert_k5_minor takes
+            # the witness that assert_k5_minor and assert_k33_minor take
             assert (ring_cycle(g, range(1, k + 1)) is not None) is hamiltonian
 
 
