@@ -827,14 +827,18 @@ def ring_cycle(g: nx.Graph, ring) -> list | None:
     return None
 
 
-def certificate_sides(adj, f):
-    """H + f as a networkx graph, and per end a of f (b the other) whose
-    N_H(a) has a cycle through all its vertices: (a, that cycle, b's
-    component K in H - N_H(a) - a, the positions on the cycle of K's
-    attachments), all found with networkx."""
-    n = len(adj) - 1
-    hf = nx.Graph(edges_of(adj))
-    hf.add_nodes_from(range(1, n + 1))
+def graph_of(adj) -> nx.Graph:
+    """The graph with neighbour bitsets ``adj`` on {1..n}, in networkx."""
+    g = nx.Graph(edges_of(adj))
+    g.add_nodes_from(range(1, len(adj)))
+    return g
+
+
+def certificate_sides(hf: nx.Graph, f) -> list[tuple]:
+    """Per end a of f (b the other) whose N_H(a) has a cycle through all its
+    vertices in H + f = ``hf``: (a, that cycle, b's component K in
+    H - N_H(a) - a, the positions on the cycle of K's attachments), all
+    found with networkx."""
     sides = []
     for a, b in f, f[::-1]:
         ring = set(hf[a]) - {b}
@@ -845,26 +849,26 @@ def certificate_sides(adj, f):
         k = nx.node_connected_component(hf.subgraph(set(hf) - ring - {a}), b)
         starts = [i for i, x in enumerate(cycle) if any(y in k for y in hf[x])]
         sides.append((a, cycle, k, starts))
-    return hf, sides
+    return sides
 
 
-def k5_branch_sets(adj, f) -> list[set] | None:
-    """The certificate's K5 minor of H + f: {a}, K and the three arcs of the
-    cycle that start at three of K's attachments; None if it has none."""
-    hf, sides = certificate_sides(adj, f)
-    for a, cycle, k, starts in sides:
+def k5_branch_sets(hf: nx.Graph, f) -> list[set] | None:
+    """The certificate's K5 minor of H + f = ``hf``: {a}, K and the three
+    arcs of the cycle that start at three of K's attachments; None if it
+    has none."""
+    for a, cycle, k, starts in certificate_sides(hf, f):
         if len(starts) >= 3:
             i, j, l = starts[:3]
             return [{a}, k, set(cycle[i:j]), set(cycle[j:l]), set(cycle[l:] + cycle[:i])]
     return None
 
 
-def k33_branch_sets(adj, f) -> tuple[list[set], list[set]] | None:
-    """The certificate's K3,3 minor of H + f: {a}, {x} and {y} against K and
-    the inner vertices of the two arcs of the cycle between x and y, K's
-    only attachments; None if it has none (x and y consecutive)."""
-    hf, sides = certificate_sides(adj, f)
-    for a, cycle, k, starts in sides:
+def k33_branch_sets(hf: nx.Graph, f) -> tuple[list[set], list[set]] | None:
+    """The certificate's K3,3 minor of H + f = ``hf``: {a}, {x} and {y}
+    against K and the inner vertices of the two arcs of the cycle between x
+    and y, K's only attachments; None if it has none (x and y
+    consecutive)."""
+    for a, cycle, k, starts in certificate_sides(hf, f):
         if len(starts) == 2:
             i, j = starts
             arcs = [set(cycle[i + 1:j]), set(cycle[j + 1:] + cycle[:i])]
@@ -876,9 +880,9 @@ def k33_branch_sets(adj, f) -> tuple[list[set], list[set]] | None:
 def assert_k5_minor(adj, f) -> None:
     """Build the certificate's K5 minor of H + f with networkx and check it:
     five connected branch sets, disjoint and pairwise joined by an edge."""
-    parts = k5_branch_sets(adj, f)
+    hf = graph_of(adj)
+    parts = k5_branch_sets(hf, f)
     assert parts is not None, f"no K5 minor of the certificate's form for f = {f}"
-    hf, _ = certificate_sides(adj, f)
     assert all(nx.is_connected(hf.subgraph(p)) for p in parts)
     for p, q in combinations(parts, 2):
         assert not p & q and any(hf.has_edge(x, y) for x in p for y in q)
@@ -888,9 +892,9 @@ def assert_k33_minor(adj, f) -> None:
     """Build the certificate's K3,3 minor of H + f with networkx and check
     it: six connected, disjoint branch sets, and every set of one side
     joined by an edge to every set of the other."""
-    sides = k33_branch_sets(adj, f)
+    hf = graph_of(adj)
+    sides = k33_branch_sets(hf, f)
     assert sides is not None, f"no K3,3 minor of the certificate's form for f = {f}"
-    hf, _ = certificate_sides(adj, f)
     one, other = sides
     parts = one + other
     assert all(nx.is_connected(hf.subgraph(p)) for p in parts)
@@ -933,7 +937,7 @@ class TestK5Certificate:
             assert not _left_right_planar(n, edges), i
             if i % 40 == 0:
                 assert not networkx_planar(n, edges), i
-                if k5_branch_sets(adj, f) is not None:
+                if k5_branch_sets(graph_of(adj), f) is not None:
                     assert_k5_minor(adj, f)
                 else:
                     assert_k33_minor(adj, f)
@@ -952,7 +956,7 @@ class TestK5Certificate:
         assert networkx_planar(8, h)
         assert sampler_module._kuratowski_minor(adj, *f)
         assert not networkx_planar(8, edges_of(adj))
-        assert k5_branch_sets(adj, f) is None
+        assert k5_branch_sets(graph_of(adj), f) is None
         assert_k33_minor(adj, f)
 
     def test_wheel_with_b_at_consecutive_rim_vertices(self):
@@ -978,6 +982,12 @@ class TestK5Certificate:
         assert sampler_module._kuratowski_minor(adj, *f)
         assert not networkx_planar(8, edges_of(adj))
         assert_k33_minor(adj, f)
+        # with the rim chord (3, 7) instead, 2 and 5 are not adjacent, and
+        # the ring less them stays connected through the chord; they are
+        # still not consecutive (such a ring leaves no face to b in a planar
+        # H, so here _apart is asked directly)
+        chorded = adjacency(8, [(x, y) for x, y in h if (x, y) != (2, 5)] + [(3, 7)])
+        assert _apart(chorded, ring, 1 << 2 | 1 << 5)
 
     @pytest.mark.parametrize("k", range(4, 11))
     def test_fan_less_a_path_edge_is_not_certified(self, k):
