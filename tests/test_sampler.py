@@ -273,6 +273,10 @@ class TestGoldenChains:
         # the certificate's K5 and K3,3 forms and the whole test all decide
         # steps here; written before the certificate
         "chain_n100_m250.txt": (100, 250, 500, 40, 50, 500_000),
+        # small n, where the ground-truth checks run; written while the n <= 7
+        # table decided every step that needed a test
+        "chain_n7_m12.txt": (7, 12, 500, 10, 50, 600_000),
+        "chain_n6_m8.txt": (6, 8, 500, 10, 50, 700_000),
     }
 
     @pytest.mark.parametrize("name", sorted(RUNS))
