@@ -1,29 +1,30 @@
 """Planarity decisions.
 
-Two entry points: ``mask_planarity(n)`` is the test for edge masks on
-{1..n}, and ``is_planar_edges(n, edges)`` the test for an edge list in any
-order, as the left-right test sorts every neighbour list.  Behind them,
-three cooperating mechanisms, all cross-checked in the test suite:
+Two entry points: ``mask_planarity(n)`` tests edge masks on {1..n}, and
+``is_planar_edges(n, edges)`` edge lists, pairs either way round and in any
+order.  Three mechanisms, all cross-checked in the test suite:
 
 * trivial bounds: any graph with at most 8 edges or at most 4 vertices is
   planar; for n >= 3 more than 3n-6 edges is impossible in a planar graph;
-* n <= 7: a lookup table over all edge masks, one byte per mask, read once
-  per n from a checked-in zlib file under ``tables/`` (47,968 bytes at n=7,
-  2,097,152 bytes inflated).  A missing or damaged file stops with a census
-  error naming it.  The generator that wrote the files closes the edge masks
-  of the K5/K3,3 subdivisions over supersets; it lives with the tests
-  (``tests/oracles.py``), which compare every table with it;
-* n >= 8: the left-right planarity test (Brandes 2009), as two iterative
-  DFS phases over an explicit path.  The orientation, started at each
-  vertex with an edge that no earlier start reached, builds a ``PalmTree``:
-  a DFS tree of every component with its lowpoints and nesting depths.
-  The testing phase walks the components one after the other, keeping a
-  stack of conflict pairs, and decides every one of them.  Neither
-  recurses, so any n works without touching the interpreter's recursion
-  limit.  Oriented edges are integer ids over all components, numbered in
-  the order the orientation creates them: every per-edge value (tail,
-  head, lowpoints, nesting depth, ref, lowpoint edge, stack bottom) is a
-  list indexed by id, the tree edge into each vertex a list indexed by
+* edge masks at n <= 7: a lookup table over all edge masks, one byte per
+  mask, read once per n from a checked-in zlib file under ``tables/``
+  (47,968 bytes at n=7, 2,097,152 bytes inflated).  A missing or damaged
+  file stops with a census error naming it.  The generator that wrote the
+  files closes the edge masks of the K5/K3,3 subdivisions over supersets;
+  it lives with the tests (``tests/oracles.py``), which compare every
+  table with it;
+* edge lists, and edge masks past n = 7, that the bounds leave open: the
+  left-right planarity test (Brandes 2009), which sorts every neighbour
+  list, as two iterative DFS phases over an explicit path.  The orientation,
+  started at each vertex with an edge that no earlier start reached, builds
+  a ``PalmTree``: a DFS tree of every component with its lowpoints and
+  nesting depths.  The testing phase walks the components one after the
+  other, keeping a stack of conflict pairs, and decides every one of them.
+  Neither recurses, so any n works without touching the interpreter's
+  recursion limit.  Oriented edges are integer ids over all components,
+  numbered in the order the orientation creates them: every per-edge value
+  (tail, head, lowpoints, nesting depth, ref, lowpoint edge, stack bottom)
+  is a list indexed by id, the tree edge into each vertex a list indexed by
   vertex, and a conflict pair is a 4-slot list [left low, left high, right
   low, right high] of edge ids, -1 where an interval has no edge.
 """
@@ -34,30 +35,29 @@ import zlib
 from functools import lru_cache
 from typing import Callable, Iterable
 
-from ._bits import edges_from_mask, mask_from_edges, pair_count
+from ._bits import edges_from_mask, pair_count
 from .errors import ChecksumMismatchError, IoFailureError
 
 TABLE_MAX_N = 7
 
 
 def is_planar_edges(n: int, edges: Iterable[tuple[int, int]]) -> bool:
-    """Decide planarity of the simple graph on {1..n} with the given edges."""
+    """Decide planarity of the simple graph on {1..n} with the given edges,
+    each either way round: the bounds, then the left-right test."""
     edges = tuple(edges)
     m = len(edges)
     if n <= 4 or m <= 8:
         return True
     if m > 3 * n - 6:
         return False
-    if n <= TABLE_MAX_N:
-        return planar_mask_table(n)[mask_from_edges(n, edges)] == 1
     return _left_right_planar(n, edges)
 
 
 @lru_cache(maxsize=None)
 def mask_planarity(n: int) -> Callable[[int], bool]:
     """The planarity test for edge masks on {1..n}: a lookup in the n <= 7
-    table read from its checked-in file (truthy byte), else the left-right
-    test on the edges decoded row by row."""
+    table read from its checked-in file (truthy byte), else
+    ``is_planar_edges`` on the edges decoded row by row."""
     if n <= TABLE_MAX_N:
         return planar_mask_table(n).__getitem__
     return lambda mask: is_planar_edges(n, edges_from_mask(n, mask))

@@ -34,31 +34,30 @@ least 3), numbered 1..k, and one edge per path of degree-2 vertices between
 two of them, without loops or parallel edges.  It is homeomorphic to the
 core less those, so by Kuratowski it is planar exactly when the core is; a
 core that is one cycle has the empty kernel.  On the sparse states of
-(100,100) a core of median 58 edges has a kernel of median 27.  The kernel
-is given on at least 8 vertices, so a chain past n = 7 never reads an
-n <= 7 table; at n <= 7 the table decides all m edges in one lookup.
+(100,100) a core of median 58 edges has a kernel of median 27.  Nothing
+here depends on n: a chain at n <= 7, where the ground-truth checks run,
+decides its steps as one at n = 100 does.
 
 On dense states nearly every proposal is rejected, so one state faces
-hundreds of tests on all m edges.  Past n = 7, a certificate rejects nearly
-all of them before any test.  Let a be an end of f, b the other and
-S = N_H(a).  As H is planar and a sees all of S, H[S] is outerplanar, and
-taking out vertices of degree 2 tells in time linear in |S| whether it has a
-cycle C through all of S, its outer cycle.  Let K be the component of b in
-H - S - a; f joins a to K.  If K has neighbours at 3 or more vertices of
-C, then H + f has a K5 minor: take as branch sets {a}, K and the three arcs
-of C that start at three of K's attachments.  a sees every arc and K the
-first vertex of each, and consecutive arcs meet along C.  If K has
-neighbours at exactly two vertices x and y of C, not consecutive on it, then
-each arc of C between them has inner vertices, and H + f has a K3,3 minor
-with {a}, {x} and {y} on one side and K and the inner vertices of each arc
-on the other: a sees both arcs, and x and y end both arcs and meet K.  x and
-y are consecutive exactly when xy is an edge and H[S] - x - y is connected,
-for a chord of an outerplanar graph's outer cycle leaves two arcs with no
-edge between them.  Either way H + f is not planar, and the step is
-rejected; each end of f is tried as a.  At (100,290) the certificate
-settles 98% of the steps (13,286 of 13,500 over chain seeds
-200000-200002), none of which the test would accept; the rest take the test
-on all m edges.
+hundreds of tests on all m edges.  A certificate rejects nearly all of them
+before any test.  Let a be an end of f, b the other and S = N_H(a).  As H is
+planar and a sees all of S, H[S] is outerplanar, and taking out vertices
+of degree 2 tells in time linear in |S| whether it has a cycle C through
+all of S, its outer cycle.  Let K be the component of b in H - S - a; f
+joins a to K.  If K has neighbours at 3 or more vertices of C, then H + f
+has a K5 minor: take as branch sets {a}, K and the three arcs of C that
+start at three of K's attachments.  a sees every arc and K the first vertex
+of each, and consecutive arcs meet along C.  If K has neighbours at exactly
+two vertices x and y of C, not consecutive on it, then each arc of C
+between them has inner vertices, and H + f has a K3,3 minor with {a}, {x}
+and {y} on one side and K and the inner vertices of each arc on the other:
+a sees both arcs, and x and y end both arcs and meet K.  x and y are
+consecutive exactly when xy is an edge and H[S] - x - y is connected, for
+a chord of an outerplanar graph's outer cycle leaves two arcs with no edge
+between them.  Either way H + f is not planar, and the step is rejected;
+each end of f is tried as a.  At (100,290) the certificate settles 98% of
+the steps (13,286 of 13,500 over chain seeds 200000-200002), none of which
+the test would accept; the rest take the test on all m edges.
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ from ._bits import bit_positions, mask_from_edges, pair_count, pair_index, slot_
 from .census import _check_int, _validate_params, class_masks
 from .errors import CensusMissingError, EmptyClassBoundError, EmptyClassError, InvalidArgumentError
 from .graphs import LabeledGraph, decode, encode  # noqa: F401  (decode: bench/tracing.py)
-from .planarity import TABLE_MAX_N, is_planar_edges
+from .planarity import is_planar_edges
 
 DEFAULT_BURN_IN_FACTOR = 50  # burn_in = 50 * n * m
 
@@ -143,9 +142,9 @@ def mcmc_step(state: ChainState) -> ChainState:
     on an edge set that settles it (module docstring): ``(f,)`` when an end
     of f lies outside the 2-core of G - e + f, which the test's
     at-most-8-edges bound accepts at once; all m edges of G - e + f when
-    its 2-core keeps at least seven eighths of them, unless past n = 7 a K5
-    or K3,3 minor certifies a rejection first (``_kuratowski_minor``); else
-    the kernel of the 2-core of f's component in G - e + f, f included.
+    its 2-core keeps at least seven eighths of them, unless a K5 or K3,3
+    minor certifies a rejection first (``_kuratowski_minor``); else the
+    kernel of the 2-core of f's component in G - e + f, f included.
     Each answer equals the answer on all m edges, so every seed's samples
     are those of the whole-graph test."""
     state.steps_taken += 1
@@ -166,7 +165,7 @@ def mcmc_step(state: ChainState) -> ChainState:
     adj = state._adj
     core, size = _swapped_core(adj, state._core, state._core_size, removed, added)
     order, tested = _core_edges(adj, edges, core, size, *added)  # adj is G - e + f
-    certified = tested is edges and n > TABLE_MAX_N and _kuratowski_minor(adj, *added)
+    certified = tested is edges and _kuratowski_minor(adj, *added)
     if not certified and is_planar_edges(order, tested):
         state.mask = mask ^ (1 << slot | 1 << pair_index(n, *removed))
         state._core, state._core_size = core, size
@@ -346,15 +345,13 @@ def _core_edges(adj: list[int], edges, core: int, size: int, u: int, v: int):
     H + f is, f = (u, v), where ``adj`` and ``edges`` are H + f on {1..n}
     and ``core`` and ``size`` the vertex bitset and edge count of its
     2-core: ``(n, (f,))`` if an end of f lies outside it; ``(n, edges)``
-    itself if n <= 7 or the core keeps over seven eighths of them; else the
-    kernel of the 2-core of f's component (``_kernel``)."""
+    itself if the core keeps over seven eighths of them; else the kernel of
+    the 2-core of f's component (``_kernel``)."""
     n = len(adj) - 1
     if not core >> u & core >> v & 1:
         return n, ((u, v),)  # f lies on no cycle
-    if 8 * (len(edges) - size) < len(edges) or n <= TABLE_MAX_N:
-        # the rest would cost about what the smaller test saves; at n <= 7 the
-        # table decides all m edges in one lookup
-        return n, edges
+    if 8 * (len(edges) - size) < len(edges):
+        return n, edges  # the rest would cost about what the smaller test saves
     return _kernel(adj, core, u)
 
 
@@ -362,12 +359,11 @@ def _kernel(adj: list[int], core: int, u: int):
     """(order, edges) of the kernel of the 2-core of u's component, where
     ``adj`` is H + f on {1..n} and ``core`` the vertex bitset of its 2-core.
     The kernel keeps the k branch vertices (core degree at least 3),
-    numbered 1..k in increasing order, and one edge (a, b), a < b, per path
+    numbered 1..k in the order the walk reaches them, and one edge per path
     of degree-2 vertices between two of them, without loops or parallel
     edges: it is planar exactly when the core is (a subdivision of K5 or
-    K3,3 needs no loop and no second parallel path).  It is given on
-    max(k, 8) vertices, so that no n <= 7 table is read; a core that is one
-    cycle has the empty kernel.
+    K3,3 needs no loop and no second parallel path).  A core that is one
+    cycle has the empty kernel, on no vertex.
 
     The walk starts at a branch vertex: u, or the first one met along u's
     path.  It stops at the branch vertices and follows each path from a stop
@@ -377,7 +373,7 @@ def _kernel(adj: list[int], core: int, u: int):
     while (nbrs := adj[bit.bit_length() - 1] & core).bit_count() == 2:
         prev, bit = bit, nbrs ^ prev
         if bit >> u & 1:
-            return TABLE_MAX_N + 1, []  # back at u: the core is one cycle
+            return 0, []  # back at u: the core is one cycle
     u = bit.bit_length() - 1
     stops = [u]  # the branch vertices reached, in order
     known = 1 << u
@@ -404,9 +400,8 @@ def _kernel(adj: list[int], core: int, u: int):
             c = bit.bit_length() - 1
             if s != c:
                 paths.add((s, c) if s < c else (c, s))
-    # numbered in increasing order, so each pair (x, y), x < y, keeps it
-    label = {x: i for i, x in enumerate(sorted(stops), 1)}
-    return max(len(stops), TABLE_MAX_N + 1), [(label[x], label[y]) for x, y in paths]
+    label = {x: i for i, x in enumerate(stops, 1)}
+    return len(stops), [(label[x], label[y]) for x, y in paths]
 
 
 @dataclass(frozen=True)

@@ -59,14 +59,9 @@ class VerificationReport:
         return all(c.holds for c in self.checks)
 
 
-# What depends only on the class or the pattern is computed once, not per
-# graph: a check's bound, and a pattern's 2-edge-connectivity.
+# A check's bound depends only on the class, so it is computed once, not per
+# graph.
 _fraction = lru_cache(maxsize=256)(Fraction)
-
-
-@lru_cache(maxsize=64)
-def _two_edge_connected(pattern: Pattern) -> bool:
-    return is_two_edge_connected(pattern.h)
 
 
 def check_component_bound(g: LabeledGraph) -> CheckResult:
@@ -115,7 +110,7 @@ def check_triangulation_degrees(g: LabeledGraph) -> CheckResult:
 
 def check_appearance_disjointness(g: LabeledGraph, pattern: Pattern) -> CheckResult:
     """Witness sets of a 2-edge-connected pattern never share a vertex."""
-    if not _two_edge_connected(pattern):
+    if not is_two_edge_connected(pattern.h):
         raise PatternNotTwoEdgeConnectedError(
             f"pattern {pattern.name} is not 2-edge-connected"
         )

@@ -57,6 +57,14 @@ class TestExamples:
     def test_k33_not_planar(self):
         assert not is_planar(build_graph(6, K33_EDGES))
 
+    def test_k33_with_reversed_pairs_not_planar(self):
+        assert not is_planar_edges(6, [(b, a) for a, b in K33_EDGES])
+
+    def test_k5_with_one_reversed_pair_not_planar(self):
+        # on {1..5} of n = 7, with (1, 2) written (2, 1)
+        edges = [(2, 1)] + [(a, b) for a, b in combinations(range(1, 6), 2) if (a, b) != (1, 2)]
+        assert not is_planar_edges(7, edges)
+
     @pytest.mark.parametrize("n", [7, 9, 12])
     def test_edge_bound_rejects(self, n):
         # any graph with m > 3n-6 must be rejected, whatever its edges
@@ -118,12 +126,29 @@ class TestOracleEquivalence:
                     if e not in edges and is_planar_edges(n, edges + (e,))]
 
     def test_isolated_padding_does_not_change_the_answer(self):
-        # same graph, re-read at n=9 so the left-right path decides it
+        # same graph, re-read at n=9; both run the left-right test, so the
+        # n=6 table is the reference
+        table = planar_mask_table(6)
         rng = random.Random(99)
         for _ in range(300):
             mask = rng.getrandbits(15)
             edges = edges_from_mask(6, mask)
-            assert is_planar_edges(6, edges) == is_planar_edges(9, edges)
+            assert is_planar_edges(6, edges) == is_planar_edges(9, edges) == (table[mask] == 1)
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_either_way_round_matches_the_table(self, n):
+        # each pair written (a, b) or (b, a), in any order, gives the table's
+        # answer; m from 9 to 3n-6, past the bounds that settle the rest
+        table = planar_mask_table(n)
+        rng = random.Random(n)
+        slots = pair_count(n)
+        for _ in range(400):
+            mask = sum(1 << s for s in rng.sample(range(slots), rng.randint(9, 3 * n - 6)))
+            edges = list(edges_from_mask(n, mask))
+            flipped = [(b, a) for a, b in edges]
+            rng.shuffle(flipped)
+            want = table[mask] == 1
+            assert is_planar_edges(n, edges) == is_planar_edges(n, flipped) == want, mask
 
 
 class TestStructuredFamiliesBeyondTable:

@@ -45,7 +45,7 @@ from planarlab._bits import (
     pair_index,
     slot_pair,
 )
-from planarlab.planarity import _left_right_planar, is_planar_edges
+from planarlab.planarity import _left_right_planar, is_planar_edges, planar_mask_table
 from planarlab.sampler import _apart, _attachments, _core_edges, _kernel, _ring
 from tests.oracles import pairs_in_order, two_core
 from tests.test_planarity import networkx_planar
@@ -363,18 +363,15 @@ def reference_kernel(hf: nx.Graph, f) -> nx.Graph:
 
 
 def assert_is_the_kernel(order, edges, kernel: nx.Graph) -> None:
-    """``edges`` on {1..order} is ``kernel`` relabelled 1..k, given on
-    max(k, 8) vertices."""
+    """``edges`` on {1..order} is ``kernel`` relabelled 1..k, given on its
+    own k vertices."""
     k = len(kernel)
-    assert order == max(k, 8)
+    assert order == k
     assert all(0 < x <= k for e in edges for x in e)
-    assert all(a < b for a, b in edges)  # as is_planar_edges reads a pair
     assert len({frozenset(e) for e in edges if e[0] != e[1]}) == len(edges)  # simple
     got = nx.Graph(list(edges))
     got.add_nodes_from(range(1, order + 1))
-    padded = kernel.copy()
-    padded.add_nodes_from(("pad", i) for i in range(order - k))
-    assert nx.is_isomorphic(got, padded)
+    assert nx.is_isomorphic(got, kernel)
 
 
 class TestLocalDecision:
@@ -467,28 +464,60 @@ class TestLocalDecision:
 
     @pytest.mark.parametrize("n, m", [(7, 12), (7, 10), (6, 8)])
     def test_lockstep_on_the_table(self, monkeypatch, n, m):
-        # at n <= 7 the n table decides each step on all m edges, with no
-        # left-right test; the reference decides each with that test
-        calls = count_left_right(monkeypatch)
+        # at n <= 7 the chain decides its steps as at n = 100, by the kernel,
+        # the certificate and the left-right test; the reference decides each
+        # on all m edges by the n table, the ground truth
+        def on_the_table(n, edges):
+            return planar_mask_table(n)[mask_from_edges(n, edges)] == 1
+
+        kernels = []
+        kernel = sampler_module._kernel
+        monkeypatch.setattr(sampler_module, "_kernel", lambda *a: kernels.append(a) or kernel(*a))
+        certified = record_certified(monkeypatch)
         for seed in range(1, 4):
             state = ChainState(n, m, seed)
             rng = random.Random(seed)
             edges, mask = list(state._edges), state.mask
             for _ in range(1000):
                 mcmc_step(state)
-                mask = reference_step(n, m, rng, edges, mask, _left_right_planar)
+                mask = reference_step(n, m, rng, edges, mask, on_the_table)
                 assert state.mask == mask, seed
-        assert calls == []
+        if (n, m) == (7, 12):
+            assert certified
+        else:
+            assert kernels
 
     def test_critical_workload_reads_no_table(self):
-        # every kernel is given on at least 8 vertices, so a chain past n = 7
-        # never reads an n <= 7 table (2 MB inflated at n = 7)
+        # the chain tests edge lists only, and an edge list never reads an
+        # n <= 7 table (2 MB inflated at n = 7)
         code = """
 from planarlab.planarity import planar_mask_table
 from planarlab.sampler import ChainState, mcmc_step
 state = ChainState(100, 100, 100_000)
 for _ in range(3000):
     mcmc_step(state)
+print(planar_mask_table.cache_info().currsize)
+"""
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "0\n"
+
+    def test_small_edge_lists_read_no_table(self):
+        # is_planar_edges at n = 5..7 and chains at (7,12) and (100,100) take
+        # the left-right test, so a cold table cache stays empty
+        code = """
+import random
+from planarlab._bits import edges_from_mask, pair_count
+from planarlab.planarity import is_planar_edges, planar_mask_table
+from planarlab.sampler import ChainState, mcmc_step
+rng = random.Random(5)
+for n in (5, 6, 7):
+    for _ in range(200):
+        is_planar_edges(n, edges_from_mask(n, rng.getrandbits(pair_count(n))))
+for n, m in (7, 12), (100, 100):
+    state = ChainState(n, m, 1)
+    for _ in range(1000):
+        mcmc_step(state)
 print(planar_mask_table.cache_info().currsize)
 """
         out = subprocess.run([sys.executable, "-c", code], check=True,
@@ -723,7 +752,7 @@ def planar_pair_cases(draw):
         g.edges.remove(f)
         assume(nx.check_planarity(nx.Graph(g.edges))[0])  # f was on the subdivision
     g.decorate(hosts)
-    n = draw(st.integers(max(g.count, 8), max(g.count, 8) + 4))
+    n = draw(st.integers(g.count, g.count + 4))
     labels = [0] + draw(st.permutations(range(1, n + 1)))
 
     def relabel(e):
