@@ -6,25 +6,24 @@ order.  Three mechanisms, all cross-checked in the test suite:
 
 * trivial bounds: any graph with at most 8 edges or at most 4 vertices is
   planar; for n >= 3 more than 3n-6 edges is impossible in a planar graph;
-* edge masks at n <= 7: a lookup table over all edge masks, one byte per
-  mask, read once per n from a checked-in zlib file under ``tables/``
-  (47,968 bytes at n=7, 2,097,152 bytes inflated).  A missing or damaged
-  file stops with a census error naming it.  The generator that wrote the
-  files closes the edge masks of the K5/K3,3 subdivisions over supersets;
-  it lives with the tests (``tests/oracles.py``), which compare every
-  table with it;
-* edge lists, and edge masks past n = 7, that the bounds leave open: the
-  left-right planarity test (Brandes 2009), which sorts every neighbour
-  list, as two iterative DFS phases over an explicit path.  The orientation,
-  started at each vertex with an edge that no earlier start reached, builds
-  a ``PalmTree``: a DFS tree of every component with its lowpoints and
-  nesting depths.  The testing phase walks the components one after the
-  other, keeping a stack of conflict pairs, and decides every one of them.
-  Neither recurses, so any n works without touching the interpreter's
-  recursion limit.  Oriented edges are integer ids over all components,
-  numbered in the order the orientation creates them: every per-edge value
-  (tail, head, lowpoints, nesting depth, ref, lowpoint edge, stack bottom)
-  is a list indexed by id, the tree edge into each vertex a list indexed by
+* edge masks at n <= 7: a table of one byte per mask, read once per n from
+  a checked-in zlib file under ``tables/`` (47,968 bytes at n=7, 2,097,152
+  bytes inflated).  A missing or damaged file stops with a census error
+  naming it.  The generator that wrote the files closes the edge masks of
+  the K5/K3,3 subdivisions over supersets; it lives with the tests
+  (``tests/oracles.py``), which compare every table with it;
+* edge lists at every n, and edge masks past n = 7, once past the bounds:
+  the left-right planarity test (Brandes 2009), as two iterative
+  DFS phases over an explicit path.  The orientation, started at each
+  vertex with an edge that no earlier start reached, builds a ``PalmTree``:
+  a DFS tree of every component with its lowpoints and nesting depths.
+  The testing phase walks the components one after the other, keeping a
+  stack of conflict pairs, and decides every one of them.  Neither
+  recurses, so any n works without touching the interpreter's recursion
+  limit.  Oriented edges are integer ids over all components, numbered in
+  the order the orientation creates them: every per-edge value (tail,
+  head, lowpoints, nesting depth, ref, lowpoint edge, stack bottom) is a
+  list indexed by id, the tree edge into each vertex a list indexed by
   vertex, and a conflict pair is a 4-slot list [left low, left high, right
   low, right high] of edge ids, -1 where an interval has no edge.
 """

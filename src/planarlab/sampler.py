@@ -40,24 +40,25 @@ decides its steps as one at n = 100 does.
 
 On dense states nearly every proposal is rejected, so one state faces
 hundreds of tests on all m edges.  A certificate rejects nearly all of them
-before any test.  Let a be an end of f, b the other and S = N_H(a).  As H is
-planar and a sees all of S, H[S] is outerplanar, and taking out vertices
+before any test.  Let a be an end of f, b the other and S = N_H(a).  As H
+is planar and a sees all of S, H[S] is outerplanar, and taking out vertices
 of degree 2 tells in time linear in |S| whether it has a cycle C through
-all of S, its outer cycle.  Let K be the component of b in H - S - a; f
-joins a to K.  If K has neighbours at 3 or more vertices of C, then H + f
-has a K5 minor: take as branch sets {a}, K and the three arcs of C that
-start at three of K's attachments.  a sees every arc and K the first vertex
-of each, and consecutive arcs meet along C.  If K has neighbours at exactly
-two vertices x and y of C, not consecutive on it, then each arc of C
-between them has inner vertices, and H + f has a K3,3 minor with {a}, {x}
-and {y} on one side and K and the inner vertices of each arc on the other:
-a sees both arcs, and x and y end both arcs and meet K.  x and y are
-consecutive exactly when xy is an edge and H[S] - x - y is connected, for
-a chord of an outerplanar graph's outer cycle leaves two arcs with no edge
-between them.  Either way H + f is not planar, and the step is rejected;
-each end of f is tried as a.  At (100,290) the certificate settles 98% of
-the steps (13,286 of 13,500 over chain seeds 200000-200002), none of which
-the test would accept; the rest take the test on all m edges.
+all of S, its outer cycle.  Let K be the component of b in
+H - S - a; f joins a to K.  If K has neighbours at 3 or more vertices of
+C, then H + f has a K5 minor: take as branch sets {a}, K and the three arcs
+of C that start at three of K's attachments.  a sees every arc and K the
+first vertex of each, and consecutive arcs meet along C.  If K has
+neighbours at exactly two vertices x and y of C, not consecutive on it, then
+each arc of C between them has inner vertices, and H + f has a K3,3 minor
+with {a}, {x} and {y} on one side and K and the inner vertices of each arc
+on the other: a sees both arcs, and x and y end both arcs and meet K.  x and
+y are consecutive exactly when xy is an edge and H[S] - x - y is connected,
+for a chord of an outerplanar graph's outer cycle leaves two arcs with no
+edge between them.  Either way H + f is not planar, and the step is
+rejected; each end of f is tried as a.  At (100,290) the certificate
+settles 98% of the steps (13,286 of 13,500 over chain seeds
+200000-200002), none of which the test would accept; the rest take the test
+on all m edges.
 """
 
 from __future__ import annotations

@@ -59,8 +59,7 @@ class VerificationReport:
         return all(c.holds for c in self.checks)
 
 
-# A check's bound depends only on the class, so it is computed once, not per
-# graph.
+# a check's bound depends only on the class: computed once, not per graph
 _fraction = lru_cache(maxsize=256)(Fraction)
 
 
