@@ -159,8 +159,15 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Errors are one ``error:`` line and exit 2; subparsers share the class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="planarlab",
         description="Enumerate, sample, verify, and run experiments on the "
         "uniform classes of labeled planar graphs with a fixed edge count.",

@@ -155,19 +155,18 @@ class DensityRegime:
     ratio: Fraction
 
 
-_CRITICAL_BAND = Fraction(1, 20)
-_SATURATED_BAND = 0.05
+_BAND = Fraction(1, 20)  # the critical and saturated bands are n/20 wide, exactly
 
 
 def regime_of(n: int, m: int) -> DensityRegime:
     """Classify m/n against the sparse / critical / middle / saturated bands."""
     _validate_params(n, m)
     ratio = Fraction(m, n)
-    if ratio < 1 - _CRITICAL_BAND:
+    if ratio < 1 - _BAND:
         label = "sparse"
-    elif abs(ratio - 1) <= _CRITICAL_BAND:
+    elif abs(ratio - 1) <= _BAND:
         label = "critical"
-    elif m < 3 * n - 6 - _SATURATED_BAND * n:
+    elif m < 3 * n - 6 - _BAND * n:
         label = "middle"
     else:
         label = "saturated"

@@ -41,9 +41,10 @@ decides its steps as one at n = 100 does.
 On dense states nearly every proposal is rejected, so one state faces
 hundreds of tests on all m edges.  A certificate rejects nearly all of them
 before any test.  Let a be an end of f, b the other and S = N_H(a).  As H
-is planar and a sees all of S, H[S] is outerplanar, and taking out vertices
-of degree 2 tells in time linear in |S| whether it has a cycle C through
-all of S, its outer cycle.  Let K be the component of b in
+is planar and a sees all of S, H[S] is outerplanar, so (|S| >= 3) it has a
+cycle C through all of S, its outer cycle, exactly when it is 2-connected:
+each vertex has two neighbours in S, and S less it stays connected, which
+one bitset flood per vertex tells.  Let K be the component of b in
 H - S - a; f joins a to K.  If K has neighbours at 3 or more vertices of
 C, then H + f has a K5 minor: take as branch sets {a}, K and the three arcs
 of C that start at three of K's attachments.  a sees every arc and K the
@@ -67,7 +68,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from ._bits import bit_positions, mask_from_edges, pair_count, pair_index, slot_pair
+from ._bits import mask_from_edges, pair_count, pair_index, slot_pair
 from .census import _check_int, _validate_params, class_masks
 from .errors import CensusMissingError, EmptyClassBoundError, EmptyClassError, InvalidArgumentError
 from .graphs import LabeledGraph, decode, encode  # noqa: F401  (decode: bench/tracing.py)
@@ -218,67 +219,35 @@ def _apart(adj: list[int], ring: int, pair: int) -> bool:
     so a chord xy splits the rest into two arcs with no edge between them,
     while an edge xy of the cycle leaves one path: x and y are consecutive
     exactly when xy is an edge and the ring less x and y is connected."""
-    x = pair.bit_length() - 1
-    if not adj[x] & pair:
-        return True
-    rest = ring ^ pair
-    seen = todo = rest & -rest
-    while todo:
-        bit = todo & -todo
-        todo ^= bit
-        row = adj[bit.bit_length() - 1] & rest & ~seen
-        seen |= row
-        todo |= row
-    return seen != rest
+    return not adj[pair.bit_length() - 1] & pair or not _connected(adj, ring ^ pair)
 
 
 def _ring(adj: list[int], ring: int) -> bool:
-    """Whether a cycle runs through every vertex of the vertex bitset
-    ``ring`` (at least 3) in the graph it induces (on a graph that is not
-    outerplanar, it may miss one).
-
-    A vertex x of degree 2, with neighbours y and z, lies between them on
-    any such cycle; on more than 3 vertices the cycle then cannot use an
-    edge yz as well.  So x is taken out and yz stands for the path y - x - z
-    (in place of an edge yz that was there), and a cycle of what is left
-    that uses every edge standing for a path gives one of the whole.  An
-    outerplanar graph with a cycle through all its vertices has a vertex of
-    degree 2 until 3 are left, which must form a triangle."""
-    rows = {}
-    todo = []  # vertices of degree 2
+    """Whether the graph induced on the vertex bitset ``ring`` (at least 3
+    vertices) is 2-connected: each vertex has two neighbours in it, and the
+    rest is connected without it.  On an outerplanar graph, as H[S] is, that
+    is a cycle through every vertex, the outer one."""
     rest = ring
     while rest:
         bit = rest & -rest
         rest ^= bit
-        x = bit.bit_length() - 1
-        row = rows[x] = adj[x] & ring
-        count = row.bit_count()
-        if count < 2:
+        row = adj[bit.bit_length() - 1] & ring
+        if not row & (row - 1) or not _connected(adj, ring ^ bit):
             return False
-        if count == 2:
-            todo.append(x)
-    paths = set()  # (y, z), y < z: the edges that stand for a path
-    while len(rows) > 3:
-        if not todo:
-            return False
-        x = todo.pop()
-        row = rows.pop(x, None)
-        if row is None:
-            continue  # taken out already
-        if row.bit_count() < 2:
-            return False
-        y, z = bit_positions(row)
-        rows[y] ^= 1 << x
-        rows[z] ^= 1 << x
-        if rows[y] >> z & 1:
-            if (y, z) in paths:
-                return False  # the cycle must take both paths between y and z
-            todo += [w for w in (y, z) if rows[w].bit_count() <= 2]
-        else:
-            rows[y] |= 1 << z
-            rows[z] |= 1 << y
-        paths.add((y, z))
-    return all(row.bit_count() == 2 for row in rows.values())
+    return True
+
+
+def _connected(adj: list[int], within: int) -> bool:
+    """Whether the graph induced on the vertex bitset ``within`` is
+    connected; the flood stops once it has reached every vertex."""
+    seen = todo = within & -within
+    while todo and seen != within:
+        bit = todo & -todo
+        todo ^= bit
+        row = adj[bit.bit_length() - 1] & within & ~seen
+        seen |= row
+        todo |= row
+    return seen == within
 
 
 def _swap(adj: list[int], out: tuple[int, int], into: tuple[int, int]) -> None:

@@ -486,6 +486,23 @@ raise SystemExit(main(sys.argv[1:]))
         assert exit_info.value.code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, name", [
+        pytest.param(("sample", "--n", "1e3", "--m", "2", "--method", "mcmc", "--count", "1"),
+                     "--n", id="invalid-int"),
+        pytest.param(("sample", "--n", "5", "--m", "5", "--method", "mcmc"),
+                     "--count", id="missing-flag"),
+        pytest.param(("enumerate", "--n", "5", "--m", "5", "--bogus"), "--bogus",
+                     id="unknown-flag"),
+    ])
+    def test_usage_error_is_one_line(self, capsys, argv, name):
+        # argparse's own errors too: no usage block, one line naming the argument
+        with pytest.raises(SystemExit) as exit_info:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert name in captured.err
+
 
 class TestStats:
     def test_json_bundle(self, capsys):

@@ -272,6 +272,8 @@ class TestRegimes:
         assert regime_of(100, 50).label == "sparse"
         assert regime_of(100, 200).label == "middle"
         assert regime_of(100, 293).label == "saturated"
+        # the saturated band starts at 3n - 6 - n/20 = 2,950,000,000,000,038.25
+        assert regime_of(1_000_000_000_000_015, 2_950_000_000_000_038).label == "middle"
 
     def test_critical_band(self):
         assert regime_of(100, 100).label == "critical"

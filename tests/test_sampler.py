@@ -860,6 +860,13 @@ def ring_cycle(g: nx.Graph, ring) -> list | None:
     return None
 
 
+def is_outerplanar(g: nx.Graph) -> bool:
+    """Whether g stays planar with an apex joined to all its vertices."""
+    apex = g.copy()
+    apex.add_edges_from(("apex", x) for x in g)
+    return nx.check_planarity(apex)[0]
+
+
 def graph_of(adj) -> nx.Graph:
     """The graph with neighbour bitsets ``adj`` on {1..n}, in networkx."""
     g = nx.Graph(edges_of(adj))
@@ -1043,9 +1050,10 @@ class TestK5Certificate:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_ring_against_brute_force(self, data):
-        # a cycle through every vertex and random chords, relabelled: a
-        # ring is found only when such a cycle exists, and on an outerplanar
-        # graph (planar with a vertex joined to all) whenever one does
+        # a cycle through every vertex and random chords, relabelled: a ring
+        # is found exactly when the graph is 2-connected, and on an
+        # outerplanar graph (planar with a vertex joined to all), as every
+        # ring that the chain asks about is, exactly when such a cycle exists
         k = data.draw(st.integers(3, 8), label="k")
         order = data.draw(st.permutations(range(1, k + 1)), label="order")
         edges = {frozenset(p) for p in zip(order, order[1:] + order[:1])}
@@ -1059,18 +1067,38 @@ class TestK5Certificate:
         found = _ring(adj, (1 << k + 1) - 2)
         g = nx.Graph(edges)
         g.add_nodes_from(range(1, k + 1))
+        assert found is nx.is_biconnected(g)
         hamiltonian = any(
             all(g.has_edge(x, y) for x, y in zip((1, *rest), (*rest, 1)))
             for rest in permutations(range(2, k + 1)))
-        apex = g.copy()
-        apex.add_edges_from((0, x) for x in range(1, k + 1))
-        outerplanar = nx.check_planarity(apex)[0]
+        outerplanar = is_outerplanar(g)
         event(f"hamiltonian={hamiltonian} outerplanar={outerplanar} found={found}")
-        assert hamiltonian or not found
         if outerplanar:
             assert found is hamiltonian
             # the witness that assert_k5_minor and assert_k33_minor take
             assert (ring_cycle(g, range(1, k + 1)) is not None) is hamiltonian
+
+    @pytest.mark.parametrize("n, m, seed", [
+        (100, 290, 200_000), (100, 250, 200_000), (60, 170, 3), (20, 50, 2),
+    ])
+    def test_every_ring_asked_about_is_outerplanar(self, monkeypatch, n, m, seed):
+        # _ring tells 2-connectivity, which is a cycle through every vertex
+        # only on an outerplanar graph: N_H(a) induces one, H being planar
+        rings = set()  # the edges each ring induces
+        ring = sampler_module._ring
+
+        def recorded(adj, vertices):
+            induced = [row & vertices if vertices >> x & 1 else 0 for x, row in enumerate(adj)]
+            rings.add(tuple(edges_of(induced)))
+            return ring(adj, vertices)
+
+        monkeypatch.setattr(sampler_module, "_ring", recorded)
+        state = ChainState(n, m, seed)
+        for _ in range(2000):
+            mcmc_step(state)
+        assert rings
+        for edges in rings:
+            assert is_outerplanar(nx.Graph(edges)), edges
 
 
 class TestNoSamples:
