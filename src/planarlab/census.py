@@ -7,12 +7,15 @@ deletion).  Children are explored so that fixed-m graphs stream out in
 lexicographic order of their text encoding.  Counting goes through the orbit
 census instead: the unlabeled graphs, each with its number of labelings.  Its
 connected graphs are read from checked-in tables under ``orbits/``, one per
-n <= 9, when an answer first needs that n.
+n <= 9, when an answer first needs that n.  A census file stores each graph
+of a record as its text encoding on one line; the lines are written from the
+masks and read back as masks, so no graph object is built on either side.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import zlib
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -30,7 +33,7 @@ from .errors import (
     ResourceLimitError,
     VersionUnsupportedError,
 )
-from .graphs import LabeledGraph, decode, encode, graph_from_mask
+from .graphs import LabeledGraph, decode, encode, encode_mask, graph_from_mask, mask_from_digits
 from .planarity import TABLE_MAX_N, mask_planarity
 from .planarity import is_planar_edges, planar_mask_table  # noqa: F401  (bench/tracing.py)
 
@@ -272,8 +275,9 @@ class CensusRecord:
         """The record's lines in a census file, without newlines, one at a time."""
         yield f"{self.n} {self.m} {self.count}"
         if self.graphs is not None:
+            n = self.n
             for mask in self.graphs:
-                yield f"  {encode(LabeledGraph(self.n, mask))}"
+                yield f"  {encode_mask(n, mask)}"
 
     def checksum(self) -> str:
         return _write_blocks(self.iter_lines(), None)
@@ -295,8 +299,9 @@ class CensusRecord:
         if any(not b & (a ^ b) & -(a ^ b) for a, b in pairwise(self.graphs)):
             raise IoFailureError("stored graphs must be sorted and duplicate-free")
         planar = mask_planarity(self.n)
+        slots = pair_count(self.n)
         for mask in self.graphs:  # a negative mask or a pad bit leaves a nonzero shift
-            if mask >> pair_count(self.n) or mask.bit_count() != self.m or not planar(mask):
+            if mask >> slots or mask.bit_count() != self.m or not planar(mask):
                 enc = encode(LabeledGraph(self.n, mask))
                 raise IoFailureError(f"stored graph {enc!r} is not in the class")
 
@@ -464,11 +469,31 @@ def _check_payload(handle) -> int:
     return rows
 
 
+def _stored_line(n: int) -> Callable[[str], re.Match | None]:
+    """The full match of a stored line of a record of n-vertex graphs: two
+    spaces, the canonical encoding and a newline, its hex digits captured.
+    The pad bits above the last slot, the low bits of the last digit, are 0.
+    For an n below 1, or past 2**32 digits, which a pattern cannot count, it
+    matches no line."""
+    slots = pair_count(n)
+    width = (slots + 3) // 4
+    if n < 1 or width >= 1 << 32:
+        return re.compile("(?!)").fullmatch
+    pad = 4 * width - slots
+    last = "".join(digit for i, digit in enumerate("0123456789ABCDEF") if not i % (1 << pad))
+    digits = f"[0-9A-F]{{{width - 1}}}[{last}]" if width else ""
+    return re.compile(f"  {n}:({digits})\n").fullmatch
+
+
 def _parse_payload(lines: Iterable[str]) -> CensusStore:
-    """The records of checked payload lines, each ended by a newline."""
+    """The records of checked payload lines, each ended by a newline.  The
+    indented lines of a record are read as masks: each is matched against
+    the record's one pattern of a stored line, and only a line that fails it
+    is decoded, for the reason of its refusal."""
     store = CensusStore()
     header: tuple[int, int, int] | None = None
     masks: list[int] = []
+    stored_line = None
 
     def close_record() -> None:
         if header is None:
@@ -484,13 +509,15 @@ def _parse_payload(lines: Iterable[str]) -> CensusStore:
         if line.startswith("  "):
             if header is None:
                 raise IoFailureError("indented encoding before any record line")
-            try:
-                g = decode(line[2:-1])
-            except MalformedEncodingError as exc:
-                raise IoFailureError(f"stored graph {line[2:-1]!r} is unreadable: {exc}") from exc
-            if g.n != header[0]:
-                raise IoFailureError(f"stored graph {line[2:-1]!r} is not in the class")
-            masks.append(g.mask)
+            match = stored_line(line)
+            if match is None:  # worded by decode: an encoding it reads is of another n
+                text = line[2:-1]
+                try:
+                    decode(text)
+                except MalformedEncodingError as exc:
+                    raise IoFailureError(f"stored graph {text!r} is unreadable: {exc}") from exc
+                raise IoFailureError(f"stored graph {text!r} is not in the class")
+            masks.append(mask_from_digits(match[1]))
             continue
         close_record()
         tokens = line.split()
@@ -501,5 +528,6 @@ def _parse_payload(lines: Iterable[str]) -> CensusStore:
         except ValueError as exc:
             raise IoFailureError(f"bad record line {line[:-1]!r}") from exc
         masks = []
+        stored_line = _stored_line(header[0])
     close_record()
     return store

@@ -5,12 +5,14 @@ uniform classes this package enumerates and samples.  A graph is (n, mask),
 bit s of the mask being the edge in slot s (``_bits``); statistics run on
 neighbour bitsets read off the mask's rows on first use, and the edge pairs
 are derived on demand.  One breadth-first spanning forest, walked once per
-graph, gives the components (its trees) and, walked again leaves first when
-asked, the bridges and the two sides of each; all of it is kept on the
-graph, so the checks and searches that share it pay once.  The text
-encoding is the mask's bits reversed, read off its hex digits.  Values are
-never modified once built and are safe to share; every operation here is a
-pure function of its inputs.
+graph, gives the components (its trees) and decides on the way whether any
+edge is a bridge; only when one may be is it walked again, leaves first, for
+the bridges and the two sides of each.  All of it is kept on the graph, so
+the checks and searches that share it pay once.  The text encoding is the
+mask's bits reversed, read off its hex digits; ``encode_mask`` and
+``mask_from_digits`` write and read it for a bare mask, so census lines
+never become graphs.  Values are never modified once built and are safe to
+share; every operation here is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -99,32 +101,42 @@ class LabeledGraph:
         return f"LabeledGraph({encode(self)!r})"
 
 
-def spanning_forest(g: LabeledGraph) -> tuple[tuple[int, ...], list[list[int]]]:
+def spanning_forest(g: LabeledGraph) -> tuple[tuple[int, ...], list[list[int]], bool]:
     """The breadth-first spanning forest, walked once per graph and kept on
-    it: (the vertex bitset of each tree, each tree's layers as bitsets), one
-    tree per component, rooted at its minimum vertex, by ascending root.  The
-    parent of a vertex is its smallest neighbour in the layer above."""
+    it: (the vertex bitset of each tree, each tree's layers as bitsets,
+    whether no edge is a bridge), one tree per component, rooted at its
+    minimum vertex, by ascending root.  The parent of a vertex is its
+    smallest neighbour in the layer above.  No edge is a bridge when each
+    vertex but the roots has a second neighbour in its own layer or the one
+    above: those lie outside its subtree, so each tree edge closes a cycle.
+    The walk checks that as it goes, until it first fails."""
     forest = g._forest
     if forest is None:
         adj = g.adjacency
         comps, layered = [], []
+        bridgeless = True
         rest = (1 << (g.n + 1)) - 2  # the vertices no tree has reached yet
         while rest:
             seen = layer = rest & -rest  # the root
-            layers = []
-            while layer:
+            layers = [layer]
+            reached = adj[layer.bit_length() - 1]
+            while layer := reached & ~seen:
+                seen |= layer
+                near = layers[-1] | layer
                 layers.append(layer)
                 reached = 0
                 while layer:
                     low = layer & -layer
-                    reached |= adj[low.bit_length() - 1]
+                    row = adj[low.bit_length() - 1]
+                    reached |= row
+                    if bridgeless:  # until a vertex has one neighbour near
+                        row &= near
+                        bridgeless = row & (row - 1) != 0
                     layer ^= low
-                layer = reached & ~seen
-                seen |= layer
             rest &= ~seen
             comps.append(seen)
             layered.append(layers)
-        forest = g._forest = (tuple(comps), layered)
+        forest = g._forest = (tuple(comps), layered, bridgeless)
     return forest
 
 
@@ -162,10 +174,20 @@ _NIBBLE_REVERSED = str.maketrans("0123456789ABCDEF", "084C2A6E195D3B7F")
 def encode(g: LabeledGraph) -> str:
     """Render as "n:HEX": upper-triangle bits in slot order, right-padded to 4;
     the mask's hex digits in reverse order, each with its bits reversed."""
-    width = (pair_count(g.n) + 3) // 4
-    if not width:
-        return f"{g.n}:"
-    return f"{g.n}:{f'{g.mask:0{width}X}'[::-1].translate(_NIBBLE_REVERSED)}"
+    return encode_mask(g.n, g.mask)
+
+
+def encode_mask(n: int, mask: int) -> str:
+    """``encode`` of the graph (n, mask), built from the mask alone."""
+    width = (pair_count(n) + 3) // 4
+    if not width:  # n = 1: no slot, no digit
+        return f"{n}:"
+    return f"{n}:{f'{mask:0{width}X}'[::-1].translate(_NIBBLE_REVERSED)}"
+
+
+def mask_from_digits(digits: str) -> int:
+    """The mask of an encoding's hex digits, already checked canonical."""
+    return int(digits[::-1].translate(_NIBBLE_REVERSED), 16) if digits else 0
 
 
 def decode(text: str) -> LabeledGraph:
@@ -183,7 +205,7 @@ def decode(text: str) -> LabeledGraph:
         raise MalformedEncodingError(
             f"expected {width} hex digits for n={n}, got {len(hexpart)}"
         )
-    mask = int(hexpart[::-1].translate(_NIBBLE_REVERSED), 16) if hexpart else 0
+    mask = mask_from_digits(hexpart)
     if mask >> slots:  # the pad bits land above the last slot
         raise MalformedEncodingError("nonzero trailing pad bits")
     return LabeledGraph(n, mask)
@@ -220,13 +242,15 @@ def bridge_sides(g: LabeledGraph) -> tuple[frozenset[Edge], tuple[tuple[Edge, in
     ascending edge), kept on the graph; a side is the vertex bitset left with
     that end.  A bridge is a tree edge (p, v) of ``spanning_forest`` whose
     subtree below v has no neighbour but p (breadth first, p has no other
-    neighbour there); its sides are that subtree and the rest of the tree."""
+    neighbour there); its sides are that subtree and the rest of the tree.
+    The forest is walked again, leaves first, only when its own walk did not
+    find every edge on a cycle."""
     found = g._sides
     if found is None:
-        comps, layered = spanning_forest(g)
-        adj = g.adjacency
+        comps, layered, bridgeless = spanning_forest(g)
         out = []
-        if not _tree_edges_on_cycles(adj, layered):
+        if not bridgeless:
+            adj = g.adjacency
             inside = [0] * (g.n + 1)  # the subtrees of v's children
             around = [0] * (g.n + 1)  # the neighbours of those subtrees
             for comp, layers in zip(comps, layered):
@@ -249,22 +273,6 @@ def bridge_sides(g: LabeledGraph) -> tuple[frozenset[Edge], tuple[tuple[Edge, in
             out.sort()
         found = g._sides = (frozenset([edge for edge, _, _ in out]), tuple(out))
     return found
-
-
-def _tree_edges_on_cycles(adj, layered) -> bool:
-    """Whether each vertex but the roots has a second neighbour in its own
-    layer or the one above.  Those lie outside its subtree, so then no tree
-    edge, and no edge at all, is a bridge."""
-    for layers in layered:
-        for d in range(1, len(layers)):
-            layer = layers[d]
-            near = layers[d - 1] | layer
-            while layer:
-                low = layer & -layer
-                if (adj[low.bit_length() - 1] & near).bit_count() < 2:
-                    return False
-                layer ^= low
-    return True
 
 
 def degree_histogram(g: LabeledGraph) -> dict[int, int]:

@@ -1,10 +1,11 @@
 """Fixed-pattern machinery.
 
 A pattern is a small connected planar graph H on {1..|H|} together with its
-class (tree / unicyclic / multicyclic), automorphism count and the plan of
-its injection search.  This module counts the structures the experiment
-harness cares about: appearances of H (exactly-one-edge-out rooted
-occurrences), components isomorphic to H, and subgraph copies of H.  One
+class (tree / unicyclic / multicyclic), automorphism count, whether it is
+2-edge-connected and the plan of its injection search, each computed once
+when it is built.  This module counts the structures the experiment harness
+cares about: appearances of H (exactly-one-edge-out rooted occurrences),
+components isomorphic to H, and subgraph copies of H.  One
 search answers every question about a copy of one graph in another: the
 injection search over the neighbour bitsets of ``LabeledGraph.adjacency``.
 Isomorphism, automorphisms and isomorphic components are injections between
@@ -58,9 +59,12 @@ class Pattern:
     aut_count: int
     # per step of the injection search, the earlier steps adjacent to it
     plan: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    # whether H is 2-edge-connected, as the disjointness check requires
+    two_edge_connected: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "plan", _injection_plan(self.h))
+        object.__setattr__(self, "two_edge_connected", is_two_edge_connected(self.h))
 
     @property
     def size(self) -> int:

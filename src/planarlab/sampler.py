@@ -111,6 +111,7 @@ class ChainState:
     m: int
     seed: int
     steps_taken: int = 0
+    accepted: int = 0  # the steps that swapped, each a change of the mask
 
     def __post_init__(self) -> None:
         # the edges in the order randrange(m) picks from, at first in slot
@@ -138,7 +139,8 @@ def _rng(seed: int) -> random.Random:
 
 
 def mcmc_step(state: ChainState) -> ChainState:
-    """Advance one step; rejected proposals still advance the counter.
+    """Advance one step; rejected proposals still advance the counter, and
+    an accepted swap also advances ``accepted``.
 
     The proposal (drop edge e, add pair f) is decided by one planarity test
     on an edge set that settles it (module docstring): ``(f,)`` when an end
@@ -171,6 +173,7 @@ def mcmc_step(state: ChainState) -> ChainState:
     if not certified and is_planar_edges(order, tested):
         state.mask = mask ^ (1 << slot | 1 << pair_index(n, *removed))
         state._core, state._core_size = core, size
+        state.accepted += 1
     else:
         edges[drop] = removed
         _swap(adj, added, removed)
@@ -376,7 +379,9 @@ def _kernel(adj: list[int], core: int, u: int):
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Samples, as edge masks in draw order, plus the parameters behind them."""
+    """Samples, as edge masks in draw order, plus the parameters behind them
+    and, for a chain, the swaps it accepted over all its steps (None for
+    exact draws)."""
 
     n: int
     m: int
@@ -385,6 +390,7 @@ class SampleBatch:
     burn_in: int
     thinning: int
     samples: tuple[int, ...]
+    accepted: int | None = None
 
 
 def _stored_graphs(n: int, m: int, census) -> tuple[int, ...]:
@@ -432,7 +438,7 @@ def sample_many(
     _check_int("burn-in", burn_in)
     state = ChainState(n, m, seed)  # refuses a negative seed and m past the fan
     if count == 0:  # no sample needs the burn-in
-        return SampleBatch(n, m, "mcmc", seed, burn_in, thinning, ())
+        return SampleBatch(n, m, "mcmc", seed, burn_in, thinning, (), 0)
     for _ in range(burn_in):
         mcmc_step(state)
     out: list[int] = []
@@ -440,7 +446,7 @@ def sample_many(
         for _ in range(thinning):
             mcmc_step(state)
         out.append(state.mask)
-    return SampleBatch(n, m, "mcmc", seed, burn_in, thinning, tuple(out))
+    return SampleBatch(n, m, "mcmc", seed, burn_in, thinning, tuple(out), state.accepted)
 
 
 def tv_distance_to_uniform(batch: SampleBatch, census) -> float:

@@ -6,8 +6,9 @@ mathematics.  Strict inequalities are compared in exact integer arithmetic.
 ``verify_graph`` returns the public ``check_*`` results on one graph; a class
 verification tallies, per check, the graphs checked and the violations.  The
 checks read the components, bridges and bridge sides of the graph's one
-spanning forest (``graphs``); what depends only on the class or the pattern,
-a bound or a pattern's 2-edge-connectivity, is computed once.
+spanning forest (``graphs``); what depends only on the class or the pattern
+is computed once: a bound once per class, and a pattern's
+2-edge-connectivity when the pattern is built.
 """
 
 from __future__ import annotations
@@ -32,13 +33,8 @@ from .graphs import (
     kappa,
 )
 from .graphs import encode  # noqa: F401  (bench/tracing.py)
-from .patterns import (
-    Pattern,
-    appearance_witnesses,
-    count_good_triangles,
-    is_two_edge_connected,
-    pattern_from_name,
-)
+from .patterns import Pattern, appearance_witnesses, count_good_triangles, pattern_from_name
+from .patterns import is_two_edge_connected  # noqa: F401  (bench/tracing.py)
 
 
 # Not frozen, as LabeledGraph: a frozen __init__ costs three times as much.
@@ -109,7 +105,7 @@ def check_triangulation_degrees(g: LabeledGraph) -> CheckResult:
 
 def check_appearance_disjointness(g: LabeledGraph, pattern: Pattern) -> CheckResult:
     """Witness sets of a 2-edge-connected pattern never share a vertex."""
-    if not is_two_edge_connected(pattern.h):
+    if not pattern.two_edge_connected:
         raise PatternNotTwoEdgeConnectedError(
             f"pattern {pattern.name} is not 2-edge-connected"
         )

@@ -555,13 +555,45 @@ class TestPersistence:
         ("4 x 1\n", "bad record line '4 x 1'"),
         ("6 9 1\n  6:3BF0\n", "stored graph '6:3BF0' is not in the class"),  # K3,3
         ("4 2 1\n  4:94\n", "stored graph '4:94' is not in the class"),  # three edges
+        # lines that the record's pattern of a stored line refuses first
+        ("4 3 1\n  4:1c\n", "stored graph '4:1c' is unreadable: bad syntax: '4:1c'"),
+        ("4 3 1\n  4:1\n",
+         "stored graph '4:1' is unreadable: expected 2 hex digits for n=4, got 1"),
+        ("4 3 1\n  4:1C0\n",
+         "stored graph '4:1C0' is unreadable: expected 2 hex digits for n=4, got 3"),
+        ("4 3 1\n  4:1D\n", "stored graph '4:1D' is unreadable: nonzero trailing pad bits"),
+        # records whose n no pattern of a stored line covers
+        ("0 0 1\n  1:\n", "stored graph '1:' is not in the class"),
+        ("200000 0 1\n  200000:0\n", "stored graph '200000:0' is unreadable: "
+                                      "expected 4999975000 hex digits for n=200000, got 1"),
     ], ids=["negative count", "indent first", "unreadable graph", "other n", "two tokens",
-            "four tokens", "non-integer token", "not planar", "wrong edge count"])
+            "four tokens", "non-integer token", "not planar", "wrong edge count",
+            "lowercase hex", "one digit too few", "one digit too many", "nonzero pad bits",
+            "n below one", "n past a pattern's count"])
     def test_outside_input_is_refused_with_its_reason(self, tmp_path, payload, refusal):
         path = tmp_path / "bad.census"
         self.write_with_checksum(path, payload)
         with pytest.raises(IoFailureError, match=f"^{re.escape(refusal)}$"):
             load_census(path)
+
+    def test_one_vertex_record_round_trips(self, tmp_path):
+        # n = 1 has no slot, so its one graph is stored as "1:" with no digit
+        path = tmp_path / "n1.census"
+        self.write_with_checksum(path, "1 0 1\n  1:\n")
+        store = load_census(path)
+        assert store.records == {(1, 0): CensusRecord(1, 0, 1, (0,))}
+        assert store.records == build_census(1, [0], store_graphs=True).records
+        again = tmp_path / "again.census"
+        save_census(store, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_crlf_file_loads_as_the_lf_file(self, tmp_path):
+        lf = tmp_path / "lf.census"
+        save_census(build_census(5, range(11), store_graphs=True), lf)
+        crlf = tmp_path / "crlf.census"
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        assert b"\r\n  5:" in crlf.read_bytes()
+        assert load_census(crlf).records == load_census(lf).records
 
     def test_future_version(self, tmp_path):
         path = tmp_path / "future.census"

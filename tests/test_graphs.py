@@ -30,13 +30,14 @@ from planarlab import (
     pendant_edge_count,
 )
 from planarlab._bits import pair_count
-from planarlab.graphs import LabeledGraph
+from planarlab.graphs import LabeledGraph, bridge_sides, spanning_forest
 from tests.conftest import labeled_graphs
 from tests.oracles import (
     component_count_bfs,
     components_bfs,
     degrees_from_edges,
     encode_definition,
+    grown_planar_graph,
     has_injection_brute,
     random_graph,
     relabeled_subgraph,
@@ -179,6 +180,44 @@ class TestBridges:
             expected = frozenset((min(e), max(e)) for e in nx.bridges(oracle))
             assert bridges(g) == expected
             assert components(g) == components_bfs(g)
+
+    @staticmethod
+    def assert_networkx_agrees(g):
+        # the bridges with their sides, the components and kappa, as networkx
+        # finds them
+        oracle = nx.Graph(sorted(g.edges))
+        oracle.add_nodes_from(range(1, g.n + 1))
+        comps = sorted(sum(1 << v for v in c) for c in nx.connected_components(oracle))
+        sides = []
+        for u, v in sorted((min(e), max(e)) for e in nx.bridges(oracle)):
+            oracle.remove_edge(u, v)
+            sides.append(((u, v), *(sum(1 << x for x in nx.node_connected_component(oracle, end))
+                                    for end in (u, v))))
+            oracle.add_edge(u, v)
+        assert bridge_sides(g) == (frozenset(edge for edge, _, _ in sides), tuple(sides)), g
+        assert bridges(g) == bridge_sides(g)[0]
+        assert sorted(g.component_masks) == comps and kappa(g) == len(comps), g
+
+    def test_every_mask_up_to_six_against_networkx(self):
+        for n in range(1, 7):
+            for mask in range(1 << pair_count(n)):
+                self.assert_networkx_agrees(LabeledGraph(n, mask))
+
+    @pytest.mark.parametrize("n", range(8, 31))
+    def test_near_triangulations_against_networkx(self, n):
+        # within three edges of 3n - 6, and a core as dense with one pendant
+        # edge: the forest walk finds every edge of a triangulation on a cycle
+        # (each vertex has its parent's two neighbours in its link near), and
+        # stops at the pendant edge wherever its layers meet it
+        rng = random.Random(3000 + n)
+        for missing in range(4):
+            m = 3 * n - 6 - missing
+            g = grown_planar_graph(rng, n, m)
+            pendant = grown_planar_graph(rng, n + 1, m + 1, core=n)
+            self.assert_networkx_agrees(g)
+            self.assert_networkx_agrees(pendant)
+            assert spanning_forest(g)[2] or missing
+            assert not spanning_forest(pendant)[2]
 
     def test_deleting_bridge_raises_kappa_by_one(self):
         rng = random.Random(2)

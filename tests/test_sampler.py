@@ -288,6 +288,34 @@ class TestGoldenChains:
         assert text.encode("ascii") == (GOLDEN / name).read_bytes()
 
 
+class TestAcceptedCount:
+    """The chain counts its accepted swaps: each changes the mask, and every
+    other step leaves it as it was."""
+
+    @pytest.mark.parametrize("n, m, steps", [(5, 5, 2000), (7, 12, 2000),
+                                             (100, 100, 2000), (100, 290, 3000)])
+    def test_count_is_the_number_of_mask_changes(self, n, m, steps):
+        state = ChainState(n, m, seed=9)
+        changes = 0
+        for _ in range(steps):
+            before = state.mask
+            mcmc_step(state)
+            changes += state.mask != before
+            assert state.accepted == changes
+        assert state.steps_taken == steps and changes > 0
+
+    def test_batches_carry_the_count(self):
+        burn_in, thinning, count = 100, 5, 20
+        batch = sample_many(7, 12, count, method="mcmc", seed=4, burn_in=burn_in, thinning=thinning)
+        state = ChainState(7, 12, 4)
+        for _ in range(burn_in + thinning * count):
+            mcmc_step(state)
+        assert batch.accepted == state.accepted > 0
+        assert sample_many(7, 12, 0, method="mcmc").accepted == 0
+        census = build_census(6, [9], store_graphs=True)
+        assert sample_many(6, 9, 5, method="exact", seed=1, census=census).accepted is None
+
+
 def reference_step(n, m, rng, edges, mask, planar=is_planar_edges):
     """One chain step decided by ``planar`` on the whole edge list; the new
     mask."""

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import zlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -128,12 +129,31 @@ class TestAppearanceDisjointness:
             check_appearance_disjointness(complete_graph(4), pattern_from_name("path3"))
 
     def test_a_bad_pattern_is_refused_on_every_call(self):
-        # the pattern's 2-edge-connectivity is cached, its refusal is not; a
-        # bridgeless graph, searched for no appearance, refuses it too
+        # the pattern's 2-edge-connectivity is computed once, when the pattern
+        # is built, and read on every call, so each call refuses it; a
+        # bridgeless graph, which the forest walk finds so and searches for
+        # no appearance, refuses it too
         path3 = pattern_from_name("path3")
         for g in (complete_graph(4), complete_graph(4), path_graph(6), complete_graph(4)):
             with pytest.raises(PatternNotTwoEdgeConnectedError):
                 check_appearance_disjointness(g, path3)
+
+    def test_two_edge_connectivity_is_computed_once_per_pattern(self, monkeypatch):
+        # when the pattern is built, and never again per graph
+        import planarlab.verify as verify_module
+        from planarlab import cycle_graph, make_pattern
+
+        calls = []
+        test = patterns_module.is_two_edge_connected
+        for module in patterns_module, verify_module:
+            monkeypatch.setattr(module, "is_two_edge_connected",
+                                lambda h: calls.append(h) or test(h))
+        square = make_pattern(cycle_graph(4), "square")
+        assert calls == [square.h] and square.two_edge_connected
+        hits = []
+        enumerate_class(6, 9, hits.append)
+        assert all(check_appearance_disjointness(g, square).holds for g in hits[::50])
+        assert calls == [square.h]
 
     def test_exhaustive_triangle_sweep_at_seven(self):
         # every planar graph on 7 vertices, all edge counts (~1.8M graphs);
@@ -215,25 +235,54 @@ class TestVerifyClass:
         assert outcome.class_size == count_class(7, 15) and outcome.all_pass
         assert encoded == []
 
-    def test_census_route_decodes_each_stored_graph_once(self, monkeypatch, tmp_path):
-        # every module that binds decode, wrapped at its import site as the
-        # benchmark's tracer does: loading and verifying decode each graph once
+    def test_census_route_parses_each_stored_line_once(self, monkeypatch, tmp_path):
+        # stored lines are read as masks: loading matches each stored line once
+        # against its record's pattern and builds no graph, verifying builds
+        # one graph per stored mask, and decode, wrapped at every module that
+        # binds it as the benchmark's tracer does, runs only on a refused line
         from importlib import import_module
 
-        from planarlab import build_census, decode, load_census, save_census
+        import planarlab.census as census_module
+        import planarlab.verify as verify_module
+        from planarlab import IoFailureError, build_census, decode, load_census, save_census
+        from planarlab.graphs import LabeledGraph
 
         path = tmp_path / "c.census"
         save_census(build_census(6, [9], store_graphs=True), path)
-        calls = []
+        verify_module._default_disjointness_patterns()  # built before counting
+        decoded, matched, built = [], [], []
         for name in ("census", "cli", "graphs", "lab", "patterns", "sampler", "verify"):
             module = import_module(f"planarlab.{name}")
             if getattr(module, "decode", None) is decode:
                 monkeypatch.setattr(module, "decode",
-                                    lambda text: calls.append(text) or decode(text))
+                                    lambda text: decoded.append(text) or decode(text))
+        stored_line = census_module._stored_line
+
+        def counted_line(n):
+            match = stored_line(n)
+            return lambda line: matched.append(line) or match(line)
+
+        monkeypatch.setattr(census_module, "_stored_line", counted_line)
+        init = LabeledGraph.__init__
+        monkeypatch.setattr(LabeledGraph, "__init__",
+                            lambda g, n, mask: built.append(mask) or init(g, n, mask))
+
         store = load_census(path)
+        lines = path.read_text().splitlines(keepends=True)
+        assert matched == [line for line in lines if line.startswith("  ")]
+        assert len(matched) == 4995 and built == [] and decoded == []
         outcome = verify_class(6, 9, store)
-        assert outcome.class_size == store.get(6, 9).count == 4995
-        assert len(calls) == 4995
+        assert outcome.class_size == store.get(6, 9).count == 4995 and outcome.all_pass
+        assert built == list(store.get(6, 9).graphs) and decoded == []
+
+        # a stored line with a nonzero pad bit: matched, refused, decoded once
+        matched.clear()
+        bad = "6 9 1\n  6:3BF1\n"
+        crc = zlib.crc32(bad.encode("ascii"))
+        path.write_text(f"planarlab-census v1\n{bad}checksum {crc:08x}\n")
+        with pytest.raises(IoFailureError, match="nonzero trailing pad bits"):
+            load_census(path)
+        assert matched == ["  6:3BF1\n"] and decoded == ["6:3BF1"]
 
     def test_report_shape(self):
         report = verify_graph(complete_graph(4))
