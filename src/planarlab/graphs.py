@@ -186,7 +186,7 @@ def encode_mask(n: int, mask: int) -> str:
 
 
 def mask_from_digits(digits: str) -> int:
-    """The mask of an encoding's hex digits, already checked canonical."""
+    """The mask whose encoding has these uppercase hex digits."""
     return int(digits[::-1].translate(_NIBBLE_REVERSED), 16) if digits else 0
 
 
