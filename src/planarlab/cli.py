@@ -16,7 +16,7 @@ from itertools import chain, islice
 from . import census as census_mod
 from . import lab
 from .errors import InvalidArgumentError, PlanarLabError
-from .graphs import LabeledGraph, decode, encode
+from .graphs import decode, encode_mask
 from .patterns import pattern_from_name
 from .sampler import sample_many
 from .verify import verify_class
@@ -75,14 +75,7 @@ def _cmd_sample(args) -> int:
         census_mod._check_int("budget", args.budget)
     if args.method == "mcmc" and args.census is not None:
         raise InvalidArgumentError("--census is read by --method exact only")
-    census = None
-    if args.method == "exact":
-        if args.census:
-            census = census_mod.load_census(args.census)
-        else:
-            census = census_mod.build_census(
-                args.n, [args.m], store_graphs=True, budget=args.budget
-            )
+    census = census_mod.load_census(args.census) if args.census else None
     batch = sample_many(
         args.n,
         args.m,
@@ -92,8 +85,9 @@ def _cmd_sample(args) -> int:
         burn_in=args.burnin,
         thinning=args.thin,
         census=census,
+        budget=args.budget,
     )
-    text = "".join(encode(LabeledGraph(batch.n, mask)) + "\n" for mask in batch.samples)
+    text = "".join(f"{encode_mask(batch.n, mask)}\n" for mask in batch.samples)
     _emit(args.out, text)
     return 0
 

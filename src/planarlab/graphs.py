@@ -91,8 +91,7 @@ class LabeledGraph:
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
             u, v = v, u
-        n = self.n  # the slot of (u, v) is _bits.pair_index(n, u, v), inlined
-        return 1 <= u < v <= n and self.mask >> ((u - 1) * (2 * n - u) // 2 + v - u - 1) & 1 == 1
+        return 1 <= u < v <= self.n and self.mask >> pair_index(self.n, u, v) & 1 == 1
 
     def degree(self, v: int) -> int:
         return self.adjacency[v].bit_count()

@@ -100,13 +100,12 @@ def planar_mask_table(n: int) -> bytes:
 
 def _left_right_planar(n: int, edges) -> bool:
     """The left-right test of the graph on {1..n} with these edges, on the
-    palm tree found over sorted neighbour lists."""
+    palm tree found over its neighbour lists in the order the edges come:
+    the answer does not depend on the DFS order."""
     adj = [[] for _ in range(n + 1)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    for neighbours in adj:
-        neighbours.sort()
     return PalmTree(n, adj).planar()
 
 

@@ -1,8 +1,9 @@
 """Uniform sampling from the planar classes.
 
 Samples are edge masks, as a census stores its graphs; the CLI writes their
-text.  Exact sampling draws an index into a stored census.  The Markov chain
-swaps one edge for one non-edge per step and accepts exactly when the result
+text.  Exact sampling draws indices into the class as ``class_masks`` gives
+it: from a census that holds it whole, or from the class search.  The Markov
+chain swaps one edge for one non-edge per step and accepts exactly when the result
 stays planar; the proposal is symmetric (edge and non-edge counts are
 invariant), so the uniform distribution on the reachable class is
 stationary.  Chains are deterministic functions of their non-negative seed
@@ -70,7 +71,7 @@ from dataclasses import dataclass
 
 from ._bits import mask_from_edges, pair_count, pair_index, slot_pair
 from .census import _check_int, _validate_params, class_masks
-from .errors import CensusMissingError, EmptyClassBoundError, EmptyClassError, InvalidArgumentError
+from .errors import EmptyClassBoundError, EmptyClassError, InvalidArgumentError
 from .graphs import LabeledGraph, decode, encode  # noqa: F401  (decode: bench/tracing.py)
 from .planarity import is_planar_edges
 
@@ -393,18 +394,16 @@ class SampleBatch:
     accepted: int | None = None
 
 
-def _stored_graphs(n: int, m: int, census) -> tuple[int, ...]:
-    """The edge masks of a non-empty class, from a census that holds it whole."""
-    if census is None:
-        raise CensusMissingError(f"no census record for ({n}, {m})")
-    graphs = class_masks(n, m, census)
+def _class_members(n: int, m: int, census, budget: int | None = None) -> tuple[int, ...]:
+    """The edge masks of a non-empty class, as ``class_masks`` gives them."""
+    graphs = tuple(class_masks(n, m, census, budget=budget))
     if not graphs:
         raise EmptyClassError(f"class ({n}, {m}) is empty")
     return graphs
 
 
-def exact_sample(n: int, m: int, seed: int, census) -> LabeledGraph:
-    """One uniform draw from a census record that stores its graphs."""
+def exact_sample(n: int, m: int, seed: int, census=None) -> LabeledGraph:
+    """One uniform draw from the class, the first that ``sample_many`` makes."""
     [mask] = sample_many(n, m, 1, method="exact", seed=seed, census=census).samples
     return LabeledGraph(n, mask)
 
@@ -419,12 +418,15 @@ def sample_many(
     burn_in: int | None = None,
     thinning: int | None = None,
     census=None,
+    budget: int | None = None,
 ) -> SampleBatch:
-    """Draw ``count`` samples; exact draws are independent, MCMC is one chain."""
-    _validate_params(n, m)
+    """Draw ``count`` samples; exact draws are independent, MCMC is one chain.
+    Exact draws take the class from ``census`` or, with none, from the class
+    search, whose nodes ``budget`` bounds."""
+    _validate_params(n, m, budget)
     _check_int("count", count)
     if method == "exact":
-        graphs = _stored_graphs(n, m, census)
+        graphs = _class_members(n, m, census, budget)
         rng = _rng(seed)
         samples = tuple(graphs[rng.randrange(len(graphs))] for _ in range(count))
         return SampleBatch(n, m, "exact", seed, 0, 0, samples)
@@ -449,16 +451,16 @@ def sample_many(
     return SampleBatch(n, m, "mcmc", seed, burn_in, thinning, tuple(out), state.accepted)
 
 
-def tv_distance_to_uniform(batch: SampleBatch, census) -> float:
-    """Half the L1 gap between the batch's empirical law and uniform."""
-    graphs = _stored_graphs(batch.n, batch.m, census)
+def tv_distance_to_uniform(batch: SampleBatch, census=None) -> float:
+    """Half the L1 gap between the batch's empirical law and uniform on its class."""
+    graphs = _class_members(batch.n, batch.m, census)
     if not batch.samples:
         raise InvalidArgumentError("cannot measure an empty batch")
     freq = Counter(batch.samples)
     alien = freq.keys() - set(graphs)
     if alien:
         enc = encode(LabeledGraph(batch.n, next(x for x in batch.samples if x in alien)))
-        raise InvalidArgumentError(f"sample {enc!r} is not in the stored class")
+        raise InvalidArgumentError(f"sample {enc!r} is not in the class")
     k = len(batch.samples)
     target = 1.0 / len(graphs)
     total = sum(abs(freq.get(mask, 0) / k - target) for mask in graphs)

@@ -128,7 +128,10 @@ class TestCountClass:
                      lambda: count_class(10, 12, budget=-1),
                      lambda: enumerate_class(5, 3, lambda g: None, budget=-1),
                      lambda: build_census(5, [3], budget=-1),
-                     lambda: build_census(5, [3], store_graphs=True, budget=-1)):
+                     lambda: build_census(5, [3], store_graphs=True, budget=-1),
+                     lambda: sample_many(5, 3, 1, method="exact", budget=-1),
+                     lambda: sample_many(5, 3, 1, method="exact", budget=-1,
+                                         census=build_census(5, [3], store_graphs=True))):
             with pytest.raises(InvalidArgumentError, match="budget must be a non-negative"):
                 call()
         assert count_class(5, 0, budget=0) == 1
@@ -140,6 +143,8 @@ class TestCountClass:
             build_census(10, [12], budget=500)
         with pytest.raises(ResourceLimitError):
             build_census(10, [12], store_graphs=True, budget=500)
+        with pytest.raises(ResourceLimitError):
+            sample_many(10, 12, 1, method="exact", budget=500)
 
 
 @pytest.mark.usefixtures("cold_orbit_caches")
@@ -856,7 +861,7 @@ class TestClassMasks:
             assert tuple(census_module.class_masks(4, 7, census)) == ()
             outcome = verify_class(4, 7, census)
             assert outcome.class_size == 0 and outcome.checked == {}
-        for census in (CensusStore(), full):
+        for census in (None, CensusStore(), full):
             with pytest.raises(EmptyClassError, match=re.escape("class (4, 7) is empty")):
                 sample_many(4, 7, 1, method="exact", census=census)
         path = tmp_path / "empty.census"

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from planarlab import census as census_module
 from planarlab import cli as cli_module
 from planarlab import lab
 from planarlab.census import load_census
@@ -93,6 +94,28 @@ class TestSample:
             assert path.read_bytes() == golden
             code, out, _ = run(capsys, *argv, *route)
             assert code == 0 and out.encode("ascii") == golden
+
+    def test_exact_draws_without_a_census_search_the_class_alone(self, capsys, tmp_path,
+                                                               monkeypatch):
+        # past the n<=7 table: the search route builds no census, counts no
+        # class and composes no orbit, and it draws what a census file draws
+        census = tmp_path / "c.census"
+        assert run(capsys, "enumerate", "--n", "9", "--m", "3", "--store",
+                   "--out", str(census))[0] == 0
+        argv = ["sample", "--method", "exact", "--n", "9", "--m", "3",
+                "--count", "50", "--seed", "7"]
+
+        def refuse(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"census.{name} called")
+            return call
+
+        with monkeypatch.context() as patch:
+            for name in ("CensusStore", "build_census", "count_class", "_compose"):
+                patch.setattr(census_module, name, refuse(name))
+            code, searched, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and len(searched.splitlines()) == 50
+        assert run(capsys, *argv, "--census", str(census)) == (0, searched, "")
 
     def test_empty_class_errors(self, capsys):
         code, _, err = run(

@@ -100,6 +100,15 @@ class TestExactSampling:
             assert drawn.mask == batch.samples[0]
             assert drawn.mask == graphs[random.Random(seed).randrange(len(graphs))]
 
+    def test_without_a_census_the_class_search_draws_the_same(self):
+        # the search yields the masks in the order a stored record keeps them
+        store = build_census(5, [5], store_graphs=True)
+        for seed in range(5):
+            searched = sample_many(5, 5, 40, method="exact", seed=seed)
+            assert searched == sample_many(5, 5, 40, method="exact", seed=seed, census=store)
+            assert exact_sample(5, 5, seed) == exact_sample(5, 5, seed, store)
+            assert tv_distance_to_uniform(searched) == tv_distance_to_uniform(searched, store)
+
     def test_empty_class(self):
         store = build_census(5, [10], store_graphs=True)
         with pytest.raises(EmptyClassError):
@@ -1194,5 +1203,5 @@ class TestTvDistance:
         store = build_census(4, [3], store_graphs=True)
         batch = sample_many(4, 3, 1, method="exact", seed=0, census=store)
         bad = batch.__class__(4, 3, "exact", 0, 0, 0, (complete_graph(4).mask,))
-        with pytest.raises(InvalidArgumentError, match="sample '4:FC' is not in the stored class"):
+        with pytest.raises(InvalidArgumentError, match="sample '4:FC' is not in the class"):
             tv_distance_to_uniform(bad, store)
