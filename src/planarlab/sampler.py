@@ -18,17 +18,19 @@ vertices of degree at most 1.  H + f is therefore planar when that peeling
 takes an end of f (f then lies on no cycle), and else exactly when the
 2-core of f's component in H + f is planar, f being an edge of it like any
 other.  The test runs on that core, a fraction of the m edges on sparse
-states.  When peeling removes under an eighth of the edges, the smaller
-test saves little, and the test runs on all m edges.
+states.  When fewer vertices than an eighth of the m edges lie outside the
+core, the smaller test saves little, and the test runs on all m edges.
 
-The chain keeps the 2-core of its state G, as a vertex bitset and its edge
-count, and derives that of H + f from it instead of peeling the whole
-graph.  A swap changes at most four degrees.  If e lay in the core, the
-vertices it leaves with under two core neighbours are peeled, and the cascade
-from them.  Then, unless u and v both stay in the core, their region outside
-it in H + f (the trees of H hanging there, joined by f) is flooded and peeled
-with the core held fixed: what survives joins the core.  An accepted swap
-keeps the new core, a rejected one G's.
+The chain keeps the 2-core of its state G as a vertex bitset, and derives
+that of H + f, f = (u, v), from it with one peel instead of peeling the
+whole graph.  That core lies inside G's and the region that u and v reach
+in H + f without entering G's (the trees of H they hang in, joined by f).
+Its vertices outside G's core that reach neither u nor v so would each
+have two neighbours among themselves and G's core along edges of G, so
+G's core would hold them.  Peeling any vertex set that holds the 2-core
+leaves the 2-core, and in G's core and the region only the region's
+vertices and e's ends may have under two neighbours, so the peel starts
+from those.  An accepted swap keeps the new core, a rejected one G's.
 
 The test is given that core's kernel: the branch vertices (core degree at
 least 3), numbered 1..k, and one edge per path of degree-2 vertices between
@@ -123,10 +125,9 @@ class ChainState:
         for u, v in self._edges:
             self._adj[u] |= 1 << v
             self._adj[v] |= 1 << u
-        # its 2-core: the vertex bitset and the number of edges
         every = (1 << self.n + 1) - 2
-        self._core, peeled = _peel(self._adj, every, every)
-        self._core_size = self.m - peeled
+        # its 2-core, as a vertex bitset; each swap derives the next one
+        self._core = _peel(self._adj, every, every)
         self.rng = _rng(self.seed)
 
     @property
@@ -147,7 +148,7 @@ def mcmc_step(state: ChainState) -> ChainState:
     on an edge set that settles it (module docstring): ``(f,)`` when an end
     of f lies outside the 2-core of G - e + f, which the test's
     at-most-8-edges bound accepts at once; all m edges of G - e + f when
-    its 2-core keeps at least seven eighths of them, unless a K5 or K3,3
+    fewer vertices than m / 8 lie outside its 2-core, unless a K5 or K3,3
     minor certifies a rejection first (``_kuratowski_minor``); else the
     kernel of the 2-core of f's component in G - e + f, f included.
     Each answer equals the answer on all m edges, so every seed's samples
@@ -168,12 +169,12 @@ def mcmc_step(state: ChainState) -> ChainState:
             break
     added = edges[drop] = slot_pair(n, slot)
     adj = state._adj
-    core, size = _swapped_core(adj, state._core, state._core_size, removed, added)
-    order, tested = _core_edges(adj, edges, core, size, *added)  # adj is G - e + f
+    core = _swapped_core(adj, state._core, removed, added)
+    order, tested = _core_edges(adj, edges, core, *added)  # adj is G - e + f
     certified = tested is edges and _kuratowski_minor(adj, *added)
     if not certified and is_planar_edges(order, tested):
         state.mask = mask ^ (1 << slot | 1 << pair_index(n, *removed))
-        state._core, state._core_size = core, size
+        state._core = core
         state.accepted += 1
     else:
         edges[drop] = removed
@@ -264,43 +265,29 @@ def _swap(adj: list[int], out: tuple[int, int], into: tuple[int, int]) -> None:
     adj[v] ^= 1 << u
 
 
-def _swapped_core(adj: list[int], core: int, size: int, out, into) -> tuple[int, int]:
+def _swapped_core(adj: list[int], core: int, out, into) -> int:
     """Swap the edge ``out`` for ``into`` in the neighbour bitsets ``adj``,
-    and return the 2-core (vertex bitset, edge count) of the result from
-    ``core`` and ``size``, those of the graph before."""
+    and return the 2-core (vertex bitset) of the result from ``core``, that
+    of the graph before."""
+    _swap(adj, out, into)
     a, b = out
-    adj[a] ^= 1 << b
-    adj[b] ^= 1 << a
-    if core >> a & core >> b & 1:  # out lay in the core
-        core, peeled = _peel(adj, core, 1 << a | 1 << b)
-        size -= 1 + peeled
     u, v = into
-    adj[u] ^= 1 << v
-    adj[v] ^= 1 << u
     todo = region = (1 << u | 1 << v) & ~core
-    if not region:
-        return core, size + 1
-    # flood the trees that u and v hang in: each of their vertices has all its
-    # neighbours in the region or the core
-    ends = 0  # twice the edges with an end in the region
+    # flood the region that u and v reach without entering the core before
     while todo:
         bit = todo & -todo
         todo ^= bit
-        row = adj[bit.bit_length() - 1]
-        ends += row.bit_count() + (row & core).bit_count()  # an edge to the core has one end here
-        row &= ~(core | region)
+        row = adj[bit.bit_length() - 1] & ~(core | region)
         region |= row
         todo |= row
-    core, peeled = _peel(adj, core | region, region)
-    return core, size + ends // 2 - peeled
+    core |= region
+    return _peel(adj, core, (region | 1 << a | 1 << b) & core)
 
 
-def _peel(adj: list[int], core: int, todo: int) -> tuple[int, int]:
+def _peel(adj: list[int], core: int, todo: int) -> int:
     """Peel from the vertex bitset ``core`` every vertex left with at most
     one neighbour in it, starting from those of ``todo``, a part of ``core``
-    that holds every vertex that could be: (what is left, the number of
-    edges peeled)."""
-    peeled = 0
+    that holds every vertex that could be, and return what is left."""
     while todo:
         bit = todo & -todo
         todo ^= bit
@@ -308,23 +295,21 @@ def _peel(adj: list[int], core: int, todo: int) -> tuple[int, int]:
         if row & (row - 1):
             continue  # it has two neighbours left
         core ^= bit
-        if row:  # its one neighbour may have one left now
-            peeled += 1
-            todo |= row
-    return core, peeled
+        todo |= row  # its one neighbour may have one left now
+    return core
 
 
-def _core_edges(adj: list[int], edges, core: int, size: int, u: int, v: int):
+def _core_edges(adj: list[int], edges, core: int, u: int, v: int):
     """(order, edges) of a graph on {1..order} that is planar exactly when
     H + f is, f = (u, v), where ``adj`` and ``edges`` are H + f on {1..n}
-    and ``core`` and ``size`` the vertex bitset and edge count of its
-    2-core: ``(n, (f,))`` if an end of f lies outside it; ``(n, edges)``
-    itself if the core keeps over seven eighths of them; else the kernel of
-    the 2-core of f's component (``_kernel``)."""
+    and ``core`` the vertex bitset of its 2-core: ``(n, (f,))`` if an end of
+    f lies outside it; ``(n, edges)`` itself if fewer vertices than m / 8 lie
+    outside it; else the kernel of the 2-core of f's component
+    (``_kernel``)."""
     n = len(adj) - 1
     if not core >> u & core >> v & 1:
         return n, ((u, v),)  # f lies on no cycle
-    if 8 * (len(edges) - size) < len(edges):
+    if 8 * (n - core.bit_count()) < len(edges):
         return n, edges  # the rest would cost about what the smaller test saves
     return _kernel(adj, core, u)
 

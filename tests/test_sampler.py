@@ -173,7 +173,7 @@ class TestChain:
             assert g.n == 6 and g.m == 7 and is_planar(g)
             assert g.edges == frozenset(state._edges)  # the list and the mask agree
             assert tuple(state._adj) == g.adjacency  # so do the neighbour bitsets
-            assert (state._core, state._core_size) == two_core(g.adjacency)
+            assert state._core == two_core(g.adjacency)[0]
 
     def test_slot_pair_inverts_pair_index(self):
         for n in range(2, 40):
@@ -364,7 +364,7 @@ def chain_at(n, edges, *script) -> ChainState:
     state.mask = g.mask
     state._edges = sorted(g.edges)
     state._adj = list(g.adjacency)
-    state._core, state._core_size = two_core(state._adj)
+    state._core = two_core(state._adj)[0]
     state.rng = Scripted(*script)
     return state
 
@@ -450,11 +450,11 @@ class TestLocalDecision:
             for a, b in edges:
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
-            order, got = _core_edges(adj, edges, *two_core(adj), *f)
+            order, got = _core_edges(adj, edges, two_core(adj)[0], *f)
             assert is_planar_edges(order, got) == nx.check_planarity(hf)[0]
             core = nx.k_core(hf, 2)
             if got is edges:
-                assert order == n and 8 * (m - core.number_of_edges()) < m
+                assert order == n and 8 * (n - core.number_of_nodes()) < m
                 kinds["whole"] += 1
             elif not core.has_edge(*f):  # an end of f lies outside the core
                 assert not nx.has_path(h, *f)
@@ -498,6 +498,27 @@ class TestLocalDecision:
             mask = reference_step(n, m, rng, edges, mask, _left_right_planar)
             assert state.mask == mask
         assert len(certified) > 500
+
+    @pytest.mark.parametrize("n, m, seed", [(100, 100, 100_000), (100, 290, 200_000)])
+    def test_vertex_rule_routes_as_the_edge_rule(self, monkeypatch, n, m, seed):
+        # the mcmc-critical and mcmc-saturated chains: a step whose f lies in
+        # the 2-core takes all m edges when 8 (n - core vertices) < m; the
+        # rule on the core's edges, 8 (m - core edges) < m, routes each alike
+        routes = Counter()
+        core_edges = sampler_module._core_edges
+
+        def checked(adj, edges, core, u, v):
+            if core >> u & core >> v & 1:
+                whole = 8 * (n - core.bit_count()) < m
+                assert whole == (8 * (m - two_core(adj)[1]) < m)
+                routes[whole] += 1
+            return core_edges(adj, edges, core, u, v)
+
+        monkeypatch.setattr(sampler_module, "_core_edges", checked)
+        state = ChainState(n, m, seed)
+        for _ in range(3000):
+            mcmc_step(state)
+        assert sum(routes.values()) > 2000, routes  # most steps put f in the core
 
     @pytest.mark.parametrize("n, m", [(7, 12), (7, 10), (6, 8)])
     def test_lockstep_on_the_table(self, monkeypatch, n, m):
@@ -612,18 +633,19 @@ print(planar_mask_table.cache_info().currsize)
 
 
 def record_derived_cores(monkeypatch) -> list[str]:
-    """Per step from now on, what deriving the 2-core of G - e + f from G's
-    did: "cascade" if e left the core and took at least two vertices with
-    it, "reattached" if at least two vertices joined the core of G - e.
-    Each derived core, and the one it came from, is asserted equal to the
-    reference on the way, rejected steps' too."""
+    """Per step from now on, what the swap did to the 2-core: "cascade" if
+    dropping e took at least two vertices out of G's, "reattached" if adding
+    f put at least two vertices into that of G - e, which is computed here
+    from scratch.  Each derived core of G - e + f, and G's that it came
+    from, is asserted equal to the reference on the way, rejected steps'
+    too."""
     kinds = []
     derive = sampler_module._swapped_core
 
-    def checked(adj, core, size, out, into):
-        assert (core, size) == two_core(adj)  # G's
-        got = derive(adj, core, size, out, into)
-        assert got == two_core(adj)  # adj is now G - e + f
+    def checked(adj, core, out, into):
+        assert core == two_core(adj)[0]  # G's
+        got = derive(adj, core, out, into)
+        assert got == two_core(adj)[0]  # adj is now G - e + f
         u, v = into
         adj[u] ^= 1 << v
         adj[v] ^= 1 << u
@@ -632,7 +654,7 @@ def record_derived_cores(monkeypatch) -> list[str]:
         adj[v] ^= 1 << u
         if (core & ~h_core).bit_count() >= 2:
             kinds.append("cascade")
-        if (got[0] & ~h_core).bit_count() >= 2:
+        if (got & ~h_core).bit_count() >= 2:
             kinds.append("reattached")
         return got
 
@@ -651,12 +673,12 @@ class TestKeptCore:
         m = data.draw(st.integers(0, 3 * n - 6), label="m")
         seed = data.draw(st.integers(0, 2**32), label="seed")
         state = ChainState(n, m, seed)
-        assert (state._core, state._core_size) == two_core(state._adj)
+        assert state._core == two_core(state._adj)[0]
         with pytest.MonkeyPatch.context() as patch:
             kinds = record_derived_cores(patch)
             for _ in range(150):
                 mcmc_step(state)
-                assert (state._core, state._core_size) == two_core(state._adj)
+                assert state._core == two_core(state._adj)[0]
         for kind in sorted(set(kinds)):
             event(kind)
 
@@ -685,7 +707,7 @@ class TestKeptCore:
             kinds.clear()
             mcmc_step(state)
             assert f in state._edges and e not in state._edges  # accepted
-            assert (state._core, state._core_size) == (core, size)
+            assert state._core == core and two_core(state._adj) == (core, size)
             assert kinds == kind
 
 
