@@ -253,17 +253,13 @@ def estimate_probability(
     census=None,
 ) -> ProbabilityEstimate:
     """Sample frequency of the event with its binomial standard error."""
-    _check_sample_size(k)
+    _check_int("sample size k", k, 1)
     batch = sample_many(
         n, m, k, method=method, seed=seed, burn_in=burn_in, thinning=thinning, census=census
     )
     [(p_hat, stderr)] = _sampled_frequencies(batch, [event])
     tag = "exact-sample" if method == "exact" else "mcmc-diagnostic"
     return ProbabilityEstimate(p_hat, stderr, tag, k, seed)
-
-
-def _check_sample_size(k: int) -> None:
-    _check_int("sample size k", k, 1)
 
 
 def _sampled_frequencies(batch, events) -> list[tuple[float, float]]:
@@ -345,7 +341,7 @@ def phase_table(spec: ExperimentSpec) -> ExperimentResult:
     elif spec.method == "mcmc":
         if spec.k is None or spec.seed is None:
             raise InvalidArgumentError("mcmc phase tables need k and seed")
-        _check_sample_size(spec.k)
+        _check_int("sample size k", spec.k, 1)
         for cell_index, (n, m) in enumerate(spec.grid):
             cell_seed = spec.seed + cell_index
             batch = sample_many(n, m, spec.k, method="mcmc", seed=cell_seed)

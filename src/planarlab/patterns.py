@@ -259,10 +259,8 @@ def appearance_witnesses(g: LabeledGraph, pattern: Pattern) -> list[tuple[int, .
     sides W of size |H| whose labels, in increasing order, are an allowed
     order of W (module docstring), so W's minimum is the attachment vertex.
     Only that one order is tested, prefix by prefix.  A pattern with
-    |H| >= n has no appearance."""
+    |H| >= n has no appearance: a bridge side has fewer than n vertices."""
     h = pattern.h
-    if h.n >= g.n:
-        return []
     out = []
     for side, a in _pendant_sides(g, h.n):
         if side & -side == 1 << a:
@@ -279,10 +277,8 @@ def appearance_law(g: LabeledGraph, pattern: Pattern) -> list[Fraction]:
     share no vertex hold independently; overlapping sides are taken together,
     over the orders of their union.  Two overlapping sides of one size cover
     their component, so a union has fewer than 2|H| vertices.  A pattern
-    with |H| >= n has no appearance: the law is [1]."""
+    with |H| >= n has no side to take, so the law is [1]."""
     h = pattern.h
-    if h.n >= g.n:
-        return [Fraction(1)]
     sides = [(side, _allowed_orders(g, h, side, a)) for side, a in _pendant_sides(g, h.n)]
     clusters: list[list[tuple[int, set]]] = []
     for side in sides:

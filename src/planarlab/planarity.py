@@ -126,16 +126,15 @@ class PalmTree:
         nxt = [0] * (n + 1)
         self.src, self.dst, self.lowpt, self.lowpt2 = src, dst, lowpt, lowpt2 = [], [], [], []
         self.roots = []
-        order = []  # the vertices with an edge, in preorder
         for root in range(1, n + 1):
             if height[root] < 0 and adj[root]:
                 self.roots.append(root)
-                order += _orient(adj, height, parent, out, nxt, root, src, dst, lowpt, lowpt2)
+                _orient(adj, height, parent, out, nxt, root, src, dst, lowpt, lowpt2)
         # nesting depth: twice the lowpoint, +1 if chordal
         self.depth = depth = [2 * low + (low2 < height[v])
                               for v, low, low2 in zip(src, lowpt, lowpt2)]
-        for v in order:
-            out[v].sort(key=depth.__getitem__)
+        for edges_out in filter(None, out):  # an empty list needs no sort
+            edges_out.sort(key=depth.__getitem__)
 
     def planar(self) -> bool:
         """The testing phase on every component."""
@@ -143,13 +142,11 @@ class PalmTree:
                         self.roots)
 
 
-def _orient(adj, height, parent, out, nxt, root, src, dst, lowpt, lowpt2) -> list[int]:
+def _orient(adj, height, parent, out, nxt, root, src, dst, lowpt, lowpt2) -> None:
     """Orientation of the component of ``root``: tree edges point away from
     root, back edges towards it.  New edges are appended to the per-edge
-    lists, so their ids continue from the lists' length.  Returns the
-    vertices reached, in preorder."""
+    lists, so their ids continue from the lists' length."""
     height[root] = 0
-    reached = [root]
     path = [root]
     while path:
         v = path[-1]
@@ -167,7 +164,6 @@ def _orient(adj, height, parent, out, nxt, root, src, dst, lowpt, lowpt2) -> lis
                 lowpt.append(hv)
                 lowpt2.append(hv)
                 height[w] = hv + 1
-                reached.append(w)
                 path.append(w)
                 continue
             if hw >= hv - 1:  # the edge to v's parent, or oriented from below
@@ -196,7 +192,6 @@ def _orient(adj, height, parent, out, nxt, root, src, dst, lowpt, lowpt2) -> lis
                     lowpt2[e] = low
             elif low2 < lowpt2[e]:
                 lowpt2[e] = low2
-    return reached
 
 
 def _testing(out, height, parent, src, dst, lowpt, roots) -> bool:

@@ -81,11 +81,8 @@ DEFAULT_BURN_IN_FACTOR = 50  # burn_in = 50 * n * m
 
 
 def fan_triangulation_edges(n: int) -> list[tuple[int, int]]:
-    """Canonical triangulation on {1..n}: fan at 1, path 2..n, chords from 2."""
-    if n <= 1:
-        return []
-    if n == 2:
-        return [(1, 2)]
+    """Canonical triangulation on {1..n}: fan at 1, path 2..n, chords from 2;
+    no edge for n <= 1 and the one edge (1, 2) for n = 2."""
     edges = [(1, j) for j in range(2, n + 1)]
     edges += [(j, j + 1) for j in range(2, n)]
     edges += [(2, j) for j in range(4, n + 1)]

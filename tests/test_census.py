@@ -8,7 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import zlib
-from math import comb, factorial
+from math import comb, factorial, perm
 from pathlib import Path
 
 import pytest
@@ -282,6 +282,29 @@ class TestOrbitCensus:
         assert counts[9] == comb(28, 9) - 10 * comb(8, 6)
         assert sum(counts) == 163_947_848  # OEIS A066537
         assert counts[19:] == (0,) * (pair_count(8) - 18)
+
+    def test_triangulations_by_tutte_and_nothing_denser(self):
+        # Tutte (1962): tau_n rooted triangulations with n vertices; a labeled
+        # triangulation has two embeddings on the oriented sphere (Whitney),
+        # each with 2(3n - 6) roots
+        for n in range(4, 10):
+            tau = 2 * factorial(4 * n - 11) // (factorial(3 * n - 7) * factorial(n - 2))
+            counts = class_counts(n)
+            assert 4 * (3 * n - 6) * counts[3 * n - 6] == factorial(n) * tau, n
+            assert counts[3 * n - 5:] == (0,) * (pair_count(n) - 3 * n + 6), n
+
+    def test_connected_trees_and_unicyclic_graphs_of_the_tables(self):
+        # labeled connected graphs with m = n - 1 (Cayley) and m = n, where
+        # 2|U(n)| = sum over the cycle length k of (n)_k n^(n-k-1), taken
+        # times n to stay in integers
+        for n in range(2, 10):
+            connected = [0] * (pair_count(n) + 1)
+            for mask, aut in census_module._read_connected(n):
+                connected[mask.bit_count()] += factorial(n) // aut
+            assert connected[n - 1] == n ** (n - 2), n
+            if n >= 3:
+                cycles = sum(perm(n, k) * n ** (n - k) for k in range(3, n + 1))
+                assert 2 * n * connected[n] == cycles, n
 
     def test_n9_census(self):
         orbits = planar_orbits(9)

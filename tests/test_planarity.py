@@ -330,6 +330,16 @@ class TestPalmTree:
             palm = sorted_palm(n, edges)
             check_palm_tree(palm, edges)
             assert palm.planar()
+        # 1, 6, 7 and 14 have no edge, and 6 and 7 lie between the components:
+        # no root reaches them, and check_palm_tree finds their out-lists empty
+        k4 = [(a, b) for a in range(2, 6) for b in range(a + 1, 6)]
+        k33 = [(a, b) for a in (8, 9, 10) for b in (11, 12, 13)]
+        for edges, roots in (k4, [2]), (k4 + k33[1:], [2, 8]), (k4 + k33, [2, 8]):
+            palm = sorted_palm(14, edges)
+            check_palm_tree(palm, edges)
+            assert palm.roots == roots
+            assert all(palm.height[v] < 0 for v in (1, 6, 7, 14))
+            assert palm.planar() == (edges != k4 + k33)
 
 
 class TestNoRecursion:

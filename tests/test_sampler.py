@@ -55,6 +55,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 class TestInit:
     def test_fan_triangulation_shapes(self):
+        # below three vertices the fan has no edge, then the one edge
+        assert [fan_triangulation_edges(n) for n in range(3)] == [[], [], [(1, 2)]]
         for n in range(3, 13):
             edges = fan_triangulation_edges(n)
             assert len(edges) == 3 * n - 6
