@@ -48,16 +48,18 @@ def mask_from_edges(n: int, edges) -> int:
 
 
 def edges_from_mask(n: int, mask: int) -> tuple[tuple[int, int], ...]:
-    """The edges of mask in slot order, read row by row: row i holds the
-    n - i slots of (i, i+1) .. (i, n), so no pair table is built."""
+    """The edges of mask in slot order, read by its set bits: row i holds the
+    n - i slots of (i, i+1) .. (i, n), so each bit's row is found by moving
+    on from the row of the bit before.  No pair table is built, and a sparse
+    mask costs a few big-int steps per edge, not a shift per row."""
     edges = []
-    i = 1
+    i, end = 1, n - 1  # row i ends at slot end - 1
     while mask:
-        row = mask & ((1 << (n - i)) - 1)
-        mask >>= n - i
-        while row:
-            low = row & -row
-            edges.append((i, i + low.bit_length()))
-            row ^= low
-        i += 1
+        low = mask & -mask
+        mask ^= low
+        s = low.bit_length()  # the slot plus one
+        while s > end:
+            i += 1
+            end += n - i
+        edges.append((i, s - end + n))
     return tuple(edges)

@@ -4,10 +4,12 @@ Enumeration is a depth-first augmentation over edge slots: each node adds one
 edge with a slot index above the previous minimum choice, and any branch whose
 partial graph is non-planar is pruned (sound because planarity survives edge
 deletion).  Children are explored so that fixed-m graphs stream out in
-lexicographic order of their text encoding.  Counting goes through the orbit
-census instead: the unlabeled graphs, each with its number of labelings.  Its
-connected graphs are read from checked-in tables under ``orbits/``, one per
-n <= 9, when an answer first needs that n.  A census file stores each graph
+lexicographic order of their text encoding.  Counting goes through the
+connected planar graphs instead, read from checked-in tables under
+``orbits/``, one per n <= 9, when an answer first needs that n: class sizes
+and component counts follow from their counts by the exponential formula,
+and the unlabeled graphs, each with its number of labelings, are composed
+from them for any other exact question.  A census file stores each graph
 of a record as its text encoding on one line; the lines are written from the
 masks and read back as masks, so no graph object is built on either side.
 """
@@ -20,10 +22,10 @@ import zlib
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, islice, pairwise
-from math import factorial
+from math import comb, factorial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from ._bits import edges_from_mask, mask_from_edges, pair_count
+from ._bits import pair_count, pair_index
 from .errors import (
     CensusMissingError,
     ChecksumMismatchError,
@@ -134,13 +136,16 @@ def enumerate_all(n: int, visitor: Callable[[LabeledGraph], None]) -> None:
 
 # -- orbit census ------------------------------------------------------------------
 #
-# Class sizes and nearly every event are isomorphism invariants, so a class is
-# summed over its unlabeled members, each weighted by its number of labelings
-# n!/|Aut G|.  The connected members are read from orbits/connected_{n}.txt,
-# written by the vertex-addition generator in tests/oracles.py; the others are
-# multisets of them.  Each table is read once per process, and each n composed
-# once from the tables of 1..n alone and its class sizes summed once, behind
-# check_exact's validation of n.
+# The connected planar graphs are read from orbits/connected_{n}.txt, written
+# by the vertex-addition generator in tests/oracles.py, one row per unlabeled
+# graph G with |Aut G|.  A labeled graph is a set of connected components, so
+# with C the exponential generating function of the connected ones (x marks
+# vertices, y edges), all graphs are exp(C), and the class sizes and the
+# component events follow from C alone (Gimenez and Noy, JAMS 2009).  The other
+# events are summed over the unlabeled graphs, each weighted by its n!/|Aut G|
+# labelings: multisets of connected orbits.  Each table is read once per
+# process, and each n's connected counts built and its orbits composed once,
+# from the tables of 1..n alone, behind check_exact's validation of n.
 
 EXACT_MAX_N = 9
 
@@ -169,9 +174,37 @@ def planar_orbits(n: int) -> tuple[Orbit, ...]:
 
 
 def class_counts(n: int) -> tuple[int, ...]:
-    """|class(n, m)| for every m in 0..C(n,2), summed over the orbits once per n."""
+    """|class(n, m)| for every m in 0..C(n,2): n! [x^n y^m] exp(C), from the
+    connected counts alone."""
     check_exact(n)
-    return _class_sizes(n)
+    return _unpack(n, _exp(_connected_counts(n))[n])
+
+
+def connected_counts(n: int) -> tuple[int, ...]:
+    """The connected graphs of class (n, m) for every m in 0..C(n,2), read
+    off the table of n."""
+    check_exact(n)
+    return _unpack(n, _connected_counts(n)[n])
+
+
+def few_component_counts(n: int, k: int, e: int, aut: int, below: int) -> tuple[int, ...]:
+    """For every m in 0..C(n,2), the graphs of class (n, m) with fewer than
+    ``below`` components isomorphic to a connected planar graph H on k
+    vertices with e edges and |Aut H| = ``aut``.  With h = x^k y^e / aut, the
+    graphs with no such component are exp(C - h), and those with exactly j
+    of them exp(C - h) h^j / j!: C(n, jk) (jk)! / (j! aut^j) ways to place
+    the j copies, times a graph on the other n - jk vertices with none."""
+    check_exact(n)
+    width = _width(n)
+    connected = list(_connected_counts(n))
+    if k <= n:
+        connected[k] -= factorial(k) // aut << width * e
+    free = _exp(connected)
+    packed = 0
+    for j in range(min(below, n // k + 1)):
+        placements = comb(n, j * k) * factorial(j * k) // (factorial(j) * aut**j)
+        packed += placements * free[n - j * k] << width * j * e
+    return _unpack(n, packed)
 
 
 def count_class(n: int, m: int, *, budget: int | None = None) -> int:
@@ -225,22 +258,70 @@ def _read_connected(n: int) -> tuple[tuple[int, int], ...]:
         raise IoFailureError(f"orbit table {table} is unreadable: {exc}") from exc
 
 
+# The counts of one n are polynomials in y, each packed into one int: the
+# count at y^m sits in bits [mW, (m+1)W) for the slot width W = _width(n), so
+# a product of two packed ints is the product of the polynomials.
+
+
+def _width(n: int) -> int:
+    """A slot width that no coefficient formed for n fills.  Each one counts
+    labeled graphs, or pairs of them, on at most n vertices in all, so it is
+    below 2^C(n,2), at most times a binomial below 2^n."""
+    return pair_count(n) + n + 1
+
+
+def _unpack(n: int, packed: int) -> tuple[int, ...]:
+    """The coefficients at y^0 .. y^C(n,2) of a polynomial packed for n."""
+    width = _width(n)
+    low = (1 << width) - 1
+    return tuple(packed >> width * m & low for m in range(pair_count(n) + 1))
+
+
+def _exp(connected) -> list[int]:
+    """g_0 .. g_n, the labeled graphs on {1..i} whose components are counted
+    by the packed a_1 .. a_n of ``connected`` (a_0 unused): the component of
+    vertex i has k vertices, so g_i = sum_k C(i-1, k-1) a_k g_(i-k)."""
+    g = [1]
+    for i in range(1, len(connected)):
+        g.append(sum(comb(i - 1, k - 1) * connected[k] * g[i - k] for k in range(1, i + 1)))
+    return g
+
+
 @lru_cache(maxsize=None)
-def _class_sizes(n: int) -> tuple[int, ...]:
-    """|class(n, m)| for every m, summed over the composed orbits of n."""
-    counts = [0] * (pair_count(n) + 1)
-    for orbit in _compose(n):
-        counts[orbit.m] += orbit.labelings
-    return tuple(counts)
+def _connected_counts(n: int) -> tuple[int, ...]:
+    """0, a_1 .. a_n: the connected planar graphs on {1..k} by edge count,
+    k!/|Aut G| for each table row G, packed for n."""
+    width = _width(n)
+    out = [0]
+    for k in range(1, n + 1):
+        labelings = factorial(k)
+        counts = [0] * (pair_count(k) + 1)
+        for mask, aut in _read_connected(k):
+            counts[mask.bit_count()] += labelings // aut
+        out.append(sum(count << width * m for m, count in enumerate(counts)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _compose(n: int) -> tuple[Orbit, ...]:
     """Every orbit on n vertices as a multiset of connected orbits.  Parts
-    C_i taken k_i times give n!/prod(|Aut C_i|^k_i k_i!) labelings."""
+    C_i taken k_i times give n!/prod(|Aut C_i|^k_i k_i!) labelings.  A part
+    on k vertices placed at an offset moves row i of its mask, the k - i
+    slots of (i, i+1) .. (i, k), to the slots from (i+offset, i+offset+1)
+    on.  The last part's rows are the last rows of the mask, whole, so one
+    shift places it."""
     parts = [(k, mask, aut) for k in range(1, n + 1) for mask, aut in _read_connected(k)]
     out: list[Orbit] = []
     total = factorial(n)
+
+    def place(k: int, part: int, offset: int) -> int:
+        if offset + k == n:
+            return part << pair_index(n, offset + 1, offset + 2)
+        placed = 0
+        for i in range(1, k):
+            placed |= (part & ((1 << (k - i)) - 1)) << pair_index(n, i + offset, i + offset + 1)
+            part >>= k - i
+        return placed
 
     def extend(start: int, offset: int, mask: int, weight: int, repeat: int) -> None:
         if offset == n:
@@ -251,9 +332,7 @@ def _compose(n: int) -> tuple[Orbit, ...]:
             if offset + k > n:
                 break
             again = repeat + 1 if idx == start and offset else 1
-            placed = part if k == n else mask_from_edges(
-                n, [(i + offset, j + offset) for i, j in edges_from_mask(k, part)])
-            extend(idx, offset + k, mask | placed, weight * aut * again, again)
+            extend(idx, offset + k, mask | place(k, part, offset), weight * aut * again, again)
 
     extend(0, 0, 0, 1, 0)
     return tuple(out)

@@ -1,7 +1,9 @@
 """Experiment harness: event indicators, exact and sampled probabilities,
 density regimes, and phase tables.
 
-Exact rows are ratios of census counts (rationals).  Sampled rows carry a
+Exact rows are ratios of census counts (rationals): the component events are
+counted from the connected counts, the others over the unlabeled graphs.
+Sampled rows carry a
 binomial standard error, and MCMC-backed rows are always tagged diagnostic
 because single-swap chain uniformity is unproven.
 """
@@ -19,7 +21,9 @@ from .census import (  # enumerate_all: the benchmark's tracer patches lab.enume
     _validate_params,
     check_exact,
     class_counts,
+    connected_counts,
     enumerate_all,  # noqa: F401
+    few_component_counts,
     max_planar_edges,
     planar_orbits,
 )
@@ -194,28 +198,62 @@ def _satisfying_labelings(g: LabeledGraph, event: EventKind, labelings: int) -> 
     return int(labelings * sum(appearance_law(g, event.pattern)[event.threshold:]))
 
 
+def _component_event_counts(n: int, event: EventKind) -> tuple[int, ...] | None:
+    """The event's satisfying graphs of class (n, m) for every m in
+    0..C(n,2), from the connected counts by the exponential formula, for the
+    kinds that are statements about components; None for the others.
+    ``isolated`` is a component isomorphic to K1."""
+    if event.kind == "connected":
+        return connected_counts(n)
+    if event.kind == "isolated":
+        k, e, aut, below = 1, 0, 1, 1
+    elif event.kind in ("component", "components"):
+        h = event.pattern
+        k, e, aut = h.size, h.edge_count, h.aut_count
+        below = 1 if event.threshold is None else event.threshold
+    else:
+        return None
+    few = few_component_counts(n, k, e, aut, below)
+    return tuple(total - fewer for total, fewer in zip(class_counts(n), few))
+
+
 def exact_event_counts(n: int, events, m_values=None) -> dict[int, list[int]]:
-    """Satisfying-graph counts per m for several events, summed over the
-    unlabeled graphs of the wanted classes: each one is evaluated once and
-    counts its satisfying labelings.  Refuses n > 9, and an m that is not a
-    non-negative integer, before any work; an m past ``max_planar_edges(n)``
-    names an empty class, whose row is all zeros."""
+    """Satisfying-graph counts per m for several events.  The component
+    kinds (``connected``, ``isolated``, ``component`` and ``components``)
+    are counted from the connected counts by the exponential formula; the
+    others are summed over the unlabeled graphs of the wanted classes, each
+    evaluated once and counting its satisfying labelings, and the orbits of
+    n are composed only when such a kind is asked.  Refuses n > 9, and an m
+    that is not a non-negative integer, before any work; an m past
+    ``max_planar_edges(n)`` names an empty class, whose row is all zeros."""
     check_exact(n)  # before any arithmetic on n
     events = list(events)
+    top = max_planar_edges(n)
     if m_values is None:
-        wanted = set(range(max_planar_edges(n) + 1))
+        wanted = set(range(top + 1))
     else:
         m_values = list(m_values)
         for m in m_values:
             _validate_params(n, m)
         wanted = set(m_values)
     tallies: dict[int, list[int]] = {m: [0] * len(events) for m in wanted}
+    walked = []
+    for idx, event in enumerate(events):
+        counts = _component_event_counts(n, event)
+        if counts is None:
+            walked.append((idx, event))
+            continue
+        for m, row in tallies.items():
+            if m <= top:
+                row[idx] = counts[m]
+    if not walked:
+        return tallies
     for orbit in planar_orbits(n):
         row = tallies.get(orbit.m)
         if row is None:
             continue
         g = LabeledGraph(n, orbit.mask)
-        for idx, event in enumerate(events):
+        for idx, event in walked:
             row[idx] += _satisfying_labelings(g, event, orbit.labelings)
     return tallies
 

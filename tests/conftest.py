@@ -27,15 +27,28 @@ def small_patterns():
 
 @pytest.fixture
 def cold_orbit_caches():
-    """The orbit census with nothing read, composed or summed, before and after the test."""
+    """The orbit census with no table read, no connected counts built and no
+    orbit composed, before and after the test."""
     from planarlab import census
 
-    caches = (census._read_connected, census._compose, census._class_sizes)
+    caches = (census._read_connected, census._connected_counts, census._compose)
     for cache in caches:
         cache.cache_clear()
     yield
     for cache in caches:
         cache.cache_clear()
+
+
+@pytest.fixture
+def no_orbit_composed(cold_orbit_caches, monkeypatch):
+    """Cold caches, and census._compose replaced by a refusal: any answer
+    that asks for the orbits of some n fails the test."""
+    from planarlab import census
+
+    def refuse(n):
+        raise AssertionError(f"the orbits of n = {n} were asked for")
+
+    monkeypatch.setattr(census, "_compose", refuse)
 
 
 @pytest.fixture

@@ -24,7 +24,16 @@ from pathlib import Path
 
 import numpy as np
 
-from planarlab import LabeledGraph, ResourceLimitError, build_graph, is_planar, max_planar_edges
+from planarlab import (
+    LabeledGraph,
+    ResourceLimitError,
+    add_count,
+    build_graph,
+    evaluate_event,
+    is_planar,
+    max_planar_edges,
+    planar_orbits,
+)
 from planarlab._bits import bit_positions, edges_from_mask, pair_count, pair_index
 from planarlab.census import _ORBIT_HEADER, EXACT_MAX_N
 from planarlab.planarity import TABLE_MAX_N, mask_planarity
@@ -205,6 +214,38 @@ def brute_force_count(n: int, m: int) -> int:
         1 for combo in combinations(pairs_in_order(n), m)
         if not has_forbidden_subdivision(n, combo)
     )
+
+
+def orbit_event_counts(n: int, events) -> list[list[int]]:
+    """For every m in 0..C(n,2), the graphs of class (n, m) that satisfy each
+    event: every orbit of n evaluated once per event and counted with its
+    labelings, the oracle of the exponential formula.  Any kind but
+    appearances, which is rooted at labels."""
+    events = list(events)
+    tallies = [[0] * len(events) for _ in range(pair_count(n) + 1)]
+    for orbit in planar_orbits(n):
+        g = LabeledGraph(n, orbit.mask)
+        row = tallies[orbit.m]
+        for idx, event in enumerate(events):
+            row[idx] += orbit.labelings if evaluate_event(g, event) else 0
+    return tallies
+
+
+def orbit_class_counts(n: int) -> list[int]:
+    """|class(n, m)| for every m in 0..C(n,2), summed over the orbits of n."""
+    counts = [0] * (pair_count(n) + 1)
+    for orbit in planar_orbits(n):
+        counts[orbit.m] += orbit.labelings
+    return counts
+
+
+def orbit_add_sums(n: int) -> list[int]:
+    """For every m in 0..C(n,2), add(G) summed over the graphs G of class
+    (n, m): the addable non-edges of each orbit of n times its labelings."""
+    sums = [0] * (pair_count(n) + 1)
+    for orbit in planar_orbits(n):
+        sums[orbit.m] += add_count(LabeledGraph(n, orbit.mask)) * orbit.labelings
+    return sums
 
 
 def components_bfs(g: LabeledGraph) -> list[frozenset[int]]:

@@ -63,6 +63,8 @@ from tests.oracles import (
     canonical_form,
     connected_orbits,
     crc_text,
+    orbit_add_sums,
+    orbit_class_counts,
     orbit_table_text,
     random_graph,
 )
@@ -169,8 +171,8 @@ class TestOneArgumentCheck:
     def test_refused_before_any_work(self, name):
         with pytest.raises(InvalidArgumentError, match=r"count must be a .* integer, got"):
             self.CALLS[name]()
-        misses = [cache.cache_info().misses for cache in
-                  (census_module._read_connected, census_module._compose, census_module._class_sizes)]
+        misses = [cache.cache_info().misses for cache in (
+            census_module._read_connected, census_module._connected_counts, census_module._compose)]
         assert misses == [0, 0, 0]
 
     def test_the_same_refusal_as_count_class(self):
@@ -248,6 +250,20 @@ class TestOrbitCensus:
             for _, m in census_module._iter_all_masks(n):
                 labeled[m] += 1
             assert class_counts(n) == tuple(labeled), n
+
+    def test_class_counts_equal_the_orbit_sums(self):
+        # class_counts comes from the connected counts by the exponential
+        # formula; the orbits of n, each weighted by its labelings, sum to it
+        for n in range(1, 10):
+            assert list(class_counts(n)) == orbit_class_counts(n), n
+
+    def test_addable_edges_count_the_next_class(self):
+        # each graph of class (n, m + 1) comes from m + 1 graphs of class (n, m)
+        # by adding one edge, so add(G) summed over class (n, m) is
+        # (m + 1)|class(n, m + 1)|; CI checks n = 8
+        for n in range(1, 8):
+            larger = class_counts(n)[1:] + (0,)
+            assert orbit_add_sums(n) == [(m + 1) * larger[m] for m in range(pair_count(n) + 1)], n
 
     def test_unlabeled_and_connected_totals(self):
         for n in range(1, 9):
@@ -418,13 +434,15 @@ print(sum("connected_" in path for path in opened),
         assert planar_orbits(9) is orbits and class_counts(9)[9] == comb(36, 9) - 10 * comb(9, 6)
         assert read == list(range(1, 10)) and compose.cache_info().misses == 1
 
-    def test_a_count_only_census_sums_the_orbits_once(self, monkeypatch):
-        summed = []
-        compose = census_module._compose
-        monkeypatch.setattr(census_module, "_compose", lambda n: summed.append(n) or compose(n))
+    @pytest.mark.usefixtures("no_orbit_composed")
+    def test_a_count_only_census_reads_each_table_once_and_composes_no_orbit(self, monkeypatch):
+        read = []
+        table = census_module._table
+        monkeypatch.setattr(census_module, "_table", lambda n: read.append(n) or table(n))
         store = build_census(9)
-        assert summed == [9]
+        assert read == list(range(1, 10))
         assert [store.get(9, m).count for m in range(pair_count(9) + 1)] == list(class_counts(9))
+        assert sum(class_counts(9)) == 20_402_420_291  # OEIS A066537
 
     @pytest.mark.parametrize("bad", [7.0, "7", [7]])
     def test_class_counts_refuses_a_non_integer_n(self, bad):

@@ -117,6 +117,17 @@ class TestSample:
         assert (code, err) == (0, "") and len(searched.splitlines()) == 50
         assert run(capsys, *argv, "--census", str(census)) == (0, searched, "")
 
+    @pytest.mark.usefixtures("no_orbit_composed")
+    def test_exact_draws_from_a_census_compose_no_orbit(self, capsys, tmp_path):
+        # the record is checked against the class size, which the connected
+        # counts give, so no orbit of n = 9 is composed for the check
+        census = tmp_path / "c.census"
+        assert run(capsys, "enumerate", "--n", "9", "--m", "3", "--store",
+                   "--out", str(census))[0] == 0
+        code, out, err = run(capsys, "sample", "--method", "exact", "--n", "9", "--m", "3",
+                             "--count", "5", "--seed", "7", "--census", str(census))
+        assert (code, err) == (0, "") and len(out.splitlines()) == 5
+
     def test_empty_class_errors(self, capsys):
         code, _, err = run(
             capsys, "sample", "--n", "5", "--m", "10", "--method", "exact", "--count", "1"

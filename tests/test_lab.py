@@ -40,8 +40,8 @@ from planarlab import (
     regime_of,
     sample_many,
 )
-from planarlab._bits import bit_positions
-from tests.oracles import random_graph
+from planarlab._bits import bit_positions, pair_count
+from tests.oracles import orbit_event_counts, random_graph
 
 TRIANGLE = pattern_from_name("triangle")
 K4 = pattern_from_name("k4")
@@ -136,13 +136,14 @@ class TestExactProbability:
         with pytest.raises(EmptyClassError):
             exact_probability(5, 10, EventKind.connected())
 
-    def test_no_labeled_sweep_on_a_cold_cache(self, monkeypatch, cold_orbit_caches):
+    @pytest.mark.usefixtures("no_orbit_composed")
+    def test_no_labeled_sweep_on_a_cold_cache(self, monkeypatch):
         sweeps = count_sweeps(monkeypatch)
         p = exact_probability(7, 9, EventKind.connected())
         assert sweeps == []
         # C(21, 9) - 10 C(7, 6): K3,3 is the only 9-edge obstruction
-        assert census_module._compose.cache_info().currsize and class_counts(7)[9] == 293_860
-        assert 293_860 % p.denominator == 0
+        assert census_module._connected_counts.cache_info().currsize == 1
+        assert class_counts(7)[9] == 293_860 and 293_860 % p.denominator == 0
 
     def test_refusals_come_before_any_sweep(self, monkeypatch, cold_orbit_caches):
         sweeps = count_sweeps(monkeypatch)
@@ -247,6 +248,57 @@ class TestExactProbability:
         store = build_census(5, [5], store_graphs=True)
         with pytest.raises(InvalidArgumentError):
             estimate_probability(5, 5, EventKind.connected(), method=method, k=0, census=store)
+
+
+def component_events(patterns, n: int) -> list[EventKind]:
+    """connected, isolated, and for each pattern H component:H and
+    components:H>=T at every T from 0 to one past the most components
+    isomorphic to H that n vertices hold."""
+    events = [EventKind.connected(), EventKind.has_isolated_vertex()]
+    for pattern in patterns:
+        events.append(EventKind.has_component(pattern))
+        events += [EventKind.min_components(pattern, t) for t in range(n // pattern.size + 2)]
+    return events
+
+
+class TestComponentEventsFromConnectedCounts:
+    """The component kinds are counted from the connected counts by the
+    exponential formula, with no orbit composed; the orbit sweep of
+    tests/oracles.py, which evaluates each orbit, is their oracle."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_equal_the_orbit_sweep(self, n, small_patterns, monkeypatch):
+        # at n < 4 the patterns include some with more vertices than n
+        events = component_events(small_patterns.values(), n)
+        m_values = range(pair_count(n) + 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(census_module, "_compose", lambda n: pytest.fail("orbits composed"))
+            got = exact_event_counts(n, events, m_values)
+        assert [got[m] for m in m_values] == orbit_event_counts(n, events)
+
+    def test_edge_inputs(self, small_patterns):
+        vertex, edge = small_patterns["vertex"], small_patterns["edge"]
+        events = [EventKind.connected(), EventKind.has_isolated_vertex(),
+                  EventKind.has_component(edge), EventKind.min_components(vertex, 2)]
+        assert exact_event_counts(1, events) == {0: [1, 1, 0, 0]}
+        assert exact_event_counts(2, events) == {0: [0, 1, 0, 1], 1: [1, 0, 1, 0]}
+        # more vertices than n = 9 holds: no such component, and T = 0 holds always
+        big = pattern_from_name("cycle10")
+        events = [EventKind.has_component(big), EventKind.min_components(big, 0),
+                  EventKind.min_components(TRIANGLE, 0)]
+        for n in (1, 2, 9):
+            totals = class_counts(n)
+            assert all(row == [0, totals[m], totals[m]]
+                       for m, row in exact_event_counts(n, events).items()), n
+
+    def test_a_walked_kind_beside_them_composes_the_orbits(self, monkeypatch):
+        composed = []
+        compose = census_module._compose
+        monkeypatch.setattr(census_module, "_compose", lambda n: composed.append(n) or compose(n))
+        events = [EventKind.connected(), EventKind.has_copy(TRIANGLE)]
+        # 16 labeled trees (Cayley) and 4 triangles among the 20 graphs of (4, 3)
+        assert exact_event_counts(4, events, [3]) == {3: [16, 4]}
+        assert composed == [4]
 
 
 class TestNumericArguments:
