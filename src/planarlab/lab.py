@@ -3,9 +3,8 @@ density regimes, and phase tables.
 
 Exact rows are ratios of census counts (rationals): the component events are
 counted from the connected counts, the others over the unlabeled graphs.
-Sampled rows carry a
-binomial standard error, and MCMC-backed rows are always tagged diagnostic
-because single-swap chain uniformity is unproven.
+Sampled rows carry a binomial standard error, and MCMC-backed rows are always
+tagged diagnostic because single-swap chain uniformity is unproven.
 """
 
 from __future__ import annotations
