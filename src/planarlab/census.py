@@ -7,9 +7,9 @@ deletion).  Children are explored so that fixed-m graphs stream out in
 lexicographic order of their text encoding.  Counting goes through the
 connected planar graphs instead, read from checked-in tables under
 ``orbits/``, one per n <= 9, when an answer first needs that n: class sizes
-and component counts follow from their counts by the exponential formula,
+and every event count follow from their counts by the exponential formula,
 and the unlabeled graphs, each with its number of labelings, are composed
-from them for any other exact question.  A census file stores each graph
+from them only for ``planar_orbits``.  A census file stores each graph
 of a record as its text encoding on one line; the lines are written from the
 masks and read back as masks, so no graph object is built on either side.
 """
@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 import re
 import zlib
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, islice, pairwise
@@ -140,12 +141,12 @@ def enumerate_all(n: int, visitor: Callable[[LabeledGraph], None]) -> None:
 # by the vertex-addition generator in tests/oracles.py, one row per unlabeled
 # graph G with |Aut G|.  A labeled graph is a set of connected components, so
 # with C the exponential generating function of the connected ones (x marks
-# vertices, y edges), all graphs are exp(C), and the class sizes and the
-# component events follow from C alone (Gimenez and Noy, JAMS 2009).  The other
-# events are summed over the unlabeled graphs, each weighted by its n!/|Aut G|
-# labelings: multisets of connected orbits.  Each table is read once per
-# process, and each n's connected counts built and its orbits composed once,
-# from the tables of 1..n alone, behind check_exact's validation of n.
+# vertices, y edges), all graphs are exp(C), and the class sizes and every
+# event count follow from C, each connected graph marked by its share of the
+# event (Gimenez and Noy, JAMS 2009; marked_counts).  The unlabeled graphs are
+# composed as multisets of connected orbits for planar_orbits alone.  Each
+# table is read once per process, and each n's connected counts built and its
+# orbits composed once, from the tables of 1..n alone, behind check_exact.
 
 EXACT_MAX_N = 9
 
@@ -187,24 +188,54 @@ def connected_counts(n: int) -> tuple[int, ...]:
     return _unpack(n, _connected_counts(n)[n])
 
 
-def few_component_counts(n: int, k: int, e: int, aut: int, below: int) -> tuple[int, ...]:
-    """For every m in 0..C(n,2), the graphs of class (n, m) with fewer than
-    ``below`` components isomorphic to a connected planar graph H on k
-    vertices with e edges and |Aut H| = ``aut``.  With h = x^k y^e / aut, the
-    graphs with no such component are exp(C - h), and those with exactly j
-    of them exp(C - h) h^j / j!: C(n, jk) (jk)! / (j! aut^j) ways to place
-    the j copies, times a graph on the other n - jk vertices with none."""
+class Marks(NamedTuple):
+    """An event read as a sum of marks over the components (marked_counts)."""
+
+    threshold: int
+    shape: tuple[int, int, int] | None = None
+    law: Callable | None = None
+
+
+def marked_counts(n: int, columns, m_values) -> list[dict[int, int]]:
+    """For each ``Marks`` column, m -> the graphs of class (n, m) whose
+    components' marks sum to at least its threshold T, for every m of
+    ``m_values`` up to C(n,2).  A ``shape`` (k, e, |Aut H|) marks 1 the
+    components isomorphic to a connected H on k vertices with e edges, with
+    no graph built; a ``law(g, labelings)`` splits the ``labelings`` graphs
+    isomorphic to a connected g into (mark, count) pairs.  With z marking the
+    marks, the graphs whose marks sum below T are exp(A) below z^T, A the
+    connected counts with each graph at z^mark; the rest of the class is the
+    answer.  A connected graph is built, once for all columns, only if a
+    wanted class can hold it: 0 <= m - e <= max_planar_edges(n - k) for its k
+    vertices and e edges and some wanted m.  The others keep mark 0."""
     check_exact(n)
-    width = _width(n)
-    connected = list(_connected_counts(n))
-    if k <= n:
-        connected[k] -= factorial(k) // aut << width * e
-    free = _exp(connected)
-    packed = 0
-    for j in range(min(below, n // k + 1)):
-        placements = comb(n, j * k) * factorial(j * k) // (factorial(j) * aut**j)
-        packed += placements * free[n - j * k] << width * j * e
-    return _unpack(n, packed)
+    moved = [Counter() for _ in columns]  # (k, e, mark) -> connected graphs moved to z^mark
+    for j, column in enumerate(columns):
+        if column.shape is not None and column.shape[0] <= n:
+            k, e, aut = column.shape
+            moved[j][k, e, 1] = factorial(k) // aut
+    walked = [j for j, column in enumerate(columns) if column.law is not None]
+    for k in range(1, n + 1 if walked else 1):
+        edges = {m - d for m in m_values for d in range(max_planar_edges(n - k) + 1)}
+        for mask, aut in _read_connected(k):
+            if (e := mask.bit_count()) in edges:
+                g, labelings = LabeledGraph(k, mask), factorial(k) // aut
+                for j in walked:
+                    for mark, count in columns[j].law(g, labelings):
+                        moved[j][k, e, mark] += count
+    width, slots = _width(n), pair_count(n) + 1
+    connected = _connected_counts(n)
+    total, layer = _exp(connected)[n], (1 << width * slots) - 1
+    out = []
+    for column, moves in zip(columns, moved):
+        marks = list(connected)
+        for (k, e, mark), count in moves.items():
+            marks[k] += count * ((1 << width * slots * mark) - 1) << width * e
+        few = _exp(marks, (1 << width * slots * column.threshold) - 1)[n]
+        below = sum(few >> width * slots * a & layer for a in range(column.threshold))
+        at_least = _unpack(n, total - below)
+        out.append({m: at_least[m] for m in m_values if m < slots})
+    return out
 
 
 def count_class(n: int, m: int, *, budget: int | None = None) -> int:
@@ -260,7 +291,8 @@ def _read_connected(n: int) -> tuple[tuple[int, int], ...]:
 
 # The counts of one n are polynomials in y, each packed into one int: the
 # count at y^m sits in bits [mW, (m+1)W) for the slot width W = _width(n), so
-# a product of two packed ints is the product of the polynomials.
+# a product of two packed ints is the product of the polynomials.  Marked
+# counts put z^a y^m at slot a (C(n,2) + 1) + m, below the count at y^m.
 
 
 def _width(n: int) -> int:
@@ -277,13 +309,14 @@ def _unpack(n: int, packed: int) -> tuple[int, ...]:
     return tuple(packed >> width * m & low for m in range(pair_count(n) + 1))
 
 
-def _exp(connected) -> list[int]:
+def _exp(connected, keep: int = -1) -> list[int]:
     """g_0 .. g_n, the labeled graphs on {1..i} whose components are counted
     by the packed a_1 .. a_n of ``connected`` (a_0 unused): the component of
-    vertex i has k vertices, so g_i = sum_k C(i-1, k-1) a_k g_(i-k)."""
+    vertex i has k vertices, so g_i = sum_k C(i-1, k-1) a_k g_(i-k).  Each
+    g_i keeps only the slots set in ``keep``, the terms an answer reads."""
     g = [1]
     for i in range(1, len(connected)):
-        g.append(sum(comb(i - 1, k - 1) * connected[k] * g[i - k] for k in range(1, i + 1)))
+        g.append(sum(comb(i - 1, k - 1) * connected[k] * g[i - k] for k in range(1, i + 1)) & keep)
     return g
 
 

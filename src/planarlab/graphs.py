@@ -295,19 +295,14 @@ def addable_nonedges(g: LabeledGraph) -> list[Edge]:
     planar = mask_planarity(n)
     if not planar(mask):
         raise NotPlanarInputError("addable non-edges are defined for planar graphs")
-    out = []
+    addable = 0
     free = ~mask & ((1 << pair_count(n)) - 1)  # the non-edges
-    i, row = 1, 0  # a vertex and the slot of (i, i + 1)
     while free:
         low = free & -free
         free ^= low
         if planar(mask | low):
-            s = low.bit_length() - 1
-            while s >= row + n - i:  # past the last slot of row i, (i, n)
-                row += n - i
-                i += 1
-            out.append((i, i + 1 + s - row))
-    return out
+            addable |= low
+    return list(edges_from_mask(n, addable))
 
 
 def add_count(g: LabeledGraph) -> int:

@@ -1,8 +1,8 @@
 """Experiment harness: event indicators, exact and sampled probabilities,
 density regimes, and phase tables.
 
-Exact rows are ratios of census counts (rationals): the component events are
-counted from the connected counts, the others over the unlabeled graphs.
+Exact rows are ratios of census counts (rationals), every event counted from
+the connected counts with each connected graph marked by its share of it.
 Sampled rows carry a binomial standard error, and MCMC-backed rows are always
 tagged diagnostic because single-swap chain uniformity is unproven.
 """
@@ -16,15 +16,15 @@ from fractions import Fraction
 
 from ._bits import bit_positions
 from .census import (  # enumerate_all: the benchmark's tracer patches lab.enumerate_all
+    Marks,
     _check_int,
     _validate_params,
     check_exact,
     class_counts,
     connected_counts,
     enumerate_all,  # noqa: F401
-    few_component_counts,
+    marked_counts,
     max_planar_edges,
-    planar_orbits,
 )
 from .errors import EmptyClassError, InvalidArgumentError
 from .graphs import (
@@ -47,8 +47,10 @@ from .patterns import (
 from .sampler import sample_many
 
 # kind -> (takes a pattern, takes a threshold, indicator(g, event)): each row
-# holds the kind's indicator, the one place its meaning is written.  Indicators
-# look their callees up when called, since bench/tracing.py patches them here.
+# holds the kind's indicator on a whole graph, which sampled rows read; exact
+# counts read the same meaning off the components, by _marks, and the tests
+# check the two against each other.  Callees are looked up when called, since
+# bench/tracing.py patches them here.
 EVENT_KINDS = {
     "connected": (False, False, lambda g, e: kappa(g) == 1),
     "component": (True, False, lambda g, e: count_components_isomorphic(g, e.pattern) >= 1),
@@ -187,74 +189,46 @@ def _check_class(n: int, m: int) -> None:
     check_exact(n)
 
 
-def _satisfying_labelings(g: LabeledGraph, event: EventKind, labelings: int) -> int:
-    """How many of the ``labelings`` graphs isomorphic to g satisfy the event.
-    Every kind but appearances is an isomorphism invariant; an appearance is
-    rooted at the smallest label of its set, so it takes the law of the
-    appearance count under relabeling."""
-    if event.kind != "appearances":
-        return labelings if evaluate_event(g, event) else 0
-    return int(labelings * sum(appearance_law(g, event.pattern)[event.threshold:]))
-
-
-def _component_event_counts(n: int, event: EventKind) -> tuple[int, ...] | None:
-    """The event's satisfying graphs of class (n, m) for every m in
-    0..C(n,2), from the connected counts by the exponential formula, for the
-    kinds that are statements about components; None for the others.
-    ``isolated`` is a component isomorphic to K1."""
-    if event.kind == "connected":
-        return connected_counts(n)
+def _marks(event: EventKind) -> Marks:
+    """An event other than ``connected`` as a sum over the components:
+    ``isolated`` (H = K1) and the component kinds mark those isomorphic to H,
+    ``copy`` one that holds a copy of H (H is connected), ``pendant`` one by
+    its pendant edges.  ``appearances`` marks one by its appearances, which
+    lie inside it and are rooted at the smallest label of their set, an order
+    that placing the component keeps: their law splits its labelings."""
+    h, threshold = event.pattern, event.threshold
     if event.kind == "isolated":
-        k, e, aut, below = 1, 0, 1, 1
-    elif event.kind in ("component", "components"):
-        h = event.pattern
-        k, e, aut = h.size, h.edge_count, h.aut_count
-        below = 1 if event.threshold is None else event.threshold
-    else:
-        return None
-    few = few_component_counts(n, k, e, aut, below)
-    return tuple(total - fewer for total, fewer in zip(class_counts(n), few))
+        return Marks(1, shape=(1, 0, 1))
+    if event.kind in ("component", "components"):
+        return Marks(1 if threshold is None else threshold, (h.size, h.edge_count, h.aut_count))
+    if event.kind == "copy":
+        return Marks(1, law=lambda g, labelings: [(int(has_copy(g, h)), labelings)])
+    if event.kind == "pendant":
+        return Marks(threshold, law=lambda g, labelings: [(pendant_edge_count(g), labelings)])
+    return Marks(threshold, law=lambda g, labelings: [
+        (a, labelings * p.numerator // p.denominator)
+        for a, p in enumerate(appearance_law(g, h))])
 
 
 def exact_event_counts(n: int, events, m_values=None) -> dict[int, list[int]]:
-    """Satisfying-graph counts per m for several events.  The component
-    kinds (``connected``, ``isolated``, ``component`` and ``components``)
-    are counted from the connected counts by the exponential formula; the
-    others are summed over the unlabeled graphs of the wanted classes, each
-    evaluated once and counting its satisfying labelings, and the orbits of
-    n are composed only when such a kind is asked.  Refuses n > 9, and an m
-    that is not a non-negative integer, before any work; an m past
-    ``max_planar_edges(n)`` names an empty class, whose row is all zeros."""
+    """Satisfying-graph counts per m for several events, from the connected
+    counts alone: ``connected`` is C_n, and every other event is the class
+    less the graphs whose components' marks (``_marks``) sum below its
+    threshold, with no orbit composed.  Refuses n > 9, and an m that is not a
+    non-negative integer, before any work; an m past ``max_planar_edges(n)``
+    names an empty class, whose row is all zeros."""
     check_exact(n)  # before any arithmetic on n
     events = list(events)
     top = max_planar_edges(n)
-    if m_values is None:
-        wanted = set(range(top + 1))
-    else:
-        m_values = list(m_values)
-        for m in m_values:
-            _validate_params(n, m)
-        wanted = set(m_values)
-    tallies: dict[int, list[int]] = {m: [0] * len(events) for m in wanted}
-    walked = []
-    for idx, event in enumerate(events):
-        counts = _component_event_counts(n, event)
-        if counts is None:
-            walked.append((idx, event))
-            continue
-        for m, row in tallies.items():
-            if m <= top:
-                row[idx] = counts[m]
-    if not walked:
-        return tallies
-    for orbit in planar_orbits(n):
-        row = tallies.get(orbit.m)
-        if row is None:
-            continue
-        g = LabeledGraph(n, orbit.mask)
-        for idx, event in walked:
-            row[idx] += _satisfying_labelings(g, event, orbit.labelings)
-    return tallies
+    m_values = range(top + 1) if m_values is None else list(m_values)
+    for m in m_values:
+        _validate_params(n, m)
+    wanted = set(m_values)
+    marked = iter(marked_counts(
+        n, [_marks(event) for event in events if event.kind != "connected"], wanted))
+    connected = connected_counts(n)
+    columns = [connected if event.kind == "connected" else next(marked) for event in events]
+    return {m: [column[m] if m <= top else 0 for column in columns] for m in wanted}
 
 
 def exact_probability(n: int, m: int, event: EventKind) -> Fraction:

@@ -118,10 +118,7 @@ class ChainState:
         # order as the fan's are; a swap keeps the slot
         self._edges: list[tuple[int, int]] = _start_edges(self.n, self.m)
         self.mask = mask_from_edges(self.n, self._edges)
-        self._adj = [0] * (self.n + 1)  # neighbour bitsets of the state
-        for u, v in self._edges:
-            self._adj[u] |= 1 << v
-            self._adj[v] |= 1 << u
+        self._adj = list(LabeledGraph(self.n, self.mask).adjacency)  # neighbour bitsets
         every = (1 << self.n + 1) - 2
         # its 2-core, as a vertex bitset; each swap derives the next one
         self._core = _peel(self._adj, every, every)

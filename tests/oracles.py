@@ -36,6 +36,7 @@ from planarlab import (
 )
 from planarlab._bits import bit_positions, edges_from_mask, pair_count, pair_index
 from planarlab.census import _ORBIT_HEADER, EXACT_MAX_N
+from planarlab.patterns import appearance_law
 from planarlab.planarity import TABLE_MAX_N, mask_planarity
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "planarlab"
@@ -219,15 +220,21 @@ def brute_force_count(n: int, m: int) -> int:
 def orbit_event_counts(n: int, events) -> list[list[int]]:
     """For every m in 0..C(n,2), the graphs of class (n, m) that satisfy each
     event: every orbit of n evaluated once per event and counted with its
-    labelings, the oracle of the exponential formula.  Any kind but
-    appearances, which is rooted at labels."""
+    labelings, the oracle of the exponential formula.  Every kind but
+    appearances is an isomorphism invariant; an appearance is rooted at the
+    smallest label of its set, so an orbit counts the share of its labelings
+    that the law of its appearance count under relabeling gives."""
     events = list(events)
     tallies = [[0] * len(events) for _ in range(pair_count(n) + 1)]
     for orbit in planar_orbits(n):
         g = LabeledGraph(n, orbit.mask)
         row = tallies[orbit.m]
         for idx, event in enumerate(events):
-            row[idx] += orbit.labelings if evaluate_event(g, event) else 0
+            if event.kind == "appearances":
+                law = appearance_law(g, event.pattern)
+                row[idx] += int(orbit.labelings * sum(law[event.threshold:]))
+            elif evaluate_event(g, event):
+                row[idx] += orbit.labelings
     return tallies
 
 

@@ -41,6 +41,7 @@ from planarlab import (
     sample_many,
 )
 from planarlab._bits import bit_positions, pair_count
+from planarlab.census import max_planar_edges
 from tests.oracles import orbit_event_counts, random_graph
 
 TRIANGLE = pattern_from_name("triangle")
@@ -261,20 +262,48 @@ def component_events(patterns, n: int) -> list[EventKind]:
     return events
 
 
+def every_kind(patterns, n: int) -> list[EventKind]:
+    """The component events, pendant>=T at every T from 0 to n, one past the
+    most pendant edges on n vertices, and for each pattern H copy:H and
+    appearances:H>=T at every T from 0 to one past 2n / (|H| + 1): two
+    appearances overlap only in a component of |H| + 1 to 2|H| - 1 vertices."""
+    events = component_events(patterns, n)
+    events += [EventKind.min_pendant_edges(t) for t in range(n + 1)]
+    for pattern in patterns:
+        most = 2 * n // (pattern.size + 1)
+        events.append(EventKind.has_copy(pattern))
+        events += [EventKind.min_appearances(pattern, t) for t in range(most + 2)]
+    return events
+
+
 class TestComponentEventsFromConnectedCounts:
-    """The component kinds are counted from the connected counts by the
-    exponential formula, with no orbit composed; the orbit sweep of
-    tests/oracles.py, which evaluates each orbit, is their oracle."""
+    """Every kind is counted from the connected counts by the exponential
+    formula, each connected graph marked by its share of the event, with no
+    orbit composed; the orbit sweep of tests/oracles.py, which evaluates
+    each orbit, is their oracle.  Tier-1 checks every kind for n <= 8 and the
+    component kinds at n = 9; CI checks every kind at n = 9."""
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_equal_the_orbit_sweep(self, n, small_patterns, monkeypatch):
         # at n < 4 the patterns include some with more vertices than n
-        events = component_events(small_patterns.values(), n)
-        m_values = range(pair_count(n) + 1)
+        patterns = small_patterns.values()
+        events = every_kind(patterns, n) if n <= 8 else component_events(patterns, n)
+        expected = orbit_event_counts(n, events)
+        # each threshold column ends one past the largest count
+        for idx, event in enumerate(events):
+            if event.threshold == max(e.threshold or 0 for e in events if e.kind == event.kind
+                                      and e.pattern == event.pattern):
+                assert all(row[idx] == 0 for row in expected), event.describe()
+        empty = [0] * len(events)
+        # the benchmark's m-list, one m, m = 0 and an empty class leave
+        # connected graphs unbuilt, which no wanted class can hold
+        m_lists = [range(pair_count(n) + 1), [4, 7, 12, 15], [n], [0], [max_planar_edges(n) + 1]]
         with monkeypatch.context() as patch:
             patch.setattr(census_module, "_compose", lambda n: pytest.fail("orbits composed"))
-            got = exact_event_counts(n, events, m_values)
-        assert [got[m] for m in m_values] == orbit_event_counts(n, events)
+            for m_values in m_lists:
+                got = exact_event_counts(n, events, m_values)
+                assert got == {m: expected[m] if m < len(expected) else empty
+                               for m in m_values}, list(m_values)
 
     def test_edge_inputs(self, small_patterns):
         vertex, edge = small_patterns["vertex"], small_patterns["edge"]
@@ -291,14 +320,21 @@ class TestComponentEventsFromConnectedCounts:
             assert all(row == [0, totals[m], totals[m]]
                        for m, row in exact_event_counts(n, events).items()), n
 
-    def test_a_walked_kind_beside_them_composes_the_orbits(self, monkeypatch):
-        composed = []
-        compose = census_module._compose
-        monkeypatch.setattr(census_module, "_compose", lambda n: composed.append(n) or compose(n))
-        events = [EventKind.connected(), EventKind.has_copy(TRIANGLE)]
-        # 16 labeled trees (Cayley) and 4 triangles among the 20 graphs of (4, 3)
-        assert exact_event_counts(4, events, [3]) == {3: [16, 4]}
-        assert composed == [4]
+    @pytest.mark.usefixtures("no_orbit_composed")
+    def test_no_kind_composes_the_orbits(self, small_patterns):
+        path3 = small_patterns["path3"]
+        events = [EventKind.connected(), EventKind.has_copy(TRIANGLE),
+                  EventKind.has_isolated_vertex(), EventKind.has_component(TRIANGLE),
+                  EventKind.min_components(path3, 1), EventKind.min_pendant_edges(3),
+                  EventKind.min_appearances(small_patterns["edge"], 1)]
+        # the 20 graphs of (4, 3), each evaluated by the labeled class search
+        expected = [0] * len(events)
+        for mask in census_module.class_masks(4, 3):
+            g = LabeledGraph(4, mask)
+            expected = [hits + evaluate_event(g, e) for hits, e in zip(expected, events)]
+        # 16 labeled trees (Cayley), 4 triangles, each beside an isolated vertex
+        assert expected[:4] == [16, 4, 4, 4]
+        assert exact_event_counts(4, events, [3]) == {3: expected}
 
 
 class TestNumericArguments:
