@@ -189,7 +189,8 @@ def connected_counts(n: int) -> tuple[int, ...]:
 
 
 class Marks(NamedTuple):
-    """An event read as a sum of marks over the components (marked_counts)."""
+    """An event read as a sum of marks over the components (marked_counts),
+    given by a shape or by a law, not both."""
 
     threshold: int
     shape: tuple[int, int, int] | None = None
@@ -207,22 +208,25 @@ def marked_counts(n: int, columns, m_values) -> list[dict[int, int]]:
     connected counts with each graph at z^mark; the rest of the class is the
     answer.  A connected graph is built, once for all columns, only if a
     wanted class can hold it: 0 <= m - e <= max_planar_edges(n - k) for its k
-    vertices and e edges and some wanted m.  The others keep mark 0."""
+    vertices and e edges and some wanted m.  The others keep mark 0.  Each
+    distinct law runs once per graph, whatever the columns that share it."""
     check_exact(n)
-    moved = [Counter() for _ in columns]  # (k, e, mark) -> connected graphs moved to z^mark
-    for j, column in enumerate(columns):
+    # (k, e, mark) -> connected graphs moved to z^mark: one tally per law,
+    # which every column of that law reads, and one per shape
+    laws = {column.law: Counter() for column in columns if column.law is not None}
+    moved = [Counter() if column.law is None else laws[column.law] for column in columns]
+    for column, moves in zip(columns, moved):
         if column.shape is not None and column.shape[0] <= n:
             k, e, aut = column.shape
-            moved[j][k, e, 1] = factorial(k) // aut
-    walked = [j for j, column in enumerate(columns) if column.law is not None]
-    for k in range(1, n + 1 if walked else 1):
+            moves[k, e, 1] = factorial(k) // aut
+    for k in range(1, n + 1 if laws else 1):
         edges = {m - d for m in m_values for d in range(max_planar_edges(n - k) + 1)}
         for mask, aut in _read_connected(k):
             if (e := mask.bit_count()) in edges:
                 g, labelings = LabeledGraph(k, mask), factorial(k) // aut
-                for j in walked:
-                    for mark, count in columns[j].law(g, labelings):
-                        moved[j][k, e, mark] += count
+                for law, moves in laws.items():
+                    for mark, count in law(g, labelings):
+                        moves[k, e, mark] += count
     width, slots = _width(n), pair_count(n) + 1
     connected = _connected_counts(n)
     total, layer = _exp(connected)[n], (1 << width * slots) - 1

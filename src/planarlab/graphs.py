@@ -3,22 +3,24 @@
 Simple undirected graphs on the vertex set {1..n}, the element type of the
 uniform classes this package enumerates and samples.  A graph is (n, mask),
 bit s of the mask being the edge in slot s (``_bits``); statistics run on
-neighbour bitsets read off the mask's rows on first use, and the edge pairs
-are derived on demand.  One breadth-first spanning forest, walked once per
-graph, gives the components (its trees) and decides on the way whether any
-edge is a bridge; only when one may be is it walked again, leaves first, for
-the bridges and the two sides of each.  All of it is kept on the graph, so
-the checks and searches that share it pay once.  The text encoding is the
-mask's bits reversed, read off its hex digits; ``encode_mask`` and
-``mask_from_digits`` write and read it for a bare mask, so census lines
-never become graphs.  Values are never modified once built and are safe to
-share; every operation here is a pure function of its inputs.
+neighbour bitsets built on first use, from byte tables up to n = 7 and row
+by row past that, and the edge pairs are derived on demand.  One
+breadth-first spanning forest, walked once per graph, gives the components
+(its trees) and decides on the way whether any edge is a bridge; only when
+one may be is it walked again, leaves first, for the bridges and the two
+sides of each.  All of it is kept on the graph, so the checks and searches
+that share it pay once.  The text encoding is the mask's bits reversed, read
+off its hex digits; ``encode_mask`` and ``mask_from_digits`` write and read
+it for a bare mask, so census lines never become graphs.  Values are never
+modified once built and are safe to share; every operation here is a pure
+function of its inputs.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from ._bits import bit_positions, edges_from_mask, pair_count, pair_index
 from .errors import (
@@ -29,7 +31,7 @@ from .errors import (
     VertexOutOfRangeError,
 )
 from .planarity import is_planar_edges  # noqa: F401  (bench/tracing.py patches it here)
-from .planarity import mask_planarity
+from .planarity import TABLE_MAX_N, mask_planarity
 
 Edge = tuple[int, int]
 
@@ -59,23 +61,22 @@ class LabeledGraph:
 
     @property
     def adjacency(self) -> tuple[int, ...]:
-        """Neighbour bitsets indexed by vertex label; index 0 is 0.  Row i of
-        the mask, the n - i slots of (i, i+1) .. (i, n), is i's upper row."""
+        """Neighbour bitsets indexed by vertex label; index 0 is 0.  Up to
+        n = 7 every row is a byte: three table lookups, one per 7-slot chunk
+        of the mask, give all of them packed into one int (``_row_tables``).
+        Past that they are read row by row, skipping the empty ones
+        (``_rows_by_walk``), so a sparse graph costs a few big-int steps per
+        edge and not a shift of the whole mask per row."""
         adj = self._adj
         if adj is None:
-            n, rest = self.n, self.mask
-            rows = [0] * (n + 1)
-            i = 1
-            while rest:
-                up = rest & ((1 << (n - i)) - 1)
-                rest >>= n - i
-                rows[i] |= up << (i + 1)
-                while up:  # and i is in the lower row of each upper neighbour
-                    low = up & -up
-                    rows[i + low.bit_length()] |= 1 << i
-                    up ^= low
-                i += 1
-            adj = self._adj = tuple(rows)
+            n, mask = self.n, self.mask
+            if n <= TABLE_MAX_N:
+                t0, t1, t2 = _row_tables(n)
+                packed = t0[mask & 127] | t1[mask >> 7 & 127] | t2[mask >> 14]
+                adj = tuple(packed.to_bytes(8, "little")[:n + 1])
+            else:
+                adj = _rows_by_walk(n, mask)
+            self._adj = adj
         return adj
 
     @property
@@ -98,6 +99,55 @@ class LabeledGraph:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LabeledGraph({encode(self)!r})"
+
+
+@lru_cache(maxsize=None)
+def _row_tables(n: int) -> tuple[list[int], ...]:
+    """For n <= 7, three tables, one per 7-slot chunk of the mask: entry x
+    of a chunk is the neighbour rows of the edges in the set bits of x,
+    packed one byte per vertex, so the rows of a mask are the OR of three
+    lookups.  Each slot doubles its chunk's table, adding its edge to the
+    entries so far."""
+    single = [1 << 8 * i + j | 1 << 8 * j + i  # the rows of each slot's edge
+              for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    tables = []
+    for start in (0, 7, 14):
+        table = [0]
+        for edge in single[start:start + 7]:
+            table += [rows | edge for rows in table]
+        tables.append(table)
+    return tuple(tables)
+
+
+def _rows_by_walk(n: int, mask: int) -> tuple[int, ...]:
+    """The neighbour rows of (n, mask), row by row: row i of the mask, the
+    n - i slots of (i, i+1) .. (i, n), is i's upper row, and i is in the
+    lower row of each upper neighbour.  Runs of empty rows are skipped to the
+    row of the lowest edge left, so the whole mask is shifted once per
+    nonempty row, not once per row."""
+    rows = [0] * (n + 1)
+    i = 1
+    while mask:
+        width = n - i  # row i's slots, now the lowest of the mask
+        up = mask & ((1 << width) - 1)
+        if not up:
+            s = (mask & -mask).bit_length() - 1
+            skip = 0
+            while s >= width:
+                s -= width
+                skip += width
+                i += 1
+                width -= 1
+            mask >>= skip
+            continue
+        mask >>= width
+        rows[i] |= up << (i + 1)
+        while up:
+            low = up & -up
+            rows[i + low.bit_length()] |= 1 << i
+            up ^= low
+        i += 1
+    return tuple(rows)
 
 
 def spanning_forest(g: LabeledGraph) -> tuple[tuple[int, ...], list[list[int]], bool]:
@@ -236,6 +286,9 @@ def bridges(g: LabeledGraph) -> frozenset[Edge]:
     return bridge_sides(g)[0]
 
 
+_NO_BRIDGES: tuple[frozenset[Edge], tuple] = (frozenset(), ())  # shared by every bridgeless graph
+
+
 def bridge_sides(g: LabeledGraph) -> tuple[frozenset[Edge], tuple[tuple[Edge, int, int], ...]]:
     """(the bridges, ((u, v), side of u, side of v) of each bridge (u, v) by
     ascending edge), kept on the graph; a side is the vertex bitset left with
@@ -247,8 +300,10 @@ def bridge_sides(g: LabeledGraph) -> tuple[frozenset[Edge], tuple[tuple[Edge, in
     found = g._sides
     if found is None:
         comps, layered, bridgeless = spanning_forest(g)
-        out = []
-        if not bridgeless:
+        if bridgeless:
+            found = _NO_BRIDGES
+        else:
+            out = []
             adj = g.adjacency
             inside = [0] * (g.n + 1)  # the subtrees of v's children
             around = [0] * (g.n + 1)  # the neighbours of those subtrees
@@ -270,7 +325,8 @@ def bridge_sides(g: LabeledGraph) -> tuple[frozenset[Edge], tuple[tuple[Edge, in
                         inside[p] |= below
                         around[p] |= reached
             out.sort()
-        found = g._sides = (frozenset([edge for edge, _, _ in out]), tuple(out))
+            found = (frozenset([edge for edge, _, _ in out]), tuple(out))
+        g._sides = found
     return found
 
 

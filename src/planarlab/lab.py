@@ -13,6 +13,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from ._bits import bit_positions
 from .census import (  # enumerate_all: the benchmark's tracer patches lab.enumerate_all
@@ -192,22 +193,29 @@ def _check_class(n: int, m: int) -> None:
 def _marks(event: EventKind) -> Marks:
     """An event other than ``connected`` as a sum over the components:
     ``isolated`` (H = K1) and the component kinds mark those isomorphic to H,
-    ``copy`` one that holds a copy of H (H is connected), ``pendant`` one by
-    its pendant edges.  ``appearances`` marks one by its appearances, which
-    lie inside it and are rooted at the smallest label of their set, an order
-    that placing the component keeps: their law splits its labelings."""
-    h, threshold = event.pattern, event.threshold
+    and the other kinds mark each one by its ``_law``."""
+    h, threshold = event.pattern, 1 if event.threshold is None else event.threshold
     if event.kind == "isolated":
-        return Marks(1, shape=(1, 0, 1))
+        return Marks(threshold, shape=(1, 0, 1))
     if event.kind in ("component", "components"):
-        return Marks(1 if threshold is None else threshold, (h.size, h.edge_count, h.aut_count))
-    if event.kind == "copy":
-        return Marks(1, law=lambda g, labelings: [(int(has_copy(g, h)), labelings)])
-    if event.kind == "pendant":
-        return Marks(threshold, law=lambda g, labelings: [(pendant_edge_count(g), labelings)])
-    return Marks(threshold, law=lambda g, labelings: [
-        (a, labelings * p.numerator // p.denominator)
-        for a, p in enumerate(appearance_law(g, h))])
+        return Marks(threshold, (h.size, h.edge_count, h.aut_count))
+    return Marks(threshold, law=_law(event.kind, h))
+
+
+@lru_cache(maxsize=64)
+def _law(kind: str, h: Pattern | None):
+    """The law of one connected graph's mark, one function per (kind, pattern)
+    so that ``marked_counts`` runs it once per graph for every threshold:
+    ``copy`` marks one that holds a copy of H (H is connected), ``pendant``
+    one by its pendant edges.  ``appearances`` marks one by its appearances,
+    which lie inside it and are rooted at the smallest label of their set, an
+    order that placing the component keeps: their law splits its labelings."""
+    if kind == "copy":
+        return lambda g, labelings: [(int(has_copy(g, h)), labelings)]
+    if kind == "pendant":
+        return lambda g, labelings: [(pendant_edge_count(g), labelings)]
+    return lambda g, labelings: [
+        (a, labelings * p.numerator // p.denominator) for a, p in enumerate(appearance_law(g, h))]
 
 
 def exact_event_counts(n: int, events, m_values=None) -> dict[int, list[int]]:

@@ -344,6 +344,27 @@ def degrees_from_edges(g: LabeledGraph) -> list[int]:
     return deg
 
 
+def adjacency_rows(n: int, mask: int) -> tuple[int, ...]:
+    """Neighbour bitsets of (n, mask) indexed by vertex label, index 0 being
+    0, read row by row: row i of the mask, the n - i slots of (i, i+1) ..
+    (i, n), is i's upper row, shifted off the mask in turn, and i is in the
+    lower row of each upper neighbour.  One whole-mask shift per row, so it
+    is slow on a sparse mask at large n."""
+    rest = mask
+    rows = [0] * (n + 1)
+    i = 1
+    while rest:
+        up = rest & ((1 << (n - i)) - 1)
+        rest >>= n - i
+        rows[i] |= up << (i + 1)
+        while up:
+            low = up & -up
+            rows[i + low.bit_length()] |= 1 << i
+            up ^= low
+        i += 1
+    return tuple(rows)
+
+
 def relabeled_subgraph(g: LabeledGraph, verts) -> LabeledGraph:
     """g[W] with the i-th smallest vertex of W renamed i."""
     index = {v: a + 1 for a, v in enumerate(sorted(verts))}

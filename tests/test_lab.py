@@ -320,6 +320,19 @@ class TestComponentEventsFromConnectedCounts:
             assert all(row == [0, totals[m], totals[m]]
                        for m, row in exact_event_counts(n, events).items()), n
 
+    def test_thresholds_share_one_law(self, monkeypatch):
+        # pendant>=0..3 mark each connected graph built by one pendant count
+        built, marked = [], []
+        monkeypatch.setattr(census_module, "LabeledGraph",
+                            lambda n, mask: built.append((n, mask)) or LabeledGraph(n, mask))
+        monkeypatch.setattr(lab_module, "pendant_edge_count",
+                            lambda g: marked.append((g.n, g.mask)) or pendant_edge_count(g))
+        events = [EventKind.min_pendant_edges(t) for t in range(4)]
+        got = exact_event_counts(7, events)
+        assert built and marked == built
+        expected = orbit_event_counts(7, events)
+        assert got == {m: expected[m] for m in range(max_planar_edges(7) + 1)}
+
     @pytest.mark.usefixtures("no_orbit_composed")
     def test_no_kind_composes_the_orbits(self, small_patterns):
         path3 = small_patterns["path3"]
