@@ -303,6 +303,29 @@ def two_core(adj) -> tuple[int, int]:
     return core, edges // 2
 
 
+def attachments_flood(adj, ring: int, start: int, fence: int) -> int:
+    """The vertices of ``ring`` with a neighbour in the component of
+    ``start`` in the graph less the vertex bitset ``ring`` and the vertex
+    ``fence``, as a bitset; the flood runs to the component's end unless it
+    meets a third.  The certificate's flood before it stopped at the first
+    attachments that decide it."""
+    todo = 1 << start
+    out = ring | 1 << fence | todo  # the vertices not to flood, or flooded
+    hits = 0
+    while todo:
+        bit = todo & -todo
+        todo ^= bit
+        row = adj[bit.bit_length() - 1]
+        if row & ring:
+            hits |= row & ring
+            if hits.bit_count() >= 3:
+                break
+        row &= ~out
+        out |= row
+        todo |= row
+    return hits
+
+
 def component_masks_reach(g: LabeledGraph) -> tuple[int, ...]:
     """Vertex bitsets of the components, by ascending minimum vertex: one
     flood fill from the smallest vertex not yet reached."""

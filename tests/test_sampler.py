@@ -47,7 +47,7 @@ from planarlab._bits import (
 )
 from planarlab.planarity import _left_right_planar, is_planar_edges, planar_mask_table
 from planarlab.sampler import _apart, _attachments, _core_edges, _kernel, _ring
-from tests.oracles import pairs_in_order, two_core
+from tests.oracles import attachments_flood, pairs_in_order, two_core
 from tests.test_planarity import networkx_planar
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -996,13 +996,44 @@ def assert_k33_minor(adj, f) -> None:
     hf = graph_of(adj)
     sides = k33_branch_sets(hf, f)
     assert sides is not None, f"no K3,3 minor of the certificate's form for f = {f}"
-    one, other = sides
+    assert_k33_parts(hf, *sides)
+
+
+def assert_k33_parts(hf: nx.Graph, one: list[set], other: list[set]) -> None:
+    """Check that the branch sets ``one`` against ``other`` are a K3,3
+    minor of ``hf``."""
     parts = one + other
     assert all(nx.is_connected(hf.subgraph(p)) for p in parts)
     assert all(not p & q for p, q in combinations(parts, 2))
     for p in one:
         for q in other:
             assert any(hf.has_edge(x, y) for x in p for y in q)
+
+
+def certificate_on_the_full_flood(adj, u: int, v: int) -> bool:
+    """The certificate of ``_kuratowski_minor`` built on the reference flood,
+    which reads b's side to its end unless it meets a third attachment."""
+    for a, b in (u, v), (v, u):
+        ring = adj[a] ^ 1 << b
+        if ring.bit_count() < 3 or not _ring(adj, ring):
+            continue
+        hits = attachments_flood(adj, ring, b, a)
+        count = hits.bit_count()
+        if count >= 3 or count == 2 and _apart(adj, ring, hits):
+            return True
+    return False
+
+
+class RowReads(list):
+    """Neighbour bitsets that record the vertex of every row read."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.read = set()
+
+    def __getitem__(self, x):
+        self.read.add(x)
+        return super().__getitem__(x)
 
 
 def wheel_and_b(pair, chord=None) -> list[tuple[int, int]]:
@@ -1107,6 +1138,63 @@ class TestK5Certificate:
             assert ring.bit_count() == 3 and _ring(adj, ring)
             assert _attachments(adj, ring, b, a) == 1 << 1 | 1 << 2
             assert not _apart(adj, ring, 1 << 1 | 1 << 2)
+
+    @pytest.mark.parametrize("a", range(4, 12))
+    def test_flood_stops_at_two_apart_attachments(self, a):
+        # f joins a to a path vertex b at least 3 away on the 12-vertex fan,
+        # a triangulation.  N_H(a) is the ring 1 - (a - 1) - 2 - (a + 1) with
+        # the chord 1 - 2, and b's side is the part of the path 3 - ... - 12
+        # that holds b, each of whose vertices touches 1 and 2 and no other
+        # ring vertex but for the end next to a, which also touches a - 1 or
+        # a + 1.  1 and 2 are opposite on the ring: b's row alone certifies a
+        # K3,3 minor, and the flood reads no other row off the ring, where the
+        # full flood reads on to that end
+        n = 12
+        hubs = 1 << 1 | 1 << 2
+        for b in range(3, n + 1):
+            if abs(a - b) < 3:
+                continue
+            f = (a, b)
+            adj = adjacency(n, fan_triangulation_edges(n) + [f])
+            ring = adj[a] ^ 1 << b
+            assert ring == hubs | 1 << a - 1 | 1 << a + 1
+            assert _ring(adj, ring) and _apart(adj, ring, hubs)
+            end, side = (a + 2, range(a + 2, n + 1)) if b > a else (a - 2, range(3, a - 1))
+            full = RowReads(adj)
+            assert attachments_flood(full, ring, b, a) == hubs | 1 << (a + 1 if b > a else a - 1)
+            assert {b, end} <= full.read <= set(side)
+            rows = RowReads(adj)
+            assert _attachments(rows, ring, b, a) == hubs | 1 << a
+            assert {x for x in rows.read if not ring >> x & 1} == {b}
+            assert sampler_module._kuratowski_minor(adj, *f)
+            assert not networkx_planar(n, edges_of(adj))
+            # the minor that the two attachments give, whatever else K touches
+            hf = graph_of(adj)
+            k = nx.node_connected_component(hf.subgraph(set(hf) - {a, a - 1, a + 1, 1, 2}), b)
+            assert_k33_parts(hf, [{a}, {1}, {2}], [k, {a - 1}, {a + 1}])
+
+    @pytest.mark.parametrize("n, m, seed", [
+        (100, 290, 200_000), (100, 250, 200_000), (60, 170, 3), (20, 50, 2), (7, 15, 1),
+    ])
+    def test_certificate_agrees_with_the_full_flood(self, monkeypatch, n, m, seed):
+        # on H + f of every step, whether or not the step routes to the
+        # certificate, the early stop certifies exactly what the full flood does
+        core_edges = sampler_module._core_edges
+        decided = Counter()
+
+        def checked(adj, edges, core, u, v):
+            found = sampler_module._kuratowski_minor(adj, u, v)
+            assert found is certificate_on_the_full_flood(adj, u, v), (list(adj), u, v)
+            decided[found] += 1
+            return core_edges(adj, edges, core, u, v)
+
+        monkeypatch.setattr(sampler_module, "_core_edges", checked)
+        state = ChainState(n, m, seed)
+        steps = 2000
+        for _ in range(steps):
+            mcmc_step(state)
+        assert decided[True] + decided[False] == steps
+        assert decided[True] and decided[False], decided
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
