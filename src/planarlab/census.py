@@ -141,9 +141,11 @@ def enumerate_all(n: int, visitor: Callable[[LabeledGraph], None]) -> None:
 # by the vertex-addition generator in tests/oracles.py, one row per unlabeled
 # graph G with |Aut G|.  A labeled graph is a set of connected components, so
 # with C the exponential generating function of the connected ones (x marks
-# vertices, y edges), all graphs are exp(C), and the class sizes and every
-# event count follow from C, each connected graph marked by its share of the
-# event (Gimenez and Noy, JAMS 2009; marked_counts).  The unlabeled graphs are
+# vertices, y edges), all graphs are exp(C), and the class sizes follow from
+# C.  An event sums a mark over the components: with z marking it and each
+# connected graph of C at z^mark, exp(C) is the whole law of the sum, taken
+# once per kind and pattern, and every threshold is a tail sum of that law
+# (Gimenez and Noy, JAMS 2009; marked_laws).  The unlabeled graphs are
 # composed as multisets of connected orbits for planar_orbits alone.  Each
 # table is read once per process, and each n's connected counts built and its
 # orbits composed once, from the tables of 1..n alone, behind check_exact.
@@ -189,56 +191,53 @@ def connected_counts(n: int) -> tuple[int, ...]:
 
 
 class Marks(NamedTuple):
-    """An event read as a sum of marks over the components (marked_counts),
-    given by a shape or by a law, not both."""
+    """A sum of marks over the components (marked_laws), given by a shape or
+    by a law, not both."""
 
-    threshold: int
     shape: tuple[int, int, int] | None = None
     law: Callable | None = None
 
 
-def marked_counts(n: int, columns, m_values) -> list[dict[int, int]]:
-    """For each ``Marks`` column, m -> the graphs of class (n, m) whose
-    components' marks sum to at least its threshold T, for every m of
-    ``m_values`` up to C(n,2).  A ``shape`` (k, e, |Aut H|) marks 1 the
-    components isomorphic to a connected H on k vertices with e edges, with
-    no graph built; a ``law(g, labelings)`` splits the ``labelings`` graphs
-    isomorphic to a connected g into (mark, count) pairs.  With z marking the
-    marks, the graphs whose marks sum below T are exp(A) below z^T, A the
-    connected counts with each graph at z^mark; the rest of the class is the
-    answer.  A connected graph is built, once for all columns, only if a
-    wanted class can hold it: 0 <= m - e <= max_planar_edges(n - k) for its k
-    vertices and e edges and some wanted m.  The others keep mark 0.  Each
-    distinct law runs once per graph, whatever the columns that share it."""
+def marked_laws(n: int, marks, m_values) -> list[dict[int, list[int]]]:
+    """For each ``Marks``, m -> the law of the components' marks summed over
+    class (n, m), for every m of ``m_values`` up to C(n,2): entry a counts
+    the graphs whose marks sum to a, up to the largest sum of any class.  A
+    ``shape`` (k, e, |Aut H|) marks 1 the components isomorphic to a
+    connected H on k vertices with e edges, with no graph built; a
+    ``law(g, labelings)`` splits the ``labelings`` graphs isomorphic to a
+    connected g into (mark, count) pairs.  With z marking the marks, the law
+    is exp(A), A the connected counts with each graph at z^mark.  A connected
+    graph is built, once for all marks, only if a wanted class can hold it:
+    0 <= m - e <= max_planar_edges(n - k) for its k vertices and e edges and
+    some wanted m.  The others keep mark 0."""
     check_exact(n)
-    # (k, e, mark) -> connected graphs moved to z^mark: one tally per law,
-    # which every column of that law reads, and one per shape
-    laws = {column.law: Counter() for column in columns if column.law is not None}
-    moved = [Counter() if column.law is None else laws[column.law] for column in columns]
-    for column, moves in zip(columns, moved):
-        if column.shape is not None and column.shape[0] <= n:
-            k, e, aut = column.shape
+    # (k, e, mark) -> connected graphs moved to z^mark, one tally per Marks
+    moved = [Counter() for _ in marks]
+    laws = [(mark.law, moves) for mark, moves in zip(marks, moved) if mark.law is not None]
+    for mark, moves in zip(marks, moved):
+        if mark.shape is not None and mark.shape[0] <= n:
+            k, e, aut = mark.shape
             moves[k, e, 1] = factorial(k) // aut
     for k in range(1, n + 1 if laws else 1):
         edges = {m - d for m in m_values for d in range(max_planar_edges(n - k) + 1)}
         for mask, aut in _read_connected(k):
             if (e := mask.bit_count()) in edges:
                 g, labelings = LabeledGraph(k, mask), factorial(k) // aut
-                for law, moves in laws.items():
-                    for mark, count in law(g, labelings):
-                        moves[k, e, mark] += count
+                for law, moves in laws:
+                    for a, count in law(g, labelings):
+                        moves[k, e, a] += count
     width, slots = _width(n), pair_count(n) + 1
+    layer, low = width * slots, (1 << width) - 1
     connected = _connected_counts(n)
-    total, layer = _exp(connected)[n], (1 << width * slots) - 1
     out = []
-    for column, moves in zip(columns, moved):
-        marks = list(connected)
-        for (k, e, mark), count in moves.items():
-            marks[k] += count * ((1 << width * slots * mark) - 1) << width * e
-        few = _exp(marks, (1 << width * slots * column.threshold) - 1)[n]
-        below = sum(few >> width * slots * a & layer for a in range(column.threshold))
-        at_least = _unpack(n, total - below)
-        out.append({m: at_least[m] for m in m_values if m < slots})
+    for moves in moved:
+        marked = list(connected)
+        for (k, e, a), count in moves.items():
+            marked[k] += count * ((1 << layer * a) - 1) << width * e
+        law = _exp(marked)[n]
+        sums = range(-(-law.bit_length() // layer))
+        out.append({m: [law >> layer * a + width * m & low for a in sums]
+                    for m in m_values if m < slots})
     return out
 
 
@@ -296,7 +295,8 @@ def _read_connected(n: int) -> tuple[tuple[int, int], ...]:
 # The counts of one n are polynomials in y, each packed into one int: the
 # count at y^m sits in bits [mW, (m+1)W) for the slot width W = _width(n), so
 # a product of two packed ints is the product of the polynomials.  Marked
-# counts put z^a y^m at slot a (C(n,2) + 1) + m, below the count at y^m.
+# counts put z^a y^m at slot a (C(n,2) + 1) + m: layer a of the packed int
+# holds the graphs whose marks sum to a.
 
 
 def _width(n: int) -> int:
@@ -313,14 +313,13 @@ def _unpack(n: int, packed: int) -> tuple[int, ...]:
     return tuple(packed >> width * m & low for m in range(pair_count(n) + 1))
 
 
-def _exp(connected, keep: int = -1) -> list[int]:
+def _exp(connected) -> list[int]:
     """g_0 .. g_n, the labeled graphs on {1..i} whose components are counted
     by the packed a_1 .. a_n of ``connected`` (a_0 unused): the component of
-    vertex i has k vertices, so g_i = sum_k C(i-1, k-1) a_k g_(i-k).  Each
-    g_i keeps only the slots set in ``keep``, the terms an answer reads."""
+    vertex i has k vertices, so g_i = sum_k C(i-1, k-1) a_k g_(i-k)."""
     g = [1]
     for i in range(1, len(connected)):
-        g.append(sum(comb(i - 1, k - 1) * connected[k] * g[i - k] for k in range(1, i + 1)) & keep)
+        g.append(sum(comb(i - 1, k - 1) * connected[k] * g[i - k] for k in range(1, i + 1)))
     return g
 
 

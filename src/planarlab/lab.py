@@ -13,7 +13,6 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from ._bits import bit_positions
 from .census import (  # enumerate_all: the benchmark's tracer patches lab.enumerate_all
@@ -24,7 +23,7 @@ from .census import (  # enumerate_all: the benchmark's tracer patches lab.enume
     class_counts,
     connected_counts,
     enumerate_all,  # noqa: F401
-    marked_counts,
+    marked_laws,
     max_planar_edges,
 )
 from .errors import EmptyClassError, InvalidArgumentError
@@ -49,9 +48,10 @@ from .sampler import sample_many
 
 # kind -> (takes a pattern, takes a threshold, indicator(g, event)): each row
 # holds the kind's indicator on a whole graph, which sampled rows read; exact
-# counts read the same meaning off the components, by _marks, and the tests
-# check the two against each other.  Callees are looked up when called, since
-# bench/tracing.py patches them here.
+# counts read the same meaning off the components, as one law of a sum of
+# marks per kind and pattern (_marks), a threshold being a tail sum of it,
+# and the tests check the two against each other.  Callees are looked up when
+# called, since bench/tracing.py patches them here.
 EVENT_KINDS = {
     "connected": (False, False, lambda g, e: kappa(g) == 1),
     "component": (True, False, lambda g, e: count_components_isomorphic(g, e.pattern) >= 1),
@@ -190,41 +190,33 @@ def _check_class(n: int, m: int) -> None:
     check_exact(n)
 
 
-def _marks(event: EventKind) -> Marks:
-    """An event other than ``connected`` as a sum over the components:
-    ``isolated`` (H = K1) and the component kinds mark those isomorphic to H,
-    and the other kinds mark each one by its ``_law``."""
-    h, threshold = event.pattern, 1 if event.threshold is None else event.threshold
-    if event.kind == "isolated":
-        return Marks(threshold, shape=(1, 0, 1))
-    if event.kind in ("component", "components"):
-        return Marks(threshold, (h.size, h.edge_count, h.aut_count))
-    return Marks(threshold, law=_law(event.kind, h))
-
-
-@lru_cache(maxsize=64)
-def _law(kind: str, h: Pattern | None):
-    """The law of one connected graph's mark, one function per (kind, pattern)
-    so that ``marked_counts`` runs it once per graph for every threshold:
-    ``copy`` marks one that holds a copy of H (H is connected), ``pendant``
-    one by its pendant edges.  ``appearances`` marks one by its appearances,
-    which lie inside it and are rooted at the smallest label of their set, an
-    order that placing the component keeps: their law splits its labelings."""
+def _marks(kind: str, h: Pattern | None) -> Marks:
+    """A kind other than ``connected`` as a sum of marks over the components:
+    ``isolated`` (H = K1) and the component kinds mark 1 those isomorphic to
+    H, ``copy`` marks 1 one that holds a copy of H (H is connected), and
+    ``pendant`` one by its pendant edges.  ``appearances`` marks one by its
+    appearances, which lie inside it and are rooted at the smallest label of
+    their set, an order that placing the component keeps: their law splits
+    its labelings."""
+    if kind == "isolated":
+        return Marks(shape=(1, 0, 1))
+    if kind in ("component", "components"):
+        return Marks((h.size, h.edge_count, h.aut_count))
     if kind == "copy":
-        return lambda g, labelings: [(int(has_copy(g, h)), labelings)]
+        return Marks(law=lambda g, labelings: [(int(has_copy(g, h)), labelings)])
     if kind == "pendant":
-        return lambda g, labelings: [(pendant_edge_count(g), labelings)]
-    return lambda g, labelings: [
-        (a, labelings * p.numerator // p.denominator) for a, p in enumerate(appearance_law(g, h))]
+        return Marks(law=lambda g, labelings: [(pendant_edge_count(g), labelings)])
+    return Marks(law=lambda g, labelings: [
+        (a, labelings * p.numerator // p.denominator) for a, p in enumerate(appearance_law(g, h))])
 
 
 def exact_event_counts(n: int, events, m_values=None) -> dict[int, list[int]]:
     """Satisfying-graph counts per m for several events, from the connected
-    counts alone: ``connected`` is C_n, and every other event is the class
-    less the graphs whose components' marks (``_marks``) sum below its
-    threshold, with no orbit composed.  Refuses n > 9, and an m that is not a
-    non-negative integer, before any work; an m past ``max_planar_edges(n)``
-    names an empty class, whose row is all zeros."""
+    counts alone: ``connected`` is C_n, and every other event is a tail sum,
+    from its threshold on, of the law of its components' marks (``_marks``),
+    one law per kind and pattern, with no orbit composed.  Refuses n > 9, and
+    an m that is not a non-negative integer, before any work; an m past
+    ``max_planar_edges(n)`` names an empty class, whose row is all zeros."""
     check_exact(n)  # before any arithmetic on n
     events = list(events)
     top = max_planar_edges(n)
@@ -232,10 +224,12 @@ def exact_event_counts(n: int, events, m_values=None) -> dict[int, list[int]]:
     for m in m_values:
         _validate_params(n, m)
     wanted = set(m_values)
-    marked = iter(marked_counts(
-        n, [_marks(event) for event in events if event.kind != "connected"], wanted))
-    connected = connected_counts(n)
-    columns = [connected if event.kind == "connected" else next(marked) for event in events]
+    keys = dict.fromkeys((event.kind, event.pattern) for event in events
+                         if event.kind != "connected")
+    laws = dict(zip(keys, marked_laws(n, [_marks(*key) for key in keys], wanted)))
+    columns = [connected_counts(n) if event.kind == "connected" else
+               {m: sum(law[1 if event.threshold is None else event.threshold:])
+                for m, law in laws[event.kind, event.pattern].items()} for event in events]
     return {m: [column[m] if m <= top else 0 for column in columns] for m in wanted}
 
 

@@ -56,7 +56,7 @@ def is_planar_edges(n: int, edges: Iterable[tuple[int, int]]) -> bool:
 def mask_planarity(n: int) -> Callable[[int], bool]:
     """The planarity test for edge masks on {1..n}: a lookup in the n <= 7
     table read from its checked-in file (truthy byte), else
-    ``is_planar_edges`` on the edges decoded row by row."""
+    ``is_planar_edges`` on the edges read from the mask by its set bits."""
     if n <= TABLE_MAX_N:
         return planar_mask_table(n).__getitem__
     return lambda mask: is_planar_edges(n, edges_from_mask(n, mask))

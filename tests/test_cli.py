@@ -229,6 +229,16 @@ class TestExperiment:
                  for row in path.read_text(encoding="utf-8").splitlines()[1:]}
         assert kinds == set(lab.EVENT_KINDS)
 
+    def test_a_huge_threshold_is_answered_at_once(self, capsys):
+        # a threshold past any count of the class holds on no graph
+        code, out, err = run(
+            capsys, "experiment", "--n-list", "5", "--m-list", "3",
+            "--events", "components:3:E>=99999999999999999999",
+        )
+        assert (code, err) == (0, "")
+        [row] = out.strip().splitlines()[1:]
+        assert row.split(",")[5] == "0.0"
+
     def test_mcmc_rows_are_tagged_diagnostic(self, capsys):
         code, out, _ = run(
             capsys, "experiment", "--n-list", "5", "--m-list", "5",

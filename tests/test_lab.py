@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from planarlab import (
     exact_probability,
     is_planar,
     isolated_vertex_count,
+    make_pattern,
     parse_event,
     pattern_from_name,
     pendant_edge_count,
@@ -321,17 +323,44 @@ class TestComponentEventsFromConnectedCounts:
                        for m, row in exact_event_counts(n, events).items()), n
 
     def test_thresholds_share_one_law(self, monkeypatch):
-        # pendant>=0..3 mark each connected graph built by one pendant count
+        # pendant>=0..3 mark each connected graph built by one pendant count,
+        # also with more kinds and patterns between two of them (copy:H for
+        # the first 70 connected graphs of the tables) than a cache of 64 holds
+        copies = [EventKind.has_copy(make_pattern(LabeledGraph(k, mask)))
+                  for k in range(1, 7) for mask, _ in census_module._read_connected(k)][:70]
+        pendant = [EventKind.min_pendant_edges(t) for t in range(4)]
+        expected = orbit_event_counts(7, pendant)
         built, marked = [], []
         monkeypatch.setattr(census_module, "LabeledGraph",
                             lambda n, mask: built.append((n, mask)) or LabeledGraph(n, mask))
         monkeypatch.setattr(lab_module, "pendant_edge_count",
                             lambda g: marked.append((g.n, g.mask)) or pendant_edge_count(g))
-        events = [EventKind.min_pendant_edges(t) for t in range(4)]
-        got = exact_event_counts(7, events)
-        assert built and marked == built
-        expected = orbit_event_counts(7, events)
-        assert got == {m: expected[m] for m in range(max_planar_edges(7) + 1)}
+        for events, m_values in ((pendant, range(max_planar_edges(7) + 1)),
+                                 (pendant[:2] + copies + pendant[2:], [4, 7])):
+            built.clear()
+            marked.clear()
+            got = exact_event_counts(7, events, m_values)
+            assert built and marked == built
+            assert {m: row[:2] + row[-2:] for m, row in got.items()} == {
+                m: expected[m] for m in m_values}
+
+    @pytest.mark.parametrize("n", [5, 9])
+    def test_huge_thresholds_hold_nowhere(self, n, small_patterns):
+        huge = 10 ** 20
+        events = [EventKind.min_components(TRIANGLE, huge), EventKind.min_pendant_edges(huge),
+                  EventKind.min_appearances(small_patterns["edge"], huge)]
+        got = exact_event_counts(n, events)
+        assert sorted(got) == list(range(max_planar_edges(n) + 1))
+        assert all(row == [0, 0, 0] for row in got.values())
+
+    def test_a_large_threshold_takes_no_longer(self, small_patterns):
+        # the tables read first: a threshold is read off the law, in no time
+        # that grows with it
+        class_counts(5)
+        start = time.perf_counter()
+        got = exact_event_counts(5, [EventKind.min_components(small_patterns["vertex"], 30_000_000)])
+        assert time.perf_counter() - start < 1.0
+        assert all(row == [0] for row in got.values())
 
     @pytest.mark.usefixtures("no_orbit_composed")
     def test_no_kind_composes_the_orbits(self, small_patterns):
