@@ -193,11 +193,11 @@ def _check_class(n: int, m: int) -> None:
 def _marks(kind: str, h: Pattern | None) -> Marks:
     """A kind other than ``connected`` as a sum of marks over the components:
     ``isolated`` (H = K1) and the component kinds mark 1 those isomorphic to
-    H, ``copy`` marks 1 one that holds a copy of H (H is connected), and
-    ``pendant`` one by its pendant edges.  ``appearances`` marks one by its
-    appearances, which lie inside it and are rooted at the smallest label of
-    their set, an order that placing the component keeps: their law splits
-    its labelings."""
+    H, ``copy`` marks 1 those that hold a copy of H (H is connected), and
+    ``pendant`` marks each by its pendant edges.  ``appearances`` marks each
+    by its appearances, which lie inside it and are rooted at the smallest
+    label of their set, an order that placing the component keeps: their law
+    splits its labelings."""
     if kind == "isolated":
         return Marks(shape=(1, 0, 1))
     if kind in ("component", "components"):
